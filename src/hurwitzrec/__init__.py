@@ -8,7 +8,6 @@ All arithmetic is exact rational; nothing is floating point.
 
 from fractions import Fraction as Rational
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .partitions import HurwitzOracle, hurwitz_connected, partitions_of
 from .poleform import PoleForm
 from .series import Series, TruncationError
@@ -18,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HurwitzOracle",
-    "KERNEL_BACKEND",
     "LambertEngine",
     "PoleForm",
     "Rational",

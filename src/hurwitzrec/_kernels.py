@@ -1,27 +1,164 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Exact-rational inner loops, run on integers under shared denominators.
 
-Set HURWITZREC_PURE=1 to force the pure-Python kernels.
+Each kernel clears the denominators of its inputs once, works on plain
+``int``s and divides once at the end, so no intermediate result is ever a
+`Fraction`.  Results are exact.
 """
 
-import os
+from fractions import Fraction
+from itertools import product
+from math import comb, lcm
 
-from . import _pure
+_ZERO = Fraction(0)
 
-if os.environ.get("HURWITZREC_PURE") == "1":
-    _impl = _pure
-    BACKEND = "pure"
-else:
-    try:
-        from . import _speed as _impl  # type: ignore[attr-defined]
 
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _pure
-        BACKEND = "pure"
+def clear_denominators(values):
+    """``(den, nums)`` with ``values[i] == nums[i] / den``; ``den`` is the
+    least common denominator (1 for an empty input)."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
-conv = _impl.conv
-unit_inverse = _impl.unit_inverse
-pair_sweep = _impl.pair_sweep
-acc_pair = _impl.acc_pair
-merge_desc = _pure.merge_desc
-count_ways = _pure.count_ways
+
+def conv(a, b, nout):
+    """First ``nout`` coefficients of the Cauchy product of coefficient lists."""
+    if nout <= 0:
+        return []
+    da, anum = clear_denominators(a[:nout])
+    db, bnum = clear_denominators(b[:nout])
+    acc = [0] * nout
+    for i, ai in enumerate(anum):
+        if not ai:
+            continue
+        for j, bj in enumerate(bnum[: nout - i], i):
+            if bj:
+                acc[j] += ai * bj
+    den = da * db
+    return [Fraction(c, den) for c in acc]
+
+
+def unit_inverse(a, n):
+    """First ``n`` coefficients of the reciprocal of a unit power series.
+
+    With ``a = anum / da`` the k-th coefficient is ``da * s_k / a0**(k+1)``
+    for the integers ``s_k = -sum_i anum[i] * a0**(i-1) * s_(k-i)``.  These
+    grow like ``a0**n``; the series inverted here keep ``a0.bit_length() * n``
+    to a few thousand bits.
+    """
+    da, anum = clear_denominators(a[:n])
+    a0 = anum[0]
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * a0)
+    scaled = [1]
+    for k in range(1, n):
+        acc = 0
+        for i in range(1, min(k, len(anum) - 1) + 1):
+            ai = anum[i]
+            if ai:
+                acc += ai * powers[i - 1] * scaled[k - i]
+        scaled.append(-acc)
+    return [Fraction(da * s, powers[k + 1]) for k, s in enumerate(scaled)]
+
+
+def merge_desc(u, v):
+    """Merge two weakly-decreasing tuples into one weakly-decreasing tuple."""
+    out = []
+    i = j = 0
+    nu, nv = len(u), len(v)
+    while i < nu and j < nv:
+        if u[i] >= v[j]:
+            out.append(u[i])
+            i += 1
+        else:
+            out.append(v[j])
+            j += 1
+    out.extend(u[i:])
+    out.extend(v[j:])
+    return tuple(out)
+
+
+def count_ways(u, sub):
+    """Product over values v of C(mult_u(v), mult_sub(v)) for sorted tuples."""
+    ways = 1
+    i = 0
+    j = 0
+    nu, ns = len(u), len(sub)
+    while j < ns:
+        v = sub[j]
+        rs = 0
+        while j < ns and sub[j] == v:
+            rs += 1
+            j += 1
+        while i < nu and u[i] > v:
+            i += 1
+        ru = 0
+        while i < nu and u[i] == v:
+            ru += 1
+            i += 1
+        if rs > ru:
+            return 0
+        ways *= comb(ru, rs)
+    return ways
+
+
+def row_table(rows, pairs):
+    """The nonempty residue rows for ``pairs`` of pole data, over one
+    denominator: ``(den, {(a, b): (p0, nums)})``.
+
+    ``rows(a, b)`` returns ``()`` or ``(den, p0, nums)``, the residue for
+    the first-slot pole order p being ``nums[p - p0] / den``.
+    """
+    found = {}
+    for key in pairs:
+        row = rows(*key)
+        if row:
+            found[key] = row
+    den = lcm(*(row[0] for row in found.values()))
+    table = {
+        key: (p0, [v * (den // d) for v in nums]) for key, (d, p0, nums) in found.items()
+    }
+    return den, table
+
+
+def add_sweep(out, acc, den):
+    """Add the integer sums ``acc`` ({rest: {p: num}}), taken over ``den``,
+    into ``out`` ({rest: {p: Fraction}})."""
+    for u, sums in acc.items():
+        bucket = out.setdefault(u, {})
+        for p, v in sums.items():
+            if v:
+                bucket[p] = bucket.get(p, _ZERO) + Fraction(v, den)
+
+
+def pair_sweep(out, terms_a, terms_b, rows):
+    """Accumulate residue-table contributions of all (A-term, B-term) pairs.
+
+    ``terms_a``/``terms_b`` are ``(den, [(a, num, rest), ...])``: integer
+    weights over one denominator, with ``a`` the pole order evaluated at the
+    branch (negative ``a`` encodes a Bergman power ``z**(-a)``) and ``rest``
+    the weakly-decreasing tuple of pole orders left on symbolic variables.
+    ``rows`` is as in `row_table`.  ``out`` maps a merged rest-tuple to
+    {p: Fraction}.
+    """
+    den_a, entries_a = terms_a
+    den_b, entries_b = terms_b
+    pairs = product({t[0] for t in entries_a}, {t[0] for t in entries_b})
+    den_r, table = row_table(rows, pairs)
+    acc = {}
+    for a, an, ra in entries_a:
+        for b, bn, rb in entries_b:
+            row = table.get((a, b))
+            if row is None:
+                continue
+            u = merge_desc(ra, rb)
+            n = count_ways(u, ra)
+            if not n:
+                continue
+            c = an * bn * n
+            p0, nums = row
+            sums = acc.get(u)
+            if sums is None:
+                sums = acc[u] = {}
+            for p, v in enumerate(nums, p0):
+                sums[p] = sums.get(p, 0) + c * v
+    add_sweep(out, acc, den_a * den_b * den_r)

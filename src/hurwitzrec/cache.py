@@ -2,8 +2,8 @@
 
 The file is a single JSON document carrying a format version and a curve
 fingerprint.  A version or fingerprint mismatch (the fingerprint covers the
-sign convention) makes the loader ignore the whole file; it is never read
-partially.  Entries are keyed by (g, k, trunc_order).
+sign convention and the engine version) makes the loader ignore the whole
+file; it is never read partially.  Entries are keyed by (g, k, trunc_order).
 """
 
 from __future__ import annotations

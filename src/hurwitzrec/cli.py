@@ -3,8 +3,18 @@
 Subcommands: ``table`` (Hurwitz numbers by either or both routes), ``wkg``
 (canonical JSON of one correlation form), ``check`` (verification suites).
 
-Exit codes: 0 success, 2 mathematical mismatch, 64 bad flags, 65 request
-out of range.  Stdout carries data; stderr carries diagnostics.
+Exit codes (the last three as in sysexits.h):
+
+- 0 success;
+- 2 a mathematical mismatch was found;
+- 64 bad flags;
+- 65 request out of range;
+- 70 internal inconsistency: an exact self-check of the recursion failed
+  (for instance a form that is not symmetric in its slots);
+- 74 stdout was closed before all output was written (a broken pipe, as in
+  ``hurwitzrec table ... | head -1``).
+
+Stdout carries data; stderr carries diagnostics.
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ EX_OK = 0
 EX_MISMATCH = 2
 EX_USAGE = 64
 EX_RANGE = 65
+EX_SOFTWARE = 70
+EX_IOERR = 74
 
 CACHE_ENV = "HURWITZREC_CACHE"
 
@@ -233,18 +245,25 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
+    commands = {"table": _cmd_table, "wkg": _cmd_wkg, "check": _cmd_check}
     try:
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "wkg":
-            return _cmd_wkg(args)
-        return _cmd_check(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_RANGE
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
 
 
 if __name__ == "__main__":

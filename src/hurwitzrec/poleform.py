@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 _ZERO = Fraction(0)
 
@@ -63,19 +64,22 @@ class PoleForm:
         return f"<PoleForm g={self.g} k={self.k} with {len(self.terms)} terms>"
 
     def decompositions(self):
-        """All (a, num, den, rest) splittings of stored keys, one slot pulled
-        out per distinct value, with the coefficient pre-split into integer
-        numerator and denominator.  ``rest`` stays weakly decreasing."""
+        """All splittings of stored keys, one slot pulled out per distinct
+        value, as ``(den, [(a, num, rest), ...])``: the coefficient is the
+        integer ``num`` over the form's common denominator ``den``.
+        ``rest`` stays weakly decreasing."""
         if self._decomps is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
             out = []
             for key, c in self.terms.items():
+                num = c.numerator * (den // c.denominator)
                 seen = set()
                 for i, a in enumerate(key):
                     if a in seen:
                         continue
                     seen.add(a)
-                    out.append((a, c.numerator, c.denominator, key[:i] + key[i + 1 :]))
-            self._decomps = out
+                    out.append((a, num, key[:i] + key[i + 1 :]))
+            self._decomps = (den, out)
         return self._decomps
 
     # -- serialization ------------------------------------------------------

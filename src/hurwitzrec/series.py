@@ -430,48 +430,6 @@ def _pow(base, n):
         power = power * power
 
 
-# Functional aliases matching the operation names used throughout the package.
-
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
-def invert_unit(a, order=None):
-    return a.invert_unit(order)
-
-
-def compose(outer, inner):
-    return outer.compose(inner)
-
-
-def reversion(a, order=None):
-    return a.reversion(order)
-
-
-def log1p(a, order=None):
-    return a.log1p(order)
-
-
-def exp(a, order=None):
-    return a.exp(order)
-
-
-def residue(a):
-    return a.residue()
-
-
-def coeff(a, n):
-    return a.coefficient(n)
-
-
-def derivative(a):
-    return a.derivative()
-
-
 def residue_of_product(f, g):
     """Residue of f*g computed as a dot product, without forming the product.
 

@@ -15,13 +15,19 @@ control in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import _kernels
 from .poleform import PoleForm
-from .series import Series, TruncationError, residue_of_product
+from .series import Series, TruncationError
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
+
+
+# Part of the cache fingerprint: raise it whenever a change to the engine
+# could change a stored form, so that caches written before are ignored.
+ENGINE_VERSION = 2
 
 
 def required_order(g: int, k: int) -> int:
@@ -32,6 +38,25 @@ def required_order(g: int, k: int) -> int:
 
 def is_stable(g: int, k: int) -> bool:
     return g >= 0 and k >= 1 and 2 * g - 2 + k > 0
+
+
+def _cleared(s: Series):
+    """(den, min_exponent, trunc_order, integer numerators) of a series."""
+    den, nums = _kernels.clear_denominators(s.coefficients)
+    return den, s.min_exponent, s.trunc_order, nums
+
+
+def _residue_num(f, g):
+    """Res(f*g) for f and g given as (min_exponent, trunc_order, integer
+    coefficients): an integer over the product of their denominators.
+
+    Raises TruncationError when the truncation orders do not determine it.
+    """
+    (fm, ft, fc), (gm, gt, gc) = f, g
+    if (ft is not None and -1 - ft >= gm) or (gt is not None and -1 - gt >= fm):
+        raise TruncationError("truncation orders do not determine the residue")
+    s = -1 - fm - gm
+    return sum(fc[i] * gc[s - i] for i in range(max(0, s + 1 - len(gc)), min(len(fc), s + 1)))
 
 
 class LocalCurve:
@@ -148,12 +173,20 @@ class LambertEngine:
         self.kernel = recursion_kernel(self.curve, kernel_sign)
         self._sigma_prime = self.curve.sigma.derivative()
         self._sigma_inv = self.curve.sigma.invert_unit()
+        # kernel pieces as integer coefficients over one shared denominator
+        cleared = {p: _cleared(piece) for p, piece in self.kernel.pieces.items()}
+        self._pieces_den = lcm(*(c[0] for c in cleared.values()))
+        self._pieces_int = {
+            p: (m, t, [v * (self._pieces_den // d) for v in nums])
+            for p, (d, m, t, nums) in cleared.items()
+        }
         self._ebar = {}
+        self._ebar_int = {}
         self._rows = {}
         self._memo = {}
-        self._bergman_terms = [
-            (-m, m + 1, 1, (m + 2,)) for m in range(self.kernel.p_max - 1)
-        ]
+        self._bergman_terms = (
+            1, [(-m, m + 1, (m + 2,)) for m in range(self.kernel.p_max - 1)]
+        )
 
     # -- curve fingerprint (for caches) -------------------------------------
 
@@ -164,7 +197,7 @@ class LambertEngine:
         coeffs = ",".join(
             str(probe.x_local.coefficient(n)) for n in range(8)
         )
-        raw = f"lambert-t1|sign={self.kernel_sign}|x={coeffs}"
+        raw = f"lambert-t1|engine={ENGINE_VERSION}|sign={self.kernel_sign}|x={coeffs}"
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
     # -- branch-point evaluation data ----------------------------------------
@@ -188,32 +221,46 @@ class LambertEngine:
         d = Series.identity(self.order) - self.curve.sigma
         return (self._sigma_prime * (d * d).invert_unit()).truncate(self.order)
 
+    def _ebar_cleared(self, b: int):
+        """ebar(b) as (den, min_exponent, trunc_order, integer numerators)."""
+        out = self._ebar_int.get(b)
+        if out is None:
+            out = self._ebar_int[b] = _cleared(self.ebar(b))
+        return out
+
     def rows(self, a: int, b: int):
         """Nonzero kernel residues against zeta**(-a) * ebar(b).
 
-        Returns a tuple of (p, numerator, denominator) triples for
-        Res[K_p * zeta^(-a) * ebar(b)]; raises TruncationError when the
-        engine order cannot determine a residue.
+        Returns ``()`` or ``(den, p0, nums)``: Res[K_p * zeta^(-a) * ebar(b)]
+        is ``nums[p - p0] / den`` for p in ``p0 .. p0 + len(nums) - 1`` and 0
+        otherwise.  Raises TruncationError when the engine order cannot
+        determine a residue.
         """
         key = (a, b)
         row = self._rows.get(key)
         if row is None:
-            s = self.ebar(b).shift(-a)
-            if s.min_exponent > 0:
+            e_den, e_min, e_trunc, e_nums = self._ebar_cleared(b)
+            if e_min - a > 0:
                 row = ()
             else:
-                acc = []
-                for p, piece in self.kernel.pieces.items():
+                s = (e_min - a, None if e_trunc is None else e_trunc - a, e_nums)
+                vals = {}
+                for p, piece in self._pieces_int.items():
                     try:
-                        val = residue_of_product(piece, s)
+                        vals[p] = _residue_num(piece, s)
                     except TruncationError as exc:
                         raise TruncationError(
                             f"engine order {self.order} cannot resolve the residue "
                             f"for pole data (a={a}, b={b}, p={p}); raise the order"
                         ) from exc
-                    if val:
-                        acc.append((p, val.numerator, val.denominator))
-                row = tuple(acc)
+                nonzero = [p for p, v in vals.items() if v]
+                if nonzero:
+                    p0, p1 = min(nonzero), max(nonzero)
+                    den = self._pieces_den * e_den
+                    g = gcd(den, *vals.values())
+                    row = (den // g, p0, tuple(vals[p] // g for p in range(p0, p1 + 1)))
+                else:
+                    row = ()
             self._rows[key] = row
         return row
 
@@ -267,46 +314,38 @@ class LambertEngine:
         return self.w(h, m).decompositions()
 
     def _sweep_two_sided(self, out):
-        ts = self.two_sided_bergman()
-        bucket = out.setdefault((), {})
-        for p, piece in self.kernel.pieces.items():
-            val = residue_of_product(piece, ts)
-            if val:
-                _kernels.acc_pair(bucket, p, val.numerator, val.denominator)
+        t_den, *ts = _cleared(self.two_sided_bergman())
+        sums = {p: _residue_num(piece, ts) for p, piece in self._pieces_int.items()}
+        _kernels.add_sweep(out, {(): sums}, self._pieces_den * t_den)
 
     def _sweep_term1(self, out, prev: PoleForm):
-        for key, c in prev.terms.items():
-            cn, cd = c.numerator, c.denominator
-            seen_a = set()
-            for i, a in enumerate(key):
-                if a in seen_a:
+        den_c, entries = prev.decompositions()
+        pairs = {(a, b) for a, _, rest in entries for b in rest}
+        den_r, table = _kernels.row_table(self.rows, pairs)
+        acc = {}
+        for a, c, rest in entries:
+            seen = set()
+            for j, b in enumerate(rest):
+                if b in seen:
                     continue
-                seen_a.add(a)
-                rest1 = key[:i] + key[i + 1 :]
-                seen_b = set()
-                for j, b in enumerate(rest1):
-                    if b in seen_b:
-                        continue
-                    seen_b.add(b)
-                    row = self.rows(a, b)
-                    if not row:
-                        continue
-                    u = rest1[:j] + rest1[j + 1 :]
-                    bucket = out.setdefault(u, {})
-                    for p, vn, vd in row:
-                        _kernels.acc_pair(bucket, p, cn * vn, cd * vd)
+                seen.add(b)
+                row = table.get((a, b))
+                if row is None:
+                    continue
+                p0, nums = row
+                sums = acc.setdefault(rest[:j] + rest[j + 1 :], {})
+                for p, v in enumerate(nums, p0):
+                    sums[p] = sums.get(p, 0) + c * v
+        _kernels.add_sweep(out, acc, den_c * den_r)
 
     def _assemble(self, g, k, out) -> PoleForm:
         """Collapse (first-slot pole, rest-multiset) data into a symmetric
         PoleForm, checking that every way of singling out the first slot
         agrees (this is the symmetry of the recursion output; a failure
         means the truncation order was insufficient)."""
-        values = {}
-        for u, bucket in out.items():
-            for p, pair in bucket.items():
-                val = Fraction(pair[0], pair[1])
-                if val:
-                    values[(p, u)] = val
+        values = {
+            (p, u): val for u, bucket in out.items() for p, val in bucket.items() if val
+        }
         fulls = {_kernels.merge_desc(u, (p,)) for (p, u) in values}
         terms = {}
         for full in fulls:

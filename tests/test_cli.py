@@ -127,7 +127,47 @@ class TestCache:
         r = run_cli("wkg", "0", "3", "--cache", path)
         assert r.returncode == 0
 
+    def test_pre_rewrite_fingerprint_ignored(self, tmp_path):
+        from hurwitzrec.cache import load_cache
+        from hurwitzrec.toprec import LambertEngine
+
+        # the fingerprint of the default sign convention before the engine
+        # version joined it, when the engine still summed Fractions
+        old = "5d178ea0f91098e9"
+        path = str(tmp_path / "forms.json")
+        form = {"g": 0, "k": 3, "terms": [{"a": [2, 2, 2], "c": "1/1"}], "trunc_order": 10}
+        doc = {"format": 1, "fingerprint": old, "poleforms": [form]}
+        open(path, "w").write(json.dumps(doc))
+        assert len(load_cache(path, old)) == 1
+        assert load_cache(path, LambertEngine(order=10).fingerprint()) == {}
+
     def test_env_var_cache_path(self, tmp_path):
         path = str(tmp_path / "envcache.json")
         r = run_cli("wkg", "0", "3", env_extra={"HURWITZREC_CACHE": path})
         assert r.returncode == 0 and os.path.exists(path)
+
+
+class TestExitCodes:
+    def test_broken_pipe_exit_74(self):
+        proc = subprocess.Popen(
+            CLI + ["table", "--g-max", "1", "--n-max", "3", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=300) == 74
+        assert "Traceback" not in stderr
+
+    def test_internal_inconsistency_exit_70(self, tmp_path):
+        # W(1,2) is assembled from W(1,1); with one coefficient of the cached
+        # W(1,1) changed, the slot-symmetry check of the assembly fails.
+        path = str(tmp_path / "forms.json")
+        assert run_cli("wkg", "1", "1", "--trunc-order", "12", "--cache", path).returncode == 0
+        doc = json.loads(open(path).read())
+        (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
+        entry["terms"][0]["c"] = "7/1"
+        open(path, "w").write(json.dumps(doc))
+        r = run_cli("wkg", "1", "2", "--cache", path)
+        assert r.returncode == 70
+        assert r.stdout == ""
+        assert "slot-symmetry" in r.stderr and "Traceback" not in r.stderr

@@ -1,118 +1,182 @@
-"""Parity between the pure-Python kernels and the compiled extension."""
+"""The integer kernels against a naive Fraction reference defined here."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from hurwitzrec import _kernels, _pure
-
-try:
-    from hurwitzrec import _speed
-except ImportError:
-    _speed = None
-
-needs_speed = pytest.mark.skipif(_speed is None, reason="compiled kernels not built")
+from hurwitzrec import _kernels
+from hurwitzrec.series import TruncationError, residue_of_product
+from hurwitzrec.toprec import LambertEngine, required_order
 
 F = Fraction
+_ZERO = F(0)
 
 
-def random_fractions(rng, n):
-    return [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+# -- reference kernels: one Fraction operation at a time ------------------------
 
 
-@needs_speed
-class TestKernelParity:
+def ref_conv(a, b, nout):
+    out = [_ZERO] * max(0, nout)
+    for i, ai in enumerate(a[:nout]):
+        for j, bj in enumerate(b[: nout - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def ref_unit_inverse(a, n):
+    inv0 = 1 / F(a[0])
+    out = [inv0]
+    for k in range(1, n):
+        acc = sum((a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1)), _ZERO)
+        out.append(-inv0 * acc)
+    return out
+
+
+def ref_count_ways(u, sub):
+    cu, cs = Counter(u), Counter(sub)
+    ways = 1
+    for v, m in cs.items():
+        ways *= comb(cu[v], m)
+    return ways
+
+
+def ref_pair_sweep(out, terms_a, terms_b, rows):
+    den_a, entries_a = terms_a
+    den_b, entries_b = terms_b
+    for a, an, ra in entries_a:
+        for b, bn, rb in entries_b:
+            row = rows(a, b)
+            if not row:
+                continue
+            rden, p0, nums = row
+            u = tuple(sorted(ra + rb, reverse=True))
+            c = F(an, den_a) * F(bn, den_b) * ref_count_ways(u, ra)
+            bucket = out.setdefault(u, {})
+            for p, v in enumerate(nums, p0):
+                bucket[p] = bucket.get(p, _ZERO) + c * F(v, rden)
+
+
+def nonzero(out):
+    """Sweep output without zero entries, which assembly ignores."""
+    trimmed = {u: {p: v for p, v in bucket.items() if v} for u, bucket in out.items()}
+    return {u: bucket for u, bucket in trimmed.items() if bucket}
+
+
+# -- random inputs ---------------------------------------------------------------
+
+
+def random_fractions(rng, n, top=9, den_max=12):
+    return [F(rng.randint(-top, top), rng.randint(1, den_max)) for _ in range(n)]
+
+
+def random_sweep(rng, n_terms, den_max):
+    def mk_terms():
+        entries = []
+        for _ in range(n_terms):
+            a = rng.randint(-3, 6)
+            rest = tuple(
+                sorted((rng.randint(2, 6) for _ in range(rng.randint(0, 3))), reverse=True)
+            )
+            entries.append((a, rng.randint(-5 * den_max, 5 * den_max), rest))
+        return rng.randint(1, den_max), entries
+
+    table = {}
+
+    def rows(a, b):
+        key = (a, b)
+        if key not in table:
+            if rng.random() < 0.3:
+                table[key] = ()
+            else:
+                nums = tuple(rng.randint(-7 * den_max, 7 * den_max) for _ in range(rng.randint(1, 5)))
+                table[key] = (rng.randint(1, den_max), rng.randint(2, 4), nums)
+        return table[key]
+
+    return mk_terms(), mk_terms(), rows
+
+
+class TestAgainstReference:
     def test_conv(self):
         rng = random.Random(1)
         for _ in range(25):
             a = random_fractions(rng, rng.randint(0, 25))
             b = random_fractions(rng, rng.randint(0, 25))
-            nout = rng.randint(1, 40)
-            assert _speed.conv(a, b, nout) == _pure.conv(a, b, nout)
+            nout = rng.randint(0, 40)
+            assert _kernels.conv(a, b, nout) == ref_conv(a, b, nout)
 
     def test_unit_inverse(self):
         rng = random.Random(2)
-        for _ in range(20):
-            a = random_fractions(rng, 20)
+        for trial in range(20):
+            top = 10**30 if trial % 2 else 9
+            a = random_fractions(rng, 20, top=top, den_max=top)
             if not a[0]:
                 a[0] = F(3, 7)
-            assert _speed.unit_inverse(a, 18) == _pure.unit_inverse(a, 18)
+            assert _kernels.unit_inverse(a, 18) == ref_unit_inverse(a, 18)
 
     def test_merge_and_count(self):
         rng = random.Random(3)
         for _ in range(200):
             u = tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 6))), reverse=True))
             v = tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 6))), reverse=True))
-            m1, m2 = _speed.merge_desc(u, v), _pure.merge_desc(u, v)
-            assert m1 == m2 == tuple(sorted(u + v, reverse=True))
-            assert _speed.count_ways(m1, u) == _pure.count_ways(m1, u)
-
-    def test_acc_pair(self):
-        rng = random.Random(4)
-        b1, b2 = {}, {}
-        for _ in range(300):
-            p = rng.randint(2, 5)
-            num = rng.randint(-10**6, 10**6)
-            den = rng.randint(1, 10**6)
-            _speed.acc_pair(b1, p, num, den)
-            _pure.acc_pair(b2, p, num, den)
-        for p in b1:
-            assert F(*b1[p]) == F(*b2[p])
+            merged = _kernels.merge_desc(u, v)
+            assert merged == tuple(sorted(u + v, reverse=True))
+            assert _kernels.count_ways(merged, u) == ref_count_ways(merged, u)
+            assert _kernels.count_ways(u, v) == ref_count_ways(u, v)
 
     def test_pair_sweep(self):
         rng = random.Random(5)
+        ta, tb, rows = random_sweep(rng, 30, 7)
+        fast, ref = {}, {}
+        _kernels.pair_sweep(fast, ta, tb, rows)
+        ref_pair_sweep(ref, ta, tb, rows)
+        assert nonzero(fast) == nonzero(ref)
 
-        def mk_terms(n):
-            out = []
-            for _ in range(n):
-                a = rng.randint(-3, 6)
-                rest = tuple(
-                    sorted((rng.randint(2, 6) for _ in range(rng.randint(0, 3))), reverse=True)
-                )
-                out.append((a, rng.randint(-5, 5), rng.randint(1, 5), rest))
-            return out
-
-        table = {}
-
-        def rows(a, b):
-            key = (a, b)
-            if key not in table:
-                if rng.random() < 0.3:
-                    table[key] = ()
-                else:
-                    table[key] = tuple(
-                        (p, rng.randint(-7, 7), rng.randint(1, 7))
-                        for p in range(2, rng.randint(3, 6))
-                    )
-            return table[key]
-
-        ta, tb = mk_terms(30), mk_terms(30)
-        out_fast, out_pure = {}, {}
-        _speed.pair_sweep(out_fast, ta, tb, rows)
-        _pure.pair_sweep(out_pure, ta, tb, rows)
-        assert set(out_fast) == set(out_pure)
-        for u in out_fast:
-            fast = {p: F(*v) for p, v in out_fast[u].items()}
-            pure = {p: F(*v) for p, v in out_pure[u].items()}
-            assert fast == pure
+    def test_pair_sweep_wide_denominators(self):
+        rng = random.Random(4)
+        ta, tb, rows = random_sweep(rng, 30, 10**30)
+        fast, ref = {}, {}
+        _kernels.pair_sweep(fast, ta, tb, rows)
+        ref_pair_sweep(ref, ta, tb, rows)
+        # a second sweep into the same output adds to the Fractions there
+        _kernels.pair_sweep(fast, tb, ta, rows)
+        ref_pair_sweep(ref, tb, ta, rows)
+        assert nonzero(fast) == nonzero(ref)
 
 
-@needs_speed
+def test_rows_match_series_residues():
+    engine = LambertEngine(order=14)
+    for a in range(-4, 9):
+        for b in range(2, 9):
+            s = engine.ebar(b).shift(-a)
+            try:
+                expected = {}
+                if s.min_exponent <= 0:
+                    for p, piece in engine.kernel.pieces.items():
+                        val = residue_of_product(piece, s)
+                        if val:
+                            expected[p] = val
+            except TruncationError:
+                with pytest.raises(TruncationError):
+                    engine.rows(a, b)
+                continue
+            got = {}
+            row = engine.rows(a, b)
+            if row:
+                den, p0, nums = row
+                got = {p: F(v, den) for p, v in enumerate(nums, p0) if v}
+            assert got == expected, (a, b)
+
+
 def test_engine_agrees_across_backends(monkeypatch):
-    from hurwitzrec.toprec import LambertEngine, required_order
-
-    compiled = LambertEngine(order=required_order(2, 2)).w(2, 2)
-    monkeypatch.setattr(_kernels, "conv", _pure.conv)
-    monkeypatch.setattr(_kernels, "unit_inverse", _pure.unit_inverse)
-    monkeypatch.setattr(_kernels, "pair_sweep", _pure.pair_sweep)
-    monkeypatch.setattr(_kernels, "acc_pair", _pure.acc_pair)
-    pure = LambertEngine(order=required_order(2, 2)).w(2, 2)
-    assert compiled == pure
-    assert compiled.canonical_json() == pure.canonical_json()
-
-
-def test_backend_reported():
-    import hurwitzrec
-
-    assert hurwitzrec.KERNEL_BACKEND in ("pure", "compiled")
+    """The engine on the integer kernels equals the engine on the reference
+    kernels, coefficient for coefficient and byte for byte."""
+    real = LambertEngine(order=required_order(2, 2)).w(2, 2)
+    monkeypatch.setattr(_kernels, "conv", ref_conv)
+    monkeypatch.setattr(_kernels, "unit_inverse", ref_unit_inverse)
+    monkeypatch.setattr(_kernels, "pair_sweep", ref_pair_sweep)
+    ref = LambertEngine(order=required_order(2, 2)).w(2, 2)
+    assert real == ref
+    assert real.canonical_json() == ref.canonical_json()

@@ -162,6 +162,15 @@ def ordered_decomps(engine, h, m):
     ]
 
 
+def row_values(engine, a, b):
+    """(p, residue) pairs of one row of the engine's residue table."""
+    row = engine.rows(a, b)
+    if not row:
+        return []
+    den, p0, nums = row
+    return [(p, F(v, den)) for p, v in enumerate(nums, p0)]
+
+
 def w_by_ordered_assembly(engine, g, k):
     """Direct transcription of the residue recursion over ordered tuples and
     position subsets; independent of the multiset bookkeeping in the engine."""
@@ -180,8 +189,8 @@ def w_by_ordered_assembly(engine, g, k):
                     acc(p, (), v)
         else:
             for key, c in ordered_terms(engine.w(g - 1, k + 1)).items():
-                for p, vn, vd in engine.rows(key[0], key[1]):
-                    acc(p, key[2:], c * F(vn, vd))
+                for p, v in row_values(engine, key[0], key[1]):
+                    acc(p, key[2:], c * v)
 
     positions = range(k - 1)
     for h in range(g + 1):
@@ -194,7 +203,7 @@ def w_by_ordered_assembly(engine, g, k):
                 comp = [i for i in positions if i not in jset]
                 for a, ca, qa in ordered_decomps(engine, h, j_size + 1):
                     for b, cb, qb in ordered_decomps(engine, g - h, k - j_size):
-                        row = engine.rows(a, b)
+                        row = row_values(engine, a, b)
                         if not row:
                             continue
                         rest = [0] * (k - 1)
@@ -203,8 +212,8 @@ def w_by_ordered_assembly(engine, g, k):
                         for pos, val in zip(comp, qb):
                             rest[pos] = val
                         rest = tuple(rest)
-                        for p, vn, vd in row:
-                            acc(p, rest, ca * cb * F(vn, vd))
+                        for p, v in row:
+                            acc(p, rest, ca * cb * v)
 
     terms = {}
     for (p, rest), val in out.items():
