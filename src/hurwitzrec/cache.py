@@ -57,14 +57,18 @@ def save_cache(path, fingerprint, forms):
 
 def attach_cache(engine, path):
     """Preload an engine's memo table from the file (when compatible) and
-    return a closure that writes the merged table back."""
+    return a closure that writes the merged table back, unless the engine
+    computed nothing the file did not already hold."""
     fingerprint = engine.fingerprint()
     loaded = load_cache(path, fingerprint)
-    for (g, k, order), form in loaded.items():
-        if order == engine.order:
-            engine._memo[(g, k)] = form
+    preloaded = {
+        (g, k): form for (g, k, order), form in loaded.items() if order == engine.order
+    }
+    engine.preload(preloaded, path)
 
     def flush():
+        if preloaded.keys() >= engine._memo.keys():
+            return
         merged = dict(loaded)
         for (g, k), form in engine._memo.items():
             merged[(g, k, engine.order)] = form

@@ -2,10 +2,23 @@
 
 Each pole factor dz/(z-1)^a, divided by dx(z) = (1-z)/z dz and written in
 the variable v with z = L(v) (the inverse of v = z e^(-z)), becomes the
-power series (-1)^a * z/(1-z)^(a+1) at z = L(v).  A k-variable form then
-expands into a symmetric multivariate series whose coefficients encode
-H_{g,mu}; the character oracle provides the independent values the
-expansion must reproduce.
+power series (-1)^a * z/(1-z)^(a+1) at z = L(v).  Lagrange inversion gives
+its coefficients in closed form,
+
+    [v^m] (-1)^a z/(1-z)^(a+1) |_{z=L(v)}
+        = (-1)^a/m * sum_{j<m} (j+1) C(j+a, a) m^(m-1-j) / (m-1-j)!,
+
+so F(a, m) = m! times this coefficient is an integer.  This is the Laplace
+transform that carries the pole basis to Hurwitz numbers in
+Eynard-Mulase-Safnuk (arXiv:0907.5224).  A k-variable form, stored on
+weakly decreasing pole multisets, then expands into a symmetric series whose
+v^mu coefficient is the sum over its terms of the coefficient times, over
+the distinct orderings (a_1, ..., a_k) of the multiset, prod_i F(a_i, mu_i),
+all divided by prod_i mu_i!.  ``h_series`` computes this on integers by
+contracting one slot at a time: slot i takes part mu_i and one pole order per
+distinct value of each remaining multiset, so every mu sharing a prefix
+shares the work.  The coefficients encode H_{g,mu}; the character oracle
+provides the independent values the expansion must reproduce.
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 
 from .partitions import HurwitzOracle, aut_size, check_partition, partitions_of
 from .poleform import PoleForm, format_rational
@@ -34,42 +47,27 @@ def lambert_series(order: int) -> Series:
     return (z * (-z).exp()).reversion().truncate(order)
 
 
+@lru_cache(maxsize=None)
+def pole_factor_int(a: int, m: int) -> int:
+    """F(a, m) = m! [v^m] (-1)^a z/(1-z)^(a+1) at z = L(v), by the closed
+    form of Lagrange inversion; an integer, and 0 for m = 0."""
+    if m < 1:
+        return 0
+    f = factorial(m - 1)
+    total = sum(
+        (j + 1) * comb(j + a, a) * m ** (m - 1 - j) * (f // factorial(m - 1 - j))
+        for j in range(m)
+    )
+    return -total if a % 2 else total
+
+
 def pole_factor_series(a: int, order: int) -> Series:
-    """One variable's factor (-1)^a * z/(1-z)^(a+1) at z = L(v)."""
+    """One variable's factor (-1)^a * z/(1-z)^(a+1) at z = L(v), known
+    through v^order."""
     if a < 1:
         raise ValueError("pole order must be >= 1")
-    return PoleFactorTable(order).factor(a)
-
-
-class PoleFactorTable:
-    """Shared builder for the per-pole-order factors, as series in v."""
-
-    _instances: dict[int, "PoleFactorTable"] = {}
-
-    def __new__(cls, order: int):
-        inst = cls._instances.get(order)
-        if inst is None:
-            inst = super().__new__(cls)
-            inst.order = order
-            u = lambert_series(order + 1)
-            inst._u = u
-            inst._inv1mu = (Series.constant(1) - u).invert_unit(order + 1)
-            inst._factors = {}
-            cls._instances[order] = inst
-        return inst
-
-    def factor(self, a: int) -> Series:
-        out = self._factors.get(a)
-        if out is None:
-            if a == 0:
-                out = (self._u * self._inv1mu).truncate(self.order + 1)
-            else:
-                out = (-self.factor(a - 1) * self._inv1mu).truncate(self.order + 1)
-            self._factors[a] = out
-        return out
-
-    def coefficient(self, a: int, m: int) -> Fraction:
-        return self.factor(a).coefficient(m)
+    coeffs = [Fraction(pole_factor_int(a, m), factorial(m)) for m in range(order + 1)]
+    return Series(0, coeffs, order + 1)
 
 
 class HSeries:
@@ -96,51 +94,45 @@ class HSeries:
         return self.coeffs.get(exponents, _ZERO)
 
 
-def _sym_tensor_sum(table: PoleFactorTable, pole_values, pole_counts, mu):
-    """Sum over distinct orderings of the pole multiset of the product of
-    per-position factor coefficients."""
-    k = len(mu)
-
-    @lru_cache(maxsize=None)
-    def rec(pos, counts):
-        if pos == k:
-            return Fraction(1)
-        total = _ZERO
-        for i, c in enumerate(counts):
-            if not c:
-                continue
-            f = table.coefficient(pole_values[i], mu[pos])
-            if f:
-                total += f * rec(pos + 1, counts[:i] + (c - 1,) + counts[i + 1 :])
-        return total
-
-    return rec(0, pole_counts)
-
-
 def h_series(form: PoleForm, n_max: int) -> HSeries:
-    """Expand a PoleForm into the v-variables through z_i = L(v_i)."""
+    """Expand a PoleForm into the v-variables through z_i = L(v_i).
+
+    Depth first over weakly decreasing exponent prefixes: the level at depth
+    d maps each remaining pole multiset to its integer weight after slots
+    1..d took the prefix's parts, and only one level per depth is alive.
+    """
     k = form.k
-    table = PoleFactorTable(n_max)
+    den = lcm(*(c.denominator for c in form.terms.values()))
+    factors = [None] + [
+        [pole_factor_int(a, m) for a in range(form.max_pole_order + 1)]
+        for m in range(1, n_max + 1)
+    ]
     coeffs = {}
-    for mu in _exponent_tuples(k, n_max):
-        total = _ZERO
-        for key, c in form.terms.items():
-            values = tuple(sorted(set(key), reverse=True))
-            counts = tuple(key.count(v) for v in values)
-            s = _sym_tensor_sum(table, values, counts, mu)
-            if s:
-                total += c * s
-        if total:
-            coeffs[mu] = total
+
+    def contract(level, prefix, budget, top, scale):
+        # slots after this one each need a part >= 1
+        slots_left = k - len(prefix) - 1
+        for m in range(1, min(top, budget - slots_left) + 1):
+            f = factors[m]
+            scale_m = scale * factorial(m)
+            if not slots_left:
+                total = sum(f[key[0]] * num for key, num in level.items())
+                coeffs[prefix + (m,)] = Fraction(total, scale_m)
+                continue
+            nxt = {}
+            for key, num in level.items():
+                prev = None
+                for i, a in enumerate(key):
+                    if a == prev:
+                        continue
+                    prev = a
+                    rest = key[:i] + key[i + 1 :]
+                    nxt[rest] = nxt.get(rest, 0) + f[a] * num
+            contract(nxt, prefix + (m,), budget - m, m, scale_m)
+
+    level0 = {key: c.numerator * (den // c.denominator) for key, c in form.terms.items()}
+    contract(level0, (), n_max, n_max, den)
     return HSeries(form.g, k, n_max, coeffs)
-
-
-def _exponent_tuples(k: int, n_max: int):
-    """Weakly-decreasing positive tuples of length k with sum <= n_max."""
-    for n in range(k, n_max + 1):
-        for mu in partitions_of(n):
-            if len(mu) == k:
-                yield mu
 
 
 def extract_hurwitz(hs: HSeries, g: int, mu) -> Fraction:

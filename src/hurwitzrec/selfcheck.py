@@ -1,8 +1,10 @@
 """Deterministic self-checks of the exact-series layer.
 
 Seeded randomized checks of the ring axioms and the inverse-pair
-identities, runnable from the command line (`hurwitzrec check series`).
-Every check is an exact equality; any failure is reported with context.
+identities, and the closed-form Lambert pole factors that the extraction
+relies on against series reversion, runnable from the command line
+(`hurwitzrec check series`).  Every check is an exact equality; any failure
+is reported with context.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .extract import lambert_series, pole_factor_series
 from .series import Series, residue_of_product
 
 
@@ -74,8 +77,21 @@ def run_series_checks(seed: int = 20090515, rounds: int = 30):
             if full.trunc_order > -1:
                 assert residue_of_product(a, b) == full.residue(), "paired residue"
 
+    def pole_factors():
+        order = 9
+        lv = lambert_series(order + 1)
+        z = Series.identity(order + 2)
+        for a in range(1, 7):
+            direct = (
+                (z * ((Series.constant(1) - z) ** (a + 1)).invert_unit())
+                .scale((-1) ** a)
+                .compose(lv)
+            )
+            assert pole_factor_series(a, order).agrees_with(direct), f"pole factor a={a}"
+
     check("ring axioms", ring_axioms)
     check("compose/reversion round trips", inverse_pairs)
     check("Laurent unit inversion", unit_inverse)
     check("residue identities", residues)
+    check("Lambert pole factors (closed form vs reversion)", pole_factors)
     return results

@@ -184,6 +184,9 @@ class LambertEngine:
         self._ebar_int = {}
         self._rows = {}
         self._memo = {}
+        # (g, k) -> the preloaded keys whose forms fed it, directly or not
+        self._fed_by_cache = {}
+        self._cache_source = None
         self._bergman_terms = (
             1, [(-m, m + 1, (m + 2,)) for m in range(self.kernel.p_max - 1)]
         )
@@ -199,6 +202,13 @@ class LambertEngine:
         )
         raw = f"lambert-t1|engine={ENGINE_VERSION}|sign={self.kernel_sign}|x={coeffs}"
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
+
+    def preload(self, forms, source):
+        """Seed the memo with {(g, k): PoleForm} read from ``source`` (a cache
+        file); a later self-check failure in a form they feed names it."""
+        self._memo.update(forms)
+        self._fed_by_cache.update({key: {key} for key in forms})
+        self._cache_source = source
 
     # -- branch-point evaluation data ----------------------------------------
 
@@ -290,21 +300,27 @@ class LambertEngine:
             return memo
 
         out = {}
+        inputs = []
         if g >= 1:
             if (g - 1, k + 1) == (0, 2):
                 self._sweep_two_sided(out)
             else:
+                inputs.append((g - 1, k + 1))
                 self._sweep_term1(out, self.w(g - 1, k + 1))
         for h in range(g + 1):
             for j_a in range(k):
                 j_b = k - 1 - j_a
                 if (j_a == 0 and h == 0) or (j_b == 0 and h == g):
                     continue
+                inputs += [(h, j_a + 1), (g - h, j_b + 1)]
                 terms_a = self._decomps(h, j_a + 1)
                 terms_b = self._decomps(g - h, j_b + 1)
                 _kernels.pair_sweep(out, terms_a, terms_b, self.rows)
 
-        form = self._assemble(g, k, out)
+        fed = set().union(*(self._fed_by_cache.get(key, ()) for key in inputs))
+        form = self._assemble(g, k, out, fed)
+        if fed:
+            self._fed_by_cache[(g, k)] = fed
         self._memo[(g, k)] = form
         return form
 
@@ -338,11 +354,12 @@ class LambertEngine:
                     sums[p] = sums.get(p, 0) + c * v
         _kernels.add_sweep(out, acc, den_c * den_r)
 
-    def _assemble(self, g, k, out) -> PoleForm:
+    def _assemble(self, g, k, out, fed) -> PoleForm:
         """Collapse (first-slot pole, rest-multiset) data into a symmetric
         PoleForm, checking that every way of singling out the first slot
         agrees (this is the symmetry of the recursion output; a failure
-        means the truncation order was insufficient)."""
+        means the truncation order was insufficient or, when the preloaded
+        forms ``fed`` went into it, that the cache file is wrong)."""
         values = {
             (p, u): val for u, bucket in out.items() for p, val in bucket.items() if val
         }
@@ -358,9 +375,15 @@ class LambertEngine:
                 rest = full[:i] + full[i + 1 :]
                 vals.append(values.get((q, rest), _ZERO))
             if any(v != vals[0] for v in vals):
+                if fed:
+                    cause = (
+                        f"the forms {sorted(fed)} read from the cache file "
+                        f"{self._cache_source} are the likely cause"
+                    )
+                else:
+                    cause = f"truncation order {self.order} is insufficient"
                 raise ArithmeticError(
-                    f"slot-symmetry violated assembling W({g},{k}) at {full}; "
-                    f"truncation order {self.order} is insufficient"
+                    f"slot-symmetry violated assembling W({g},{k}) at {full}; {cause}"
                 )
             if vals[0]:
                 terms[full] = vals[0]

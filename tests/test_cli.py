@@ -141,6 +141,24 @@ class TestCache:
         assert len(load_cache(path, old)) == 1
         assert load_cache(path, LambertEngine(order=10).fingerprint()) == {}
 
+    def test_warm_run_leaves_file_untouched(self, tmp_path):
+        path = str(tmp_path / "forms.json")
+        args = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "3",
+                "--cache", path)
+        assert run_cli(*args).returncode == 0
+        # a stamp no rewrite can reproduce, whatever the clock's resolution
+        os.utime(path, ns=(10**9, 10**9))
+        before = open(path, "rb").read(), os.stat(path)
+        assert run_cli(*args).returncode == 0
+        after = open(path, "rb").read(), os.stat(path)
+        assert after[0] == before[0]
+        assert (after[1].st_mtime_ns, after[1].st_ino) == (10**9, before[1].st_ino)
+        # a request that computes a form the file lacks still writes it
+        assert run_cli("wkg", "0", "5", "--trunc-order", "14", "--cache", path).returncode == 0
+        assert os.stat(path).st_mtime_ns != 10**9
+        entries = json.loads(open(path).read())["poleforms"]
+        assert len(entries) == len(json.loads(before[0])["poleforms"]) + 1
+
     def test_env_var_cache_path(self, tmp_path):
         path = str(tmp_path / "envcache.json")
         r = run_cli("wkg", "0", "3", env_extra={"HURWITZREC_CACHE": path})
@@ -171,3 +189,5 @@ class TestExitCodes:
         assert r.returncode == 70
         assert r.stdout == ""
         assert "slot-symmetry" in r.stderr and "Traceback" not in r.stderr
+        assert f"[(1, 1)] read from the cache file {path}" in r.stderr
+        assert "truncation order" not in r.stderr

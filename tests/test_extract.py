@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -10,14 +11,66 @@ from hurwitzrec.extract import (
     h_series,
     hurwitz_by_recursion,
     lambert_series,
+    pole_factor_int,
     pole_factor_series,
     verify_bm,
 )
-from hurwitzrec.partitions import HurwitzOracle
+from hurwitzrec.partitions import HurwitzOracle, partitions_of
 from hurwitzrec.series import Series
-from hurwitzrec.toprec import LambertEngine, required_order
+from hurwitzrec.toprec import LambertEngine, is_stable, required_order
 
 F = Fraction
+
+
+# -- naive reference: factors by series reversion, orderings one by one -------
+
+
+class ReversionFactors:
+    """(-1)^a z/(1-z)^(a+1) at z = L(v) for a = 0, 1, ..., each built from
+    the previous one by a series product, with L(v) from reversion."""
+
+    def __init__(self, order):
+        self.order = order
+        self._u = lambert_series(order + 1)
+        self._inv1mu = (Series.constant(1) - self._u).invert_unit(order + 1)
+        self._factors = [(self._u * self._inv1mu).truncate(order + 1)]
+
+    def coefficient(self, a, m):
+        while len(self._factors) <= a:
+            prev = self._factors[-1]
+            self._factors.append((-prev * self._inv1mu).truncate(self.order + 1))
+        return self._factors[a].coefficient(m)
+
+
+def reference_h_coeffs(form, n_max):
+    """The v^mu coefficients of a form: for each term, the sum over the
+    distinct orderings of its pole multiset of the product of factors."""
+    table = ReversionFactors(n_max)
+    coeffs = {}
+    for n in range(form.k, n_max + 1):
+        for mu in partitions_of(n):
+            if len(mu) != form.k:
+                continue
+            total = F(0)
+            for key, c in form.terms.items():
+                values = tuple(sorted(set(key), reverse=True))
+                counts = tuple(key.count(v) for v in values)
+
+                @lru_cache(maxsize=None)
+                def rec(pos, counts):
+                    if pos == len(mu):
+                        return F(1)
+                    out = F(0)
+                    for i, left in enumerate(counts):
+                        if left:
+                            rest = counts[:i] + (left - 1,) + counts[i + 1 :]
+                            out += table.coefficient(values[i], mu[pos]) * rec(pos + 1, rest)
+                    return out
+
+                total += c * rec(0, counts)
+            if total:
+                coeffs[mu] = total
+    return coeffs
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +126,12 @@ class TestPoleFactors:
             )
             assert pole_factor_series(a, order).agrees_with(direct.truncate(order))
 
+    def test_closed_form_against_reversion(self):
+        table = ReversionFactors(9)
+        for a in range(12):
+            for m in range(10):
+                assert F(pole_factor_int(a, m), math.factorial(m)) == table.coefficient(a, m)
+
 
 class TestHSeries:
     def test_h11_linear_coefficient_vanishes(self, engine):
@@ -93,6 +152,21 @@ class TestHSeries:
         hs = h_series(engine.w(1, 1), 4)
         with pytest.raises(ValueError):
             hs.coefficient((1, 1))
+
+
+class TestAgainstReference:
+    @pytest.fixture(scope="class")
+    def wide_engine(self):
+        return LambertEngine(order=required_order(3, 1))
+
+    @pytest.mark.parametrize(
+        "g,k",
+        [(g, k) for g in (0, 1) for k in range(1, 7) if is_stable(g, k)]
+        + [(2, 1), (2, 2), (3, 1)],
+    )
+    def test_whole_series(self, wide_engine, g, k):
+        form = wide_engine.w(g, k)
+        assert h_series(form, 7).coeffs == reference_h_coeffs(form, 7)
 
 
 class TestExtraction:
