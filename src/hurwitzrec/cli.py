@@ -30,7 +30,7 @@ from .extract import h_series, extract_hurwitz, verify_bm
 from .partitions import HurwitzOracle, partitions_of
 from .poleform import format_rational
 from .selfcheck import run_series_checks
-from .toprec import LambertEngine, is_stable, required_order
+from .toprec import LambertEngine, check_stable, is_stable, required_order
 
 EX_OK = 0
 EX_MISMATCH = 2
@@ -181,13 +181,7 @@ def _emit_table(rows, args):
 
 
 def _cmd_wkg(args):
-    if args.g < 0 or args.k < 1 or 2 * args.g - 2 + args.k <= 0:
-        # let the engine compose the explanatory message
-        try:
-            LambertEngine(order=8).w(args.g, args.k)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EX_RANGE
+    check_stable(args.g, args.k)
     order = _resolve_trunc(args, required_order(args.g, args.k))
     engine, flush = _make_engine(args, order, args.verbose)
     form = engine.w(args.g, args.k)

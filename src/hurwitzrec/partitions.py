@@ -8,16 +8,18 @@ lengths), which makes border-strip removal a single subtraction.
 The connected-cover oracle builds the full generating function of
 disconnected cover counts, graded by the degree n, the monomial p_mu and the
 Euler-characteristic exponent of the string coupling, then takes its formal
-logarithm degree by degree.  Simple Hurwitz numbers are read off the
-logarithm; this route never touches the spectral-curve machinery and serves
-as the independent ground truth for it.
+logarithm F = log Z degree by degree from the graded identity
+n Z_n = sum_{k=1..n} k F_k Z_{n-k}, which also gives the exponential back.
+Simple Hurwitz numbers are read off the logarithm; this route never touches
+the spectral-curve machinery and serves as the independent ground truth for
+it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, factorial
+from math import factorial
 
 Partition = tuple[int, ...]
 
@@ -184,15 +186,20 @@ def cov_disconnected(mu: Partition, b: int) -> Fraction:
     mu = check_partition(mu)
     if b < 0:
         raise ValueError("b must be nonnegative")
-    n = sum(mu)
-    if n == 0:
+    if not mu:
         return Fraction(1) if b == 0 else _ZERO
-    nfact = factorial(n)
-    total = _ZERO
-    for lam in partitions_of(n):
-        w = Fraction(dim_irrep(lam), nfact) ** 2
-        total += w * f_central(lam, mu) * f_c2(lam) ** b
-    return total
+    return sum((w * f**b for w, f in _burnside_weights(mu)), _ZERO)
+
+
+@cache
+def _burnside_weights(mu: Partition) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The pairs ((dim lam / n!)^2 * f_central(lam, mu), f_c2(lam)) over the
+    partitions lam of n = |mu|; they do not depend on b."""
+    n = sum(mu)
+    return tuple(
+        (Fraction(dim_irrep(lam), factorial(n)) ** 2 * f_central(lam, mu), f_c2(lam))
+        for lam in partitions_of(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,54 +239,45 @@ class PSeriesZ:
                 return False
         return True
 
-    def _mul(self, other: "PSeriesZ") -> "PSeriesZ":
-        out = PSeriesZ(self.n_max)
-        for na, terms_a in self.data.items():
-            if not terms_a:
-                continue
-            for nb, terms_b in other.data.items():
-                n = na + nb
-                if n > self.n_max or not terms_b:
-                    continue
-                dest = out.data[n]
-                for (mua, ea), ca in terms_a.items():
-                    for (mub, eb), cb in terms_b.items():
-                        key = (_merge_partitions(mua, mub), ea + eb)
-                        dest[key] = dest.get(key, _ZERO) + ca * cb
-        return out
-
-    def _scaled_add(self, other: "PSeriesZ", c: Fraction) -> None:
-        for n, terms in other.data.items():
-            dest = self.data[n]
-            for key, v in terms.items():
-                dest[key] = dest.get(key, _ZERO) + c * v
-
     def log(self) -> "PSeriesZ":
-        """Formal logarithm; requires constant coefficient 1."""
+        """Formal logarithm F = log Z; requires constant coefficient 1.
+
+        Degree by degree from n Z_n = sum_{k=1..n} k F_k Z_{n-k}:
+        F_n = Z_n - (1/n) sum_{k<n} k F_k Z_{n-k}.
+        """
         if self.data[0] != {((), 0): Fraction(1)}:
             raise ValueError("log requires a series with constant term 1")
-        p = PSeriesZ(self.n_max, {n: t for n, t in self.data.items() if n > 0})
         out = PSeriesZ(self.n_max)
-        power = p
-        for m in range(1, self.n_max + 1):
-            out._scaled_add(power, Fraction((-1) ** (m + 1), m))
-            if m < self.n_max:
-                power = power._mul(p)
+        for n in range(1, self.n_max + 1):
+            out.data[n] = _graded_step(self.data[n], out, self, n, Fraction(-1, n))
         return out
 
     def exp(self) -> "PSeriesZ":
-        """Formal exponential; requires zero constant coefficient."""
+        """Formal exponential Z = exp F; requires zero constant coefficient.
+
+        Degree by degree from the same identity:
+        Z_n = F_n + (1/n) sum_{k<n} k F_k Z_{n-k}.
+        """
         if self.data[0]:
             raise ValueError("exp requires a series without constant term")
         out = PSeriesZ(self.n_max, {0: {((), 0): Fraction(1)}})
-        power = self
-        fact = 1
-        for m in range(1, self.n_max + 1):
-            fact *= m
-            out._scaled_add(power, Fraction(1, fact))
-            if m < self.n_max:
-                power = power._mul(self)
+        for n in range(1, self.n_max + 1):
+            out.data[n] = _graded_step(self.data[n], self, out, n, Fraction(1, n))
         return out
+
+
+def _graded_step(base: dict, f: PSeriesZ, z: PSeriesZ, n: int, scale: Fraction) -> dict:
+    """base + scale * (the degree-n part of sum_{k=1..n-1} k F_k Z_{n-k}),
+    with zero entries dropped."""
+    out = dict(base)
+    for k in range(1, n):
+        terms_z = z.data[n - k]
+        for (mua, ea), ca in f.data[k].items():
+            ca *= k * scale
+            for (mub, eb), cb in terms_z.items():
+                key = (_merge_partitions(mua, mub), ea + eb)
+                out[key] = out.get(key, _ZERO) + ca * cb
+    return {key: v for key, v in out.items() if v}
 
 
 def _merge_partitions(a: Partition, b: Partition) -> Partition:

@@ -17,8 +17,6 @@ from math import isqrt
 
 from . import _kernels
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

@@ -40,6 +40,17 @@ def is_stable(g: int, k: int) -> bool:
     return g >= 0 and k >= 1 and 2 * g - 2 + k > 0
 
 
+def check_stable(g: int, k: int) -> None:
+    """Raise ValueError, naming what (g, k) is instead, unless it is stable."""
+    if is_stable(g, k):
+        return
+    if (g, k) == (0, 2):
+        raise ValueError("(0, 2) is the Bergman kernel base case, not a recursion output")
+    if (g, k) == (0, 1):
+        raise ValueError("(0, 1) is the curve datum -y dx, not a recursion output")
+    raise ValueError(f"(g={g}, k={k}) is outside the stable range 2g-2+k > 0")
+
+
 def _cleared(s: Series):
     """(den, min_exponent, trunc_order, integer numerators) of a series."""
     den, nums = _kernels.clear_denominators(s.coefficients)
@@ -196,10 +207,7 @@ class LambertEngine:
     def fingerprint(self) -> str:
         import hashlib
 
-        probe = make_lambert_curve(8)
-        coeffs = ",".join(
-            str(probe.x_local.coefficient(n)) for n in range(8)
-        )
+        coeffs = ",".join(str(self.curve.x_local.coefficient(n)) for n in range(8))
         raw = f"lambert-t1|engine={ENGINE_VERSION}|sign={self.kernel_sign}|x={coeffs}"
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
@@ -282,14 +290,7 @@ class LambertEngine:
         Unstable (g, k) are curve data, not recursion output, and are
         rejected: (0,1) is -y dx and (0,2) is the Bergman kernel.
         """
-        if not is_stable(g, k):
-            if (g, k) == (0, 2):
-                raise ValueError(
-                    "(0, 2) is the Bergman kernel base case, not a recursion output"
-                )
-            if (g, k) == (0, 1):
-                raise ValueError("(0, 1) is the curve datum -y dx, not a recursion output")
-            raise ValueError(f"(g={g}, k={k}) is outside the stable range 2g-2+k > 0")
+        check_stable(g, k)
         need = required_order(g, k)
         if need > self.order:
             raise ValueError(

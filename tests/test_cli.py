@@ -63,6 +63,16 @@ class TestWkg:
         assert r.returncode == 65
         assert "Bergman" in r.stderr
 
+    def test_unstable_curve_datum_message(self):
+        r = run_cli("wkg", "0", "1")
+        assert r.returncode == 65
+        assert "-y dx" in r.stderr
+
+    def test_outside_stable_range_message(self):
+        r = run_cli("wkg", "0", "0")
+        assert r.returncode == 65
+        assert "stable range" in r.stderr
+
     def test_w03_canonical_and_stable_bytes(self):
         a, b = run_cli("wkg", "0", "3"), run_cli("wkg", "0", "3")
         assert a.returncode == 0

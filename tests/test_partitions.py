@@ -5,6 +5,8 @@ import pytest
 
 from hurwitzrec.partitions import (
     HurwitzOracle,
+    PSeriesZ,
+    aut_size,
     build_z,
     character,
     class_size,
@@ -29,6 +31,54 @@ def hook_length_dim(lam):
         for j in range(row):
             prod *= (row - j) + (conj[j] - i) - 1
     return factorial(sum(lam)) // prod
+
+
+def reference_mul(a, b):
+    """Naive product of two truncated series, term by term."""
+    out = PSeriesZ(a.n_max)
+    for na, terms_a in a.data.items():
+        for nb, terms_b in b.data.items():
+            if na + nb > a.n_max:
+                continue
+            dest = out.data[na + nb]
+            for (mua, ea), ca in terms_a.items():
+                for (mub, eb), cb in terms_b.items():
+                    key = (tuple(sorted(mua + mub, reverse=True)), ea + eb)
+                    dest[key] = dest.get(key, 0) + ca * cb
+    return out
+
+
+def reference_scaled_add(dest, series, c):
+    for n, terms in series.data.items():
+        for key, v in terms.items():
+            dest.data[n][key] = dest.data[n].get(key, 0) + c * v
+
+
+def reference_log(z):
+    """log Z = sum_m (-1)^(m+1) (Z-1)^m / m, from full power products."""
+    p = PSeriesZ(z.n_max, {n: t for n, t in z.data.items() if n > 0})
+    out = PSeriesZ(z.n_max)
+    power = p
+    for m in range(1, z.n_max + 1):
+        reference_scaled_add(out, power, Fraction((-1) ** (m + 1), m))
+        if m < z.n_max:
+            power = reference_mul(power, p)
+    return out
+
+
+def reference_exp(f):
+    """exp F = sum_m F^m / m!, from full power products."""
+    out = PSeriesZ(f.n_max, {0: {((), 0): Fraction(1)}})
+    power = f
+    for m in range(1, f.n_max + 1):
+        reference_scaled_add(out, power, Fraction(1, factorial(m)))
+        if m < f.n_max:
+            power = reference_mul(power, f)
+    return out
+
+
+def nonzero(series):
+    return {n: {k: v for k, v in t.items() if v} for n, t in series.data.items()}
 
 
 class TestPartitions:
@@ -209,6 +259,12 @@ class TestOracle:
         z = build_z(4, 8)
         assert z.log().exp() == z
 
+    def test_graded_log_and_exp_match_power_series(self):
+        z = build_z(7, 14)
+        f = z.log()
+        assert nonzero(f) == nonzero(reference_log(z))
+        assert nonzero(f.exp()) == nonzero(reference_exp(f))
+
     def test_range_checks(self):
         oracle = HurwitzOracle(n_max=3, g_max=1)
         with pytest.raises(ValueError):
@@ -220,3 +276,28 @@ class TestOracle:
 
     def test_convenience_wrapper(self):
         assert hurwitz_connected(0, (2, 1)) == 4
+
+
+class TestOracleClosedForms:
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return HurwitzOracle(n_max=8, g_max=1)
+
+    def test_genus_zero_hurwitz_formula(self, oracle):
+        # H_{0,mu} = (n+l-2)! n^(l-3) prod mu_i^mu_i/mu_i! / |Aut mu|
+        count = 0
+        for n in range(1, 9):
+            for mu in partitions_of(n):
+                l = len(mu)
+                expected = factorial(n + l - 2) * Fraction(n) ** (l - 3) / aut_size(mu)
+                for m in mu:
+                    expected *= Fraction(m**m, factorial(m))
+                assert oracle.hurwitz(0, mu) == expected, mu
+                count += 1
+        assert count == 66
+
+    def test_genus_one_one_part_formula(self, oracle):
+        # H_{1,(d)} = (d+1)! d^d/d! * (d-1)/24
+        for d in range(1, 9):
+            expected = Fraction(factorial(d + 1) * d**d * (d - 1), factorial(d) * 24)
+            assert oracle.hurwitz(1, (d,)) == expected, d

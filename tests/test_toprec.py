@@ -313,3 +313,10 @@ class TestFingerprint:
         b = LambertEngine(order=10, kernel_sign=-1)
         assert a.fingerprint() != b.fingerprint()
         assert a.fingerprint() == LambertEngine(order=14).fingerprint()
+
+    def test_pinned_literals(self):
+        # caches written by earlier versions of this engine carry these
+        # strings; a change of the fingerprint recipe would orphan them
+        for order in (8, 20):
+            assert LambertEngine(order=order).fingerprint() == "daf91dc4013b9690"
+            assert LambertEngine(order=order, kernel_sign=-1).fingerprint() == "b309c5ff9c4110f9"
