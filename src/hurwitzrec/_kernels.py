@@ -1,15 +1,14 @@
 """Exact-rational inner loops, run on integers under shared denominators.
 
-Each kernel clears the denominators of its inputs once, works on plain
-``int``s and divides once at the end, so no intermediate result is ever a
-`Fraction`.  Results are exact.
+Each kernel clears the denominators of its inputs once and works on plain
+``int``s, so no intermediate result is ever a `Fraction`: `conv` and
+`unit_inverse` divide once at the end, and the residue sweeps add into one
+running sum ``[den, {(p, rest): num}]`` per form.  Results are exact.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
-
-_ZERO = Fraction(0)
 
 
 def clear_denominators(values):
@@ -122,12 +121,19 @@ def row_table(rows, pairs):
 
 def add_sweep(out, acc, den):
     """Add the integer sums ``acc`` ({rest: {p: num}}), taken over ``den``,
-    into ``out`` ({rest: {p: Fraction}})."""
-    for u, sums in acc.items():
-        bucket = out.setdefault(u, {})
-        for p, v in sums.items():
+    into ``out``, one form's running sum ``[den, {(p, rest): num}]``; the
+    numerators held are rescaled when the common denominator grows."""
+    held, sums = out
+    out[0] = common = lcm(held, den)
+    if common != held:
+        scale = common // held
+        for key in sums:
+            sums[key] *= scale
+    scale = common // den
+    for u, bucket in acc.items():
+        for p, v in bucket.items():
             if v:
-                bucket[p] = bucket.get(p, _ZERO) + Fraction(v, den)
+                sums[p, u] = sums.get((p, u), 0) + v * scale
 
 
 def pair_sweep(out, terms_a, terms_b, rows):
@@ -137,8 +143,8 @@ def pair_sweep(out, terms_a, terms_b, rows):
     weights over one denominator, with ``a`` the pole order evaluated at the
     branch (negative ``a`` encodes a Bergman power ``z**(-a)``) and ``rest``
     the weakly-decreasing tuple of pole orders left on symbolic variables.
-    ``rows`` is as in `row_table`.  ``out`` maps a merged rest-tuple to
-    {p: Fraction}.
+    ``rows`` is as in `row_table`.  ``out`` is a running sum as in
+    `add_sweep`, keyed by the first-slot order p and the merged rest-tuple.
     """
     den_a, entries_a = terms_a
     den_b, entries_b = terms_b

@@ -3,7 +3,8 @@
 The file is a single JSON document carrying a format version and a curve
 fingerprint.  A version or fingerprint mismatch (the fingerprint covers the
 sign convention and the engine version) makes the loader ignore the whole
-file; it is never read partially.  Entries are keyed by (g, k, trunc_order).
+file; it is never read partially.  So does a malformed entry or a pole of
+order 1, which no stable form has.  Entries are keyed by (g, k, trunc_order).
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ def load_cache(path, fingerprint):
     try:
         for entry in doc["poleforms"]:
             form = PoleForm.from_obj(entry)
+            if any(1 in key for key in form.nums):
+                return {}
             out[(form.g, form.k, int(entry["trunc_order"]))] = form
-    except (KeyError, TypeError, ValueError):
+    except (ArithmeticError, KeyError, TypeError, ValueError):
         return {}
     return out
 

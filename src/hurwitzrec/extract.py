@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .partitions import HurwitzOracle, aut_size, check_partition, partitions_of
 from .poleform import PoleForm, format_rational
@@ -102,7 +102,6 @@ def h_series(form: PoleForm, n_max: int) -> HSeries:
     1..d took the prefix's parts, and only one level per depth is alive.
     """
     k = form.k
-    den = lcm(*(c.denominator for c in form.terms.values()))
     factors = [None] + [
         [pole_factor_int(a, m) for a in range(form.max_pole_order + 1)]
         for m in range(1, n_max + 1)
@@ -130,8 +129,7 @@ def h_series(form: PoleForm, n_max: int) -> HSeries:
                     nxt[rest] = nxt.get(rest, 0) + f[a] * num
             contract(nxt, prefix + (m,), budget - m, m, scale_m)
 
-    level0 = {key: c.numerator * (den // c.denominator) for key, c in form.terms.items()}
-    contract(level0, (), n_max, n_max, den)
+    contract(form.nums, (), n_max, n_max, form.den)
     return HSeries(form.g, k, n_max, coeffs)
 
 

@@ -4,16 +4,17 @@ A k-variable correlation form at a single simple branch point z* is a finite
 sum of products dz_i/(z_i - z*)^{a_i}.  The forms are symmetric under
 permuting variables, so a form is stored as a map from the weakly-decreasing
 multi-index (the multiset of pole orders) to the coefficient of any ordered
-monomial with that content.
+monomial with that content, held as integer numerators ``nums`` over one
+positive denominator ``den`` in lowest terms (``gcd(den, *nums) == 1``).
+``PoleForm(g, k, terms, den)`` takes ``terms[key] / den`` for coefficients
+given as ints or `Fraction`s; the ``terms`` property returns `Fraction`s.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
-
-_ZERO = Fraction(0)
+from math import gcd, lcm
 
 
 def format_rational(q: Fraction) -> str:
@@ -25,61 +26,71 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(int(num), int(den) if den else 1)
 
 
+def splits(key):
+    """One slot pulled out per distinct value ``a`` of a weakly decreasing
+    ``key``: ``(a, rest)``, ``rest`` being ``key`` less one copy of ``a``."""
+    prev = None
+    for i, a in enumerate(key):
+        if a != prev:
+            prev = a
+            yield a, key[:i] + key[i + 1 :]
+
+
 class PoleForm:
     """Symmetric k-form in the pole basis at the branch point."""
 
-    __slots__ = ("g", "k", "terms", "_decomps")
+    __slots__ = ("g", "k", "den", "nums", "_decomps")
 
-    def __init__(self, g: int, k: int, terms):
+    def __init__(self, g: int, k: int, terms, den: int = 1):
+        if den < 1:
+            raise ValueError(f"denominator {den} is not positive")
         self.g = g
         self.k = k
         canonical = {}
         for key, c in terms.items():
-            c = Fraction(c)
             if not c:
                 continue
             key = tuple(sorted(key, reverse=True))
-            if len(key) != k or any(a < 1 for a in key):
+            if len(key) != k or any(type(a) is not int or a < 1 for a in key):
                 raise ValueError(f"bad multi-index {key} for arity {k}")
             if key in canonical and canonical[key] != c:
                 raise ValueError(f"conflicting coefficients for {key}")
             canonical[key] = c
-        self.terms = canonical
+        scale = lcm(*(c.denominator for c in canonical.values()))
+        nums = {key: c.numerator * (scale // c.denominator) for key, c in canonical.items()}
+        den *= scale
+        common = gcd(den, *nums.values())
+        self.den = den // common
+        self.nums = {key: num // common for key, num in nums.items()}
         self._decomps = None
+
+    @property
+    def terms(self):
+        """The coefficients as {multi-index: Fraction}."""
+        return {key: Fraction(num, self.den) for key, num in self.nums.items()}
 
     def coefficient(self, multi_index) -> Fraction:
         """Coefficient of the ordered monomial prod dz_i/(z_i-z*)^(a_i)."""
-        return self.terms.get(tuple(sorted(multi_index, reverse=True)), _ZERO)
+        return Fraction(self.nums.get(tuple(sorted(multi_index, reverse=True)), 0), self.den)
 
     @property
     def max_pole_order(self) -> int:
-        return max((key[0] for key in self.terms), default=0)
+        return max((key[0] for key in self.nums), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, PoleForm):
             return NotImplemented
-        return (self.g, self.k, self.terms) == (other.g, other.k, other.terms)
+        return (self.g, self.k, self.den, self.nums) == (other.g, other.k, other.den, other.nums)
 
     def __repr__(self):
-        return f"<PoleForm g={self.g} k={self.k} with {len(self.terms)} terms>"
+        return f"<PoleForm g={self.g} k={self.k} with {len(self.nums)} terms>"
 
     def decompositions(self):
-        """All splittings of stored keys, one slot pulled out per distinct
-        value, as ``(den, [(a, num, rest), ...])``: the coefficient is the
-        integer ``num`` over the form's common denominator ``den``.
-        ``rest`` stays weakly decreasing."""
+        """The `splits` of all stored keys as ``(den, [(a, num, rest), ...])``,
+        the coefficient being ``num / den``."""
         if self._decomps is None:
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            out = []
-            for key, c in self.terms.items():
-                num = c.numerator * (den // c.denominator)
-                seen = set()
-                for i, a in enumerate(key):
-                    if a in seen:
-                        continue
-                    seen.add(a)
-                    out.append((a, num, key[:i] + key[i + 1 :]))
-            self._decomps = (den, out)
+            out = [(a, num, rest) for key, num in self.nums.items() for a, rest in splits(key)]
+            self._decomps = (self.den, out)
         return self._decomps
 
     # -- serialization ------------------------------------------------------

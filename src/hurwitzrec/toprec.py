@@ -18,10 +18,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _kernels
-from .poleform import PoleForm
+from .poleform import PoleForm, splits
 from .series import Series, TruncationError
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
@@ -73,10 +72,9 @@ def _residue_num(f, g):
 class LocalCurve:
     """Local data of a spectral curve at a simple branch point."""
 
-    __slots__ = ("branch", "x_local", "y_local", "sigma", "omega_local", "order")
+    __slots__ = ("x_local", "y_local", "sigma", "omega_local", "order")
 
-    def __init__(self, branch, x_local, y_local, sigma, omega_local, order):
-        self.branch = branch
+    def __init__(self, x_local, y_local, sigma, omega_local, order):
         self.x_local = x_local
         self.y_local = y_local
         self.sigma = sigma
@@ -121,7 +119,7 @@ def make_lambert_curve(order: int) -> LocalCurve:
     sigma = deck_involution(x_full, order)
     x_local = x_full.truncate(order)
     omega_local = (y_local - y_local.compose(sigma)) * x_local.derivative()
-    return LocalCurve(1, x_local, y_local, sigma, omega_local, order)
+    return LocalCurve(x_local, y_local, sigma, omega_local, order)
 
 
 def bergman_expansion(order: int):
@@ -140,13 +138,11 @@ class KernelData:
     denominator (y(z)-y(sigma(z))) x'(z) is inverted once.
     """
 
-    __slots__ = ("pieces", "invden", "p_max", "sign")
+    __slots__ = ("pieces", "p_max")
 
-    def __init__(self, pieces, invden, sign):
+    def __init__(self, pieces):
         self.pieces = pieces
-        self.invden = invden
         self.p_max = max(pieces)
-        self.sign = sign
 
 
 def recursion_kernel(curve: LocalCurve, kernel_sign: int = 1) -> KernelData:
@@ -164,7 +160,7 @@ def recursion_kernel(curve: LocalCurve, kernel_sign: int = 1) -> KernelData:
         zeta_pow = zeta_pow.shift(1)
         sigma_pow = (sigma_pow * curve.sigma).truncate(curve.order)
         pieces[p] = ((zeta_pow - sigma_pow) * invden).scale(half)
-    return KernelData(pieces, invden, kernel_sign)
+    return KernelData(pieces)
 
 
 class LambertEngine:
@@ -300,7 +296,7 @@ class LambertEngine:
         if memo is not None:
             return memo
 
-        out = {}
+        out = [1, {}]
         inputs = []
         if g >= 1:
             if (g - 1, k + 1) == (0, 2):
@@ -341,16 +337,12 @@ class LambertEngine:
         den_r, table = _kernels.row_table(self.rows, pairs)
         acc = {}
         for a, c, rest in entries:
-            seen = set()
-            for j, b in enumerate(rest):
-                if b in seen:
-                    continue
-                seen.add(b)
+            for b, left in splits(rest):
                 row = table.get((a, b))
                 if row is None:
                     continue
                 p0, nums = row
-                sums = acc.setdefault(rest[:j] + rest[j + 1 :], {})
+                sums = acc.setdefault(left, {})
                 for p, v in enumerate(nums, p0):
                     sums[p] = sums.get(p, 0) + c * v
         _kernels.add_sweep(out, acc, den_c * den_r)
@@ -361,20 +353,11 @@ class LambertEngine:
         agrees (this is the symmetry of the recursion output; a failure
         means the truncation order was insufficient or, when the preloaded
         forms ``fed`` went into it, that the cache file is wrong)."""
-        values = {
-            (p, u): val for u, bucket in out.items() for p, val in bucket.items() if val
-        }
-        fulls = {_kernels.merge_desc(u, (p,)) for (p, u) in values}
+        den, values = out
+        fulls = {_kernels.merge_desc(u, (p,)) for (p, u), v in values.items() if v}
         terms = {}
         for full in fulls:
-            vals = []
-            seen = set()
-            for i, q in enumerate(full):
-                if q in seen:
-                    continue
-                seen.add(q)
-                rest = full[:i] + full[i + 1 :]
-                vals.append(values.get((q, rest), _ZERO))
+            vals = [values.get(split, 0) for split in splits(full)]
             if any(v != vals[0] for v in vals):
                 if fed:
                     cause = (
@@ -386,9 +369,8 @@ class LambertEngine:
                 raise ArithmeticError(
                     f"slot-symmetry violated assembling W({g},{k}) at {full}; {cause}"
                 )
-            if vals[0]:
-                terms[full] = vals[0]
-        return PoleForm(g, k, terms)
+            terms[full] = vals[0]
+        return PoleForm(g, k, terms, den)
 
     # -- symplectic invariants ---------------------------------------------
 

@@ -169,6 +169,31 @@ class TestCache:
         entries = json.loads(open(path).read())["poleforms"]
         assert len(entries) == len(json.loads(before[0])["poleforms"]) + 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("c", "1/0"),  # a zero denominator
+            ("a", [2.0]),  # a pole order that is not an int
+            ("a", [True]),  # a bool is not a pole order
+            ("a", [1]),  # stable forms have no pole of order 1
+        ],
+        ids=["zero-denominator", "float-order", "bool-order", "order-one"],
+    )
+    def test_malformed_entry_ignored(self, tmp_path, field, value):
+        path = str(tmp_path / "forms.json")
+        args = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "2",
+                "--cache", path)
+        cold = run_cli(*args)
+        assert cold.returncode == 0
+        doc = json.loads(open(path).read())
+        (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
+        assert entry["terms"][0]["a"] == [2]
+        entry["terms"][0][field] = value
+        open(path, "w").write(json.dumps(doc))
+        warm = run_cli(*args)
+        assert warm.returncode == 0
+        assert warm.stdout == cold.stdout
+
     def test_env_var_cache_path(self, tmp_path):
         path = str(tmp_path / "envcache.json")
         r = run_cli("wkg", "0", "3", env_extra={"HURWITZREC_CACHE": path})

@@ -54,15 +54,17 @@ def ref_pair_sweep(out, terms_a, terms_b, rows):
             rden, p0, nums = row
             u = tuple(sorted(ra + rb, reverse=True))
             c = F(an, den_a) * F(bn, den_b) * ref_count_ways(u, ra)
-            bucket = out.setdefault(u, {})
+            sums = out[1]
             for p, v in enumerate(nums, p0):
-                bucket[p] = bucket.get(p, _ZERO) + c * F(v, rden)
+                # the running sum holds numerators over out[0]
+                sums[p, u] = sums.get((p, u), 0) + c * F(v, rden) * out[0]
 
 
 def nonzero(out):
-    """Sweep output without zero entries, which assembly ignores."""
-    trimmed = {u: {p: v for p, v in bucket.items() if v} for u, bucket in out.items()}
-    return {u: bucket for u, bucket in trimmed.items() if bucket}
+    """Sweep output as {(p, rest): Fraction} without zero entries, which
+    assembly ignores."""
+    den, sums = out
+    return {key: F(num, den) for key, num in sums.items() if num}
 
 
 # -- random inputs ---------------------------------------------------------------
@@ -129,7 +131,7 @@ class TestAgainstReference:
     def test_pair_sweep(self):
         rng = random.Random(5)
         ta, tb, rows = random_sweep(rng, 30, 7)
-        fast, ref = {}, {}
+        fast, ref = [1, {}], [1, {}]
         _kernels.pair_sweep(fast, ta, tb, rows)
         ref_pair_sweep(ref, ta, tb, rows)
         assert nonzero(fast) == nonzero(ref)
@@ -137,10 +139,10 @@ class TestAgainstReference:
     def test_pair_sweep_wide_denominators(self):
         rng = random.Random(4)
         ta, tb, rows = random_sweep(rng, 30, 10**30)
-        fast, ref = {}, {}
+        fast, ref = [1, {}], [1, {}]
         _kernels.pair_sweep(fast, ta, tb, rows)
         ref_pair_sweep(ref, ta, tb, rows)
-        # a second sweep into the same output adds to the Fractions there
+        # a second sweep into the same output rescales the numerators there
         _kernels.pair_sweep(fast, tb, ta, rows)
         ref_pair_sweep(ref, tb, ta, rows)
         assert nonzero(fast) == nonzero(ref)

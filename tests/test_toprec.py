@@ -1,10 +1,13 @@
 import itertools
 import json
+import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from hurwitzrec.poleform import PoleForm
+from hurwitzrec.poleform import PoleForm, splits
 from hurwitzrec.series import Series, residue_of_product
 from hurwitzrec.toprec import (
     LambertEngine,
@@ -305,6 +308,36 @@ class TestPoleFormSerialization:
         assert obj["terms"][0]["a"] == [2, 2, 2]
         assert obj["terms"][1]["a"] == [3, 2, 2]
         assert obj["terms"][0]["c"] == "1/1"
+
+
+class TestRepresentation:
+    def test_lowest_terms_over_one_denominator(self):
+        a = PoleForm(0, 3, {(2, 2, 2): F(3, 6)})
+        b = PoleForm(0, 3, {(2, 2, 2): 3}, den=6)
+        assert a == b
+        assert b.den == 2 and b.nums == {(2, 2, 2): 1}
+        assert b.terms == {(2, 2, 2): F(1, 2)}
+
+    def test_engine_forms_in_lowest_terms(self):
+        eng = LambertEngine(order=required_order(3, 1))
+        eng.w(2, 2)
+        eng.w(3, 1)
+        assert {(0, 4), (1, 3), (2, 2), (3, 1)} <= eng._memo.keys()
+        for form in eng._memo.values():
+            assert form.den > 0
+            assert gcd(form.den, *form.nums.values()) == 1
+            assert form.decompositions()[0] == form.den
+
+    def test_splits_against_counter(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            key = tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 7))), reverse=True))
+            expected = []
+            for a in Counter(key):
+                rest = list(key)
+                rest.remove(a)
+                expected.append((a, tuple(rest)))
+            assert list(splits(key)) == expected
 
 
 class TestFingerprint:
