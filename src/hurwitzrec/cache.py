@@ -3,8 +3,10 @@
 The file is a single JSON document carrying a format version and a curve
 fingerprint.  A version or fingerprint mismatch (the fingerprint covers the
 sign convention and the engine version) makes the loader ignore the whole
-file; it is never read partially.  So does a malformed entry or a pole of
-order 1, which no stable form has.  Entries are keyed by (g, k, trunc_order).
+file; it is never read partially.  So does a malformed entry, a repeated
+(g, k), a pole of order 1 or a pole order above 6g - 4 + 2k, none of which
+a stable form W(g, k) has.  Entries are keyed by (g, k): a form does not
+depend on the truncation order it was computed at.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import os
 
 from .poleform import PoleForm
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 def load_cache(path, fingerprint):
-    """Return {(g, k, trunc_order): PoleForm}; {} when unusable."""
+    """Return {(g, k): PoleForm}; {} when unusable."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -32,25 +34,22 @@ def load_cache(path, fingerprint):
     try:
         for entry in doc["poleforms"]:
             form = PoleForm.from_obj(entry)
-            if any(1 in key for key in form.nums):
+            key = (form.g, form.k)
+            bound = 6 * form.g - 4 + 2 * form.k
+            if key in out or any(1 in a or a[0] > bound for a in form.nums):
                 return {}
-            out[(form.g, form.k, int(entry["trunc_order"]))] = form
-    except (ArithmeticError, KeyError, TypeError, ValueError):
+            out[key] = form
+    except (ArithmeticError, LookupError, TypeError, ValueError):
         return {}
     return out
 
 
 def save_cache(path, fingerprint, forms):
-    """Write {(g, k, trunc_order): PoleForm} atomically."""
-    entries = []
-    for (g, k, order), form in sorted(forms.items()):
-        obj = form.to_obj()
-        obj["trunc_order"] = order
-        entries.append(obj)
+    """Write {(g, k): PoleForm} atomically."""
     doc = {
         "format": CACHE_FORMAT,
         "fingerprint": fingerprint,
-        "poleforms": entries,
+        "poleforms": [form.to_obj() for _, form in sorted(forms.items())],
     }
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -60,21 +59,15 @@ def save_cache(path, fingerprint, forms):
 
 def attach_cache(engine, path):
     """Preload an engine's memo table from the file (when compatible) and
-    return a closure that writes the merged table back, unless the engine
-    computed nothing the file did not already hold."""
+    return a closure that merges the memo into the file as it is then,
+    unless the engine computed nothing the file did not already hold."""
     fingerprint = engine.fingerprint()
     loaded = load_cache(path, fingerprint)
-    preloaded = {
-        (g, k): form for (g, k, order), form in loaded.items() if order == engine.order
-    }
-    engine.preload(preloaded, path)
+    engine.preload(loaded, path)
 
     def flush():
-        if preloaded.keys() >= engine._memo.keys():
+        if loaded.keys() >= engine._memo.keys():
             return
-        merged = dict(loaded)
-        for (g, k), form in engine._memo.items():
-            merged[(g, k, engine.order)] = form
-        save_cache(path, fingerprint, merged)
+        save_cache(path, fingerprint, {**load_cache(path, fingerprint), **engine._memo})
 
     return flush

@@ -14,7 +14,9 @@ Exit codes (the last three as in sysexits.h):
 - 74 stdout was closed before all output was written (a broken pipe, as in
   ``hurwitzrec table ... | head -1``).
 
-Stdout carries data; stderr carries diagnostics.
+Stdout carries data; stderr carries diagnostics.  The series truncation
+order is not a flag: each request computes at the order its largest form
+needs, and the forms do not depend on it.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--trunc-order", type=int, default=None,
-                       help="series truncation order (only raising the default is allowed)")
         p.add_argument("--cache", default=None, help="path to the PoleForm cache file")
         p.add_argument("--verbose", action="store_true")
 
@@ -82,16 +82,6 @@ def _build_parser():
     return parser
 
 
-def _resolve_trunc(args, default):
-    if args.trunc_order is None:
-        return default
-    if args.trunc_order < default:
-        raise _UsageError(
-            f"--trunc-order may only raise the default bound {default}"
-        )
-    return args.trunc_order
-
-
 def _cache_path(args):
     return args.cache or os.environ.get(CACHE_ENV)
 
@@ -114,8 +104,7 @@ def _cmd_table(args):
     need_oracle = args.method in ("oracle", "both")
     engine = flush = oracle = None
     if need_recursion:
-        order = _resolve_trunc(args, required_order(args.g_max, args.n_max))
-        engine, flush = _make_engine(args, order, args.verbose)
+        engine, flush = _make_engine(args, required_order(args.g_max, args.n_max), args.verbose)
     if need_oracle:
         oracle = HurwitzOracle(args.n_max, args.g_max)
 
@@ -182,8 +171,7 @@ def _emit_table(rows, args):
 
 def _cmd_wkg(args):
     check_stable(args.g, args.k)
-    order = _resolve_trunc(args, required_order(args.g, args.k))
-    engine, flush = _make_engine(args, order, args.verbose)
+    engine, flush = _make_engine(args, required_order(args.g, args.k), args.verbose)
     form = engine.w(args.g, args.k)
     if flush:
         flush()
@@ -195,8 +183,7 @@ def _cmd_check(args):
     if args.suite == "bm":
         if args.g_max < 0 or args.n_max < 1:
             raise _UsageError("need --g-max >= 0 and --n-max >= 1")
-        order = _resolve_trunc(args, required_order(args.g_max, args.n_max))
-        engine, flush = _make_engine(args, order, args.verbose)
+        engine, flush = _make_engine(args, required_order(args.g_max, args.n_max), args.verbose)
         report = verify_bm(args.g_max, args.n_max, engine=engine)
         if flush:
             flush()

@@ -15,6 +15,7 @@ control in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import _kernels
@@ -166,9 +167,12 @@ def recursion_kernel(curve: LocalCurve, kernel_sign: int = 1) -> KernelData:
 class LambertEngine:
     """Memoized computation of the correlation forms of the Lambert curve.
 
-    The truncation order is fixed at construction; (g, k) requests whose
-    required order exceeds it are rejected.  Recomputing a form at a higher
-    order reproduces identical coefficients (tested as order-robustness).
+    The truncation order is used only when a form is computed: a (g, k)
+    whose required order exceeds it is rejected unless the memo (or a cache
+    preloaded into it) already holds the form.  Recomputing a form at a
+    higher order reproduces identical coefficients (tested as
+    order-robustness).  The curve, kernel and their integer pieces are built
+    on first use, so a run that finds every form in the memo builds none.
     """
 
     def __init__(self, order: int = 26, kernel_sign: int = 1):
@@ -176,17 +180,6 @@ class LambertEngine:
             raise ValueError("kernel_sign must be +1 or -1")
         self.order = order
         self.kernel_sign = kernel_sign
-        self.curve = make_lambert_curve(order)
-        self.kernel = recursion_kernel(self.curve, kernel_sign)
-        self._sigma_prime = self.curve.sigma.derivative()
-        self._sigma_inv = self.curve.sigma.invert_unit()
-        # kernel pieces as integer coefficients over one shared denominator
-        cleared = {p: _cleared(piece) for p, piece in self.kernel.pieces.items()}
-        self._pieces_den = lcm(*(c[0] for c in cleared.values()))
-        self._pieces_int = {
-            p: (m, t, [v * (self._pieces_den // d) for v in nums])
-            for p, (d, m, t, nums) in cleared.items()
-        }
         self._ebar = {}
         self._ebar_int = {}
         self._rows = {}
@@ -194,16 +187,44 @@ class LambertEngine:
         # (g, k) -> the preloaded keys whose forms fed it, directly or not
         self._fed_by_cache = {}
         self._cache_source = None
-        self._bergman_terms = (
-            1, [(-m, m + 1, (m + 2,)) for m in range(self.kernel.p_max - 1)]
-        )
+
+    @cached_property
+    def curve(self) -> LocalCurve:
+        return make_lambert_curve(self.order)
+
+    @cached_property
+    def kernel(self) -> KernelData:
+        return recursion_kernel(self.curve, self.kernel_sign)
+
+    @cached_property
+    def _sigma_prime(self) -> Series:
+        return self.curve.sigma.derivative()
+
+    @cached_property
+    def _sigma_inv(self) -> Series:
+        return self.curve.sigma.invert_unit()
+
+    @cached_property
+    def _pieces_int(self):
+        """(den, {p: (min_exponent, trunc_order, nums)}): the kernel pieces
+        as integer coefficients over one shared denominator."""
+        cleared = {p: _cleared(piece) for p, piece in self.kernel.pieces.items()}
+        den = lcm(*(c[0] for c in cleared.values()))
+        return den, {
+            p: (m, t, [v * (den // d) for v in nums]) for p, (d, m, t, nums) in cleared.items()
+        }
+
+    @cached_property
+    def _bergman_terms(self):
+        return 1, [(-m, m + 1, (m + 2,)) for m in range(self.kernel.p_max - 1)]
 
     # -- curve fingerprint (for caches) -------------------------------------
 
     def fingerprint(self) -> str:
         import hashlib
 
-        coeffs = ",".join(str(self.curve.x_local.coefficient(n)) for n in range(8))
+        x_local = Series.identity(10).log1p() - 1 - Series.identity()
+        coeffs = ",".join(str(x_local.coefficient(n)) for n in range(8))
         raw = f"lambert-t1|engine={ENGINE_VERSION}|sign={self.kernel_sign}|x={coeffs}"
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
@@ -258,8 +279,9 @@ class LambertEngine:
                 row = ()
             else:
                 s = (e_min - a, None if e_trunc is None else e_trunc - a, e_nums)
+                pieces_den, pieces = self._pieces_int
                 vals = {}
-                for p, piece in self._pieces_int.items():
+                for p, piece in pieces.items():
                     try:
                         vals[p] = _residue_num(piece, s)
                     except TruncationError as exc:
@@ -270,7 +292,7 @@ class LambertEngine:
                 nonzero = [p for p, v in vals.items() if v]
                 if nonzero:
                     p0, p1 = min(nonzero), max(nonzero)
-                    den = self._pieces_den * e_den
+                    den = pieces_den * e_den
                     g = gcd(den, *vals.values())
                     row = (den // g, p0, tuple(vals[p] // g for p in range(p0, p1 + 1)))
                 else:
@@ -287,14 +309,14 @@ class LambertEngine:
         rejected: (0,1) is -y dx and (0,2) is the Bergman kernel.
         """
         check_stable(g, k)
+        memo = self._memo.get((g, k))
+        if memo is not None:
+            return memo
         need = required_order(g, k)
         if need > self.order:
             raise ValueError(
                 f"(g={g}, k={k}) needs truncation order {need}, engine has {self.order}"
             )
-        memo = self._memo.get((g, k))
-        if memo is not None:
-            return memo
 
         out = [1, {}]
         inputs = []
@@ -328,8 +350,9 @@ class LambertEngine:
 
     def _sweep_two_sided(self, out):
         t_den, *ts = _cleared(self.two_sided_bergman())
-        sums = {p: _residue_num(piece, ts) for p, piece in self._pieces_int.items()}
-        _kernels.add_sweep(out, {(): sums}, self._pieces_den * t_den)
+        pieces_den, pieces = self._pieces_int
+        sums = {p: _residue_num(piece, ts) for p, piece in pieces.items()}
+        _kernels.add_sweep(out, {(): sums}, pieces_den * t_den)
 
     def _sweep_term1(self, out, prev: PoleForm):
         den_c, entries = prev.decompositions()

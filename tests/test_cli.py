@@ -9,7 +9,8 @@ CLI = [sys.executable, "-m", "hurwitzrec.cli"]
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
+    # a developer's own cache file must not leak into (or out of) the suite
+    env = {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -46,9 +47,10 @@ class TestTable:
         assert run_cli("table", "--n-max", "0").returncode == 64
         assert run_cli("table", "--method", "nonsense").returncode == 64
 
-    def test_lowering_trunc_order_exit_64(self):
+    def test_trunc_order_flag_removed(self):
         r = run_cli("table", "--g-max", "1", "--n-max", "2", "--trunc-order", "8")
         assert r.returncode == 64
+        assert "--trunc-order" in r.stderr
 
     def test_output_determinism(self):
         args = ("table", "--g-max", "1", "--n-max", "3", "--format", "json")
@@ -138,15 +140,15 @@ class TestCache:
         assert r.returncode == 0
 
     def test_pre_rewrite_fingerprint_ignored(self, tmp_path):
-        from hurwitzrec.cache import load_cache
+        from hurwitzrec.cache import CACHE_FORMAT, load_cache
         from hurwitzrec.toprec import LambertEngine
 
         # the fingerprint of the default sign convention before the engine
         # version joined it, when the engine still summed Fractions
         old = "5d178ea0f91098e9"
         path = str(tmp_path / "forms.json")
-        form = {"g": 0, "k": 3, "terms": [{"a": [2, 2, 2], "c": "1/1"}], "trunc_order": 10}
-        doc = {"format": 1, "fingerprint": old, "poleforms": [form]}
+        form = {"g": 0, "k": 3, "terms": [{"a": [2, 2, 2], "c": "1/1"}]}
+        doc = {"format": CACHE_FORMAT, "fingerprint": old, "poleforms": [form]}
         open(path, "w").write(json.dumps(doc))
         assert len(load_cache(path, old)) == 1
         assert load_cache(path, LambertEngine(order=10).fingerprint()) == {}
@@ -164,10 +166,82 @@ class TestCache:
         assert after[0] == before[0]
         assert (after[1].st_mtime_ns, after[1].st_ino) == (10**9, before[1].st_ino)
         # a request that computes a form the file lacks still writes it
-        assert run_cli("wkg", "0", "5", "--trunc-order", "14", "--cache", path).returncode == 0
+        assert run_cli("wkg", "0", "5", "--cache", path).returncode == 0
         assert os.stat(path).st_mtime_ns != 10**9
         entries = json.loads(open(path).read())["poleforms"]
         assert len(entries) == len(json.loads(before[0])["poleforms"]) + 1
+
+    def test_smaller_request_reuses_larger_file(self, tmp_path):
+        path = str(tmp_path / "forms.json")
+        base = ("table", "--method", "recursion", "--n-max", "3", "--cache", path)
+        assert run_cli(*base, "--g-max", "2").returncode == 0
+        os.utime(path, ns=(10**9, 10**9))
+        before = open(path, "rb").read(), os.stat(path).st_ino
+        # a lower truncation order than the file was written at, same forms
+        assert run_cli(*base, "--g-max", "1").returncode == 0
+        assert open(path, "rb").read() == before[0]
+        assert (os.stat(path).st_mtime_ns, os.stat(path).st_ino) == (10**9, before[1])
+
+    def test_format_one_file_ignored(self, tmp_path):
+        from hurwitzrec.cache import CACHE_FORMAT, load_cache
+        from hurwitzrec.toprec import LambertEngine
+
+        # the previous layout, keyed by (g, k, trunc_order)
+        path = str(tmp_path / "forms.json")
+        fingerprint = LambertEngine().fingerprint()
+        form = {"g": 0, "k": 3, "terms": [{"a": [2, 2, 2], "c": "1/1"}], "trunc_order": 10}
+        doc = {"format": 1, "fingerprint": fingerprint, "poleforms": [form]}
+        open(path, "w").write(json.dumps(doc))
+        assert load_cache(path, fingerprint) == {}
+        assert run_cli("wkg", "0", "3", "--cache", path).returncode == 0
+        rewritten = json.loads(open(path).read())
+        assert rewritten["format"] == CACHE_FORMAT
+        assert len(load_cache(path, fingerprint)) == 1
+
+    def test_repeated_form_ignored(self, tmp_path):
+        path = str(tmp_path / "forms.json")
+        args = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "2",
+                "--cache", path)
+        cold = run_cli(*args)
+        doc = json.loads(open(path).read())
+        (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
+        twin = json.loads(json.dumps(entry))
+        twin["terms"][0]["c"] = "7/1"
+        doc["poleforms"].append(twin)
+        open(path, "w").write(json.dumps(doc))
+        warm = run_cli(*args)
+        assert warm.returncode == 0
+        assert warm.stdout == cold.stdout
+
+    def test_flush_merges_file_as_found(self, tmp_path):
+        from hurwitzrec.cache import attach_cache, load_cache
+        from hurwitzrec.toprec import LambertEngine, required_order
+
+        # two runs sharing one file, each unaware of the other's forms
+        path = str(tmp_path / "forms.json")
+        first = LambertEngine(order=required_order(1, 1))
+        second = LambertEngine(order=required_order(1, 1))
+        flush_first, flush_second = attach_cache(first, path), attach_cache(second, path)
+        first.w(0, 3)
+        second.w(1, 1)
+        flush_first()
+        flush_second()
+        loaded = load_cache(path, first.fingerprint())
+        assert loaded == {(0, 3): first.w(0, 3), (1, 1): second.w(1, 1)}
+
+    def test_warm_engine_builds_no_curve(self, tmp_path):
+        from hurwitzrec.cache import attach_cache
+        from hurwitzrec.toprec import LambertEngine, required_order
+
+        path = str(tmp_path / "forms.json")
+        cold = LambertEngine(order=required_order(1, 2))
+        flush = attach_cache(cold, path)
+        form = cold.w(1, 2)
+        flush()
+        warm = LambertEngine(order=required_order(1, 2))
+        attach_cache(warm, path)
+        assert warm.w(1, 2) == form
+        assert "curve" not in warm.__dict__ and "kernel" not in warm.__dict__
 
     @pytest.mark.parametrize(
         "field, value",
@@ -176,8 +250,10 @@ class TestCache:
             ("a", [2.0]),  # a pole order that is not an int
             ("a", [True]),  # a bool is not a pole order
             ("a", [1]),  # stable forms have no pole of order 1
+            ("a", [5]),  # W(1,1) has no pole above order 6g - 4 + 2k = 4
         ],
-        ids=["zero-denominator", "float-order", "bool-order", "order-one"],
+        ids=["zero-denominator", "float-order", "bool-order", "order-one",
+             "order-above-bound"],
     )
     def test_malformed_entry_ignored(self, tmp_path, field, value):
         path = str(tmp_path / "forms.json")
@@ -215,7 +291,7 @@ class TestExitCodes:
         # W(1,2) is assembled from W(1,1); with one coefficient of the cached
         # W(1,1) changed, the slot-symmetry check of the assembly fails.
         path = str(tmp_path / "forms.json")
-        assert run_cli("wkg", "1", "1", "--trunc-order", "12", "--cache", path).returncode == 0
+        assert run_cli("wkg", "1", "1", "--cache", path).returncode == 0
         doc = json.loads(open(path).read())
         (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
         entry["terms"][0]["c"] = "7/1"
