@@ -3,7 +3,8 @@
 Each kernel clears the denominators of its inputs once and works on plain
 ``int``s, so no intermediate result is ever a `Fraction`: `conv` and
 `unit_inverse` divide once at the end, and the residue sweeps add into one
-running sum ``[den, {(p, rest): num}]`` per form.  Results are exact.
+running sum ``[den, {(p, rest): num}]`` per form, both through `contract`
+and `accumulate` on decompositions grouped by rest.  Results are exact.
 """
 
 from fractions import Fraction
@@ -79,8 +80,7 @@ def merge_desc(u, v):
 def count_ways(u, sub):
     """Product over values v of C(mult_u(v), mult_sub(v)) for sorted tuples."""
     ways = 1
-    i = 0
-    j = 0
+    i = j = 0
     nu, ns = len(u), len(sub)
     while j < ns:
         v = sub[j]
@@ -107,16 +107,35 @@ def row_table(rows, pairs):
     ``rows(a, b)`` returns ``()`` or ``(den, p0, nums)``, the residue for
     the first-slot pole order p being ``nums[p - p0] / den``.
     """
-    found = {}
-    for key in pairs:
-        row = rows(*key)
-        if row:
-            found[key] = row
+    found = {key: row for key in pairs if (row := rows(*key))}
     den = lcm(*(row[0] for row in found.values()))
     table = {
         key: (p0, [v * (den // d) for v in nums]) for key, (d, p0, nums) in found.items()
     }
     return den, table
+
+
+def contract(group, b, table):
+    """``sum_a group[a] * row(a, b)`` as ``{p: num}`` over a `row_table`;
+    ``group`` is one ``{a: num}`` of a decomposition."""
+    sums = {}
+    for a, num in group.items():
+        row = table.get((a, b))
+        if row is not None:
+            p0, nums = row
+            for p, v in enumerate(nums, p0):
+                sums[p] = sums.get(p, 0) + num * v
+    return sums
+
+
+def accumulate(acc, u, sums, c):
+    """Add ``c * sums`` into ``acc[u]``, made only for a nonempty ``sums``."""
+    if sums:
+        bucket = acc.get(u)
+        if bucket is None:
+            bucket = acc[u] = {}
+        for p, v in sums.items():
+            bucket[p] = bucket.get(p, 0) + c * v
 
 
 def add_sweep(out, acc, den):
@@ -139,32 +158,25 @@ def add_sweep(out, acc, den):
 def pair_sweep(out, terms_a, terms_b, rows):
     """Accumulate residue-table contributions of all (A-term, B-term) pairs.
 
-    ``terms_a``/``terms_b`` are ``(den, [(a, num, rest), ...])``: integer
-    weights over one denominator, with ``a`` the pole order evaluated at the
-    branch (negative ``a`` encodes a Bergman power ``z**(-a)``) and ``rest``
-    the weakly-decreasing tuple of pole orders left on symbolic variables.
-    ``rows`` is as in `row_table`.  ``out`` is a running sum as in
-    `add_sweep`, keyed by the first-slot order p and the merged rest-tuple.
+    ``terms_a``/``terms_b`` are decompositions ``(den, {rest: {a: num}})``,
+    integer weights over one denominator, with ``a`` the pole order evaluated
+    at the branch (negative ``a`` encodes a Bergman power ``z**(-a)``) and
+    ``rest`` the weakly-decreasing tuple of pole orders left on symbolic
+    variables.  ``rows`` is as in `row_table`.  The A side is contracted once
+    per ``(ra, b)``, and rests are merged and counted once per ``(ra, rb)``.
+    ``out`` is a running sum as in `add_sweep`, keyed by the first-slot order
+    p and the merged rest-tuple.
     """
-    den_a, entries_a = terms_a
-    den_b, entries_b = terms_b
-    pairs = product({t[0] for t in entries_a}, {t[0] for t in entries_b})
+    (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
+    orders_b = {b for group in groups_b.values() for b in group}
+    pairs = product({a for group in groups_a.values() for a in group}, orders_b)
     den_r, table = row_table(rows, pairs)
     acc = {}
-    for a, an, ra in entries_a:
-        for b, bn, rb in entries_b:
-            row = table.get((a, b))
-            if row is None:
-                continue
+    for ra, group_a in groups_a.items():
+        contracted = {b: contract(group_a, b, table) for b in orders_b}
+        for rb, group_b in groups_b.items():
             u = merge_desc(ra, rb)
             n = count_ways(u, ra)
-            if not n:
-                continue
-            c = an * bn * n
-            p0, nums = row
-            sums = acc.get(u)
-            if sums is None:
-                sums = acc[u] = {}
-            for p, v in enumerate(nums, p0):
-                sums[p] = sums.get(p, 0) + c * v
+            for b, bn in group_b.items():
+                accumulate(acc, u, contracted[b], n * bn)
     add_sweep(out, acc, den_a * den_b * den_r)

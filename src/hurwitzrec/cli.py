@@ -28,11 +28,11 @@ import sys
 
 from .bridge import elsv_consistency, times_by_recursion, times_from_curve
 from .cache import attach_cache
-from .extract import h_series, extract_hurwitz, verify_bm
-from .partitions import HurwitzOracle, partitions_of
+from .extract import table_rows, verify_bm
+from .partitions import HurwitzOracle
 from .poleform import format_rational
 from .selfcheck import run_series_checks
-from .toprec import LambertEngine, check_stable, is_stable, required_order
+from .toprec import LambertEngine, check_stable, required_order
 
 EX_OK = 0
 EX_MISMATCH = 2
@@ -108,29 +108,8 @@ def _cmd_table(args):
     if need_oracle:
         oracle = HurwitzOracle(args.n_max, args.g_max)
 
-    rows = []
-    mismatch = False
-    hs_cache = {}
-    for g in range(args.g_max + 1):
-        for n in range(1, args.n_max + 1):
-            for mu in partitions_of(n):
-                stable = is_stable(g, len(mu))
-                if need_recursion and not stable:
-                    continue
-                row = {"g": g, "mu": list(mu)}
-                if need_recursion:
-                    key = (g, len(mu))
-                    hs = hs_cache.get(key)
-                    if hs is None:
-                        hs = h_series(engine.w(*key), args.n_max)
-                        hs_cache[key] = hs
-                    row["recursion"] = format_rational(extract_hurwitz(hs, g, mu))
-                if need_oracle:
-                    row["oracle"] = format_rational(oracle.hurwitz(g, mu))
-                if args.method == "both":
-                    row["equal"] = row["recursion"] == row["oracle"]
-                    mismatch = mismatch or not row["equal"]
-                rows.append(row)
+    rows = list(table_rows(args.g_max, args.n_max, engine, oracle))
+    mismatch = args.method == "both" and not all(row["equal"] for row in rows)
     if flush:
         flush()
     _emit_table(rows, args)

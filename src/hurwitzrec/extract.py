@@ -198,47 +198,50 @@ class BMReport:
         return "\n".join(lines)
 
 
+def table_rows(g_max, n_max, engine=None, oracle=None):
+    """Yield one row per (g, mu) with g <= g_max and |mu| <= n_max, as
+    {"g", "mu", "recursion", "oracle", "equal"}: the value by each route
+    given, formatted, and with both whether they agree.  With an engine only
+    the stable (g, len(mu)) appear; one series serves every mu of a (g, k).
+    """
+    hs_cache = {}
+    for g in range(g_max + 1):
+        for n in range(1, n_max + 1):
+            for mu in partitions_of(n):
+                k = len(mu)
+                if engine is not None and not is_stable(g, k):
+                    continue
+                row = {"g": g, "mu": list(mu)}
+                if engine is not None:
+                    hs = hs_cache.get((g, k))
+                    if hs is None:
+                        hs = hs_cache[g, k] = h_series(engine.w(g, k), n_max)
+                    row["recursion"] = format_rational(extract_hurwitz(hs, g, mu))
+                if oracle is not None:
+                    row["oracle"] = format_rational(oracle.hurwitz(g, mu))
+                if engine is not None and oracle is not None:
+                    row["equal"] = row["recursion"] == row["oracle"]
+                yield row
+
+
 def verify_bm(
     g_max: int,
     n_max: int,
     engine: LambertEngine | None = None,
     oracle: HurwitzOracle | None = None,
-    fail_fast: bool = True,
 ) -> BMReport:
     """Compare recursion vs oracle for every stable (g, mu) in range.
 
-    Stops at the first mismatch when fail_fast is set; the report then ends
-    with the offending record.
+    Stops at the first mismatch; the report then ends with the offending
+    record and is not complete.
     """
     if engine is None:
         engine = LambertEngine(order=required_order(g_max, n_max))
     if oracle is None:
         oracle = HurwitzOracle(n_max, g_max)
     records = []
-    complete = True
-    hseries_cache = {}
-    for g in range(g_max + 1):
-        for n in range(1, n_max + 1):
-            for mu in partitions_of(n):
-                k = len(mu)
-                if not is_stable(g, k):
-                    continue
-                hs = hseries_cache.get((g, k))
-                if hs is None:
-                    hs = h_series(engine.w(g, k), n_max)
-                    hseries_cache[(g, k)] = hs
-                rec = extract_hurwitz(hs, g, mu)
-                orc = oracle.hurwitz(g, mu)
-                records.append(
-                    {
-                        "g": g,
-                        "mu": list(mu),
-                        "recursion": format_rational(rec),
-                        "oracle": format_rational(orc),
-                        "equal": rec == orc,
-                    }
-                )
-                if fail_fast and rec != orc:
-                    complete = False
-                    return BMReport(g_max, n_max, records, complete)
-    return BMReport(g_max, n_max, records, complete)
+    for row in table_rows(g_max, n_max, engine, oracle):
+        records.append(row)
+        if not row["equal"]:
+            return BMReport(g_max, n_max, records, False)
+    return BMReport(g_max, n_max, records, True)

@@ -86,11 +86,14 @@ class PoleForm:
         return f"<PoleForm g={self.g} k={self.k} with {len(self.nums)} terms>"
 
     def decompositions(self):
-        """The `splits` of all stored keys as ``(den, [(a, num, rest), ...])``,
-        the coefficient being ``num / den``."""
+        """The `splits` of all stored keys as ``(den, {rest: {a: num}})``,
+        ``num / den`` being the coefficient of the key ``rest`` plus ``a``."""
         if self._decomps is None:
-            out = [(a, num, rest) for key, num in self.nums.items() for a, rest in splits(key)]
-            self._decomps = (self.den, out)
+            groups = {}
+            for key, num in self.nums.items():
+                for a, rest in splits(key):
+                    groups.setdefault(rest, {})[a] = num
+            self._decomps = (self.den, groups)
         return self._decomps
 
     # -- serialization ------------------------------------------------------

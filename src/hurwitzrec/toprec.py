@@ -127,9 +127,9 @@ def bergman_expansion(order: int):
     """Expansion of B(z0, z*+zeta) on powers of zeta.
 
     The zeta^m coefficient is the arity-1 pole entry (m+1)/(z0-z*)^(m+2);
-    returns the list of (pole_order, weight) pairs for m = 0..order-1.
+    returns the list of integer (pole_order, weight) pairs for m = 0..order-1.
     """
-    return [(m + 2, Fraction(m + 1)) for m in range(order)]
+    return [(m + 2, m + 1) for m in range(order)]
 
 
 class KernelData:
@@ -216,7 +216,8 @@ class LambertEngine:
 
     @cached_property
     def _bergman_terms(self):
-        return 1, [(-m, m + 1, (m + 2,)) for m in range(self.kernel.p_max - 1)]
+        expansion = bergman_expansion(self.kernel.p_max - 1)
+        return 1, {(pole,): {-m: w} for m, (pole, w) in enumerate(expansion)}
 
     # -- curve fingerprint (for caches) -------------------------------------
 
@@ -355,19 +356,13 @@ class LambertEngine:
         _kernels.add_sweep(out, {(): sums}, pieces_den * t_den)
 
     def _sweep_term1(self, out, prev: PoleForm):
-        den_c, entries = prev.decompositions()
-        pairs = {(a, b) for a, _, rest in entries for b in rest}
+        den_c, groups = prev.decompositions()
+        pairs = {(a, b) for rest, group in groups.items() for a in group for b in rest}
         den_r, table = _kernels.row_table(self.rows, pairs)
         acc = {}
-        for a, c, rest in entries:
+        for rest, group in groups.items():
             for b, left in splits(rest):
-                row = table.get((a, b))
-                if row is None:
-                    continue
-                p0, nums = row
-                sums = acc.setdefault(left, {})
-                for p, v in enumerate(nums, p0):
-                    sums[p] = sums.get(p, 0) + c * v
+                _kernels.accumulate(acc, left, _kernels.contract(group, b, table), 1)
         _kernels.add_sweep(out, acc, den_c * den_r)
 
     def _assemble(self, g, k, out, fed) -> PoleForm:

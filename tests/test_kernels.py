@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -44,10 +45,9 @@ def ref_count_ways(u, sub):
 
 
 def ref_pair_sweep(out, terms_a, terms_b, rows):
-    den_a, entries_a = terms_a
-    den_b, entries_b = terms_b
-    for a, an, ra in entries_a:
-        for b, bn, rb in entries_b:
+    (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
+    for (ra, group_a), (rb, group_b) in product(groups_a.items(), groups_b.items()):
+        for (a, an), (b, bn) in product(group_a.items(), group_b.items()):
             row = rows(a, b)
             if not row:
                 continue
@@ -76,14 +76,14 @@ def random_fractions(rng, n, top=9, den_max=12):
 
 def random_sweep(rng, n_terms, den_max):
     def mk_terms():
-        entries = []
+        groups = {}
         for _ in range(n_terms):
             a = rng.randint(-3, 6)
             rest = tuple(
                 sorted((rng.randint(2, 6) for _ in range(rng.randint(0, 3))), reverse=True)
             )
-            entries.append((a, rng.randint(-5 * den_max, 5 * den_max), rest))
-        return rng.randint(1, den_max), entries
+            groups.setdefault(rest, {})[a] = rng.randint(-5 * den_max, 5 * den_max)
+        return rng.randint(1, den_max), groups
 
     table = {}
 

@@ -257,6 +257,21 @@ class TestStructuralInvariants:
                     total = total + direct + other_sheet
             assert total.is_zero or total.min_exponent >= 1, (g, k, rest)
 
+    def test_residue_rows_sheet_symmetric(self):
+        """rows(a, b) == rows(b, a): the kernel is invariant under the deck
+        involution and a residue under zeta -> sigma(zeta).  Checked for
+        every pair the engine resolves on its way to each stable form up to
+        W(3,4); every swapped pair must be resolvable too."""
+        eng = LambertEngine(order=required_order(3, 4))
+        for g in range(4):
+            for k in range(1, 5):
+                if is_stable(g, k):
+                    eng.w(g, k)
+        held = list(eng._rows)
+        assert len(held) > 1000
+        for a, b in held:
+            assert eng.rows(a, b) == eng.rows(b, a), (a, b)
+
     def test_order_robustness(self):
         lo = LambertEngine(order=required_order(2, 1))
         hi = LambertEngine(order=required_order(2, 1) + 4)
@@ -327,6 +342,25 @@ class TestRepresentation:
             assert form.den > 0
             assert gcd(form.den, *form.nums.values()) == 1
             assert form.decompositions()[0] == form.den
+
+    def test_decompositions_group_by_rest(self):
+        """Putting each (rest, a) back together gives exactly the stored
+        numerators, and each key appears once per distinct value of its
+        parts."""
+        eng = LambertEngine(order=required_order(3, 1))
+        eng.w(2, 2)
+        eng.w(3, 1)
+        for form in eng._memo.values():
+            den, groups = form.decompositions()
+            assert den == form.den
+            seen = Counter()
+            for rest, group in groups.items():
+                assert group
+                for a, num in group.items():
+                    key = tuple(sorted(rest + (a,), reverse=True))
+                    assert form.nums[key] == num, (form, rest, a)
+                    seen[key] += 1
+            assert seen == {key: len(set(key)) for key in form.nums}
 
     def test_splits_against_counter(self):
         rng = random.Random(7)
