@@ -155,8 +155,9 @@ def add_sweep(out, acc, den):
                 sums[p, u] = sums.get((p, u), 0) + v * scale
 
 
-def pair_sweep(out, terms_a, terms_b, rows):
-    """Accumulate residue-table contributions of all (A-term, B-term) pairs.
+def pair_sweep(out, terms_a, terms_b, rows, weight=1):
+    """Accumulate ``weight`` times the residue-table contributions of all
+    (A-term, B-term) pairs.
 
     ``terms_a``/``terms_b`` are decompositions ``(den, {rest: {a: num}})``,
     integer weights over one denominator, with ``a`` the pole order evaluated
@@ -165,7 +166,9 @@ def pair_sweep(out, terms_a, terms_b, rows):
     variables.  ``rows`` is as in `row_table`.  The A side is contracted once
     per ``(ra, b)``, and rests are merged and counted once per ``(ra, rb)``.
     ``out`` is a running sum as in `add_sweep`, keyed by the first-slot order
-    p and the merged rest-tuple.
+    p and the merged rest-tuple.  ``weight`` is 2 when this one sweep stands
+    for both orientations of a split: with symmetric rows, ``rows(a, b) ==
+    rows(b, a)``, swapping the A and B sides adds identical integers.
     """
     (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
     orders_b = {b for group in groups_b.values() for b in group}
@@ -176,7 +179,7 @@ def pair_sweep(out, terms_a, terms_b, rows):
         contracted = {b: contract(group_a, b, table) for b in orders_b}
         for rb, group_b in groups_b.items():
             u = merge_desc(ra, rb)
-            n = count_ways(u, ra)
+            n = weight * count_ways(u, ra)
             for b, bn in group_b.items():
                 accumulate(acc, u, contracted[b], n * bn)
     add_sweep(out, acc, den_a * den_b * den_r)

@@ -8,7 +8,7 @@ Exit codes (the last three as in sysexits.h):
 - 0 success;
 - 2 a mathematical mismatch was found;
 - 64 bad flags;
-- 65 request out of range;
+- 65 request out of range, including a request above a size bound;
 - 70 internal inconsistency: an exact self-check of the recursion failed
   (for instance a form that is not symmetric in its slots);
 - 74 stdout was closed before all output was written (a broken pipe, as in
@@ -42,6 +42,13 @@ EX_SOFTWARE = 70
 EX_IOERR = 74
 
 CACHE_ENV = "HURWITZREC_CACHE"
+
+# Size bounds, checked before any engine or oracle is built.  The recursion's
+# cost grows steeply with the truncation order its largest form needs; order
+# 40 admits W(3,8) and W(4,5) (order 36), which take seconds.  The oracle's
+# cost grows fastest with |mu|: --g-max 3 --n-max 12 takes about ten seconds.
+RECURSION_MAX_ORDER = 40
+ORACLE_MAX_N = 12
 
 
 class _UsageError(Exception):
@@ -86,6 +93,22 @@ def _cache_path(args):
     return args.cache or os.environ.get(CACHE_ENV)
 
 
+def _recursion_order(g, k):
+    """The truncation order W(g, k) needs, refused above the size bound."""
+    need = required_order(g, k)
+    if need > RECURSION_MAX_ORDER:
+        raise ValueError(
+            f"W({g},{k}) needs truncation order {need}, above the recursion's "
+            f"size bound of order {RECURSION_MAX_ORDER}"
+        )
+    return need
+
+
+def _check_oracle_size(n_max):
+    if n_max > ORACLE_MAX_N:
+        raise ValueError(f"--n-max {n_max} is above the oracle's size bound of {ORACLE_MAX_N}")
+
+
 def _make_engine(args, order, verbose=False):
     engine = LambertEngine(order=order)
     flush = None
@@ -103,8 +126,10 @@ def _cmd_table(args):
     need_recursion = args.method in ("recursion", "both")
     need_oracle = args.method in ("oracle", "both")
     engine = flush = oracle = None
+    if need_oracle:
+        _check_oracle_size(args.n_max)
     if need_recursion:
-        engine, flush = _make_engine(args, required_order(args.g_max, args.n_max), args.verbose)
+        engine, flush = _make_engine(args, _recursion_order(args.g_max, args.n_max), args.verbose)
     if need_oracle:
         oracle = HurwitzOracle(args.n_max, args.g_max)
 
@@ -150,7 +175,7 @@ def _emit_table(rows, args):
 
 def _cmd_wkg(args):
     check_stable(args.g, args.k)
-    engine, flush = _make_engine(args, required_order(args.g, args.k), args.verbose)
+    engine, flush = _make_engine(args, _recursion_order(args.g, args.k), args.verbose)
     form = engine.w(args.g, args.k)
     if flush:
         flush()
@@ -162,7 +187,8 @@ def _cmd_check(args):
     if args.suite == "bm":
         if args.g_max < 0 or args.n_max < 1:
             raise _UsageError("need --g-max >= 0 and --n-max >= 1")
-        engine, flush = _make_engine(args, required_order(args.g_max, args.n_max), args.verbose)
+        _check_oracle_size(args.n_max)
+        engine, flush = _make_engine(args, _recursion_order(args.g_max, args.n_max), args.verbose)
         report = verify_bm(args.g_max, args.n_max, engine=engine)
         if flush:
             flush()

@@ -308,6 +308,13 @@ class LambertEngine:
 
         Unstable (g, k) are curve data, not recursion output, and are
         rejected: (0,1) is -y dx and (0,2) is the Bergman kernel.
+
+        The split products are summed over unordered splits: the term for
+        ``(h, J), (g-h, J')`` equals the swapped one, because the kernel is
+        invariant under the deck involution (``rows(a, b) == rows(b, a)``)
+        and ``C(n, k) == C(n, n-k)`` in the rest counts.  So each split with
+        ``(h, |J|) < (g-h, |J'|)`` is swept once with weight 2, and a split
+        equal to its swap once with weight 1.
         """
         check_stable(g, k)
         memo = self._memo.get((g, k))
@@ -330,12 +337,13 @@ class LambertEngine:
         for h in range(g + 1):
             for j_a in range(k):
                 j_b = k - 1 - j_a
-                if (j_a == 0 and h == 0) or (j_b == 0 and h == g):
+                if (j_a == 0 and h == 0) or (j_b == 0 and h == g) or (h, j_a) > (g - h, j_b):
                     continue
                 inputs += [(h, j_a + 1), (g - h, j_b + 1)]
                 terms_a = self._decomps(h, j_a + 1)
                 terms_b = self._decomps(g - h, j_b + 1)
-                _kernels.pair_sweep(out, terms_a, terms_b, self.rows)
+                weight = 1 if (h, j_a) == (g - h, j_b) else 2
+                _kernels.pair_sweep(out, terms_a, terms_b, self.rows, weight)
 
         fed = set().union(*(self._fed_by_cache.get(key, ()) for key in inputs))
         form = self._assemble(g, k, out, fed)

@@ -276,6 +276,28 @@ class TestCache:
         assert r.returncode == 0 and os.path.exists(path)
 
 
+class TestSizeBound:
+    @pytest.mark.parametrize(
+        "args,bound",
+        [
+            (("wkg", "9", "9"), "size bound of order 40"),
+            (("table", "--g-max", "9", "--n-max", "9"), "size bound of order 40"),
+            (("table", "--method", "oracle", "--n-max", "13"), "size bound of 12"),
+            (("check", "bm", "--g-max", "9", "--n-max", "9"), "size bound of order 40"),
+            (("check", "bm", "--n-max", "13"), "size bound of 12"),
+        ],
+    )
+    def test_oversized_request_exit_65(self, tmp_path, args, bound):
+        cache = tmp_path / "cache.json"
+        r = run_cli(*args, "--cache", str(cache))
+        assert r.returncode == 65
+        assert bound in r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+        # refused before anything was computed, so no cache file was written
+        assert not cache.exists()
+
+
 class TestExitCodes:
     def test_broken_pipe_exit_74(self):
         proc = subprocess.Popen(

@@ -44,7 +44,7 @@ def ref_count_ways(u, sub):
     return ways
 
 
-def ref_pair_sweep(out, terms_a, terms_b, rows):
+def ref_pair_sweep(out, terms_a, terms_b, rows, weight=1):
     (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
     for (ra, group_a), (rb, group_b) in product(groups_a.items(), groups_b.items()):
         for (a, an), (b, bn) in product(group_a.items(), group_b.items()):
@@ -53,7 +53,7 @@ def ref_pair_sweep(out, terms_a, terms_b, rows):
                 continue
             rden, p0, nums = row
             u = tuple(sorted(ra + rb, reverse=True))
-            c = F(an, den_a) * F(bn, den_b) * ref_count_ways(u, ra)
+            c = F(an, den_a) * F(bn, den_b) * ref_count_ways(u, ra) * weight
             sums = out[1]
             for p, v in enumerate(nums, p0):
                 # the running sum holds numerators over out[0]
@@ -135,6 +135,31 @@ class TestAgainstReference:
         _kernels.pair_sweep(fast, ta, tb, rows)
         ref_pair_sweep(ref, ta, tb, rows)
         assert nonzero(fast) == nonzero(ref)
+        fast2, ref2 = [1, {}], [1, {}]
+        _kernels.pair_sweep(fast2, ta, tb, rows, weight=2)
+        ref_pair_sweep(ref2, ta, tb, rows, weight=2)
+        assert nonzero(fast2) == nonzero(ref2)
+        assert nonzero(fast2) == {key: 2 * v for key, v in nonzero(fast).items()}
+
+    def test_pair_sweep_swap_symmetric_rows(self):
+        """With rows(a, b) == rows(b, a), sweeping (A, B) and (B, A) adds the
+        same integers: the identity that lets the engine sweep each unordered
+        split once with weight 2."""
+        rng = random.Random(6)
+        ta, tb, rows = random_sweep(rng, 30, 7)
+
+        def sym_rows(a, b):
+            return rows(*sorted((a, b)))
+
+        ab, ba = [1, {}], [1, {}]
+        _kernels.pair_sweep(ab, ta, tb, sym_rows)
+        _kernels.pair_sweep(ba, tb, ta, sym_rows)
+        assert ab[1] and nonzero(ab) == nonzero(ba)
+        # the unsymmetrised table breaks the identity, so the test can fail
+        ab, ba = [1, {}], [1, {}]
+        _kernels.pair_sweep(ab, ta, tb, rows)
+        _kernels.pair_sweep(ba, tb, ta, rows)
+        assert nonzero(ab) != nonzero(ba)
 
     def test_pair_sweep_wide_denominators(self):
         rng = random.Random(4)

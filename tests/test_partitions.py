@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from hurwitzrec.extract import hurwitz_by_recursion
 from hurwitzrec.partitions import (
     HurwitzOracle,
     PSeriesZ,
@@ -19,6 +20,24 @@ from hurwitzrec.partitions import (
     multiplicities,
     partitions_of,
 )
+from hurwitzrec.toprec import LambertEngine, required_order
+
+
+def genus_one_formula(mu):
+    """H_{1,mu} by the Goulden-Jackson formula proved by Vakil:
+    r!/(24 |Aut mu|) prod mu_i^mu_i/mu_i! * (d^n - d^(n-1) - sum_{k=2..n}
+    (k-2)! e_k(mu) d^(n-k)), with d = |mu|, n = len(mu), r = d + n."""
+    d, n = sum(mu), len(mu)
+    e = [1] + [0] * n  # elementary symmetric polynomials of the parts
+    for m in mu:
+        for k in range(n, 0, -1):
+            e[k] += m * e[k - 1]
+    bracket = d**n - d ** (n - 1)
+    bracket -= sum(factorial(k - 2) * e[k] * d ** (n - k) for k in range(2, n + 1))
+    value = Fraction(factorial(d + n) * bracket, 24 * aut_size(mu))
+    for m in mu:
+        value *= Fraction(m**m, factorial(m))
+    return value
 
 
 def hook_length_dim(lam):
@@ -295,6 +314,20 @@ class TestOracleClosedForms:
                 assert oracle.hurwitz(0, mu) == expected, mu
                 count += 1
         assert count == 66
+
+    def test_genus_one_formula(self, oracle):
+        count = 0
+        for n in range(1, 9):
+            for mu in partitions_of(n):
+                assert oracle.hurwitz(1, mu) == genus_one_formula(mu), mu
+                count += 1
+        assert count == 66
+
+    def test_genus_one_formula_by_recursion(self):
+        engine = LambertEngine(order=required_order(1, 6))
+        for n in range(1, 7):
+            for mu in partitions_of(n):
+                assert hurwitz_by_recursion(engine, 1, mu) == genus_one_formula(mu), mu
 
     def test_genus_one_one_part_formula(self, oracle):
         # H_{1,(d)} = (d+1)! d^d/d! * (d-1)/24

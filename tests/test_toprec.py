@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from hurwitzrec.poleform import PoleForm, splits
-from hurwitzrec.series import Series, residue_of_product
+from hurwitzrec.series import Series, TruncationError, residue_of_product
 from hurwitzrec.toprec import (
     LambertEngine,
     bergman_expansion,
@@ -226,8 +226,14 @@ def w_by_ordered_assembly(engine, g, k):
 
 
 class TestOrderedReference:
-    @pytest.mark.parametrize("g,k", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)])
-    def test_matches_multiset_assembly(self, engine, g, k):
+    @pytest.mark.parametrize(
+        "g,k", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 1)]
+    )
+    def test_matches_multiset_assembly(self, g, k):
+        """The reference sweeps every ordered split, so it checks the
+        engine's one sweep per unordered split; (2, 3) and (4, 1) have
+        splits equal to their swap."""
+        engine = LambertEngine(order=required_order(g, k))
         reference = w_by_ordered_assembly(engine, g, k)
         form = engine.w(g, k)
         # reference carries ordered tuples; they must be permutation-invariant
@@ -259,18 +265,26 @@ class TestStructuralInvariants:
 
     def test_residue_rows_sheet_symmetric(self):
         """rows(a, b) == rows(b, a): the kernel is invariant under the deck
-        involution and a residue under zeta -> sigma(zeta).  Checked for
-        every pair the engine resolves on its way to each stable form up to
-        W(3,4); every swapped pair must be resolvable too."""
-        eng = LambertEngine(order=required_order(3, 4))
-        for g in range(4):
-            for k in range(1, 5):
-                if is_stable(g, k):
-                    eng.w(g, k)
-        held = list(eng._rows)
-        assert len(held) > 1000
-        for a, b in held:
-            assert eng.rows(a, b) == eng.rows(b, a), (a, b)
+        involution and a residue under zeta -> sigma(zeta).  The engine
+        sweeps each unordered split once on the strength of this identity.
+        Checked on a fixed grid of pole data at order 34, independent of
+        which rows the recursion asks for: a pair is resolvable exactly when
+        its swap is, and then the two rows are equal."""
+        eng = LambertEngine(order=34)
+
+        def row(a, b):
+            try:
+                return eng.rows(a, b)
+            except TruncationError:
+                return None
+
+        resolved = 0
+        for a in range(-10, 30):
+            for b in range(-10, 30):
+                here = row(a, b)
+                assert here == row(b, a), (a, b)
+                resolved += here is not None
+        assert resolved == 1222
 
     def test_order_robustness(self):
         lo = LambertEngine(order=required_order(2, 1))
