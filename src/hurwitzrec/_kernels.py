@@ -60,23 +60,6 @@ def unit_inverse(a, n):
     return [Fraction(da * s, powers[k + 1]) for k, s in enumerate(scaled)]
 
 
-def merge_desc(u, v):
-    """Merge two weakly-decreasing tuples into one weakly-decreasing tuple."""
-    out = []
-    i = j = 0
-    nu, nv = len(u), len(v)
-    while i < nu and j < nv:
-        if u[i] >= v[j]:
-            out.append(u[i])
-            i += 1
-        else:
-            out.append(v[j])
-            j += 1
-    out.extend(u[i:])
-    out.extend(v[j:])
-    return tuple(out)
-
-
 def count_ways(u, sub):
     """Product over values v of C(mult_u(v), mult_sub(v)) for sorted tuples."""
     ways = 1
@@ -178,7 +161,7 @@ def pair_sweep(out, terms_a, terms_b, rows, weight=1):
     for ra, group_a in groups_a.items():
         contracted = {b: contract(group_a, b, table) for b in orders_b}
         for rb, group_b in groups_b.items():
-            u = merge_desc(ra, rb)
+            u = tuple(sorted(ra + rb, reverse=True))
             n = weight * count_ways(u, ra)
             for b, bn in group_b.items():
                 accumulate(acc, u, contracted[b], n * bn)

@@ -16,15 +16,15 @@ from fractions import Fraction
 from .partitions import HurwitzOracle, aut_size, check_partition
 from .poleform import format_rational
 from .series import Series
+from .toprec import lambert_x, odd_coordinate
 
 _ZERO = Fraction(0)
 
 
 def xi_of_zeta(order: int) -> Series:
-    """The odd coordinate xi(zeta) with xi^2/2 = zeta - log(1+zeta)."""
-    zeta = Series.identity(order + 2)
-    q = zeta - zeta.log1p()  # zeta^2/2 - zeta^3/3 + ...
-    return (q.scale(2)).sqrt_unit()
+    """The odd coordinate xi(zeta) with xi^2/2 = zeta - log(1+zeta), known
+    below order + 1: the Lambert x = -1 - xi^2/2 in `toprec.odd_coordinate`."""
+    return odd_coordinate(lambert_x(order + 2), order + 1)
 
 
 def y_of_xi(order: int) -> Series:

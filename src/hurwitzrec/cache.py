@@ -11,6 +11,7 @@ depend on the truncation order it was computed at.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -44,17 +45,27 @@ def load_cache(path, fingerprint):
     return out
 
 
+class CacheWriteError(Exception):
+    """The cache file could not be written; the message names the path."""
+
+
 def save_cache(path, fingerprint, forms):
-    """Write {(g, k): PoleForm} atomically."""
+    """Write {(g, k): PoleForm} atomically; on failure remove the temporary
+    file and raise CacheWriteError."""
     doc = {
         "format": CACHE_FORMAT,
         "fingerprint": fingerprint,
         "poleforms": [form.to_obj() for _, form in sorted(forms.items())],
     }
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(", ", ": "))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, separators=(", ", ": "))
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise CacheWriteError(f"cannot write the cache file {path}: {exc.strerror}") from exc
 
 
 def attach_cache(engine, path):

@@ -11,8 +11,9 @@ Exit codes (the last three as in sysexits.h):
 - 65 request out of range, including a request above a size bound;
 - 70 internal inconsistency: an exact self-check of the recursion failed
   (for instance a form that is not symmetric in its slots);
-- 74 stdout was closed before all output was written (a broken pipe, as in
-  ``hurwitzrec table ... | head -1``).
+- 74 an I/O error: stdout was closed before all output was written (a
+  broken pipe, as in ``hurwitzrec table ... | head -1``), or the cache file
+  could not be written.
 
 Stdout carries data; stderr carries diagnostics.  The series truncation
 order is not a flag: each request computes at the order its largest form
@@ -27,7 +28,7 @@ import os
 import sys
 
 from .bridge import elsv_consistency, times_by_recursion, times_from_curve
-from .cache import attach_cache
+from .cache import CacheWriteError, attach_cache
 from .extract import table_rows, verify_bm
 from .partitions import HurwitzOracle
 from .poleform import format_rational
@@ -47,8 +48,10 @@ CACHE_ENV = "HURWITZREC_CACHE"
 # cost grows steeply with the truncation order its largest form needs; order
 # 40 admits W(3,8) and W(4,5) (order 36), which take seconds.  The oracle's
 # cost grows fastest with |mu|: --g-max 3 --n-max 12 takes about ten seconds.
+# Its genus bound is the highest genus order 40 admits: W(6,1) needs 40.
 RECURSION_MAX_ORDER = 40
 ORACLE_MAX_N = 12
+ORACLE_MAX_G = 6
 
 
 class _UsageError(Exception):
@@ -104,9 +107,11 @@ def _recursion_order(g, k):
     return need
 
 
-def _check_oracle_size(n_max):
+def _check_oracle_size(g_max, n_max):
     if n_max > ORACLE_MAX_N:
         raise ValueError(f"--n-max {n_max} is above the oracle's size bound of {ORACLE_MAX_N}")
+    if g_max > ORACLE_MAX_G:
+        raise ValueError(f"--g-max {g_max} is above the oracle's genus bound of {ORACLE_MAX_G}")
 
 
 def _make_engine(args, order, verbose=False):
@@ -126,12 +131,13 @@ def _cmd_table(args):
     need_recursion = args.method in ("recursion", "both")
     need_oracle = args.method in ("oracle", "both")
     engine = flush = oracle = None
+    if need_recursion:  # first: its bound covers every genus above the oracle's
+        order = _recursion_order(args.g_max, args.n_max)
     if need_oracle:
-        _check_oracle_size(args.n_max)
-    if need_recursion:
-        engine, flush = _make_engine(args, _recursion_order(args.g_max, args.n_max), args.verbose)
-    if need_oracle:
+        _check_oracle_size(args.g_max, args.n_max)
         oracle = HurwitzOracle(args.n_max, args.g_max)
+    if need_recursion:
+        engine, flush = _make_engine(args, order, args.verbose)
 
     rows = list(table_rows(args.g_max, args.n_max, engine, oracle))
     mismatch = args.method == "both" and not all(row["equal"] for row in rows)
@@ -187,8 +193,9 @@ def _cmd_check(args):
     if args.suite == "bm":
         if args.g_max < 0 or args.n_max < 1:
             raise _UsageError("need --g-max >= 0 and --n-max >= 1")
-        _check_oracle_size(args.n_max)
-        engine, flush = _make_engine(args, _recursion_order(args.g_max, args.n_max), args.verbose)
+        order = _recursion_order(args.g_max, args.n_max)
+        _check_oracle_size(args.g_max, args.n_max)
+        engine, flush = _make_engine(args, order, args.verbose)
         report = verify_bm(args.g_max, args.n_max, engine=engine)
         if flush:
             flush()
@@ -249,6 +256,9 @@ def main(argv=None) -> int:
         # The reader is gone; point stdout at devnull so that the flush at
         # interpreter exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
+    except CacheWriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EX_IOERR
 
 

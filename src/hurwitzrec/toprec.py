@@ -5,11 +5,12 @@ Everything is expanded in the local coordinate zeta = z - 1 at the unique
 branch point z* = 1.  Correlation forms are finite PoleForms; the residue in
 the recursion becomes coefficient extraction on exact Laurent series.
 
-The one free choice the construction leaves open is a global sign of the
-recursion kernel (conventions differ across sources).  The default here is
-the one validated against the character oracle on the smallest stable cases;
-``kernel_sign=-1`` selects the opposite convention and is used as a negative
-control in the tests.
+Near the branch point x = x0 + c2*xi^2 in an odd coordinate xi(zeta) (for
+the Lambert curve x = -1 - xi^2/2, the coordinate `bridge` reads the times
+in), and the deck involution is xi -> -xi.  The global sign of the recursion
+kernel, on which sources differ, is fixed to the one the character oracle
+confirms on the smallest stable cases; the tests flip it as a negative
+control.
 """
 
 from __future__ import annotations
@@ -83,29 +84,39 @@ class LocalCurve:
         self.order = order
 
 
-def deck_involution(x_local: Series, order: int) -> Series:
-    """The nontrivial local solution of x(sigma(zeta)) = x(zeta).
+def lambert_x(trunc_order: int) -> Series:
+    """x = -1 - zeta + log(1 + zeta), the Lambert x(z) = -z + ln z at z = 1 +
+    zeta, known below ``trunc_order``."""
+    return Series.identity(trunc_order).log1p() - 1 - Series.identity()
 
-    Requires a simple branch point (no linear term, nonzero quadratic term);
-    solved by Newton iteration on series, doubling the known order each step.
-    The coefficient of zeta^n in sigma needs x_local at zeta^(n+1), so
-    x_local must be known strictly beyond the requested order.
+
+def odd_coordinate(x_local: Series, order: int) -> Series:
+    """The coordinate xi(zeta) = zeta + ... with x = x0 + c2*xi^2, to ``order``.
+
+    Requires a simple branch point (no linear term, nonzero quadratic term).
+    The coefficient of zeta^n in xi needs x_local at zeta^(n+1), so x_local
+    must be known strictly beyond the requested order.
     """
     if x_local.coefficient(1) != 0 or x_local.coefficient(2) == 0:
         raise ValueError("not a simple branch point: need x = x0 + c2*zeta^2 + ...")
     if x_local.trunc_order is not None and x_local.trunc_order <= order:
-        raise ValueError(
-            f"sigma to order {order} needs x_local known to order {order + 1}"
-        )
-    p = x_local - Series.constant(x_local.coefficient(0))
-    dp = p.derivative()
-    sigma = Series(1, [-1], 2)
-    while sigma.trunc_order < order:
-        t_new = min(2 * sigma.trunc_order - 1, order)
-        guess = Series(1, sigma.coefficients, t_new)
-        resid = p.compose(guess) - p
-        sigma = (guess - resid * dp.compose(guess).invert_unit()).truncate(t_new)
-    if not p.compose(sigma).agrees_with(p.truncate(order)):
+        raise ValueError(f"xi to order {order} needs x_local known to order {order + 1}")
+    xi_squared = (x_local - x_local.coefficient(0)).scale(1 / x_local.coefficient(2))
+    return xi_squared.truncate(order + 1).sqrt_unit()
+
+
+def deck_involution(x_local: Series, order: int) -> Series:
+    """The nontrivial local solution of x(sigma(zeta)) = x(zeta).
+
+    In the odd coordinate of `odd_coordinate` the involution is xi -> -xi,
+    so sigma(zeta) = zeta(-xi(zeta)).  Needs x_local as `odd_coordinate`
+    does: a simple branch point, known strictly beyond ``order``.
+    """
+    xi = odd_coordinate(x_local, order)
+    sigma = xi.reversion().compose(-xi)
+    # the identity fixes x too; the deck involution is -zeta + O(zeta^2)
+    fixes_x = x_local.compose(sigma).agrees_with(x_local.truncate(order))
+    if sigma.coefficient(1) != -1 or not fixes_x:
         raise ValueError("no deck involution exists at this order")
     return sigma
 
@@ -114,8 +125,7 @@ def make_lambert_curve(order: int) -> LocalCurve:
     """Local Lambert-curve data at z* = 1, to the given truncation order."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    zeta = Series.identity(order + 2)
-    x_full = zeta.log1p() - 1 - Series.identity()
+    x_full = lambert_x(order + 1)
     y_local = Series(0, [1, 1], None)  # 1 + zeta, exact
     sigma = deck_involution(x_full, order)
     x_local = x_full.truncate(order)
@@ -132,27 +142,15 @@ def bergman_expansion(order: int):
     return [(m + 2, m + 1) for m in range(order)]
 
 
-class KernelData:
-    """The recursion kernel, organized by the pole order p in the first slot.
-
-    pieces[p] is the Laurent series in zeta multiplying dz1/(z1-z*)^p; the
-    denominator (y(z)-y(sigma(z))) x'(z) is inverted once.
-    """
-
-    __slots__ = ("pieces", "p_max")
-
-    def __init__(self, pieces):
-        self.pieces = pieces
-        self.p_max = max(pieces)
-
-
-def recursion_kernel(curve: LocalCurve, kernel_sign: int = 1) -> KernelData:
+def recursion_kernel(curve: LocalCurve) -> dict:
+    """The recursion kernel as ``{p: Series}``: the Laurent series in zeta
+    multiplying dz1/(z1-z*)^p, for p = 2 .. max(2, order - 5); the
+    denominator (y(z)-y(sigma(z))) x'(z) is inverted once."""
     if curve.omega_local.min_exponent != 2:
         raise ValueError(
             "kernel denominator must vanish to second order at a simple branch point"
         )
     invden = curve.omega_local.invert_unit()
-    half = _HALF * kernel_sign
     p_max = max(2, curve.order - 5)
     pieces = {}
     zeta_pow = Series.constant(1)
@@ -160,8 +158,8 @@ def recursion_kernel(curve: LocalCurve, kernel_sign: int = 1) -> KernelData:
     for p in range(2, p_max + 1):
         zeta_pow = zeta_pow.shift(1)
         sigma_pow = (sigma_pow * curve.sigma).truncate(curve.order)
-        pieces[p] = ((zeta_pow - sigma_pow) * invden).scale(half)
-    return KernelData(pieces)
+        pieces[p] = ((zeta_pow - sigma_pow) * invden).scale(_HALF)
+    return pieces
 
 
 class LambertEngine:
@@ -175,11 +173,8 @@ class LambertEngine:
     on first use, so a run that finds every form in the memo builds none.
     """
 
-    def __init__(self, order: int = 26, kernel_sign: int = 1):
-        if kernel_sign not in (1, -1):
-            raise ValueError("kernel_sign must be +1 or -1")
+    def __init__(self, order: int = 26):
         self.order = order
-        self.kernel_sign = kernel_sign
         self._ebar = {}
         self._ebar_int = {}
         self._rows = {}
@@ -193,8 +188,8 @@ class LambertEngine:
         return make_lambert_curve(self.order)
 
     @cached_property
-    def kernel(self) -> KernelData:
-        return recursion_kernel(self.curve, self.kernel_sign)
+    def kernel(self) -> dict:
+        return recursion_kernel(self.curve)
 
     @cached_property
     def _sigma_prime(self) -> Series:
@@ -208,7 +203,7 @@ class LambertEngine:
     def _pieces_int(self):
         """(den, {p: (min_exponent, trunc_order, nums)}): the kernel pieces
         as integer coefficients over one shared denominator."""
-        cleared = {p: _cleared(piece) for p, piece in self.kernel.pieces.items()}
+        cleared = {p: _cleared(piece) for p, piece in self.kernel.items()}
         den = lcm(*(c[0] for c in cleared.values()))
         return den, {
             p: (m, t, [v * (den // d) for v in nums]) for p, (d, m, t, nums) in cleared.items()
@@ -216,7 +211,7 @@ class LambertEngine:
 
     @cached_property
     def _bergman_terms(self):
-        expansion = bergman_expansion(self.kernel.p_max - 1)
+        expansion = bergman_expansion(max(self.kernel) - 1)
         return 1, {(pole,): {-m: w} for m, (pole, w) in enumerate(expansion)}
 
     # -- curve fingerprint (for caches) -------------------------------------
@@ -224,9 +219,9 @@ class LambertEngine:
     def fingerprint(self) -> str:
         import hashlib
 
-        x_local = Series.identity(10).log1p() - 1 - Series.identity()
+        x_local = lambert_x(8)
         coeffs = ",".join(str(x_local.coefficient(n)) for n in range(8))
-        raw = f"lambert-t1|engine={ENGINE_VERSION}|sign={self.kernel_sign}|x={coeffs}"
+        raw = f"lambert-t1|engine={ENGINE_VERSION}|sign=1|x={coeffs}"
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
     def preload(self, forms, source):
@@ -380,7 +375,7 @@ class LambertEngine:
         means the truncation order was insufficient or, when the preloaded
         forms ``fed`` went into it, that the cache file is wrong)."""
         den, values = out
-        fulls = {_kernels.merge_desc(u, (p,)) for (p, u), v in values.items() if v}
+        fulls = {tuple(sorted(u + (p,), reverse=True)) for (p, u), v in values.items() if v}
         terms = {}
         for full in fulls:
             vals = [values.get(split, 0) for split in splits(full)]
@@ -400,17 +395,14 @@ class LambertEngine:
 
     # -- symplectic invariants ---------------------------------------------
 
-    def f_g(self, g: int, phi_constant=0) -> Fraction:
+    def f_g(self, g: int) -> Fraction:
         """The scalar invariant for g >= 2, via the residue of W_1^(g) * Phi.
 
         Phi is a local primitive of y dx; for the Lambert curve y dx =
-        (1-z) dz, so Phi(1+zeta) = 1/2 + c - zeta^2/2 up to the irrelevant
-        constant c (irrelevant because W_1^(g) has no order-1 pole).
+        (1-z) dz, so Phi(1+zeta) = c - zeta^2/2 for a constant c that drops
+        out because W_1^(g) has no order-1 pole.  The pairing is then -1/2
+        times the order-3 coefficient, and F_g is it over 2 - 2g.
         """
         if g < 2:
             raise ValueError("the scalar invariant is computed here only for g >= 2")
-        w1 = self.w(g, 1)
-        c1 = w1.coefficient((1,))
-        c3 = w1.coefficient((3,))
-        pairing = (_HALF + Fraction(phi_constant)) * c1 - _HALF * c3
-        return Fraction(1, 2 - 2 * g) * pairing
+        return self.w(g, 1).coefficient((3,)) / (4 * g - 4)

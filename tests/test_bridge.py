@@ -33,6 +33,13 @@ class TestYOfXi:
         zeta_of = xi.reversion()
         assert xi.compose(zeta_of).agrees_with(Series.identity(order))
 
+    def test_xi_from_its_defining_square_root(self):
+        # xi = sqrt(2 (zeta - log(1+zeta))), taken directly, for every order
+        # the times and the curve use
+        for order in range(6, 41):
+            zeta = Series.identity(order + 2)
+            assert xi_of_zeta(order) == (zeta - zeta.log1p()).scale(2).sqrt_unit()
+
 
 class TestTimes:
     def test_seeds(self):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,16 +127,16 @@ class TestCache:
         base = ("check", "bm", "--g-max", "1", "--n-max", "2", "--cache", path)
         first = run_cli(*base)
         assert first.returncode == 0
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc["fingerprint"] = "0" * 16
-        open(path, "w").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc))
         second = run_cli(*base)
         assert second.returncode == 0
         assert second.stdout == first.stdout
 
     def test_garbage_cache_file_ignored(self, tmp_path):
         path = str(tmp_path / "forms.json")
-        open(path, "w").write("{not json")
+        Path(path).write_text("{not json")
         r = run_cli("wkg", "0", "3", "--cache", path)
         assert r.returncode == 0
 
@@ -149,7 +150,7 @@ class TestCache:
         path = str(tmp_path / "forms.json")
         form = {"g": 0, "k": 3, "terms": [{"a": [2, 2, 2], "c": "1/1"}]}
         doc = {"format": CACHE_FORMAT, "fingerprint": old, "poleforms": [form]}
-        open(path, "w").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc))
         assert len(load_cache(path, old)) == 1
         assert load_cache(path, LambertEngine(order=10).fingerprint()) == {}
 
@@ -160,15 +161,15 @@ class TestCache:
         assert run_cli(*args).returncode == 0
         # a stamp no rewrite can reproduce, whatever the clock's resolution
         os.utime(path, ns=(10**9, 10**9))
-        before = open(path, "rb").read(), os.stat(path)
+        before = Path(path).read_bytes(), os.stat(path)
         assert run_cli(*args).returncode == 0
-        after = open(path, "rb").read(), os.stat(path)
+        after = Path(path).read_bytes(), os.stat(path)
         assert after[0] == before[0]
         assert (after[1].st_mtime_ns, after[1].st_ino) == (10**9, before[1].st_ino)
         # a request that computes a form the file lacks still writes it
         assert run_cli("wkg", "0", "5", "--cache", path).returncode == 0
         assert os.stat(path).st_mtime_ns != 10**9
-        entries = json.loads(open(path).read())["poleforms"]
+        entries = json.loads(Path(path).read_text())["poleforms"]
         assert len(entries) == len(json.loads(before[0])["poleforms"]) + 1
 
     def test_smaller_request_reuses_larger_file(self, tmp_path):
@@ -176,10 +177,10 @@ class TestCache:
         base = ("table", "--method", "recursion", "--n-max", "3", "--cache", path)
         assert run_cli(*base, "--g-max", "2").returncode == 0
         os.utime(path, ns=(10**9, 10**9))
-        before = open(path, "rb").read(), os.stat(path).st_ino
+        before = Path(path).read_bytes(), os.stat(path).st_ino
         # a lower truncation order than the file was written at, same forms
         assert run_cli(*base, "--g-max", "1").returncode == 0
-        assert open(path, "rb").read() == before[0]
+        assert Path(path).read_bytes() == before[0]
         assert (os.stat(path).st_mtime_ns, os.stat(path).st_ino) == (10**9, before[1])
 
     def test_format_one_file_ignored(self, tmp_path):
@@ -191,10 +192,10 @@ class TestCache:
         fingerprint = LambertEngine().fingerprint()
         form = {"g": 0, "k": 3, "terms": [{"a": [2, 2, 2], "c": "1/1"}], "trunc_order": 10}
         doc = {"format": 1, "fingerprint": fingerprint, "poleforms": [form]}
-        open(path, "w").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc))
         assert load_cache(path, fingerprint) == {}
         assert run_cli("wkg", "0", "3", "--cache", path).returncode == 0
-        rewritten = json.loads(open(path).read())
+        rewritten = json.loads(Path(path).read_text())
         assert rewritten["format"] == CACHE_FORMAT
         assert len(load_cache(path, fingerprint)) == 1
 
@@ -203,12 +204,12 @@ class TestCache:
         args = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "2",
                 "--cache", path)
         cold = run_cli(*args)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
         twin = json.loads(json.dumps(entry))
         twin["terms"][0]["c"] = "7/1"
         doc["poleforms"].append(twin)
-        open(path, "w").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc))
         warm = run_cli(*args)
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
@@ -261,11 +262,11 @@ class TestCache:
                 "--cache", path)
         cold = run_cli(*args)
         assert cold.returncode == 0
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
         assert entry["terms"][0]["a"] == [2]
         entry["terms"][0][field] = value
-        open(path, "w").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc))
         warm = run_cli(*args)
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
@@ -285,6 +286,7 @@ class TestSizeBound:
             (("table", "--method", "oracle", "--n-max", "13"), "size bound of 12"),
             (("check", "bm", "--g-max", "9", "--n-max", "9"), "size bound of order 40"),
             (("check", "bm", "--n-max", "13"), "size bound of 12"),
+            (("table", "--method", "oracle", "--g-max", "7"), "genus bound of 6"),
         ],
     )
     def test_oversized_request_exit_65(self, tmp_path, args, bound):
@@ -300,24 +302,38 @@ class TestSizeBound:
 
 class TestExitCodes:
     def test_broken_pipe_exit_74(self):
-        proc = subprocess.Popen(
+        env = {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
+        with subprocess.Popen(
             CLI + ["table", "--g-max", "1", "--n-max", "3", "--format", "csv"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        proc.stdout.close()  # the reader is gone before the first write
-        stderr = proc.stderr.read()
-        assert proc.wait(timeout=300) == 74
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        ) as proc:
+            proc.stdout.close()  # the reader is gone before the first write
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=300) == 74
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing/forms.json", "No such file or directory"), ("adir", "Is a directory")],
+        ids=["missing-directory", "directory-at-path"],
+    )
+    def test_cache_write_failure_exit_74(self, tmp_path, target, reason):
+        (tmp_path / "adir").mkdir()
+        path = str(tmp_path / target)
+        r = run_cli("wkg", "1", "1", "--cache", path)
+        assert r.returncode == 74
+        assert r.stderr == f"error: cannot write the cache file {path}: {reason}\n"
+        assert list(tmp_path.rglob("*.tmp.*")) == []
 
     def test_internal_inconsistency_exit_70(self, tmp_path):
         # W(1,2) is assembled from W(1,1); with one coefficient of the cached
         # W(1,1) changed, the slot-symmetry check of the assembly fails.
         path = str(tmp_path / "forms.json")
         assert run_cli("wkg", "1", "1", "--cache", path).returncode == 0
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
         entry["terms"][0]["c"] = "7/1"
-        open(path, "w").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc))
         r = run_cli("wkg", "1", "2", "--cache", path)
         assert r.returncode == 70
         assert r.stdout == ""

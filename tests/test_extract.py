@@ -219,7 +219,9 @@ class TestVerifyBM:
         assert "all equal" in report.to_text()
 
     def test_corrupted_sign_fails_at_smallest_stable_case(self):
-        bad = LambertEngine(order=required_order(1, 3), kernel_sign=-1)
+        # the opposite kernel sign, set before the engine first uses it
+        bad = LambertEngine(order=required_order(1, 3))
+        bad.kernel = {p: -piece for p, piece in bad.kernel.items()}
         report = verify_bm(1, 3, engine=bad)
         assert not report.ok
         assert not report.complete
