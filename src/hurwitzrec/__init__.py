@@ -8,7 +8,7 @@ All arithmetic is exact rational; nothing is floating point.
 
 from fractions import Fraction as Rational
 
-from .partitions import HurwitzOracle, hurwitz_connected, partitions_of
+from .partitions import HurwitzOracle, partitions_of
 from .poleform import PoleForm
 from .series import Series, TruncationError
 from .toprec import LambertEngine, required_order
@@ -23,7 +23,6 @@ __all__ = [
     "Series",
     "TruncationError",
     "__version__",
-    "hurwitz_connected",
     "partitions_of",
     "required_order",
 ]

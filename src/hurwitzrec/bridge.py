@@ -85,12 +85,11 @@ def times_by_recursion(t_max: int) -> TimesSequence:
     return TimesSequence(t)
 
 
-def f_series(order: int, times: TimesSequence | None = None) -> Series:
+def f_series(order: int) -> Series:
     """f(z) = sum_{m>=1} (2m+1)!/m! * t_{2m+3}/(2 - t_3) * z^m."""
     from math import factorial
 
-    if times is None:
-        times = times_by_recursion(2 * order + 4)
+    times = times_by_recursion(2 * order + 4)
     norm = 2 - times[3]
     coeffs = [
         Fraction(factorial(2 * m + 1), factorial(m)) * times[2 * m + 3] / norm

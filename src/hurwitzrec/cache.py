@@ -50,8 +50,8 @@ class CacheWriteError(Exception):
 
 
 def save_cache(path, fingerprint, forms):
-    """Write {(g, k): PoleForm} atomically; on failure remove the temporary
-    file and raise CacheWriteError."""
+    """Write {(g, k): PoleForm} atomically, raising CacheWriteError on an
+    OSError; the temporary file never outlives the call."""
     doc = {
         "format": CACHE_FORMAT,
         "fingerprint": fingerprint,
@@ -63,9 +63,10 @@ def save_cache(path, fingerprint, forms):
             json.dump(doc, fh, separators=(", ", ": "))
         os.replace(tmp, path)
     except OSError as exc:
+        raise CacheWriteError(f"cannot write the cache file {path}: {exc.strerror}") from exc
+    finally:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise CacheWriteError(f"cannot write the cache file {path}: {exc.strerror}") from exc
 
 
 def attach_cache(engine, path):

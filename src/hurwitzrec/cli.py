@@ -3,17 +3,19 @@
 Subcommands: ``table`` (Hurwitz numbers by either or both routes), ``wkg``
 (canonical JSON of one correlation form), ``check`` (verification suites).
 
-Exit codes (the last three as in sysexits.h):
+Exit codes (64 to 74 as in sysexits.h):
 
 - 0 success;
 - 2 a mathematical mismatch was found;
-- 64 bad flags;
+- 64 bad flags, including ``--g-max`` or ``--n-max`` given to a ``check``
+  suite other than ``bm``;
 - 65 request out of range, including a request above a size bound;
 - 70 internal inconsistency: an exact self-check of the recursion failed
   (for instance a form that is not symmetric in its slots);
 - 74 an I/O error: stdout was closed before all output was written (a
   broken pipe, as in ``hurwitzrec table ... | head -1``), or the cache file
-  could not be written.
+  could not be written;
+- 130 interrupted (Ctrl-C), as a shell reports 128 + SIGINT.
 
 Stdout carries data; stderr carries diagnostics.  The series truncation
 order is not a flag: each request computes at the order its largest form
@@ -41,6 +43,7 @@ EX_USAGE = 64
 EX_RANGE = 65
 EX_SOFTWARE = 70
 EX_IOERR = 74
+EX_INTERRUPTED = 130
 
 CACHE_ENV = "HURWITZREC_CACHE"
 
@@ -85,8 +88,8 @@ def _build_parser():
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=("bm", "elsv", "times", "series"))
-    p_check.add_argument("--g-max", type=int, default=1)
-    p_check.add_argument("--n-max", type=int, default=4)
+    p_check.add_argument("--g-max", type=int, help="check bm only (default 1)")
+    p_check.add_argument("--n-max", type=int, help="check bm only (default 4)")
     common(p_check)
 
     return parser
@@ -190,13 +193,17 @@ def _cmd_wkg(args):
 
 
 def _cmd_check(args):
+    if args.suite != "bm" and (args.g_max is not None or args.n_max is not None):
+        raise _UsageError("--g-max and --n-max apply only to check bm")
     if args.suite == "bm":
-        if args.g_max < 0 or args.n_max < 1:
+        g_max = 1 if args.g_max is None else args.g_max
+        n_max = 4 if args.n_max is None else args.n_max
+        if g_max < 0 or n_max < 1:
             raise _UsageError("need --g-max >= 0 and --n-max >= 1")
-        order = _recursion_order(args.g_max, args.n_max)
-        _check_oracle_size(args.g_max, args.n_max)
+        order = _recursion_order(g_max, n_max)
+        _check_oracle_size(g_max, n_max)
         engine, flush = _make_engine(args, order, args.verbose)
-        report = verify_bm(args.g_max, args.n_max, engine=engine)
+        report = verify_bm(g_max, n_max, engine=engine)
         if flush:
             flush()
         print(report.to_text())
@@ -260,6 +267,9 @@ def main(argv=None) -> int:
     except CacheWriteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_IOERR
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EX_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import factorial
 
 Partition = tuple[int, ...]
@@ -93,16 +93,14 @@ def class_size(mu: Partition) -> int:
     return size
 
 
-def dim_irrep(lam: Partition, N: int | None = None) -> int:
+def dim_irrep(lam: Partition) -> int:
     """Dimension of the irreducible S_{|lam|} representation indexed by lam.
 
-    Evaluated as |lam|! * Vandermonde(h) / prod h_i! on the h-encoding; the
-    value does not depend on the choice of N >= len(lam).
+    Evaluated as |lam|! * Vandermonde(h) / prod h_i! on the h-encoding with
+    N = len(lam) entries.
     """
     lam = check_partition(lam)
-    if N is None:
-        N = max(len(lam), 1)
-    h = h_encoding(lam, N)
+    h = h_encoding(lam, max(len(lam), 1))
     num = factorial(sum(lam))
     for i in range(len(h)):
         for j in range(i + 1, len(h)):
@@ -333,14 +331,3 @@ class HurwitzOracle:
             )
         return factorial(b) * self._f.coefficient(n, mu, 2 * g - 2)
 
-
-@lru_cache(maxsize=None)
-def get_oracle(n_max: int, g_max: int) -> HurwitzOracle:
-    return HurwitzOracle(n_max, g_max)
-
-
-def hurwitz_connected(g: int, mu, n_max: int | None = None, g_max: int | None = None) -> Fraction:
-    """Convenience wrapper building (and caching) a big-enough oracle."""
-    mu = check_partition(mu)
-    oracle = get_oracle(max(sum(mu), n_max or 1), max(g, g_max or 0))
-    return oracle.hurwitz(g, mu)

@@ -8,6 +8,14 @@ marks an exact series (a finite Laurent polynomial, known everywhere).
 Every operation propagates the truncation order conservatively: a
 coefficient is reported only when the operands fully determine it.
 Arithmetic is exact; coefficients are `fractions.Fraction`.
+
+The ring operations (``+``, ``-``, ``*``, `scale`, `shift`, `truncate`,
+`derivative`) take exact and truncated operands alike.  The operations whose
+result is an infinite series (`invert_unit`, `reversion`, `exp`, `log1p` and
+`sqrt_unit`) need a truncated input, raise ValueError on an exact one, and
+return the result to the order their input determines.  `compose`
+substitutes into a power-series outer only; a Laurent outer raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -115,9 +123,6 @@ class Series:
             and self.coefficients == other.coefficients
             and self.trunc_order == other.trunc_order
         )
-
-    def __hash__(self):
-        return hash((self.min_exponent, self.coefficients, self.trunc_order))
 
     def agrees_with(self, other):
         """Equality of all coefficients on the common known range."""
@@ -227,52 +232,31 @@ class Series:
         n = max(0, order - self.min_exponent)
         return Series(self.min_exponent, self.coefficients[:n], order)
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("series powers must be integers")
-        if n < 0:
-            return _pow(self.invert_unit(), -n)
-        return _pow(self, n)
+    def _need_truncated(self, name):
+        if self.trunc_order is None:
+            raise ValueError(f"{name} needs a truncated input; its result is an infinite series")
 
     # -- unit inversion ----------------------------------------------------
 
-    def invert_unit(self, order=None):
-        """Multiplicative inverse of a Laurent unit.
-
-        For a truncated input the result order is implied; an exact
-        non-monomial input needs an explicit result ``order``.
-        """
+    def invert_unit(self):
+        """Multiplicative inverse of a Laurent unit; ``z**m * u`` known below
+        ``t`` gives ``z**(-m) / u`` known below ``t - 2m``."""
+        self._need_truncated("invert_unit")
         if self.is_zero:
             raise ValueError("cannot invert a series that is zero up to truncation")
         m = self.min_exponent
-        if self.trunc_order is not None:
-            t = self.trunc_order - 2 * m
-            if order is not None:
-                t = min(t, order)
-        elif len(self.coefficients) == 1:
-            c = self.coefficients[0]
-            if order is not None:
-                return Series.monomial(_ONE / c, -m, order)
-            return Series.monomial(_ONE / c, -m)
-        else:
-            if order is None:
-                raise ValueError("invert_unit of an exact non-monomial series needs an order")
-            t = order
-        n = t + m  # number of coefficients of the unit-part inverse
-        if n <= 0:
-            return Series.zero(t)
-        a = list(self.coefficients[:n])
-        a.extend([_ZERO] * (n - len(a)))
-        b = _kernels.unit_inverse(a, n)
-        return Series(-m, b, t)
+        b = _kernels.unit_inverse(self.coefficients, len(self.coefficients))
+        return Series(-m, b, self.trunc_order - 2 * m)
 
     # -- composition and reversion ------------------------------------------
 
     def compose(self, inner):
-        """Substitute ``inner`` (a power series with no constant term) for z."""
+        """Substitute ``inner`` (a power series with no constant term) for z
+        in this power series."""
+        if self.min_exponent < 0:
+            raise ValueError("compose requires a power-series outer")
         if not inner.is_zero and inner.min_exponent < 1:
             raise ValueError("compose requires an inner series without constant term")
-        mo = self.min_exponent
         mi = inner.min_exponent if not inner.is_zero else max(1, inner.trunc_order or 1)
         # the inner's unknown tail enters through the outer's lowest nonzero
         # non-constant exponent j, at order (j-1)*mi + inner.trunc_order
@@ -288,54 +272,30 @@ class Series:
             t_inner,
         )
         if inner.is_zero:
-            if mo < 0:
-                raise ValueError("cannot compose a Laurent series with a zero inner series")
-            c0 = self.coefficient(0) if mo == 0 else _ZERO
-            return Series(0, [c0], t)
+            return Series(0, [self.coefficient(0)], t)
         out = Series.zero(t)
-        # nonnegative powers
         power = Series.constant(1, t)
         prev_j = 0
         for j, c in zip(self.known_exponents(), self.coefficients):
-            if j < 0:
-                continue
             if c:
                 for _ in range(j - prev_j):
                     power = (power * inner).truncate(t) if t is not None else power * inner
                 prev_j = j
                 out = out + power.scale(c)
-        # negative powers via the inverse of the inner series
-        if mo < 0:
-            inv_order = None if t is None else t + (1 - mo) * mi
-            inv = inner.invert_unit(order=inv_order)
-            power = inv
-            prev_j = 1
-            for j, c in zip(self.known_exponents(), self.coefficients):
-                if j >= 0:
-                    break
-                n = -j
-                if c:
-                    for _ in range(n - prev_j):
-                        power = (power * inv).truncate(t) if t is not None else power * inv
-                    prev_j = n
-                    out = out + power.scale(c)
         return out if t is None else out.truncate(t)
 
-    def reversion(self, order=None):
-        """Compositional inverse: the unique b with self(b(z)) = z.
+    def reversion(self):
+        """Compositional inverse: the unique b with self(b(z)) = z, known to
+        the order of self.
 
         Computed by Lagrange inversion; requires a vanishing constant term
         and a nonzero linear coefficient.
         """
+        self._need_truncated("reversion")
         if self.is_zero or self.min_exponent != 1:
             raise ValueError("reversion requires a(0) = 0 with nonzero linear term")
-        if self.trunc_order is not None:
-            t = self.trunc_order if order is None else min(order, self.trunc_order)
-        else:
-            if order is None:
-                raise ValueError("reversion of an exact series needs an order")
-            t = order
-        q = self.shift(-1).invert_unit(order=t - 1)  # (z/a)(z), a unit power series
+        t = self.trunc_order
+        q = self.shift(-1).invert_unit()  # (z/a)(z), a unit power series known below t - 1
         out = [_ZERO] * max(0, t - 1)
         qn = Series.constant(1, t - 1)
         for n in range(1, t):
@@ -345,25 +305,20 @@ class Series:
 
     # -- transcendental helpers ----------------------------------------------
 
-    def exp(self, order=None):
+    def exp(self):
         """exp of a series with positive valuation."""
-        return self._powersum(order, lambda n, fact: _ONE / fact, start=_ONE)
+        self._need_truncated("exp")
+        return self._powersum(lambda n, fact: _ONE / fact, start=_ONE)
 
-    def log1p(self, order=None):
+    def log1p(self):
         """log(1 + a) for a series a with positive valuation."""
-        return self._powersum(
-            order, lambda n, fact: Fraction((-1) ** (n + 1), n), start=_ZERO
-        )
+        self._need_truncated("log1p")
+        return self._powersum(lambda n, fact: Fraction((-1) ** (n + 1), n), start=_ZERO)
 
-    def _powersum(self, order, coeff_of_n, start):
+    def _powersum(self, coeff_of_n, start):
         if not self.is_zero and self.min_exponent < 1:
             raise ValueError("requires a series with positive valuation")
-        if self.trunc_order is not None:
-            t = self.trunc_order if order is None else min(order, self.trunc_order)
-        else:
-            if order is None:
-                raise ValueError("exact input needs an explicit order")
-            t = order
+        t = self.trunc_order
         out = Series.constant(start, t)
         if self.is_zero:
             return out
@@ -383,8 +338,11 @@ class Series:
         t = None if self.trunc_order is None else self.trunc_order - 1
         return Series(self.min_exponent - 1, coeffs, t)
 
-    def sqrt_unit(self, order=None):
-        """Square root of a series with an exact-square leading coefficient."""
+    def sqrt_unit(self):
+        """Square root of a series with an exact-square leading coefficient;
+        ``z**(2k) * u`` known below ``t`` gives ``z**k * sqrt(u)`` known below
+        ``t - k``."""
+        self._need_truncated("sqrt_unit")
         if self.is_zero:
             raise ValueError("cannot take sqrt of a zero series")
         if self.min_exponent % 2:
@@ -394,38 +352,15 @@ class Series:
         if rn * rn != lead.numerator or rd * rd != lead.denominator:
             raise ValueError("leading coefficient is not a rational square")
         m = self.min_exponent
-        if self.trunc_order is not None:
-            t = self.trunc_order - m // 2
-            if order is not None:
-                t = min(t, order)
-        else:
-            if order is None:
-                raise ValueError("sqrt of an exact series needs an order")
-            t = order
         u = self.shift(-m)  # unit power series
-        n = t - m // 2
         s0 = Fraction(rn, rd)
         b = [s0]
         half = Fraction(1, 2) / s0
-        for k in range(1, n):
+        for k in range(1, len(self.coefficients)):
             acc = u.coefficient(k)
             acc -= sum(b[i] * b[k - i] for i in range(1, k))
             b.append(acc * half)
-        return Series(m // 2, b, t)
-
-
-def _pow(base, n):
-    if n == 0:
-        return Series.constant(1)
-    result = None
-    power = base
-    while True:
-        if n & 1:
-            result = power if result is None else result * power
-        n >>= 1
-        if not n:
-            return result
-        power = power * power
+        return Series(m // 2, b, self.trunc_order - m // 2)
 
 
 def residue_of_product(f, g):

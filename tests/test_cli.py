@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-CLI = [sys.executable, "-m", "hurwitzrec.cli"]
+# development mode with warnings as errors: a ResourceWarning (or any other
+# warning) in the child fails the test that started it
+CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "hurwitzrec.cli"]
 
 
 def run_cli(*args, env_extra=None):
@@ -111,6 +113,17 @@ class TestCheck:
         r = run_cli("check", "bm", "--g-max", "1", "--n-max", "3")
         assert r.returncode == 0
         assert "all equal" in r.stdout
+
+    @pytest.mark.parametrize(
+        "args",
+        [("times", "--g-max", "99"), ("elsv", "--n-max", "3"), ("series", "--g-max", "1")],
+        ids=["times", "elsv", "series"],
+    )
+    def test_bm_flags_refused_elsewhere(self, args):
+        r = run_cli("check", *args)
+        assert r.returncode == 64
+        assert r.stderr == "usage error: --g-max and --n-max apply only to check bm\n"
+        assert r.stdout == ""
 
 
 class TestCache:
@@ -271,6 +284,18 @@ class TestCache:
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
 
+    def test_interrupted_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        from hurwitzrec import cache
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cache.json, "dump", interrupted)
+        path = tmp_path / "forms.json"
+        with pytest.raises(KeyboardInterrupt):
+            cache.save_cache(str(path), "fingerprint", {})
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_var_cache_path(self, tmp_path):
         path = str(tmp_path / "envcache.json")
         r = run_cli("wkg", "0", "3", env_extra={"HURWITZREC_CACHE": path})
@@ -324,6 +349,21 @@ class TestExitCodes:
         assert r.returncode == 74
         assert r.stderr == f"error: cannot write the cache file {path}: {reason}\n"
         assert list(tmp_path.rglob("*.tmp.*")) == []
+
+    def test_interrupt_exit_130(self, monkeypatch, capsys):
+        from hurwitzrec import cli
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "table_rows", interrupted)
+        try:
+            code = cli.main(["table", "--method", "oracle", "--g-max", "0", "--n-max", "1"])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+        out, err = capsys.readouterr()
+        assert code == 130
+        assert (out, err) == ("", "interrupted\n")
 
     def test_internal_inconsistency_exit_70(self, tmp_path):
         # W(1,2) is assembled from W(1,1); with one coefficient of the cached

@@ -32,7 +32,7 @@ class ReversionFactors:
     def __init__(self, order):
         self.order = order
         self._u = lambert_series(order + 1)
-        self._inv1mu = (Series.constant(1) - self._u).invert_unit(order + 1)
+        self._inv1mu = (1 - self._u).invert_unit()
         self._factors = [(self._u * self._inv1mu).truncate(order + 1)]
 
     def coefficient(self, a, m):
@@ -118,12 +118,11 @@ class TestPoleFactors:
         order = 8
         lv = lambert_series(order + 1)
         z = Series.identity(order + 2)
+        inv = (1 - z).invert_unit()
+        factor = z * inv
         for a in (1, 2, 3):
-            direct = (
-                (z * ((Series.constant(1) - z) ** (a + 1)).invert_unit())
-                .scale((-1) ** a)
-                .compose(lv)
-            )
+            factor = factor * inv  # z/(1-z)^(a+1)
+            direct = factor.scale((-1) ** a).compose(lv)
             assert pole_factor_series(a, order).agrees_with(direct.truncate(order))
 
     def test_closed_form_against_reversion(self):

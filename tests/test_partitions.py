@@ -16,7 +16,6 @@ from hurwitzrec.partitions import (
     f_c2,
     f_central,
     h_encoding,
-    hurwitz_connected,
     multiplicities,
     partitions_of,
 )
@@ -152,13 +151,6 @@ class TestDimension:
         assert dim_irrep((1, 1)) == 1
         assert dim_irrep((2, 1)) == 2
 
-    def test_independent_of_padding(self):
-        for n in range(1, 8):
-            for lam in partitions_of(n):
-                l = len(lam)
-                d = dim_irrep(lam, l)
-                assert d == dim_irrep(lam, l + 1) == dim_irrep(lam, l + 3)
-
     def test_matches_hook_length_formula(self):
         for n in range(1, 9):
             for lam in partitions_of(n):
@@ -292,9 +284,6 @@ class TestOracle:
             oracle.hurwitz(0, (4,))
         with pytest.raises(ValueError):
             oracle.hurwitz(0, ())
-
-    def test_convenience_wrapper(self):
-        assert hurwitz_connected(0, (2, 1)) == 4
 
 
 class TestOracleClosedForms:

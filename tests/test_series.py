@@ -72,14 +72,14 @@ class TestBasics:
 
 class TestInversion:
     def test_invert_geometric(self):
-        inv = S(0, [1, -1]).invert_unit(order=6)
+        inv = S(0, [1, -1], trunc=6).invert_unit()
         assert inv == geometric(6)
 
     def test_invert_constant(self):
-        assert S(0, [2]).invert_unit() == S(0, [Fraction(1, 2)])
+        assert S(0, [2], trunc=5).invert_unit() == S(0, [Fraction(1, 2)], trunc=5)
 
     def test_invert_laurent(self):
-        inv = S(1, [1, 1]).invert_unit(order=3)
+        inv = S(1, [1, 1], trunc=5).invert_unit()
         # 1/(z(1+z)) = z^-1 (1 - z + z^2 - ...)
         assert inv == S(-1, [1, -1, 1, -1], trunc=3)
 
@@ -96,12 +96,12 @@ class TestInversion:
 
 class TestCompose:
     def test_geometric_of_z(self):
-        outer = S(0, [1, -1]).invert_unit(order=7)  # 1/(1-w)
+        outer = S(0, [1, -1], trunc=7).invert_unit()  # 1/(1-w)
         inner = Series.identity(7)
         assert outer.compose(inner) == geometric(7)
 
     def test_identity_inner(self):
-        outer = S(-1, [1, 2, 3], trunc=4)
+        outer = S(0, [1, 2, 3], trunc=4)
         assert outer.compose(Series.identity(10)).agrees_with(outer)
 
     def test_exp_log_pair(self):
@@ -114,11 +114,26 @@ class TestCompose:
         with pytest.raises(ValueError):
             S(0, [1, 1]).compose(S(0, [1, 1]))
 
-    def test_laurent_outer(self):
-        outer = S(-1, [1])  # 1/w
-        inner = S(1, [1, 1], trunc=5)  # z(1+z)
-        got = outer.compose(inner)
-        assert got.agrees_with(S(-1, [1, -1, 1, -1], trunc=3))
+
+class TestContract:
+    """Infinite-series results need a truncated input; compose needs a
+    power-series outer."""
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("invert_unit", lambda: S(0, [1, -1]).invert_unit()),
+            ("reversion", lambda: S(1, [1, -1]).reversion()),
+            ("exp", lambda: S(1, [1]).exp()),
+            ("log1p", lambda: S(1, [1]).log1p()),
+            ("sqrt_unit", lambda: S(0, [1, 2, 3]).sqrt_unit()),
+            ("compose", lambda: S(-1, [1], trunc=4).compose(S(1, [1, 1], trunc=5))),
+        ],
+        ids=["invert_unit", "reversion", "exp", "log1p", "sqrt_unit", "compose-laurent-outer"],
+    )
+    def test_rejected(self, name, call):
+        with pytest.raises(ValueError, match=name):
+            call()
 
 
 class TestReversion:
