@@ -5,14 +5,30 @@ Partitions are weakly-decreasing tuples of positive integers.  Characters are
 evaluated by the Murnaghan-Nakayama rule on beta-sets (first-column hook
 lengths), which makes border-strip removal a single subtraction.
 
-The connected-cover oracle builds the full generating function of
+The connected-cover oracle builds the generating function Z of
 disconnected cover counts, graded by the degree n, the monomial p_mu and the
-Euler-characteristic exponent of the string coupling, then takes its formal
+Euler-characteristic exponent e of the string coupling, then takes its formal
 logarithm F = log Z degree by degree from the graded identity
 n Z_n = sum_{k=1..n} k F_k Z_{n-k}, which also gives the exponential back.
 Simple Hurwitz numbers are read off the logarithm; this route never touches
 the spectral-curve machinery and serves as the independent ground truth for
 it.
+
+Both Z and F are cut at one additive weight, w = e + 2n.  A term of Z with b
+simple branch points has e = b - n - len(mu), so w = b + n - len(mu) >= 0,
+since a partition of n has at most n parts.  A term of F counts connected
+covers of some genus g >= 0, so e = 2g - 2 and w = 2g - 2 + 2n >= 0 with
+n >= 1.  Both e and n add under products, hence so does w.  Because no term
+has negative weight, the terms of weight above a bound w_max span an ideal of
+the series with nonnegative weights: any product with one such factor has
+weight above w_max as well.  Dropping that ideal is therefore a ring
+homomorphism that keeps the degree, so it commutes with the graded identity
+above, with log and with exp: the log of the cut Z, with every product above
+w_max skipped, is exactly the cut of the log of the uncut Z.  The oracle
+takes w_max = 2 g_max - 2 + 2 n_max.  At n = n_max that keeps exactly the
+e <= 2 g_max - 2 that its lookups read; at lower degrees it keeps the larger
+exponents, up to 2 g_max - 2 + 2 (n_max - n), that products into degree
+n_max need.
 """
 
 from __future__ import annotations
@@ -186,18 +202,29 @@ def cov_disconnected(mu: Partition, b: int) -> Fraction:
         raise ValueError("b must be nonnegative")
     if not mu:
         return Fraction(1) if b == 0 else _ZERO
-    return sum((w * f**b for w, f in _burnside_weights(mu)), _ZERO)
+    n = sum(mu)
+    total = sum(w * f**b for w, f in _burnside_weights(mu))
+    return Fraction(class_size(mu) * total, factorial(n) ** 2)
 
 
 @cache
-def _burnside_weights(mu: Partition) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The pairs ((dim lam / n!)^2 * f_central(lam, mu), f_c2(lam)) over the
-    partitions lam of n = |mu|; they do not depend on b."""
+def _burnside_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
+    """The integer pairs (dim(lam) * chi_lam(mu), f_c2(lam)) over the
+    partitions lam of n = |mu|; they do not depend on b.  Each Burnside
+    weight (dim lam / n!)^2 * f_central(lam, mu) is the first entry times
+    |C_mu| / (n!)^2, so the sum over lam stays in integers and dim(lam) is
+    not divided out and back in."""
     n = sum(mu)
     return tuple(
-        (Fraction(dim_irrep(lam), factorial(n)) ** 2 * f_central(lam, mu), f_c2(lam))
-        for lam in partitions_of(n)
+        (dim * character(lam, mu), f_c2(lam).numerator)
+        for lam, dim in zip(partitions_of(n), _dims(n))
     )
+
+
+@cache
+def _dims(n: int) -> tuple[int, ...]:
+    """dim_irrep over partitions_of(n), in that order."""
+    return tuple(dim_irrep(lam) for lam in partitions_of(n))
 
 
 # ---------------------------------------------------------------------------
@@ -206,29 +233,35 @@ def _burnside_weights(mu: Partition) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 class PSeriesZ:
-    """Truncated generating function graded by degree n.
+    """Truncated generating function graded by degree n and weight e + 2n.
 
     ``data[n]`` maps ``(mu, e)`` to a Fraction, where ``mu`` is the partition
     labelling the monomial p_mu and ``e`` the exponent of the string
     coupling (e = b - |mu| - len(mu) termwise; exponents add under products).
+    Only terms with n <= n_max and weight e + 2n <= w_max are kept; the module
+    docstring shows why this cut is exact under products, log and exp.
     """
 
-    def __init__(self, n_max: int, data=None):
+    def __init__(self, n_max: int, w_max: int, data=None):
         self.n_max = n_max
+        self.w_max = w_max
         self.data = {n: {} for n in range(n_max + 1)}
         if data:
             for n, terms in data.items():
                 self.data[n].update(terms)
 
     def coefficient(self, n: int, mu: Partition, e: int) -> Fraction:
-        if n > self.n_max:
-            raise ValueError(f"degree {n} beyond truncation {self.n_max}")
+        if n > self.n_max or e + 2 * n > self.w_max:
+            raise ValueError(
+                f"term of degree {n} and exponent {e} beyond truncation "
+                f"(n_max={self.n_max}, w_max={self.w_max})"
+            )
         return self.data[n].get((tuple(mu), e), _ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, PSeriesZ):
             return NotImplemented
-        if self.n_max != other.n_max:
+        if (self.n_max, self.w_max) != (other.n_max, other.w_max):
             return False
         for n in range(self.n_max + 1):
             a = {k: v for k, v in self.data[n].items() if v}
@@ -245,7 +278,7 @@ class PSeriesZ:
         """
         if self.data[0] != {((), 0): Fraction(1)}:
             raise ValueError("log requires a series with constant term 1")
-        out = PSeriesZ(self.n_max)
+        out = PSeriesZ(self.n_max, self.w_max)
         for n in range(1, self.n_max + 1):
             out.data[n] = _graded_step(self.data[n], out, self, n, Fraction(-1, n))
         return out
@@ -258,7 +291,7 @@ class PSeriesZ:
         """
         if self.data[0]:
             raise ValueError("exp requires a series without constant term")
-        out = PSeriesZ(self.n_max, {0: {((), 0): Fraction(1)}})
+        out = PSeriesZ(self.n_max, self.w_max, {0: {((), 0): Fraction(1)}})
         for n in range(1, self.n_max + 1):
             out.data[n] = _graded_step(self.data[n], self, out, n, Fraction(1, n))
         return out
@@ -266,13 +299,20 @@ class PSeriesZ:
 
 def _graded_step(base: dict, f: PSeriesZ, z: PSeriesZ, n: int, scale: Fraction) -> dict:
     """base + scale * (the degree-n part of sum_{k=1..n-1} k F_k Z_{n-k}),
-    with zero entries dropped."""
+    skipping every product of weight above w_max, with zero entries dropped.
+
+    A product of degree n has weight ea + eb + 2n, so it is kept when
+    ea + eb <= w_max - 2n."""
     out = dict(base)
+    e_cap = f.w_max - 2 * n
     for k in range(1, n):
         terms_z = z.data[n - k]
         for (mua, ea), ca in f.data[k].items():
+            eb_cap = e_cap - ea
             ca *= k * scale
             for (mub, eb), cb in terms_z.items():
+                if eb > eb_cap:
+                    continue
                 key = (_merge_partitions(mua, mub), ea + eb)
                 out[key] = out.get(key, _ZERO) + ca * cb
     return {key: v for key, v in out.items() if v}
@@ -282,17 +322,17 @@ def _merge_partitions(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
 
 
-def build_z(n_max: int, b_max: int) -> PSeriesZ:
-    """Assemble Z from the Burnside counts, up to degree n_max and b_max
-    simple branch points."""
-    z = PSeriesZ(n_max, {0: {((), 0): Fraction(1)}})
+def build_z(n_max: int, w_max: int) -> PSeriesZ:
+    """Assemble Z from the Burnside counts, up to degree n_max and weight
+    w_max, that is up to b = w_max - n + len(mu) simple branch points for
+    the monomial p_mu of degree n."""
+    z = PSeriesZ(n_max, w_max, {0: {((), 0): Fraction(1)}})
     for n in range(1, n_max + 1):
         dest = z.data[n]
         for mu in partitions_of(n):
             lmu = len(mu)
-            for b in range(b_max + 1):
-                if (b - n - lmu) % 2:
-                    continue
+            # b must have the parity of n + len(mu) for a cover to exist
+            for b in range((n + lmu) % 2, w_max - n + lmu + 1, 2):
                 c = cov_disconnected(mu, b)
                 if c:
                     dest[(mu, b - n - lmu)] = c / factorial(b)
@@ -311,9 +351,7 @@ class HurwitzOracle:
             raise ValueError("need n_max >= 1 and g_max >= 0")
         self.n_max = n_max
         self.g_max = g_max
-        self.b_max = 2 * g_max - 2 + 2 * n_max
-        self._z = build_z(n_max, self.b_max)
-        self._f = self._z.log()
+        self._f = build_z(n_max, 2 * g_max - 2 + 2 * n_max).log()
 
     def hurwitz(self, g: int, mu) -> Fraction:
         """H_{g,mu}, exactly."""

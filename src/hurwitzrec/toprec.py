@@ -392,17 +392,3 @@ class LambertEngine:
                 )
             terms[full] = vals[0]
         return PoleForm(g, k, terms, den)
-
-    # -- symplectic invariants ---------------------------------------------
-
-    def f_g(self, g: int) -> Fraction:
-        """The scalar invariant for g >= 2, via the residue of W_1^(g) * Phi.
-
-        Phi is a local primitive of y dx; for the Lambert curve y dx =
-        (1-z) dz, so Phi(1+zeta) = c - zeta^2/2 for a constant c that drops
-        out because W_1^(g) has no order-1 pole.  The pairing is then -1/2
-        times the order-3 coefficient, and F_g is it over 2 - 2g.
-        """
-        if g < 2:
-            raise ValueError("the scalar invariant is computed here only for g >= 2")
-        return self.w(g, 1).coefficient((3,)) / (4 * g - 4)

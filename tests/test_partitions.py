@@ -51,14 +51,15 @@ def hook_length_dim(lam):
     return factorial(sum(lam)) // prod
 
 
-def reference_mul(a, b):
-    """Naive product of two truncated series, term by term."""
-    out = PSeriesZ(a.n_max)
-    for na, terms_a in a.data.items():
-        for nb, terms_b in b.data.items():
-            if na + nb > a.n_max:
+def reference_mul(a, b, n_max):
+    """Naive product of two series {n: {(mu, e): c}} up to degree n_max,
+    term by term, with no weight cut."""
+    out = {n: {} for n in range(n_max + 1)}
+    for na, terms_a in a.items():
+        for nb, terms_b in b.items():
+            if na + nb > n_max:
                 continue
-            dest = out.data[na + nb]
+            dest = out[na + nb]
             for (mua, ea), ca in terms_a.items():
                 for (mub, eb), cb in terms_b.items():
                     key = (tuple(sorted(mua + mub, reverse=True)), ea + eb)
@@ -67,36 +68,68 @@ def reference_mul(a, b):
 
 
 def reference_scaled_add(dest, series, c):
-    for n, terms in series.data.items():
+    for n, terms in series.items():
         for key, v in terms.items():
-            dest.data[n][key] = dest.data[n].get(key, 0) + c * v
+            dest[n][key] = dest[n].get(key, 0) + c * v
+
+
+def weight_cut(series, w_max):
+    """The terms of weight e + 2n <= w_max."""
+    return {n: {(mu, e): v for (mu, e), v in t.items() if e + 2 * n <= w_max}
+            for n, t in series.items()}
 
 
 def reference_log(z):
-    """log Z = sum_m (-1)^(m+1) (Z-1)^m / m, from full power products."""
-    p = PSeriesZ(z.n_max, {n: t for n, t in z.data.items() if n > 0})
-    out = PSeriesZ(z.n_max)
+    """log Z = sum_m (-1)^(m+1) (Z-1)^m / m, from full power products of the
+    cut Z, then cut to its weight bound."""
+    p = {n: t for n, t in z.data.items() if n > 0}
+    out = {n: {} for n in range(z.n_max + 1)}
     power = p
     for m in range(1, z.n_max + 1):
         reference_scaled_add(out, power, Fraction((-1) ** (m + 1), m))
         if m < z.n_max:
-            power = reference_mul(power, p)
-    return out
+            power = reference_mul(power, p, z.n_max)
+    return weight_cut(out, z.w_max)
 
 
 def reference_exp(f):
-    """exp F = sum_m F^m / m!, from full power products."""
-    out = PSeriesZ(f.n_max, {0: {((), 0): Fraction(1)}})
-    power = f
+    """exp F = sum_m F^m / m!, from full power products of the cut F, then
+    cut to its weight bound."""
+    out = {n: {} for n in range(f.n_max + 1)}
+    out[0][((), 0)] = Fraction(1)
+    power = f.data
     for m in range(1, f.n_max + 1):
         reference_scaled_add(out, power, Fraction(1, factorial(m)))
         if m < f.n_max:
-            power = reference_mul(power, f)
-    return out
+            power = reference_mul(power, f.data, f.n_max)
+    return weight_cut(out, f.w_max)
 
 
-def nonzero(series):
-    return {n: {k: v for k, v in t.items() if v} for n, t in series.data.items()}
+def reference_b_bounded_log(n_max, b_max):
+    """log Z with no weight cut: Z holds every b <= b_max for every mu of
+    degree at most n_max, and the graded log multiplies every pair of terms."""
+    z = {0: {((), 0): Fraction(1)}}
+    for n in range(1, n_max + 1):
+        z[n] = {}
+        for mu in partitions_of(n):
+            for b in range(b_max + 1):
+                c = cov_disconnected(mu, b)
+                if c:
+                    z[n][(mu, b - n - len(mu))] = c / factorial(b)
+    f = {}
+    for n in range(1, n_max + 1):
+        out = dict(z[n])
+        for k in range(1, n):
+            for (mua, ea), ca in f[k].items():
+                for (mub, eb), cb in z[n - k].items():
+                    key = (tuple(sorted(mua + mub, reverse=True)), ea + eb)
+                    out[key] = out.get(key, 0) - Fraction(k, n) * ca * cb
+        f[n] = out
+    return f
+
+
+def nonzero(data):
+    return {n: {k: v for k, v in t.items() if v} for n, t in data.items()}
 
 
 class TestPartitions:
@@ -273,8 +306,47 @@ class TestOracle:
     def test_graded_log_and_exp_match_power_series(self):
         z = build_z(7, 14)
         f = z.log()
-        assert nonzero(f) == nonzero(reference_log(z))
-        assert nonzero(f.exp()) == nonzero(reference_exp(f))
+        assert nonzero(f.data) == nonzero(reference_log(z))
+        assert nonzero(f.exp().data) == nonzero(reference_exp(f))
+
+    @pytest.mark.parametrize("n_max,g_max", [(7, 0), (8, 1), (6, 3), (5, 5)])
+    def test_weight_cut_matches_b_bounded_log(self, n_max, g_max):
+        oracle = HurwitzOracle(n_max, g_max)
+        f = reference_b_bounded_log(n_max, 2 * g_max - 2 + 2 * n_max)
+        count = 0
+        for n in range(1, n_max + 1):
+            for mu in partitions_of(n):
+                for g in range(g_max + 1):
+                    b = 2 * g - 2 + n + len(mu)
+                    if b < 0:
+                        continue
+                    expected = factorial(b) * f[n].get((mu, 2 * g - 2), 0)
+                    assert oracle.hurwitz(g, mu) == expected, (g, mu)
+                    count += 1
+        assert count > 0
+
+    def test_build_z_keeps_weight_at_most_w_max(self):
+        # weights are even: b has the parity of n + len(mu)
+        z = build_z(6, 10)
+        weights = {e + 2 * n for n, t in z.data.items() for (_mu, e) in t}
+        assert weights == {0, 2, 4, 6, 8, 10}
+
+    def test_coefficient_refuses_terms_beyond_the_cut(self):
+        z = build_z(4, 8)
+        assert z.coefficient(4, (1, 1, 1, 1), -8) == Fraction(1, 24)
+        assert z.coefficient(4, (2, 2), 0) == cov_disconnected((2, 2), 6) / factorial(6)
+        with pytest.raises(ValueError):
+            z.coefficient(5, (5,), -2)
+        with pytest.raises(ValueError):
+            z.coefficient(4, (1, 1, 1, 1), 2)
+
+    def test_equality_compares_the_cut(self):
+        assert PSeriesZ(3, 4) != PSeriesZ(3, 5)
+        assert PSeriesZ(3, 4) != PSeriesZ(2, 4)
+        assert PSeriesZ(3, 4) == PSeriesZ(3, 4)
+        # odd and even bounds keep the same terms, since weights are even
+        assert build_z(4, 6).data == build_z(4, 7).data
+        assert build_z(4, 6).log() != build_z(4, 7).log()
 
     def test_range_checks(self):
         oracle = HurwitzOracle(n_max=3, g_max=1)

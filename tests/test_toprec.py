@@ -333,10 +333,6 @@ class TestStructuralInvariants:
 
 
 class TestFg:
-    def test_rejects_low_genus(self, engine):
-        with pytest.raises(ValueError):
-            engine.f_g(1)
-
     def test_phi_constant_independence(self):
         # the constant of the primitive Phi pairs only with an order-1 pole
         eng = LambertEngine(order=required_order(3, 1))
@@ -346,8 +342,6 @@ class TestFg:
     def test_snapshots(self):
         # self-snapshots: no external ground truth exists for these
         eng = LambertEngine(order=required_order(3, 1))
-        assert eng.f_g(2) == 0
-        assert eng.f_g(3) == 0
         assert eng.w(2, 1).terms == {
             (4,): F(7, 960),
             (5,): F(-37, 1440),
