@@ -10,7 +10,6 @@ the quadratic recursion they satisfy; the two must agree termwise.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .partitions import HurwitzOracle, aut_size, check_partition
@@ -35,45 +34,22 @@ def y_of_xi(order: int) -> Series:
     return (1 + zeta_of_xi).truncate(order)
 
 
-class TimesSequence:
-    """The time parameters t_2, t_3, ..., t_max as exact rationals."""
-
-    def __init__(self, values: dict[int, Fraction]):
-        self.t_max = max(values)
-        self.values = dict(values)
-
-    def __getitem__(self, m: int) -> Fraction:
-        return self.values[m]
-
-    def __eq__(self, other):
-        if not isinstance(other, TimesSequence):
-            return NotImplemented
-        return self.values == other.values
-
-    def items(self):
-        return sorted(self.values.items())
-
-    def to_table_text(self) -> str:
-        width = max(len(str(m)) for m in self.values)
-        return "\n".join(
-            f"{m:>{width}}  {format_rational(v)}" for m, v in self.items()
-        )
-
-
-def times_from_curve(t_max: int) -> TimesSequence:
-    """Times read off the curve: y = 1 - 2 xi + sum_{m>=1} t_{m+2} xi^m."""
+def times_from_curve(t_max: int) -> dict[int, Fraction]:
+    """Times t_2 .. t_max, in ascending m, read off the curve:
+    y = 1 - 2 xi + sum_{m>=1} t_{m+2} xi^m."""
     if t_max < 3:
         raise ValueError("t_max must be at least 3")
     y = y_of_xi(max(6, t_max - 1))
     values = {2: _ZERO, 3: y.coefficient(1) + 2}
     for m in range(2, t_max - 1):
         values[m + 2] = y.coefficient(m)
-    return TimesSequence(values)
+    return values
 
 
-def times_by_recursion(t_max: int) -> TimesSequence:
-    """Times generated from t_2 = 0, t_3 = 3, t_4 = 1/3 and
-    t_{m+1} = t_m/m - (1/2) sum_{l=2}^{m-2} t_{l+2} t_{m+2-l} for m >= 4."""
+def times_by_recursion(t_max: int) -> dict[int, Fraction]:
+    """Times t_2 .. t_max, in ascending m, generated from t_2 = 0, t_3 = 3,
+    t_4 = 1/3 and t_{m+1} = t_m/m - (1/2) sum_{l=2}^{m-2} t_{l+2} t_{m+2-l}
+    for m >= 4."""
     if t_max < 5:
         raise ValueError("t_max must be at least 5")
     t = {2: _ZERO, 3: Fraction(3), 4: Fraction(1, 3)}
@@ -82,7 +58,7 @@ def times_by_recursion(t_max: int) -> TimesSequence:
         for l in range(2, m - 1):
             acc -= Fraction(1, 2) * t[l + 2] * t[m + 2 - l]
         t[m + 1] = acc
-    return TimesSequence(t)
+    return t
 
 
 def f_series(order: int) -> Series:
@@ -131,15 +107,6 @@ class ElsvReport:
     @property
     def ok(self):
         return all(p["equal"] for p in self.predictions)
-
-    def to_obj(self):
-        return {
-            "solved": {k: format_rational(v) for k, v in self.solved.items()},
-            "predictions": self.predictions,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(", ", ": "))
 
     def to_text(self) -> str:
         lines = ["solved intersection numbers:"]

@@ -4,8 +4,10 @@ The file is a single JSON document carrying a format version and a curve
 fingerprint.  A version or fingerprint mismatch (the fingerprint covers the
 sign convention and the engine version) makes the loader ignore the whole
 file; it is never read partially.  So does a malformed entry, a repeated
-(g, k), a pole of order 1 or a pole order above 6g - 4 + 2k, none of which
-a stable form W(g, k) has.  Entries are keyed by (g, k): a form does not
+(g, k), an unstable (g, k), a form with no terms, a pole of order 1 or a
+pole order above 6g - 4 + 2k, none of which a stable form W(g, k) has (for
+every stable (g, k) some H_{g,mu} with len(mu) = k is positive, so W(g, k)
+is never zero).  Entries are keyed by (g, k): a form does not
 depend on the truncation order it was computed at.
 """
 
@@ -16,6 +18,7 @@ import json
 import os
 
 from .poleform import PoleForm
+from .toprec import is_stable
 
 CACHE_FORMAT = 2
 
@@ -37,7 +40,8 @@ def load_cache(path, fingerprint):
             form = PoleForm.from_obj(entry)
             key = (form.g, form.k)
             bound = 6 * form.g - 4 + 2 * form.k
-            if key in out or any(1 in a or a[0] > bound for a in form.nums):
+            bad_pole = any(1 in a or a[0] > bound for a in form.nums)
+            if bad_pole or key in out or not form.nums or not is_stable(*key):
                 return {}
             out[key] = form
     except (ArithmeticError, LookupError, TypeError, ValueError):

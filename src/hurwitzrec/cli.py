@@ -117,13 +117,13 @@ def _check_oracle_size(g_max, n_max):
         raise ValueError(f"--g-max {g_max} is above the oracle's genus bound of {ORACLE_MAX_G}")
 
 
-def _make_engine(args, order, verbose=False):
+def _make_engine(args, order):
     engine = LambertEngine(order=order)
     flush = None
     path = _cache_path(args)
     if path:
         flush = attach_cache(engine, path)
-        if verbose:
+        if args.verbose:
             print(f"cache attached at {path}", file=sys.stderr)
     return engine, flush
 
@@ -140,7 +140,7 @@ def _cmd_table(args):
         _check_oracle_size(args.g_max, args.n_max)
         oracle = HurwitzOracle(args.n_max, args.g_max)
     if need_recursion:
-        engine, flush = _make_engine(args, order, args.verbose)
+        engine, flush = _make_engine(args, order)
 
     rows = list(table_rows(args.g_max, args.n_max, engine, oracle))
     mismatch = args.method == "both" and not all(row["equal"] for row in rows)
@@ -184,7 +184,7 @@ def _emit_table(rows, args):
 
 def _cmd_wkg(args):
     check_stable(args.g, args.k)
-    engine, flush = _make_engine(args, _recursion_order(args.g, args.k), args.verbose)
+    engine, flush = _make_engine(args, _recursion_order(args.g, args.k))
     form = engine.w(args.g, args.k)
     if flush:
         flush()
@@ -202,7 +202,7 @@ def _cmd_check(args):
             raise _UsageError("need --g-max >= 0 and --n-max >= 1")
         order = _recursion_order(g_max, n_max)
         _check_oracle_size(g_max, n_max)
-        engine, flush = _make_engine(args, order, args.verbose)
+        engine, flush = _make_engine(args, order)
         report = verify_bm(g_max, n_max, engine=engine)
         if flush:
             flush()

@@ -23,7 +23,6 @@ provides the independent values the expansion must reproduce.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -164,11 +163,8 @@ def hurwitz_by_recursion(engine: LambertEngine, g: int, mu) -> Fraction:
 class BMReport:
     """Cross-method comparison of the two Hurwitz-number routes."""
 
-    def __init__(self, g_max, n_max, records, complete):
-        self.g_max = g_max
-        self.n_max = n_max
+    def __init__(self, records):
         self.records = records
-        self.complete = complete
 
     @property
     def ok(self):
@@ -180,9 +176,6 @@ class BMReport:
             if not r["equal"]:
                 return r
         return None
-
-    def to_json(self) -> str:
-        return json.dumps(self.records, separators=(", ", ": "))
 
     def to_text(self) -> str:
         lines = [f"{'g':>2}  {'mu':<16} {'recursion':>14} {'oracle':>14}  equal"]
@@ -198,10 +191,10 @@ class BMReport:
         return "\n".join(lines)
 
 
-def table_rows(g_max, n_max, engine=None, oracle=None):
+def table_rows(g_max, n_max, engine, oracle):
     """Yield one row per (g, mu) with g <= g_max and |mu| <= n_max, as
     {"g", "mu", "recursion", "oracle", "equal"}: the value by each route
-    given, formatted, and with both whether they agree.  With an engine only
+    given (either may be None), formatted, and with both whether they agree.  With an engine only
     the stable (g, len(mu)) appear; one series serves every mu of a (g, k).
     """
     hs_cache = {}
@@ -233,7 +226,7 @@ def verify_bm(
     """Compare recursion vs oracle for every stable (g, mu) in range.
 
     Stops at the first mismatch; the report then ends with the offending
-    record and is not complete.
+    record.
     """
     if engine is None:
         engine = LambertEngine(order=required_order(g_max, n_max))
@@ -243,5 +236,5 @@ def verify_bm(
     for row in table_rows(g_max, n_max, engine, oracle):
         records.append(row)
         if not row["equal"]:
-            return BMReport(g_max, n_max, records, False)
-    return BMReport(g_max, n_max, records, True)
+            break
+    return BMReport(records)

@@ -112,7 +112,3 @@ class PoleForm:
     def from_obj(cls, obj) -> "PoleForm":
         terms = {tuple(t["a"]): parse_rational(t["c"]) for t in obj["terms"]}
         return cls(obj["g"], obj["k"], terms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PoleForm":
-        return cls.from_obj(json.loads(text))

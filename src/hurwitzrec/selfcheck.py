@@ -16,10 +16,10 @@ from .extract import lambert_series, pole_factor_series
 from .series import Series, residue_of_product
 
 
-def _random_series(rng, trunc=9, laurent=True):
-    lo = rng.randint(-2, 1) if laurent else 0
-    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(trunc - lo)]
-    return Series(lo, coeffs, trunc)
+def _random_series(rng):
+    lo = rng.randint(-2, 1)
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(9 - lo)]
+    return Series(lo, coeffs, 9)
 
 
 SEED = 20090515

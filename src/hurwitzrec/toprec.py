@@ -133,15 +133,6 @@ def make_lambert_curve(order: int) -> LocalCurve:
     return LocalCurve(x_local, y_local, sigma, omega_local, order)
 
 
-def bergman_expansion(order: int):
-    """Expansion of B(z0, z*+zeta) on powers of zeta.
-
-    The zeta^m coefficient is the arity-1 pole entry (m+1)/(z0-z*)^(m+2);
-    returns the list of integer (pole_order, weight) pairs for m = 0..order-1.
-    """
-    return [(m + 2, m + 1) for m in range(order)]
-
-
 def recursion_kernel(curve: LocalCurve) -> dict:
     """The recursion kernel as ``{p: Series}``: the Laurent series in zeta
     multiplying dz1/(z1-z*)^p, for p = 2 .. max(2, order - 5); the
@@ -211,8 +202,9 @@ class LambertEngine:
 
     @cached_property
     def _bergman_terms(self):
-        expansion = bergman_expansion(max(self.kernel) - 1)
-        return 1, {(pole,): {-m: w} for m, (pole, w) in enumerate(expansion)}
+        # B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2), each
+        # zeta^m as the branch pole order -m, for m below max(kernel) - 1
+        return 1, {(m + 2,): {-m: m + 1} for m in range(max(self.kernel) - 1)}
 
     # -- curve fingerprint (for caches) -------------------------------------
 

@@ -1,0 +1,59 @@
+"""Every function, class and method in the package has a caller in the package.
+
+A definition counts as called when its name appears anywhere under
+``src/hurwitzrec`` as a name, an attribute or an import alias.  The few
+definitions reached only from outside the package are listed with the reason
+they stay.
+"""
+
+import ast
+from pathlib import Path
+
+import hurwitzrec
+
+SRC = Path(hurwitzrec.__file__).parent
+
+ALLOWED = {
+    "_Parser.error": "argparse calls it",
+    "f_central": "the textbook reference the Burnside tests compare against",
+    "g_series": "acceptance criterion 3 pins its displayed coefficients",
+    "hurwitz_by_recursion": "the README Library example uses it",
+}
+
+
+def _definitions_and_uses():
+    defs, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defs.update(
+                    f"{node.name}.{sub.name}"
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                    and not (sub.name.startswith("__") and sub.name.endswith("__"))
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name.rsplit(".", 1)[-1])
+    return defs, used
+
+
+def _uncalled():
+    defs, used = _definitions_and_uses()
+    return {name for name in defs if name.rsplit(".", 1)[-1] not in used}
+
+
+def test_every_definition_has_a_caller():
+    assert sorted(_uncalled() - ALLOWED.keys()) == []
+
+
+def test_allowlist_is_not_stale():
+    # an entry that gained a caller, or is gone, leaves the list
+    assert sorted(ALLOWED.keys() - _uncalled()) == []

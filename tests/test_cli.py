@@ -284,6 +284,35 @@ class TestCache:
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
 
+    def test_empty_form_ignored(self, tmp_path):
+        # no stable W(g, k) is zero: read as one, W(1,1) would give H_{1,(d)} = 0
+        path = str(tmp_path / "forms.json")
+        args = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "3",
+                "--cache", path)
+        cold = run_cli(*args)
+        assert cold.returncode == 0
+        doc = json.loads(Path(path).read_text())
+        (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
+        entry["terms"] = []
+        Path(path).write_text(json.dumps(doc))
+        warm = run_cli(*args)
+        assert warm.returncode == 0
+        assert warm.stdout == cold.stdout
+
+    @pytest.mark.parametrize("g, k", [(0, 1), (0, 2), (1, 0), (-1, 3)])
+    def test_unstable_entry_ignored(self, tmp_path, g, k):
+        from hurwitzrec.cache import CACHE_FORMAT, load_cache
+
+        path = str(tmp_path / "forms.json")
+        stable = {"g": 0, "k": 3, "terms": [{"a": [2, 2, 2], "c": "1/1"}]}
+        unstable = {"g": g, "k": k, "terms": []}
+        doc = {"format": CACHE_FORMAT, "fingerprint": "f", "poleforms": [stable]}
+        Path(path).write_text(json.dumps(doc))
+        assert len(load_cache(path, "f")) == 1
+        doc["poleforms"].append(unstable)
+        Path(path).write_text(json.dumps(doc))
+        assert load_cache(path, "f") == {}
+
     def test_interrupted_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         from hurwitzrec import cache
 

@@ -262,6 +262,19 @@ class TestCentralCharacters:
 
 
 class TestBurnside:
+    def test_matches_central_character_formula(self):
+        # the textbook Burnside sum, in Fractions, against the integer weights
+        for n in range(1, 8):
+            for mu in partitions_of(n):
+                for b in range(9):
+                    expected = sum(
+                        Fraction(hook_length_dim(lam), factorial(n)) ** 2
+                        * f_central(lam, mu)
+                        * f_c2(lam) ** b
+                        for lam in partitions_of(n)
+                    )
+                    assert cov_disconnected(mu, b) == expected
+
     def test_examples(self):
         assert cov_disconnected((1,), 0) == 1
         assert cov_disconnected((2,), 1) == Fraction(1, 2)

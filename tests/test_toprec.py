@@ -11,7 +11,6 @@ from hurwitzrec.poleform import PoleForm, splits
 from hurwitzrec.series import Series, TruncationError, residue_of_product
 from hurwitzrec.toprec import (
     LambertEngine,
-    bergman_expansion,
     deck_involution,
     is_stable,
     lambert_x,
@@ -111,9 +110,13 @@ class TestDeckInvolution:
 
 
 class TestBergman:
-    def test_expansion_entries(self):
-        got = bergman_expansion(3)
-        assert got == [(2, F(1)), (3, F(2)), (4, F(3))]
+    def test_expansion_entries(self, engine):
+        # B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2)
+        den, groups = engine._bergman_terms
+        assert den == 1
+        assert groups[(2,)] == {0: 1} and groups[(3,)] == {-1: 2} and groups[(4,)] == {-2: 3}
+        # one entry per zeta power below the kernel's top pole order less one
+        assert sorted(groups) == [(p,) for p in range(2, max(engine.kernel) + 1)]
 
 
 class TestKernel:
@@ -356,7 +359,7 @@ class TestFg:
 class TestPoleFormSerialization:
     def test_round_trip(self, engine):
         form = engine.w(1, 2)
-        again = PoleForm.from_json(form.canonical_json())
+        again = PoleForm.from_obj(json.loads(form.canonical_json()))
         assert again == form
 
     def test_canonical_ordering(self):
