@@ -1,4 +1,4 @@
-"""Deterministic self-checks of the exact-series layer.
+"""Deterministic self-checks of the series layer.
 
 Seeded randomized checks of the ring axioms and the inverse-pair
 identities, and the closed-form Lambert pole factors that the extraction

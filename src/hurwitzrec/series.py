@@ -2,19 +2,17 @@
 
 A :class:`Series` stores coefficients for exponents in ``[min_exponent,
 trunc_order)``; exponents below ``min_exponent`` are known to be zero and
-exponents at or beyond ``trunc_order`` are unknown.  ``trunc_order=None``
-marks an exact series (a finite Laurent polynomial, known everywhere).
+exponents at or beyond ``trunc_order`` are unknown.  Every series carries an
+int ``trunc_order``, and ``Series(...)`` and the constructors `zero`,
+`constant`, `monomial` and `identity` all need it.
 
 Every operation propagates the truncation order conservatively: a
 coefficient is reported only when the operands fully determine it.
-Arithmetic is exact; coefficients are `fractions.Fraction`.
-
-The ring operations (``+``, ``-``, ``*``, `scale`, `shift`, `truncate`,
-`derivative`) take exact and truncated operands alike.  The operations whose
-result is an infinite series (`invert_unit`, `reversion`, `exp`, `log1p` and
-`sqrt_unit`) need a truncated input, raise ValueError on an exact one, and
-return the result to the order their input determines.  `compose`
-substitutes into a power-series outer only; a Laurent outer raises
+Arithmetic is exact; coefficients are `fractions.Fraction`.  A scalar added
+to or subtracted from a series is the constant known to that series' order;
+a scalar factor scales it.  `invert_unit`, `reversion`, `exp`, `log1p` and
+`sqrt_unit` return their result to the order their input determines.
+`compose` substitutes into a power-series outer only; a Laurent outer raises
 ValueError.
 """
 
@@ -33,34 +31,24 @@ class TruncationError(ValueError):
     """A coefficient beyond the known truncation order was requested."""
 
 
-def _tmin(*orders):
-    finite = [t for t in orders if t is not None]
-    return min(finite) if finite else None
-
-
 class Series:
     """Laurent series ``sum c_e * z**e`` with explicit truncation order."""
 
     __slots__ = ("min_exponent", "coefficients", "trunc_order")
 
     def __init__(self, min_exponent, coefficients, trunc_order):
-        coeffs = [Fraction(c) for c in coefficients]
-        if trunc_order is not None:
-            coeffs = coeffs[: max(0, trunc_order - min_exponent)]
-            coeffs.extend([_ZERO] * (trunc_order - min_exponent - len(coeffs)))
+        if not isinstance(trunc_order, int):
+            raise TypeError("trunc_order must be an int")
+        # zero padding up to trunc_order: len(coefficients) sizes the results
+        # of invert_unit and sqrt_unit
+        coeffs = [Fraction(c) for c in coefficients][: max(0, trunc_order - min_exponent)]
+        coeffs.extend([_ZERO] * (trunc_order - min_exponent - len(coeffs)))
         # strip leading zeros: exponents below the first nonzero term are known zero
         lead = 0
         while lead < len(coeffs) and not coeffs[lead]:
             lead += 1
-        min_exponent += lead
         coeffs = coeffs[lead:]
-        if trunc_order is None:
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            if not coeffs:
-                min_exponent = 0
-        elif not coeffs:
-            min_exponent = trunc_order
+        min_exponent = min_exponent + lead if coeffs else trunc_order
         object.__setattr__(self, "min_exponent", min_exponent)
         object.__setattr__(self, "coefficients", tuple(coeffs))
         object.__setattr__(self, "trunc_order", trunc_order)
@@ -71,19 +59,19 @@ class Series:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc_order=None):
-        return cls(0 if trunc_order is None else trunc_order, [], trunc_order)
+    def zero(cls, trunc_order):
+        return cls(trunc_order, [], trunc_order)
 
     @classmethod
-    def constant(cls, c, trunc_order=None):
+    def constant(cls, c, trunc_order):
         return cls(0, [c], trunc_order)
 
     @classmethod
-    def monomial(cls, c, exponent, trunc_order=None):
+    def monomial(cls, c, exponent, trunc_order):
         return cls(exponent, [c], trunc_order)
 
     @classmethod
-    def identity(cls, trunc_order=None):
+    def identity(cls, trunc_order):
         """The series ``z``."""
         return cls.monomial(1, 1, trunc_order)
 
@@ -93,13 +81,9 @@ class Series:
     def is_zero(self):
         return not self.coefficients
 
-    @property
-    def is_exact(self):
-        return self.trunc_order is None
-
     def coefficient(self, n):
         """Coefficient at exponent ``n``; raises TruncationError if unknown."""
-        if self.trunc_order is not None and n >= self.trunc_order:
+        if n >= self.trunc_order:
             raise TruncationError(
                 f"coefficient at exponent {n} is beyond truncation order {self.trunc_order}"
             )
@@ -127,12 +111,7 @@ class Series:
     def agrees_with(self, other):
         """Equality of all coefficients on the common known range."""
         lo = min(self.min_exponent, other.min_exponent)
-        hi = _tmin(self.trunc_order, other.trunc_order)
-        if hi is None:
-            hi = max(
-                self.min_exponent + len(self.coefficients),
-                other.min_exponent + len(other.coefficients),
-            )
+        hi = min(self.trunc_order, other.trunc_order)
         return all(self.coefficient(n) == other.coefficient(n) for n in range(lo, hi))
 
     def __repr__(self):
@@ -150,30 +129,19 @@ class Series:
                 parts.append("...")
                 break
         body = " + ".join(parts) if parts else "0"
-        tail = "" if self.trunc_order is None else f" + O(z^{self.trunc_order})"
-        return f"<Series {body}{tail}>"
+        return f"<Series {body} + O(z^{self.trunc_order})>"
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Series):
-            other = Series.constant(Fraction(other))
-        t = _tmin(self.trunc_order, other.trunc_order)
-        if self.is_zero and self.is_exact:
-            return other if t == other.trunc_order else Series(other.min_exponent, other.coefficients, t)
-        if other.is_zero and other.is_exact:
-            return self if t == self.trunc_order else Series(self.min_exponent, self.coefficients, t)
+            other = Series.constant(other, self.trunc_order)
+        t = min(self.trunc_order, other.trunc_order)
         lo = min(self.min_exponent, other.min_exponent)
-        hi = max(
-            self.min_exponent + len(self.coefficients),
-            other.min_exponent + len(other.coefficients),
-        )
-        if t is not None:
-            hi = min(hi, t)
-        out = [_ZERO] * (hi - lo)
+        out = [_ZERO] * max(0, t - lo)
         for s in (self, other):
             for n, c in zip(s.known_exponents(), s.coefficients):
-                if n >= hi:
+                if n >= t:
                     break
                 out[n - lo] += c
         return Series(lo, out, t)
@@ -184,8 +152,6 @@ class Series:
         return Series(self.min_exponent, [-c for c in self.coefficients], self.trunc_order)
 
     def __sub__(self, other):
-        if not isinstance(other, Series):
-            other = Series.constant(Fraction(other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -193,55 +159,35 @@ class Series:
 
     def scale(self, c):
         c = Fraction(c)
-        if not c:
-            return Series.zero(self.trunc_order)
         return Series(self.min_exponent, [c * a for a in self.coefficients], self.trunc_order)
 
     def shift(self, n):
         """Multiply by ``z**n`` (pure exponent shift)."""
-        t = None if self.trunc_order is None else self.trunc_order + n
-        return Series(self.min_exponent + n, self.coefficients, t)
+        return Series(self.min_exponent + n, self.coefficients, self.trunc_order + n)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
-        if (self.is_zero and self.is_exact) or (other.is_zero and other.is_exact):
-            return Series.zero()
-        t = _tmin(
-            None if self.trunc_order is None else self.trunc_order + other.min_exponent,
-            None if other.trunc_order is None else other.trunc_order + self.min_exponent,
+        t = min(
+            self.trunc_order + other.min_exponent, other.trunc_order + self.min_exponent
         )
         lo = self.min_exponent + other.min_exponent
-        if t is None:
-            nout = len(self.coefficients) + len(other.coefficients) - 1
-            if nout <= 0:
-                return Series.zero()
-        else:
-            nout = t - lo
-            if nout <= 0:
-                return Series.zero(t)
-        out = _kernels.conv(self.coefficients, other.coefficients, nout)
-        return Series(lo, out, t)
+        return Series(lo, _kernels.conv(self.coefficients, other.coefficients, t - lo), t)
 
     __rmul__ = __mul__
 
     def truncate(self, order):
         """Forget all coefficients at exponents >= ``order``."""
-        if self.trunc_order is not None and self.trunc_order <= order:
+        if self.trunc_order <= order:
             return self
         n = max(0, order - self.min_exponent)
         return Series(self.min_exponent, self.coefficients[:n], order)
-
-    def _need_truncated(self, name):
-        if self.trunc_order is None:
-            raise ValueError(f"{name} needs a truncated input; its result is an infinite series")
 
     # -- unit inversion ----------------------------------------------------
 
     def invert_unit(self):
         """Multiplicative inverse of a Laurent unit; ``z**m * u`` known below
         ``t`` gives ``z**(-m) / u`` known below ``t - 2m``."""
-        self._need_truncated("invert_unit")
         if self.is_zero:
             raise ValueError("cannot invert a series that is zero up to truncation")
         m = self.min_exponent
@@ -257,20 +203,15 @@ class Series:
             raise ValueError("compose requires a power-series outer")
         if not inner.is_zero and inner.min_exponent < 1:
             raise ValueError("compose requires an inner series without constant term")
-        mi = inner.min_exponent if not inner.is_zero else max(1, inner.trunc_order or 1)
+        # a zero inner has min_exponent == trunc_order
+        mi = max(1, inner.min_exponent)
         # the inner's unknown tail enters through the outer's lowest nonzero
         # non-constant exponent j, at order (j-1)*mi + inner.trunc_order
-        t_inner = None
-        if inner.trunc_order is not None:
-            js = [j for j, c in zip(self.known_exponents(), self.coefficients) if j and c]
-            if js:
-                t_inner = inner.trunc_order + (js[0] - 1) * mi
-            elif self.trunc_order is not None:
-                t_inner = inner.trunc_order + (max(1, self.trunc_order) - 1) * mi
-        t = _tmin(
-            None if self.trunc_order is None else self.trunc_order * mi,
-            t_inner,
+        j = next(
+            (j for j, c in zip(self.known_exponents(), self.coefficients) if j and c),
+            max(1, self.trunc_order),
         )
+        t = min(self.trunc_order * mi, inner.trunc_order + (j - 1) * mi)
         if inner.is_zero:
             return Series(0, [self.coefficient(0)], t)
         out = Series.zero(t)
@@ -279,10 +220,10 @@ class Series:
         for j, c in zip(self.known_exponents(), self.coefficients):
             if c:
                 for _ in range(j - prev_j):
-                    power = (power * inner).truncate(t) if t is not None else power * inner
+                    power = (power * inner).truncate(t)
                 prev_j = j
                 out = out + power.scale(c)
-        return out if t is None else out.truncate(t)
+        return out.truncate(t)
 
     def reversion(self):
         """Compositional inverse: the unique b with self(b(z)) = z, known to
@@ -291,7 +232,6 @@ class Series:
         Computed by Lagrange inversion; requires a vanishing constant term
         and a nonzero linear coefficient.
         """
-        self._need_truncated("reversion")
         if self.is_zero or self.min_exponent != 1:
             raise ValueError("reversion requires a(0) = 0 with nonzero linear term")
         t = self.trunc_order
@@ -307,12 +247,10 @@ class Series:
 
     def exp(self):
         """exp of a series with positive valuation."""
-        self._need_truncated("exp")
         return self._powersum(lambda n, fact: _ONE / fact, start=_ONE)
 
     def log1p(self):
         """log(1 + a) for a series a with positive valuation."""
-        self._need_truncated("log1p")
         return self._powersum(lambda n, fact: Fraction((-1) ** (n + 1), n), start=_ZERO)
 
     def _powersum(self, coeff_of_n, start):
@@ -320,8 +258,6 @@ class Series:
             raise ValueError("requires a series with positive valuation")
         t = self.trunc_order
         out = Series.constant(start, t)
-        if self.is_zero:
-            return out
         power = Series.constant(1, t)
         fact = 1
         n = 0
@@ -335,20 +271,18 @@ class Series:
     def derivative(self):
         """Termwise formal derivative."""
         coeffs = [n * c for n, c in zip(self.known_exponents(), self.coefficients)]
-        t = None if self.trunc_order is None else self.trunc_order - 1
-        return Series(self.min_exponent - 1, coeffs, t)
+        return Series(self.min_exponent - 1, coeffs, self.trunc_order - 1)
 
     def sqrt_unit(self):
         """Square root of a series with an exact-square leading coefficient;
         ``z**(2k) * u`` known below ``t`` gives ``z**k * sqrt(u)`` known below
         ``t - k``."""
-        self._need_truncated("sqrt_unit")
         if self.is_zero:
             raise ValueError("cannot take sqrt of a zero series")
         if self.min_exponent % 2:
             raise ValueError("sqrt needs an even leading exponent")
         lead = self.coefficients[0]
-        rn, rd = isqrt(lead.numerator), isqrt(lead.denominator)
+        rn, rd = isqrt(abs(lead.numerator)), isqrt(lead.denominator)
         if rn * rn != lead.numerator or rd * rd != lead.denominator:
             raise ValueError("leading coefficient is not a rational square")
         m = self.min_exponent
@@ -370,7 +304,7 @@ def residue_of_product(f, g):
     determine the coefficient at exponent -1.
     """
     for x, y in ((f, g), (g, f)):
-        if x.trunc_order is not None and -1 - x.trunc_order >= y.min_exponent:
+        if -1 - x.trunc_order >= y.min_exponent:
             raise TruncationError("truncation orders do not determine the residue")
     acc = _ZERO
     for n, c in zip(f.known_exponents(), f.coefficients):

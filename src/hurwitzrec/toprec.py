@@ -2,15 +2,16 @@
 instantiated on the Lambert curve x(z) = -z + ln z, y(z) = z.
 
 Everything is expanded in the local coordinate zeta = z - 1 at the unique
-branch point z* = 1.  Correlation forms are finite PoleForms; the residue in
-the recursion becomes coefficient extraction on exact Laurent series.
+branch point z* = 1, as truncated Laurent series known below the engine
+order; y = 1 + zeta enters only through zeta - sigma(zeta).  Correlation
+forms are finite PoleForms; the residue in the recursion becomes
+coefficient extraction on those series.
 
 Near the branch point x = x0 + c2*xi^2 in an odd coordinate xi(zeta) (for
 the Lambert curve x = -1 - xi^2/2, the coordinate `bridge` reads the times
 in), and the deck involution is xi -> -xi.  The global sign of the recursion
 kernel, on which sources differ, is fixed to the one the character oracle
-confirms on the smallest stable cases; the tests flip it as a negative
-control.
+confirms on the smallest stable cases.
 """
 
 from __future__ import annotations
@@ -65,29 +66,17 @@ def _residue_num(f, g):
     Raises TruncationError when the truncation orders do not determine it.
     """
     (fm, ft, fc), (gm, gt, gc) = f, g
-    if (ft is not None and -1 - ft >= gm) or (gt is not None and -1 - gt >= fm):
+    if -1 - ft >= gm or -1 - gt >= fm:
         raise TruncationError("truncation orders do not determine the residue")
     s = -1 - fm - gm
     return sum(fc[i] * gc[s - i] for i in range(max(0, s + 1 - len(gc)), min(len(fc), s + 1)))
 
 
-class LocalCurve:
-    """Local data of a spectral curve at a simple branch point."""
-
-    __slots__ = ("x_local", "y_local", "sigma", "omega_local", "order")
-
-    def __init__(self, x_local, y_local, sigma, omega_local, order):
-        self.x_local = x_local
-        self.y_local = y_local
-        self.sigma = sigma
-        self.omega_local = omega_local
-        self.order = order
-
-
 def lambert_x(trunc_order: int) -> Series:
     """x = -1 - zeta + log(1 + zeta), the Lambert x(z) = -z + ln z at z = 1 +
     zeta, known below ``trunc_order``."""
-    return Series.identity(trunc_order).log1p() - 1 - Series.identity()
+    zeta = Series.identity(trunc_order)
+    return zeta.log1p() - 1 - zeta
 
 
 def odd_coordinate(x_local: Series, order: int) -> Series:
@@ -99,7 +88,7 @@ def odd_coordinate(x_local: Series, order: int) -> Series:
     """
     if x_local.coefficient(1) != 0 or x_local.coefficient(2) == 0:
         raise ValueError("not a simple branch point: need x = x0 + c2*zeta^2 + ...")
-    if x_local.trunc_order is not None and x_local.trunc_order <= order:
+    if x_local.trunc_order <= order:
         raise ValueError(f"xi to order {order} needs x_local known to order {order + 1}")
     xi_squared = (x_local - x_local.coefficient(0)).scale(1 / x_local.coefficient(2))
     return xi_squared.truncate(order + 1).sqrt_unit()
@@ -121,35 +110,31 @@ def deck_involution(x_local: Series, order: int) -> Series:
     return sigma
 
 
-def make_lambert_curve(order: int) -> LocalCurve:
-    """Local Lambert-curve data at z* = 1, to the given truncation order."""
-    if order < 8:
-        raise ValueError("order must be at least 8")
-    x_full = lambert_x(order + 1)
-    y_local = Series(0, [1, 1], None)  # 1 + zeta, exact
-    sigma = deck_involution(x_full, order)
-    x_local = x_full.truncate(order)
-    omega_local = (y_local - y_local.compose(sigma)) * x_local.derivative()
-    return LocalCurve(x_local, y_local, sigma, omega_local, order)
-
-
-def recursion_kernel(curve: LocalCurve) -> dict:
+def recursion_kernel(x_local: Series, sigma: Series) -> dict:
     """The recursion kernel as ``{p: Series}``: the Laurent series in zeta
-    multiplying dz1/(z1-z*)^p, for p = 2 .. max(2, order - 5); the
-    denominator (y(z)-y(sigma(z))) x'(z) is inverted once."""
-    if curve.omega_local.min_exponent != 2:
+    multiplying dz1/(z1-z*)^p, for p = 2 .. max(2, order - 5), where
+    ``order`` is the one the deck involution ``sigma`` is known to and
+    ``x_local`` is known at least that far.
+
+    The kernel is the integral of the Bergman kernel B(z1, .) from sigma to
+    zeta over 2 omega, with omega = (y(z) - y(sigma(z))) x'(z), here
+    (zeta - sigma) x'(zeta) since y = 1 + zeta; omega is inverted once.
+    Integrating B = sum_m (m+1) zeta^m dz1/(z1-z*)^(m+2) between sigma and
+    zeta gives zeta^(m+1) - sigma^(m+1) against the pole order p = m + 2, so
+    piece p is (zeta^(p-1) - sigma^(p-1)) / (2 omega).
+    """
+    order = sigma.trunc_order
+    omega = (Series.identity(order) - sigma) * x_local.truncate(order).derivative()
+    if omega.min_exponent != 2:
         raise ValueError(
             "kernel denominator must vanish to second order at a simple branch point"
         )
-    invden = curve.omega_local.invert_unit()
-    p_max = max(2, curve.order - 5)
+    invden = omega.invert_unit()
     pieces = {}
-    zeta_pow = Series.constant(1)
-    sigma_pow = Series.constant(1, curve.order)
-    for p in range(2, p_max + 1):
-        zeta_pow = zeta_pow.shift(1)
-        sigma_pow = (sigma_pow * curve.sigma).truncate(curve.order)
-        pieces[p] = ((zeta_pow - sigma_pow) * invden).scale(_HALF)
+    sigma_pow = Series.constant(1, order)
+    for p in range(2, max(2, order - 5) + 1):
+        sigma_pow = (sigma_pow * sigma).truncate(order)
+        pieces[p] = ((Series.monomial(1, p - 1, order) - sigma_pow) * invden).scale(_HALF)
     return pieces
 
 
@@ -160,7 +145,7 @@ class LambertEngine:
     whose required order exceeds it is rejected unless the memo (or a cache
     preloaded into it) already holds the form.  Recomputing a form at a
     higher order reproduces identical coefficients (tested as
-    order-robustness).  The curve, kernel and their integer pieces are built
+    order-robustness).  Sigma, the kernel and their integer pieces are built
     on first use, so a run that finds every form in the memo builds none.
     """
 
@@ -175,20 +160,28 @@ class LambertEngine:
         self._cache_source = None
 
     @cached_property
-    def curve(self) -> LocalCurve:
-        return make_lambert_curve(self.order)
+    def _x(self) -> Series:
+        # one order beyond the engine's, as deck_involution needs
+        return lambert_x(self.order + 1)
+
+    @cached_property
+    def sigma(self) -> Series:
+        """The deck involution at z* = 1, known below the engine order."""
+        if self.order < 8:
+            raise ValueError("order must be at least 8")
+        return deck_involution(self._x, self.order)
 
     @cached_property
     def kernel(self) -> dict:
-        return recursion_kernel(self.curve)
+        return recursion_kernel(self._x, self.sigma)
 
     @cached_property
     def _sigma_prime(self) -> Series:
-        return self.curve.sigma.derivative()
+        return self.sigma.derivative()
 
     @cached_property
     def _sigma_inv(self) -> Series:
-        return self.curve.sigma.invert_unit()
+        return self.sigma.invert_unit()
 
     @cached_property
     def _pieces_int(self):
@@ -235,13 +228,13 @@ class LambertEngine:
             elif b > 0:
                 out = (self.ebar(b - 1) * self._sigma_inv).truncate(self.order)
             else:
-                out = (self.ebar(b + 1) * self.curve.sigma).truncate(self.order)
+                out = (self.ebar(b + 1) * self.sigma).truncate(self.order)
             self._ebar[b] = out
         return out
 
     def two_sided_bergman(self) -> Series:
         """B(z(zeta), z(sigma(zeta))) pulled back to zeta, double pole kept."""
-        d = Series.identity(self.order) - self.curve.sigma
+        d = Series.identity(self.order) - self.sigma
         return (self._sigma_prime * (d * d).invert_unit()).truncate(self.order)
 
     def _ebar_cleared(self, b: int):
@@ -266,7 +259,7 @@ class LambertEngine:
             if e_min - a > 0:
                 row = ()
             else:
-                s = (e_min - a, None if e_trunc is None else e_trunc - a, e_nums)
+                s = (e_min - a, e_trunc - a, e_nums)
                 pieces_den, pieces = self._pieces_int
                 vals = {}
                 for p, piece in pieces.items():

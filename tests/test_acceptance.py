@@ -133,7 +133,7 @@ def test_criterion_6_structural_invariants(engine):
     checks["residue-freeness"] = resfree
 
     # the deck involution is an involution
-    sigma = engine.curve.sigma
+    sigma = engine.sigma
     checks["sigma-involution"] = sigma.compose(sigma).agrees_with(
         Series.identity(engine.order)
     )

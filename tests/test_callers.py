@@ -1,9 +1,12 @@
-"""Every function, class and method in the package has a caller in the package.
+"""Every function, class and method in the package has a caller in the package,
+and every field it stores is read there.
 
 A definition counts as called when its name appears anywhere under
 ``src/hurwitzrec`` as a name, an attribute or an import alias.  The few
 definitions reached only from outside the package are listed with the reason
-they stay.
+they stay.  A field (a ``self.<name>`` store or a ``__slots__`` entry) counts
+as read when ``<name>`` is loaded as an attribute somewhere under
+``src/hurwitzrec``.
 """
 
 import ast
@@ -57,3 +60,30 @@ def test_every_definition_has_a_caller():
 def test_allowlist_is_not_stale():
     # an entry that gained a caller, or is gone, leaves the list
     assert sorted(ALLOWED.keys() - _uncalled()) == []
+
+
+def _unread_fields():
+    fields, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in sub.targets
+                    ):
+                        fields.update(f"{node.name}.{elt.value}" for elt in sub.value.elts)
+                    elif (
+                        isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                    ):
+                        fields.add(f"{node.name}.{sub.attr}")
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {name for name in fields if name.rsplit(".", 1)[-1] not in read}
+
+
+def test_every_field_is_read():
+    assert sorted(_unread_fields()) == []

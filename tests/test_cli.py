@@ -255,7 +255,7 @@ class TestCache:
         warm = LambertEngine(order=required_order(1, 2))
         attach_cache(warm, path)
         assert warm.w(1, 2) == form
-        assert "curve" not in warm.__dict__ and "kernel" not in warm.__dict__
+        assert "sigma" not in warm.__dict__ and "kernel" not in warm.__dict__
 
     @pytest.mark.parametrize(
         "field, value",

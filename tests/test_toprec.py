@@ -14,7 +14,6 @@ from hurwitzrec.toprec import (
     deck_involution,
     is_stable,
     lambert_x,
-    make_lambert_curve,
     odd_coordinate,
     recursion_kernel,
     required_order,
@@ -30,32 +29,29 @@ def engine():
 
 class TestCurve:
     def test_x_local_expansion(self):
-        c = make_lambert_curve(10)
-        assert c.x_local.coefficient(0) == -1
-        assert c.x_local.coefficient(1) == 0
-        assert c.x_local.coefficient(2) == F(-1, 2)
-        assert c.x_local.coefficient(3) == F(1, 3)
-        assert c.x_local.coefficient(4) == F(-1, 4)
-
-    def test_y_local_exact(self):
-        c = make_lambert_curve(10)
-        assert c.y_local == Series(0, [1, 1], None)
+        x = lambert_x(10)
+        assert x.coefficient(0) == -1
+        assert x.coefficient(1) == 0
+        assert x.coefficient(2) == F(-1, 2)
+        assert x.coefficient(3) == F(1, 3)
+        assert x.coefficient(4) == F(-1, 4)
 
     def test_minimum_order(self):
-        with pytest.raises(ValueError):
-            make_lambert_curve(7)
+        with pytest.raises(ValueError, match="at least 8"):
+            LambertEngine(order=7).sigma
 
     def test_omega_leading_order(self):
         # (y - y o sigma) * x' = (zeta - sigma) * x' = -2 zeta^2 + ...
-        c = make_lambert_curve(10)
-        assert c.omega_local.min_exponent == 2
-        assert c.omega_local.coefficient(2) == -2
+        sigma = LambertEngine(order=10).sigma
+        omega = (Series.identity(10) - sigma) * lambert_x(10).derivative()
+        assert omega.min_exponent == 2
+        assert omega.coefficient(2) == -2
 
 
 def newton_deck_involution(x_local, order):
     """Naive reference for sigma: Newton iteration on x(sigma) = x, doubling
     the known order each step from sigma = -zeta + O(zeta^2)."""
-    p = x_local - Series.constant(x_local.coefficient(0))
+    p = x_local - x_local.coefficient(0)
     dp = p.derivative()
     sigma = Series(1, [-1], 2)
     while sigma.trunc_order < order:
@@ -68,27 +64,28 @@ def newton_deck_involution(x_local, order):
 
 class TestDeckInvolution:
     def test_lambert_leading_terms(self):
-        c = make_lambert_curve(10)
-        assert c.sigma.coefficient(1) == -1
-        assert c.sigma.coefficient(2) == F(2, 3)
-        assert c.sigma.coefficient(3) == F(-4, 9)
-        assert c.sigma.coefficient(4) == F(44, 135)
+        sigma = LambertEngine(order=10).sigma
+        assert sigma.coefficient(1) == -1
+        assert sigma.coefficient(2) == F(2, 3)
+        assert sigma.coefficient(3) == F(-4, 9)
+        assert sigma.coefficient(4) == F(44, 135)
 
     def test_pure_quadratic(self):
-        x = Series(0, [-1, 0, F(-1, 2)], None)
+        x = Series(0, [-1, 0, F(-1, 2)], 11)
         sigma = deck_involution(x, 10)
-        assert sigma.agrees_with(Series.monomial(-1, 1))
+        assert sigma == Series.monomial(-1, 1, 10)
 
     def test_involution_property(self):
-        c = make_lambert_curve(12)
-        assert c.sigma.compose(c.sigma).agrees_with(Series.identity(12))
+        sigma = LambertEngine(order=12).sigma
+        assert sigma.compose(sigma).agrees_with(Series.identity(12))
 
     def test_fixes_x(self):
-        c = make_lambert_curve(12)
-        assert c.x_local.compose(c.sigma).agrees_with(c.x_local)
+        sigma = LambertEngine(order=12).sigma
+        x = lambert_x(12)
+        assert x.compose(sigma).agrees_with(x)
 
     def test_rejects_non_simple(self):
-        x = Series(0, [-1, 0, 0, 1], None)  # cubic branch point
+        x = Series(0, [-1, 0, 0, 1], 11)  # cubic branch point
         with pytest.raises(ValueError):
             deck_involution(x, 10)
 
@@ -99,7 +96,7 @@ class TestDeckInvolution:
         assert deck_involution(x, order) == newton_deck_involution(x, order)
 
     def test_matches_newton_reference_off_lambert(self):
-        x = Series(0, [-1, 0, -3, 5, 7], None)
+        x = Series(0, [-1, 0, -3, 5, 7], 17)
         assert deck_involution(x, 16) == newton_deck_involution(x, 16)
 
     def test_odd_coordinate_squares_to_x(self):
@@ -132,15 +129,9 @@ class TestKernel:
         assert min(s.min_exponent for s in engine.kernel.values()) == -1
 
     def test_denominator_order_guard(self):
-        c = make_lambert_curve(10)
-
-        class Stub:
-            omega_local = c.omega_local.shift(1)
-            order = 10
-            sigma = c.sigma
-
-        with pytest.raises(ValueError):
-            recursion_kernel(Stub)
+        # sigma = zeta + zeta^2 makes (zeta - sigma) x' vanish to third order
+        with pytest.raises(ValueError, match="second order"):
+            recursion_kernel(lambert_x(10), Series(1, [1, 1], 10))
 
 
 class TestStability:
@@ -289,11 +280,11 @@ class TestStructuralInvariants:
         form = engine.w(g, k)
         rests = {key[1:] for key in ordered_terms(form)}
         for rest in rests:
-            total = Series.zero()
+            total = Series.zero(engine.order)
             for a in range(1, form.max_pole_order + 1):
                 c = form.coefficient((a,) + rest)
                 if c:
-                    direct = Series.monomial(c, -a)
+                    direct = Series.monomial(c, -a, engine.order)
                     other_sheet = engine.ebar(a).scale(c)
                     total = total + direct + other_sheet
             assert total.is_zero or total.min_exponent >= 1, (g, k, rest)
@@ -430,3 +421,22 @@ class TestFingerprint:
         # strings; a change of the fingerprint recipe would orphan them
         for order in (8, 20):
             assert LambertEngine(order=order).fingerprint() == "daf91dc4013b9690"
+
+
+def test_form_bytes_pinned():
+    """sha256 of canonical_json() for five forms from one order-28 engine:
+    a change to the series, kernel or sweep code that moves one coefficient
+    of the recursion's output, or the JSON layout, fails here."""
+    import hashlib
+
+    engine = LambertEngine(order=28)
+    pinned = {
+        (0, 6): "b820a4c8da357b2c202f7975336389d9f635910d5a2aabaf5c2055c9b1d8c87c",
+        (1, 5): "327ce0c6161750c66a9089f960f0a533a63119b47b4665b853a52ab6d035c864",
+        (2, 3): "56900d52722ceccbb8a70c877cb43aa0620bb86ad523de8068eebafd71bf0677",
+        (3, 2): "2b50b7b58b6562f228ee152a6c3bba3621a4ccedaa10cb1b17752379e25c80b9",
+        (4, 1): "0420959c271cb007d9caa8a5bf53e93c27d42b460f219d87923e5cb7b8499643",
+    }
+    for (g, k), digest in pinned.items():
+        form = engine.w(g, k).canonical_json().encode()
+        assert hashlib.sha256(form).hexdigest() == digest, (g, k)
