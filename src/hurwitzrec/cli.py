@@ -11,7 +11,8 @@ Exit codes (64 to 74 as in sysexits.h):
   suite other than ``bm``;
 - 65 request out of range, including a request above a size bound;
 - 70 internal inconsistency: an exact self-check of the recursion failed
-  (for instance a form that is not symmetric in its slots);
+  (for instance a form that is not symmetric in its slots), or a residue
+  that the truncation order the CLI chose cannot resolve;
 - 74 an I/O error: stdout was closed before all output was written (a
   broken pipe, as in ``hurwitzrec table ... | head -1``), or the cache file
   could not be written;
@@ -35,6 +36,7 @@ from .extract import table_rows, verify_bm
 from .partitions import HurwitzOracle
 from .poleform import format_rational
 from .selfcheck import run_series_checks
+from .series import TruncationError
 from .toprec import LambertEngine, check_stable, required_order
 
 EX_OK = 0
@@ -253,12 +255,14 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except (ArithmeticError, TruncationError) as exc:
+        # every truncation order is chosen here, so one too low is a fault;
+        # TruncationError is a ValueError and must be caught first
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_RANGE
-    except ArithmeticError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EX_SOFTWARE
     except BrokenPipeError:
         # The reader is gone; point stdout at devnull so that the flush at
         # interpreter exit does not raise again.

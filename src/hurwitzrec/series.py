@@ -41,7 +41,10 @@ class Series:
             raise TypeError("trunc_order must be an int")
         # zero padding up to trunc_order: len(coefficients) sizes the results
         # of invert_unit and sqrt_unit
-        coeffs = [Fraction(c) for c in coefficients][: max(0, trunc_order - min_exponent)]
+        coeffs = [
+            c if isinstance(c, Fraction) else Fraction(c)
+            for c in coefficients[: max(0, trunc_order - min_exponent)]
+        ]
         coeffs.extend([_ZERO] * (trunc_order - min_exponent - len(coeffs)))
         # strip leading zeros: exponents below the first nonzero term are known zero
         lead = 0

@@ -5,7 +5,9 @@ Everything is expanded in the local coordinate zeta = z - 1 at the unique
 branch point z* = 1, as truncated Laurent series known below the engine
 order; y = 1 + zeta enters only through zeta - sigma(zeta).  Correlation
 forms are finite PoleForms; the residue in the recursion becomes
-coefficient extraction on those series.
+coefficient extraction on those series.  The recursion kernel is never
+built: every residue is two coefficients of the one family
+e(b) = sigma' sigma^(-b) / (2 omega) (see `LambertEngine.e`).
 
 Near the branch point x = x0 + c2*xi^2 in an odd coordinate xi(zeta) (for
 the Lambert curve x = -1 - xi^2/2, the coordinate `bridge` reads the times
@@ -59,24 +61,11 @@ def _cleared(s: Series):
     return den, s.min_exponent, s.trunc_order, nums
 
 
-def _residue_num(f, g):
-    """Res(f*g) for f and g given as (min_exponent, trunc_order, integer
-    coefficients): an integer over the product of their denominators.
-
-    Raises TruncationError when the truncation orders do not determine it.
-    """
-    (fm, ft, fc), (gm, gt, gc) = f, g
-    if -1 - ft >= gm or -1 - gt >= fm:
-        raise TruncationError("truncation orders do not determine the residue")
-    s = -1 - fm - gm
-    return sum(fc[i] * gc[s - i] for i in range(max(0, s + 1 - len(gc)), min(len(fc), s + 1)))
-
-
 def lambert_x(trunc_order: int) -> Series:
-    """x = -1 - zeta + log(1 + zeta), the Lambert x(z) = -z + ln z at z = 1 +
-    zeta, known below ``trunc_order``."""
-    zeta = Series.identity(trunc_order)
-    return zeta.log1p() - 1 - zeta
+    """x = -1 - zeta + log(1 + zeta) = -1 + sum_{n>=2} (-1)^(n+1) zeta^n / n,
+    the Lambert x(z) = -z + ln z at z = 1 + zeta, known below ``trunc_order``."""
+    tail = [Fraction((-1) ** (n + 1), n) for n in range(2, trunc_order)]
+    return Series(0, [-1, 0] + tail, trunc_order)
 
 
 def odd_coordinate(x_local: Series, order: int) -> Series:
@@ -110,34 +99,6 @@ def deck_involution(x_local: Series, order: int) -> Series:
     return sigma
 
 
-def recursion_kernel(x_local: Series, sigma: Series) -> dict:
-    """The recursion kernel as ``{p: Series}``: the Laurent series in zeta
-    multiplying dz1/(z1-z*)^p, for p = 2 .. max(2, order - 5), where
-    ``order`` is the one the deck involution ``sigma`` is known to and
-    ``x_local`` is known at least that far.
-
-    The kernel is the integral of the Bergman kernel B(z1, .) from sigma to
-    zeta over 2 omega, with omega = (y(z) - y(sigma(z))) x'(z), here
-    (zeta - sigma) x'(zeta) since y = 1 + zeta; omega is inverted once.
-    Integrating B = sum_m (m+1) zeta^m dz1/(z1-z*)^(m+2) between sigma and
-    zeta gives zeta^(m+1) - sigma^(m+1) against the pole order p = m + 2, so
-    piece p is (zeta^(p-1) - sigma^(p-1)) / (2 omega).
-    """
-    order = sigma.trunc_order
-    omega = (Series.identity(order) - sigma) * x_local.truncate(order).derivative()
-    if omega.min_exponent != 2:
-        raise ValueError(
-            "kernel denominator must vanish to second order at a simple branch point"
-        )
-    invden = omega.invert_unit()
-    pieces = {}
-    sigma_pow = Series.constant(1, order)
-    for p in range(2, max(2, order - 5) + 1):
-        sigma_pow = (sigma_pow * sigma).truncate(order)
-        pieces[p] = ((Series.monomial(1, p - 1, order) - sigma_pow) * invden).scale(_HALF)
-    return pieces
-
-
 class LambertEngine:
     """Memoized computation of the correlation forms of the Lambert curve.
 
@@ -145,14 +106,14 @@ class LambertEngine:
     whose required order exceeds it is rejected unless the memo (or a cache
     preloaded into it) already holds the form.  Recomputing a form at a
     higher order reproduces identical coefficients (tested as
-    order-robustness).  Sigma, the kernel and their integer pieces are built
-    on first use, so a run that finds every form in the memo builds none.
+    order-robustness).  Sigma and the series ``e(b)`` are built on first
+    use, so a run that finds every form in the memo builds none.
     """
 
     def __init__(self, order: int = 26):
         self.order = order
-        self._ebar = {}
-        self._ebar_int = {}
+        self._e = {}
+        self._e_int = {}
         self._rows = {}
         self._memo = {}
         # (g, k) -> the preloaded keys whose forms fed it, directly or not
@@ -160,44 +121,23 @@ class LambertEngine:
         self._cache_source = None
 
     @cached_property
-    def _x(self) -> Series:
-        # one order beyond the engine's, as deck_involution needs
-        return lambert_x(self.order + 1)
-
-    @cached_property
     def sigma(self) -> Series:
         """The deck involution at z* = 1, known below the engine order."""
         if self.order < 8:
             raise ValueError("order must be at least 8")
-        return deck_involution(self._x, self.order)
-
-    @cached_property
-    def kernel(self) -> dict:
-        return recursion_kernel(self._x, self.sigma)
-
-    @cached_property
-    def _sigma_prime(self) -> Series:
-        return self.sigma.derivative()
+        # x one order beyond the engine's, as deck_involution needs
+        return deck_involution(lambert_x(self.order + 1), self.order)
 
     @cached_property
     def _sigma_inv(self) -> Series:
         return self.sigma.invert_unit()
 
     @cached_property
-    def _pieces_int(self):
-        """(den, {p: (min_exponent, trunc_order, nums)}): the kernel pieces
-        as integer coefficients over one shared denominator."""
-        cleared = {p: _cleared(piece) for p, piece in self.kernel.items()}
-        den = lcm(*(c[0] for c in cleared.values()))
-        return den, {
-            p: (m, t, [v * (den // d) for v in nums]) for p, (d, m, t, nums) in cleared.items()
-        }
-
-    @cached_property
     def _bergman_terms(self):
         # B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2), each
-        # zeta^m as the branch pole order -m, for m below max(kernel) - 1
-        return 1, {(m + 2,): {-m: m + 1} for m in range(max(self.kernel) - 1)}
+        # zeta^m as the branch pole order -m, up to the top pole order
+        # order - 5 of the kernel
+        return 1, {(m + 2,): {-m: m + 1} for m in range(self.order - 6)}
 
     # -- curve fingerprint (for caches) -------------------------------------
 
@@ -218,66 +158,84 @@ class LambertEngine:
 
     # -- branch-point evaluation data ----------------------------------------
 
-    def ebar(self, b: int) -> Series:
-        """sigma'(zeta) * sigma(zeta)**(-b): one variable of a form placed on
-        the other sheet, as a Laurent series in zeta (b may be negative)."""
-        out = self._ebar.get(b)
+    def e(self, b: int) -> Series:
+        """e(b) = sigma' sigma^(-b) / (2 omega), as a Laurent series in zeta
+        (b may be negative), with omega = (zeta - sigma) x'.
+
+        The recursion kernel at pole order p = 2 .. order - 5 is
+        K_p = (zeta^(p-1) - sigma^(p-1)) / (2 omega): integrating the Bergman
+        kernel B = sum_m (m+1) zeta^m dz1/(z1-z*)^(m+2) from sigma to zeta
+        gives zeta^(m+1) - sigma^(m+1) against p = m + 2, over 2 omega with
+        omega = (y(z) - y(sigma z)) x'(z), here (zeta - sigma) x'(zeta) since
+        y = 1 + zeta.  The involution fixes x, so pulling back by sigma
+        flips the sign of omega dzeta; pulling the sigma^(p-1) half of a
+        residue back turns it into a zeta^(p-1) one, and every residue the
+        recursion takes is two coefficients of this family (see `rows` and
+        `_sweep_two_sided`).
+        """
+        out = self._e.get(b)
         if out is None:
             if b == 0:
-                out = self._sigma_prime
+                order = self.order
+                omega = (Series.identity(order) - self.sigma) * lambert_x(order).derivative()
+                if omega.min_exponent != 2:
+                    raise ValueError(
+                        "kernel denominator must vanish to second order at a simple branch point"
+                    )
+                out = (self.sigma.derivative() * omega.invert_unit()).scale(_HALF)
             elif b > 0:
-                out = (self.ebar(b - 1) * self._sigma_inv).truncate(self.order)
+                out = (self.e(b - 1) * self._sigma_inv).truncate(self.order)
             else:
-                out = (self.ebar(b + 1) * self.sigma).truncate(self.order)
-            self._ebar[b] = out
+                out = (self.e(b + 1) * self.sigma).truncate(self.order)
+            self._e[b] = out
         return out
 
-    def two_sided_bergman(self) -> Series:
-        """B(z(zeta), z(sigma(zeta))) pulled back to zeta, double pole kept."""
-        d = Series.identity(self.order) - self.sigma
-        return (self._sigma_prime * (d * d).invert_unit()).truncate(self.order)
-
-    def _ebar_cleared(self, b: int):
-        """ebar(b) as (den, min_exponent, trunc_order, integer numerators)."""
-        out = self._ebar_int.get(b)
+    def _e_cleared(self, b: int):
+        """e(b) as (den, min_exponent, trunc_order, integer numerators)."""
+        out = self._e_int.get(b)
         if out is None:
-            out = self._ebar_int[b] = _cleared(self.ebar(b))
+            out = self._e_int[b] = _cleared(self.e(b))
         return out
 
     def rows(self, a: int, b: int):
-        """Nonzero kernel residues against zeta**(-a) * ebar(b).
+        """Nonzero kernel residues against zeta^(-a) sigma' sigma^(-b), the
+        pole data (a, b) of two variables, one placed on the other sheet.
 
-        Returns ``()`` or ``(den, p0, nums)``: Res[K_p * zeta^(-a) * ebar(b)]
-        is ``nums[p - p0] / den`` for p in ``p0 .. p0 + len(nums) - 1`` and 0
-        otherwise.  Raises TruncationError when the engine order cannot
-        determine a residue.
+        Returns ``()`` or ``(den, p0, nums)``: Res[K_p zeta^(-a) sigma'
+        sigma^(-b)] is ``nums[p - p0] / den`` for p in ``p0 .. p0 + len(nums)
+        - 1`` and 0 otherwise.  Raises TruncationError when the engine order
+        cannot determine a residue.
+
+        The zeta^(p-1) half of K_p gives e(b)[a - p], where f[n] is the
+        coefficient of zeta^n; the sigma^(p-1) half, pulled back by sigma,
+        gives e(a)[b - p].  So the row is e(b)[a - p] + e(a)[b - p], and
+        rows(a, b) == rows(b, a) is an identity.
         """
         key = (a, b)
         row = self._rows.get(key)
         if row is None:
-            e_den, e_min, e_trunc, e_nums = self._ebar_cleared(b)
-            if e_min - a > 0:
-                row = ()
+            den_a, min_a, trunc_a, nums_a = self._e_cleared(a)
+            den_b, min_b, trunc_b, nums_b = self._e_cleared(b)
+            # p = 2 reads the highest coefficient of each
+            if a - 2 >= trunc_b or b - 2 >= trunc_a:
+                raise TruncationError(
+                    f"engine order {self.order} cannot resolve the residue "
+                    f"for pole data (a={a}, b={b})"
+                )
+            den = lcm(den_a, den_b)
+            scale_a, scale_b = den // den_a, den // den_b
+            vals = [
+                (nums_b[a - p - min_b] * scale_b if a - p >= min_b else 0)
+                + (nums_a[b - p - min_a] * scale_a if b - p >= min_a else 0)
+                for p in range(2, self.order - 4)
+            ]
+            nonzero = [i for i, v in enumerate(vals) if v]
+            if nonzero:
+                i0, i1 = nonzero[0], nonzero[-1]
+                g = gcd(den, *vals)
+                row = (den // g, i0 + 2, tuple(v // g for v in vals[i0 : i1 + 1]))
             else:
-                s = (e_min - a, e_trunc - a, e_nums)
-                pieces_den, pieces = self._pieces_int
-                vals = {}
-                for p, piece in pieces.items():
-                    try:
-                        vals[p] = _residue_num(piece, s)
-                    except TruncationError as exc:
-                        raise TruncationError(
-                            f"engine order {self.order} cannot resolve the residue "
-                            f"for pole data (a={a}, b={b}, p={p}); raise the order"
-                        ) from exc
-                nonzero = [p for p, v in vals.items() if v]
-                if nonzero:
-                    p0, p1 = min(nonzero), max(nonzero)
-                    den = pieces_den * e_den
-                    g = gcd(den, *vals.values())
-                    row = (den // g, p0, tuple(vals[p] // g for p in range(p0, p1 + 1)))
-                else:
-                    row = ()
+                row = ()
             self._rows[key] = row
         return row
 
@@ -290,8 +248,8 @@ class LambertEngine:
         rejected: (0,1) is -y dx and (0,2) is the Bergman kernel.
 
         The split products are summed over unordered splits: the term for
-        ``(h, J), (g-h, J')`` equals the swapped one, because the kernel is
-        invariant under the deck involution (``rows(a, b) == rows(b, a)``)
+        ``(h, J), (g-h, J')`` equals the swapped one, because
+        ``rows(a, b) == rows(b, a)`` (a row is ``e(b)[a-p] + e(a)[b-p]``)
         and ``C(n, k) == C(n, n-k)`` in the rest counts.  So each split with
         ``(h, |J|) < (g-h, |J'|)`` is swept once with weight 2, and a split
         equal to its swap once with weight 1.
@@ -338,10 +296,14 @@ class LambertEngine:
         return self.w(h, m).decompositions()
 
     def _sweep_two_sided(self, out):
-        t_den, *ts = _cleared(self.two_sided_bergman())
-        pieces_den, pieces = self._pieces_int
-        sums = {p: _residue_num(piece, ts) for p, piece in pieces.items()}
-        _kernels.add_sweep(out, {(): sums}, pieces_den * t_den)
+        # The Bergman kernel with one variable on each sheet, sigma' / (zeta -
+        # sigma)^2, gives Res[K_p sigma' / (zeta - sigma)^2] = 2 G[-p] with
+        # G = e(0) / (zeta - sigma)^2, its sigma^(p-1) half pulled back by
+        # sigma as in `rows`.
+        d = Series.identity(self.order) - self.sigma
+        den, m, _, nums = _cleared(self.e(0) * (d * d).invert_unit())
+        sums = {p: 2 * nums[-p - m] for p in range(2, self.order - 4) if -p >= m}
+        _kernels.add_sweep(out, {(): sums}, den)
 
     def _sweep_term1(self, out, prev: PoleForm):
         den_c, groups = prev.decompositions()

@@ -255,7 +255,7 @@ class TestCache:
         warm = LambertEngine(order=required_order(1, 2))
         attach_cache(warm, path)
         assert warm.w(1, 2) == form
-        assert "sigma" not in warm.__dict__ and "kernel" not in warm.__dict__
+        assert "sigma" not in warm.__dict__ and not warm._e
 
     @pytest.mark.parametrize(
         "field, value",
@@ -393,6 +393,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == 130
         assert (out, err) == ("", "interrupted\n")
+
+    def test_truncation_error_exit_70(self, monkeypatch, capsys):
+        # the CLI chooses every truncation order itself, so a residue that
+        # order cannot resolve is an internal fault, not a request out of range
+        from hurwitzrec import cli
+        from hurwitzrec.series import TruncationError
+
+        def unresolved(self, g, k):
+            raise TruncationError("engine order 11 cannot resolve the residue")
+
+        monkeypatch.delenv("HURWITZREC_CACHE", raising=False)
+        monkeypatch.setattr(cli.LambertEngine, "w", unresolved)
+        code = cli.main(["wkg", "2", "2"])
+        out, err = capsys.readouterr()
+        assert code == 70
+        assert (out, err) == ("", "internal error: engine order 11 cannot resolve the residue\n")
 
     def test_internal_inconsistency_exit_70(self, tmp_path):
         # W(1,2) is assembled from W(1,1); with one coefficient of the cached

@@ -217,9 +217,10 @@ class TestVerifyBM:
         assert "all equal" in report.to_text()
 
     def test_corrupted_sign_fails_at_smallest_stable_case(self):
-        # the opposite kernel sign, set before the engine first uses it
+        # the opposite kernel sign, set before the engine first uses it:
+        # negating e(0) negates every e(b), residue row and two-sided term
         bad = LambertEngine(order=required_order(1, 3))
-        bad.kernel = {p: -piece for p, piece in bad.kernel.items()}
+        bad._e[0] = -bad.e(0)
         report = verify_bm(1, 3, engine=bad)
         assert not report.ok
         first = report.records[0]
