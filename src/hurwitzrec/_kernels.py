@@ -2,13 +2,12 @@
 
 Each kernel clears the denominators of its inputs once and works on plain
 ``int``s, so no intermediate result is ever a `Fraction`: `conv` and
-`unit_inverse` divide once at the end, and the residue sweeps add into one
-running sum ``[den, {(p, rest): num}]`` per form, both through `contract`
-and `accumulate` on decompositions grouped by rest.  Results are exact.
+`unit_inverse` divide once at the end, and the residue sweeps read each
+residue as two entries of one integer table (`contract`) and add into one
+running sum ``[den, {(p, rest): num}]`` per form.  Results are exact.
 """
 
 from fractions import Fraction
-from itertools import product
 from math import comb, lcm
 
 
@@ -83,31 +82,27 @@ def count_ways(u, sub):
     return ways
 
 
-def row_table(rows, pairs):
-    """The nonempty residue rows for ``pairs`` of pole data, over one
-    denominator: ``(den, {(a, b): (p0, nums)})``.
-
-    ``rows(a, b)`` returns ``()`` or ``(den, p0, nums)``, the residue for
-    the first-slot pole order p being ``nums[p - p0] / den``.
-    """
-    found = {key: row for key in pairs if (row := rows(*key))}
-    den = lcm(*(row[0] for row in found.values()))
-    table = {
-        key: (p0, [v * (den // d) for v in nums]) for key, (d, p0, nums) in found.items()
-    }
-    return den, table
-
-
-def contract(group, b, table):
-    """``sum_a group[a] * row(a, b)`` as ``{p: num}`` over a `row_table`;
-    ``group`` is one ``{a: num}`` of a decomposition."""
+def contract(group, b, u, order):
+    """``sum_a group[a] * row(a, b)`` as ``{p: num}`` for one ``{a: num}``
+    of a decomposition, read from an engine's residue table ``u`` at
+    ``order``: row(a, b)[p] = u[a][n] + u[b][n] at n = a + b + 2 - p, for
+    p = 2 .. min(a + b + 2, order - 5).  The table knows n < order - 2, so
+    a + b > order - 3 raises TruncationError."""
+    ub = u[b]
     sums = {}
     for a, num in group.items():
-        row = table.get((a, b))
-        if row is not None:
-            p0, nums = row
-            for p, v in enumerate(nums, p0):
-                sums[p] = sums.get(p, 0) + num * v
+        top = a + b
+        if top > order - 3:
+            from .series import TruncationError
+
+            raise TruncationError(
+                f"engine order {order} cannot resolve the residue "
+                f"for pole data (a={a}, b={b})"
+            )
+        ua = u[a]
+        for n in range(max(0, top + 7 - order), top + 1):
+            p = top + 2 - n
+            sums[p] = sums.get(p, 0) + num * (ua[n] + ub[n])
     return sums
 
 
@@ -138,7 +133,7 @@ def add_sweep(out, acc, den):
                 sums[p, u] = sums.get((p, u), 0) + v * scale
 
 
-def pair_sweep(out, terms_a, terms_b, rows, weight=1):
+def pair_sweep(out, terms_a, terms_b, table, order, weight=1):
     """Accumulate ``weight`` times the residue-table contributions of all
     (A-term, B-term) pairs.
 
@@ -146,23 +141,23 @@ def pair_sweep(out, terms_a, terms_b, rows, weight=1):
     integer weights over one denominator, with ``a`` the pole order evaluated
     at the branch (negative ``a`` encodes a Bergman power ``z**(-a)``) and
     ``rest`` the weakly-decreasing tuple of pole orders left on symbolic
-    variables.  ``rows`` is as in `row_table`.  The A side is contracted once
-    per ``(ra, b)``, and rests are merged and counted once per ``(ra, rb)``.
-    ``out`` is a running sum as in `add_sweep`, keyed by the first-slot order
-    p and the merged rest-tuple.  ``weight`` is 2 when this one sweep stands
-    for both orientations of a split: with symmetric rows, ``rows(a, b) ==
-    rows(b, a)``, swapping the A and B sides adds identical integers.
+    variables.  ``table`` is an engine's ``(den, u)`` at ``order``, read by
+    `contract`.  The A side is contracted once per ``(ra, b)``, and rests
+    are merged and counted once per ``(ra, rb)``.  ``out`` is a running sum
+    as in `add_sweep`, keyed by the first-slot order p and the merged
+    rest-tuple.  ``weight`` is 2 when this one sweep stands for both
+    orientations of a split: a row ``u[a][n] + u[b][n]`` is symmetric in a
+    and b, so swapping the A and B sides adds identical integers.
     """
     (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
+    den_u, u = table
     orders_b = {b for group in groups_b.values() for b in group}
-    pairs = product({a for group in groups_a.values() for a in group}, orders_b)
-    den_r, table = row_table(rows, pairs)
     acc = {}
     for ra, group_a in groups_a.items():
-        contracted = {b: contract(group_a, b, table) for b in orders_b}
+        contracted = {b: contract(group_a, b, u, order) for b in orders_b}
         for rb, group_b in groups_b.items():
-            u = tuple(sorted(ra + rb, reverse=True))
-            n = weight * count_ways(u, ra)
+            merged = tuple(sorted(ra + rb, reverse=True))
+            n = weight * count_ways(merged, ra)
             for b, bn in group_b.items():
-                accumulate(acc, u, contracted[b], n * bn)
-    add_sweep(out, acc, den_a * den_b * den_r)
+                accumulate(acc, merged, contracted[b], n * bn)
+    add_sweep(out, acc, den_a * den_b * den_u)

@@ -28,7 +28,7 @@ def load_cache(path, fingerprint):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, RecursionError, ValueError):
         return {}
     if not isinstance(doc, dict):
         return {}

@@ -22,6 +22,8 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ValueError(f"a rational is written as a string, not {s!r}")
     num, _, den = s.partition("/")
     return Fraction(int(num), int(den) if den else 1)
 

@@ -6,8 +6,9 @@ branch point z* = 1, as truncated Laurent series known below the engine
 order; y = 1 + zeta enters only through zeta - sigma(zeta).  Correlation
 forms are finite PoleForms; the residue in the recursion becomes
 coefficient extraction on those series.  The recursion kernel is never
-built: every residue is two coefficients of the one family
-e(b) = sigma' sigma^(-b) / (2 omega) (see `LambertEngine.e`).
+built: every residue is a sum of two entries of one integer table, the
+series u(b) = zeta^(b+2) e(b) with e(b) = sigma' sigma^(-b) / (2 omega)
+(see `LambertEngine.u_table`).
 
 Near the branch point x = x0 + c2*xi^2 in an odd coordinate xi(zeta) (for
 the Lambert curve x = -1 - xi^2/2, the coordinate `bridge` reads the times
@@ -20,11 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
 
 from . import _kernels
 from .poleform import PoleForm, splits
-from .series import Series, TruncationError
+from .series import Series
 
 _HALF = Fraction(1, 2)
 
@@ -53,12 +53,6 @@ def check_stable(g: int, k: int) -> None:
     if (g, k) == (0, 1):
         raise ValueError("(0, 1) is the curve datum -y dx, not a recursion output")
     raise ValueError(f"(g={g}, k={k}) is outside the stable range 2g-2+k > 0")
-
-
-def _cleared(s: Series):
-    """(den, min_exponent, trunc_order, integer numerators) of a series."""
-    den, nums = _kernels.clear_denominators(s.coefficients)
-    return den, s.min_exponent, s.trunc_order, nums
 
 
 def lambert_x(trunc_order: int) -> Series:
@@ -106,15 +100,12 @@ class LambertEngine:
     whose required order exceeds it is rejected unless the memo (or a cache
     preloaded into it) already holds the form.  Recomputing a form at a
     higher order reproduces identical coefficients (tested as
-    order-robustness).  Sigma and the series ``e(b)`` are built on first
-    use, so a run that finds every form in the memo builds none.
+    order-robustness).  Sigma and the residue table are built on first use,
+    so a run that finds every form in the memo builds neither.
     """
 
     def __init__(self, order: int = 26):
         self.order = order
-        self._e = {}
-        self._e_int = {}
-        self._rows = {}
         self._memo = {}
         # (g, k) -> the preloaded keys whose forms fed it, directly or not
         self._fed_by_cache = {}
@@ -127,10 +118,6 @@ class LambertEngine:
             raise ValueError("order must be at least 8")
         # x one order beyond the engine's, as deck_involution needs
         return deck_involution(lambert_x(self.order + 1), self.order)
-
-    @cached_property
-    def _sigma_inv(self) -> Series:
-        return self.sigma.invert_unit()
 
     @cached_property
     def _bergman_terms(self):
@@ -158,86 +145,50 @@ class LambertEngine:
 
     # -- branch-point evaluation data ----------------------------------------
 
-    def e(self, b: int) -> Series:
-        """e(b) = sigma' sigma^(-b) / (2 omega), as a Laurent series in zeta
-        (b may be negative), with omega = (zeta - sigma) x'.
+    @cached_property
+    def e0(self) -> Series:
+        """e(0) = sigma' / (2 omega), a Laurent series in zeta with a double
+        pole, where omega = (zeta - sigma) x'."""
+        order = self.order
+        omega = (Series.identity(order) - self.sigma) * lambert_x(order).derivative()
+        if omega.min_exponent != 2:
+            raise ValueError(
+                "kernel denominator must vanish to second order at a simple branch point"
+            )
+        return (self.sigma.derivative() * omega.invert_unit()).scale(_HALF)
 
-        The recursion kernel at pole order p = 2 .. order - 5 is
-        K_p = (zeta^(p-1) - sigma^(p-1)) / (2 omega): integrating the Bergman
-        kernel B = sum_m (m+1) zeta^m dz1/(z1-z*)^(m+2) from sigma to zeta
-        gives zeta^(m+1) - sigma^(m+1) against p = m + 2, over 2 omega with
-        omega = (y(z) - y(sigma z)) x'(z), here (zeta - sigma) x'(zeta) since
-        y = 1 + zeta.  The involution fixes x, so pulling back by sigma
-        flips the sign of omega dzeta; pulling the sigma^(p-1) half of a
-        residue back turns it into a zeta^(p-1) one, and every residue the
-        recursion takes is two coefficients of this family (see `rows` and
-        `_sweep_two_sided`).
+    @cached_property
+    def u_table(self):
+        """The residue table ``(den, {b: nums})``: ``nums[n] / den`` is the
+        coefficient of zeta^n in u(b) = zeta^(b+2) e(b), for n < order - 2
+        and -(order - 7) <= b <= order - 5, with e(b) = sigma' sigma^(-b) /
+        (2 omega).
+
+        The kernel at pole order p is K_p = (zeta^(p-1) - sigma^(p-1)) /
+        (2 omega): the Bergman kernel sum_m (m+1) zeta^m dz1/(z1-z*)^(m+2)
+        integrated from sigma to zeta, p = m + 2, over 2 omega with omega =
+        (y - y o sigma) x' = (zeta - sigma) x'.  As sigma fixes x and flips
+        the sign of omega dzeta, Res[K_p zeta^(-a) sigma' sigma^(-b)] =
+        e(b)[a-p] + e(a)[b-p], f[n] being the coefficient of zeta^n.  Each
+        u(b) = s^(-b) u(0), s = sigma / zeta, is a power series with a
+        nonzero constant term, so both reads are at n = a + b + 2 - p: the
+        row is u(a)[n] + u(b)[n] (see `_kernels.contract`).
         """
-        out = self._e.get(b)
-        if out is None:
-            if b == 0:
-                order = self.order
-                omega = (Series.identity(order) - self.sigma) * lambert_x(order).derivative()
-                if omega.min_exponent != 2:
-                    raise ValueError(
-                        "kernel denominator must vanish to second order at a simple branch point"
-                    )
-                out = (self.sigma.derivative() * omega.invert_unit()).scale(_HALF)
-            elif b > 0:
-                out = (self.e(b - 1) * self._sigma_inv).truncate(self.order)
-            else:
-                out = (self.e(b + 1) * self.sigma).truncate(self.order)
-            self._e[b] = out
-        return out
-
-    def _e_cleared(self, b: int):
-        """e(b) as (den, min_exponent, trunc_order, integer numerators)."""
-        out = self._e_int.get(b)
-        if out is None:
-            out = self._e_int[b] = _cleared(self.e(b))
-        return out
-
-    def rows(self, a: int, b: int):
-        """Nonzero kernel residues against zeta^(-a) sigma' sigma^(-b), the
-        pole data (a, b) of two variables, one placed on the other sheet.
-
-        Returns ``()`` or ``(den, p0, nums)``: Res[K_p zeta^(-a) sigma'
-        sigma^(-b)] is ``nums[p - p0] / den`` for p in ``p0 .. p0 + len(nums)
-        - 1`` and 0 otherwise.  Raises TruncationError when the engine order
-        cannot determine a residue.
-
-        The zeta^(p-1) half of K_p gives e(b)[a - p], where f[n] is the
-        coefficient of zeta^n; the sigma^(p-1) half, pulled back by sigma,
-        gives e(a)[b - p].  So the row is e(b)[a - p] + e(a)[b - p], and
-        rows(a, b) == rows(b, a) is an identity.
-        """
-        key = (a, b)
-        row = self._rows.get(key)
-        if row is None:
-            den_a, min_a, trunc_a, nums_a = self._e_cleared(a)
-            den_b, min_b, trunc_b, nums_b = self._e_cleared(b)
-            # p = 2 reads the highest coefficient of each
-            if a - 2 >= trunc_b or b - 2 >= trunc_a:
-                raise TruncationError(
-                    f"engine order {self.order} cannot resolve the residue "
-                    f"for pole data (a={a}, b={b})"
-                )
-            den = lcm(den_a, den_b)
-            scale_a, scale_b = den // den_a, den // den_b
-            vals = [
-                (nums_b[a - p - min_b] * scale_b if a - p >= min_b else 0)
-                + (nums_a[b - p - min_a] * scale_a if b - p >= min_a else 0)
-                for p in range(2, self.order - 4)
-            ]
-            nonzero = [i for i, v in enumerate(vals) if v]
-            if nonzero:
-                i0, i1 = nonzero[0], nonzero[-1]
-                g = gcd(den, *vals)
-                row = (den // g, i0 + 2, tuple(v // g for v in vals[i0 : i1 + 1]))
-            else:
-                row = ()
-            self._rows[key] = row
-        return row
+        order = self.order
+        s = self.sigma.shift(-1)
+        s_inv = s.invert_unit()
+        u = {0: self.e0.shift(2)}
+        for b in range(1, order - 4):
+            u[b] = u[b - 1] * s_inv
+        for b in range(-1, 6 - order, -1):
+            u[b] = u[b + 1] * s
+        if any(f.min_exponent < 0 for f in u.values()):
+            raise ValueError("an e(b) starts below zeta^(-b-2), which the table would drop")
+        known = order - 2
+        den, nums = _kernels.clear_denominators(
+            [f.coefficient(n) for f in u.values() for n in range(known)]
+        )
+        return den, {b: nums[i * known : (i + 1) * known] for i, b in enumerate(u)}
 
     # -- the recursion ---------------------------------------------------------
 
@@ -248,8 +199,8 @@ class LambertEngine:
         rejected: (0,1) is -y dx and (0,2) is the Bergman kernel.
 
         The split products are summed over unordered splits: the term for
-        ``(h, J), (g-h, J')`` equals the swapped one, because
-        ``rows(a, b) == rows(b, a)`` (a row is ``e(b)[a-p] + e(a)[b-p]``)
+        ``(h, J), (g-h, J')`` equals the swapped one, because the residue
+        row of pole data (a, b) is ``u(a)[n] + u(b)[n]`` (see `u_table`)
         and ``C(n, k) == C(n, n-k)`` in the rest counts.  So each split with
         ``(h, |J|) < (g-h, |J'|)`` is swept once with weight 2, and a split
         equal to its swap once with weight 1.
@@ -281,7 +232,7 @@ class LambertEngine:
                 terms_a = self._decomps(h, j_a + 1)
                 terms_b = self._decomps(g - h, j_b + 1)
                 weight = 1 if (h, j_a) == (g - h, j_b) else 2
-                _kernels.pair_sweep(out, terms_a, terms_b, self.rows, weight)
+                _kernels.pair_sweep(out, terms_a, terms_b, self.u_table, self.order, weight)
 
         fed = set().union(*(self._fed_by_cache.get(key, ()) for key in inputs))
         form = self._assemble(g, k, out, fed)
@@ -299,21 +250,22 @@ class LambertEngine:
         # The Bergman kernel with one variable on each sheet, sigma' / (zeta -
         # sigma)^2, gives Res[K_p sigma' / (zeta - sigma)^2] = 2 G[-p] with
         # G = e(0) / (zeta - sigma)^2, its sigma^(p-1) half pulled back by
-        # sigma as in `rows`.
+        # sigma as in `u_table`.
         d = Series.identity(self.order) - self.sigma
-        den, m, _, nums = _cleared(self.e(0) * (d * d).invert_unit())
+        two_sided = self.e0 * (d * d).invert_unit()
+        den, nums = _kernels.clear_denominators(two_sided.coefficients)
+        m = two_sided.min_exponent
         sums = {p: 2 * nums[-p - m] for p in range(2, self.order - 4) if -p >= m}
         _kernels.add_sweep(out, {(): sums}, den)
 
     def _sweep_term1(self, out, prev: PoleForm):
         den_c, groups = prev.decompositions()
-        pairs = {(a, b) for rest, group in groups.items() for a in group for b in rest}
-        den_r, table = _kernels.row_table(self.rows, pairs)
+        den_u, u = self.u_table
         acc = {}
         for rest, group in groups.items():
             for b, left in splits(rest):
-                _kernels.accumulate(acc, left, _kernels.contract(group, b, table), 1)
-        _kernels.add_sweep(out, acc, den_c * den_r)
+                _kernels.accumulate(acc, left, _kernels.contract(group, b, u, self.order), 1)
+        _kernels.add_sweep(out, acc, den_c * den_u)
 
     def _assemble(self, g, k, out, fed) -> PoleForm:
         """Collapse (first-slot pole, rest-multiset) data into a symmetric

@@ -153,6 +153,15 @@ class TestCache:
         r = run_cli("wkg", "0", "3", "--cache", path)
         assert r.returncode == 0
 
+    def test_deeply_nested_file_ignored(self, tmp_path):
+        # json.load raises RecursionError, not ValueError, on this nesting
+        path = tmp_path / "forms.json"
+        path.write_text("[" * 200_000)
+        cold = run_cli("wkg", "1", "1")
+        nested = run_cli("wkg", "1", "1", "--cache", str(path))
+        assert nested.returncode == 0
+        assert nested.stdout == cold.stdout
+
     def test_pre_rewrite_fingerprint_ignored(self, tmp_path):
         from hurwitzrec.cache import CACHE_FORMAT, load_cache
         from hurwitzrec.toprec import LambertEngine
@@ -255,19 +264,20 @@ class TestCache:
         warm = LambertEngine(order=required_order(1, 2))
         attach_cache(warm, path)
         assert warm.w(1, 2) == form
-        assert "sigma" not in warm.__dict__ and not warm._e
+        assert "sigma" not in warm.__dict__ and "u_table" not in warm.__dict__
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("c", "1/0"),  # a zero denominator
+            ("c", 5),  # a coefficient that is a JSON number, not a string
             ("a", [2.0]),  # a pole order that is not an int
             ("a", [True]),  # a bool is not a pole order
             ("a", [1]),  # stable forms have no pole of order 1
             ("a", [5]),  # W(1,1) has no pole above order 6g - 4 + 2k = 4
         ],
-        ids=["zero-denominator", "float-order", "bool-order", "order-one",
-             "order-above-bound"],
+        ids=["zero-denominator", "number-coefficient", "float-order", "bool-order",
+             "order-one", "order-above-bound"],
     )
     def test_malformed_entry_ignored(self, tmp_path, field, value):
         path = str(tmp_path / "forms.json")

@@ -217,10 +217,11 @@ class TestVerifyBM:
         assert "all equal" in report.to_text()
 
     def test_corrupted_sign_fails_at_smallest_stable_case(self):
-        # the opposite kernel sign, set before the engine first uses it:
-        # negating e(0) negates every e(b), residue row and two-sided term
+        # the opposite kernel sign, set before the residue table is built:
+        # negating e(0) negates every u(b), residue row and two-sided term
         bad = LambertEngine(order=required_order(1, 3))
-        bad._e[0] = -bad.e(0)
+        bad.e0 = -bad.e0
+        assert "u_table" not in bad.__dict__
         report = verify_bm(1, 3, engine=bad)
         assert not report.ok
         first = report.records[0]

@@ -45,20 +45,26 @@ def ref_count_ways(u, sub):
     return ways
 
 
-def ref_pair_sweep(out, terms_a, terms_b, rows, weight=1):
+def ref_row(table, order, a, b):
+    """{p: residue} of pole data (a, b) read from a residue table ``(den,
+    u)`` one entry at a time: u[a][n] + u[b][n] at n = a + b + 2 - p."""
+    den, u = table
+    if a + b > order - 3:
+        raise TruncationError(f"pole data (a={a}, b={b}) beyond order {order}")
+    top = a + b + 2
+    return {p: F(u[a][top - p] + u[b][top - p], den) for p in range(2, min(top, order - 5) + 1)}
+
+
+def ref_pair_sweep(out, terms_a, terms_b, table, order, weight=1):
     (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
     for (ra, group_a), (rb, group_b) in product(groups_a.items(), groups_b.items()):
         for (a, an), (b, bn) in product(group_a.items(), group_b.items()):
-            row = rows(a, b)
-            if not row:
-                continue
-            rden, p0, nums = row
             u = tuple(sorted(ra + rb, reverse=True))
             c = F(an, den_a) * F(bn, den_b) * ref_count_ways(u, ra) * weight
             sums = out[1]
-            for p, v in enumerate(nums, p0):
+            for p, v in ref_row(table, order, a, b).items():
                 # the running sum holds numerators over out[0]
-                sums[p, u] = sums.get((p, u), 0) + c * F(v, rden) * out[0]
+                sums[p, u] = sums.get((p, u), 0) + c * v * out[0]
 
 
 def nonzero(out):
@@ -75,7 +81,14 @@ def random_fractions(rng, n, top=9, den_max=12):
     return [F(rng.randint(-top, top), rng.randint(1, den_max)) for _ in range(n)]
 
 
+# pole data drawn from -3 .. 6 keeps a + b <= order - 3 at this order
+SWEEP_ORDER = 15
+
+
 def random_sweep(rng, n_terms, den_max):
+    """Two random decompositions and a random residue table ``(den, u)`` at
+    `SWEEP_ORDER`, some of its entries zero."""
+
     def mk_terms():
         groups = {}
         for _ in range(n_terms):
@@ -86,19 +99,11 @@ def random_sweep(rng, n_terms, den_max):
             groups.setdefault(rest, {})[a] = rng.randint(-5 * den_max, 5 * den_max)
         return rng.randint(1, den_max), groups
 
-    table = {}
+    def entry():
+        return 0 if rng.random() < 0.3 else rng.randint(-7 * den_max, 7 * den_max)
 
-    def rows(a, b):
-        key = (a, b)
-        if key not in table:
-            if rng.random() < 0.3:
-                table[key] = ()
-            else:
-                nums = tuple(rng.randint(-7 * den_max, 7 * den_max) for _ in range(rng.randint(1, 5)))
-                table[key] = (rng.randint(1, den_max), rng.randint(2, 4), nums)
-        return table[key]
-
-    return mk_terms(), mk_terms(), rows
+    u = {b: [entry() for _ in range(SWEEP_ORDER - 2)] for b in range(-3, 7)}
+    return mk_terms(), mk_terms(), (rng.randint(1, den_max), u)
 
 
 class TestAgainstReference:
@@ -130,54 +135,61 @@ class TestAgainstReference:
 
     def test_pair_sweep(self):
         rng = random.Random(5)
-        ta, tb, rows = random_sweep(rng, 30, 7)
+        ta, tb, table = random_sweep(rng, 30, 7)
         fast, ref = [1, {}], [1, {}]
-        _kernels.pair_sweep(fast, ta, tb, rows)
-        ref_pair_sweep(ref, ta, tb, rows)
+        _kernels.pair_sweep(fast, ta, tb, table, SWEEP_ORDER)
+        ref_pair_sweep(ref, ta, tb, table, SWEEP_ORDER)
         assert nonzero(fast) == nonzero(ref)
         fast2, ref2 = [1, {}], [1, {}]
-        _kernels.pair_sweep(fast2, ta, tb, rows, weight=2)
-        ref_pair_sweep(ref2, ta, tb, rows, weight=2)
+        _kernels.pair_sweep(fast2, ta, tb, table, SWEEP_ORDER, weight=2)
+        ref_pair_sweep(ref2, ta, tb, table, SWEEP_ORDER, weight=2)
         assert nonzero(fast2) == nonzero(ref2)
         assert nonzero(fast2) == {key: 2 * v for key, v in nonzero(fast).items()}
 
-    def test_pair_sweep_swap_symmetric_rows(self):
-        """With rows(a, b) == rows(b, a), sweeping (A, B) and (B, A) adds the
-        same integers: the identity that lets the engine sweep each unordered
-        split once with weight 2."""
+    def test_pair_sweep_swap_symmetric_rows(self, monkeypatch):
+        """Rows read from the table are symmetric in (a, b), so sweeping
+        (A, B) and (B, A) adds the same integers: the identity that lets the
+        engine sweep each unordered split once with weight 2."""
         rng = random.Random(6)
-        ta, tb, rows = random_sweep(rng, 30, 7)
-
-        def sym_rows(a, b):
-            return rows(*sorted((a, b)))
-
+        ta, tb, table = random_sweep(rng, 30, 7)
         ab, ba = [1, {}], [1, {}]
-        _kernels.pair_sweep(ab, ta, tb, sym_rows)
-        _kernels.pair_sweep(ba, tb, ta, sym_rows)
+        _kernels.pair_sweep(ab, ta, tb, table, SWEEP_ORDER)
+        _kernels.pair_sweep(ba, tb, ta, table, SWEEP_ORDER)
         assert ab[1] and nonzero(ab) == nonzero(ba)
-        # the unsymmetrised table breaks the identity, so the test can fail
+
+        # a contract weighing the two reads unequally breaks the identity,
+        # so the test can fail
+        contract = _kernels.contract
+
+        def lopsided(group, b, u, order):
+            doubled = {a: [2 * v for v in u[a]] for a in group}
+            return contract(group, b, {**u, **doubled}, order)
+
+        monkeypatch.setattr(_kernels, "contract", lopsided)
         ab, ba = [1, {}], [1, {}]
-        _kernels.pair_sweep(ab, ta, tb, rows)
-        _kernels.pair_sweep(ba, tb, ta, rows)
+        _kernels.pair_sweep(ab, ta, tb, table, SWEEP_ORDER)
+        _kernels.pair_sweep(ba, tb, ta, table, SWEEP_ORDER)
         assert nonzero(ab) != nonzero(ba)
 
     def test_pair_sweep_wide_denominators(self):
         rng = random.Random(4)
-        ta, tb, rows = random_sweep(rng, 30, 10**30)
+        ta, tb, table = random_sweep(rng, 30, 10**30)
         fast, ref = [1, {}], [1, {}]
-        _kernels.pair_sweep(fast, ta, tb, rows)
-        ref_pair_sweep(ref, ta, tb, rows)
+        _kernels.pair_sweep(fast, ta, tb, table, SWEEP_ORDER)
+        ref_pair_sweep(ref, ta, tb, table, SWEEP_ORDER)
         # a second sweep into the same output rescales the numerators there
-        _kernels.pair_sweep(fast, tb, ta, rows)
-        ref_pair_sweep(ref, tb, ta, rows)
+        _kernels.pair_sweep(fast, tb, ta, table, SWEEP_ORDER)
+        ref_pair_sweep(ref, tb, ta, table, SWEEP_ORDER)
         assert nonzero(fast) == nonzero(ref)
 
 
 def test_rows_match_series_residues():
-    """Each residue row equals the residues of the kernel built piece by
-    piece against zeta^(-a) sigma' sigma^(-b), and raises exactly where they
-    do; b < 0 covers the Bergman powers that W(0,3) sweeps."""
+    """Each residue row read from the table equals the residues of the
+    kernel built piece by piece against zeta^(-a) sigma' sigma^(-b), and
+    raises exactly where they do; b < 0 covers the Bergman powers that
+    W(0,3) sweeps."""
     engine = LambertEngine(order=14)
+    den, u = engine.u_table
     kernel = reference_kernel(engine)
     for a in range(-4, 9):
         for b in range(-4, 9):
@@ -191,13 +203,10 @@ def test_rows_match_series_residues():
                             expected[p] = val
             except TruncationError:
                 with pytest.raises(TruncationError):
-                    engine.rows(a, b)
+                    _kernels.contract({a: 1}, b, u, engine.order)
                 continue
-            got = {}
-            row = engine.rows(a, b)
-            if row:
-                den, p0, nums = row
-                got = {p: F(v, den) for p, v in enumerate(nums, p0) if v}
+            row = _kernels.contract({a: 1}, b, u, engine.order)
+            got = {p: F(v, den) for p, v in row.items() if v}
             assert got == expected, (a, b)
 
 

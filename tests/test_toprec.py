@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from hurwitzrec import _kernels
 from hurwitzrec.poleform import PoleForm, splits
 from hurwitzrec.series import Series, TruncationError, residue_of_product
 from hurwitzrec.toprec import (
@@ -164,7 +165,118 @@ class TestKernel:
         eng = LambertEngine(order=10)
         eng.sigma = Series(1, [1, 1], 10)
         with pytest.raises(ValueError, match="second order"):
-            eng.e(0)
+            eng.e0
+
+
+def table_series(engine, b):
+    """u(b) read back from the residue table as a Series."""
+    den, u = engine.u_table
+    return Series(0, [F(v, den) for v in u[b]], engine.order - 2)
+
+
+def table_range(order):
+    return range(-(order - 7), order - 4)
+
+
+class TestResidueTable:
+    @pytest.mark.parametrize("order", [8, 12, 20])
+    def test_u_is_a_power_of_s_times_u0(self, order):
+        """u(b) = zeta^(b+2) e(b), with e(b) = sigma' sigma^(-b) / (2 omega)
+        taken from its definition, equals s^(-b) u(0) for s = sigma / zeta,
+        and has a nonzero constant term."""
+        engine = LambertEngine(order=order)
+        assert sorted(engine.u_table[1]) == list(table_range(order))
+        omega = (Series.identity(order) - engine.sigma) * lambert_x(order).derivative()
+        half_over_omega = omega.invert_unit().scale(F(1, 2))
+        s = engine.sigma.shift(-1)
+        s_inv = s.invert_unit()
+        u0 = table_series(engine, 0)
+        for b in table_range(order):
+            u = table_series(engine, b)
+            e_b = other_sheet(engine, b) * half_over_omega
+            assert u.coefficient(0) != 0, b
+            assert e_b.min_exponent == -b - 2, b
+            assert e_b.shift(b + 2).agrees_with(u), b
+            s_power = Series.constant(1, order - 2)
+            for _ in range(abs(b)):
+                s_power = s_power * (s_inv if b > 0 else s)
+            assert (u0 * s_power).agrees_with(u), b
+
+    def test_rejects_e_starting_below_its_index(self):
+        # a triple pole in e(0) would give u(0) a zeta^(-1) term the table drops
+        engine = LambertEngine(order=10)
+        engine.e0 = engine.e0 + Series.monomial(1, -3, 10)
+        with pytest.raises(ValueError, match="starts below"):
+            engine.u_table
+
+    @pytest.mark.parametrize("order", [8, 12, 20, 28])
+    def test_rows_equal_reference_residues(self, order):
+        """The reversed sum u(a) + u(b) equals the residues of the kernel
+        built piece by piece, for all pole data in the table's range that
+        it resolves."""
+        engine = LambertEngine(order=order)
+        den, u = engine.u_table
+        reference = reference_rows(engine)
+        for a in table_range(order):
+            for b in table_range(order):
+                if a + b <= order - 3:
+                    row = _kernels.contract({a: 1}, b, u, order)
+                    got = [(p, F(v, den)) for p, v in sorted(row.items()) if v]
+                    assert got == reference(a, b), (a, b)
+
+    @pytest.mark.parametrize("order", [8, 12, 20])
+    def test_truncation_boundary(self, order):
+        """A row raises exactly from a + b = order - 2 on, the first pole
+        data whose residue the series reference cannot determine either."""
+        engine = LambertEngine(order=order)
+        _, u = engine.u_table
+        reference = reference_rows(engine)
+        for a in table_range(order):
+            for b in table_range(order):
+                if a + b <= order - 3:
+                    _kernels.contract({a: 1}, b, u, order)
+                    continue
+                with pytest.raises(TruncationError, match=f"a={a}, b={b}"):
+                    _kernels.contract({a: 1}, b, u, order)
+                if a + b == order - 2:
+                    with pytest.raises(TruncationError):
+                        reference(a, b)
+
+    def test_sweeps_stay_inside_the_bound(self, monkeypatch):
+        """For every stable (g, k) with required order at most 30, the
+        largest a + b its sweeps read is required_order(g, k) - 8, below the
+        bound required_order(g, k) - 3 of the table at that order, so the
+        CLI, which runs at the largest order a request needs, never reaches
+        the bound.  Every a and b lies in that table too, bar the Bergman
+        powers -m, which follow the engine's own order."""
+        engine = LambertEngine(order=30)
+        contract, reads = _kernels.contract, []
+
+        def recording(group, b, u, order):
+            # (largest a + b, largest order, smallest order) of this call
+            reads.append((max(group) + b, max(b, *group), min(b, *group)))
+            return contract(group, b, u, order)
+
+        monkeypatch.setattr(_kernels, "contract", recording)
+        cases = sorted(
+            (required_order(g, k), g, k)
+            for g in range(5)
+            for k in range(1, 15)
+            if is_stable(g, k) and required_order(g, k) <= 30
+        )
+        assert len(cases) == 38
+        for need, g, k in cases:
+            # every form a sweep of W(g, k) reads needs a lower order, so it is
+            # in the memo already and the reads recorded are W(g, k)'s own
+            reads.clear()
+            engine.w(g, k)
+            if (g, k) == (1, 1):
+                # its one sweep is the two-sided Bergman term, read from e(0)
+                assert not reads
+                continue
+            tops, highs, lows = zip(*reads)
+            assert max(tops) == need - 8 and max(highs) <= need - 5, (g, k)
+            assert min(lows) >= -(engine.order - 7), (g, k)
 
 
 class TestStability:
@@ -224,21 +336,33 @@ def ordered_decomps(engine, h, m):
     ]
 
 
-def row_values(engine, a, b):
-    """(p, residue) pairs of one row of the engine's residue table."""
-    row = engine.rows(a, b)
-    if not row:
-        return []
-    den, p0, nums = row
-    return [(p, F(v, den)) for p, v in enumerate(nums, p0)]
+def reference_rows(engine):
+    """``row(a, b)``: the nonzero (p, Res[K_p zeta^(-a) sigma' sigma^(-b)])
+    pairs, each residue taken against the kernel built piece by piece;
+    memoized per pole data."""
+    kernel = reference_kernel(engine)
+    sheets, rows = {}, {}
+
+    def row(a, b):
+        if (a, b) not in rows:
+            if b not in sheets:
+                sheets[b] = other_sheet(engine, b)
+            s = sheets[b].shift(-a)
+            rows[a, b] = [
+                (p, v) for p, piece in kernel.items() if (v := residue_of_product(piece, s))
+            ]
+        return rows[a, b]
+
+    return row
 
 
 def w_by_ordered_assembly(engine, g, k):
     """Direct transcription of the residue recursion over ordered tuples and
-    position subsets; independent of the multiset bookkeeping in the engine.
-    The two-sided Bergman term is a residue of the kernel built piece by
-    piece."""
+    position subsets; independent of the multiset bookkeeping and of the
+    residue table in the engine.  Every residue, the two-sided Bergman term
+    included, is taken against the kernel built piece by piece."""
     out = {}
+    row_values = reference_rows(engine)
 
     def acc(p, rest, val):
         key = (p, rest)
@@ -253,7 +377,7 @@ def w_by_ordered_assembly(engine, g, k):
                     acc(p, (), v)
         else:
             for key, c in ordered_terms(engine.w(g - 1, k + 1)).items():
-                for p, v in row_values(engine, key[0], key[1]):
+                for p, v in row_values(key[0], key[1]):
                     acc(p, key[2:], c * v)
 
     positions = range(k - 1)
@@ -267,7 +391,7 @@ def w_by_ordered_assembly(engine, g, k):
                 comp = [i for i in positions if i not in jset]
                 for a, ca, qa in ordered_decomps(engine, h, j_size + 1):
                     for b, cb, qb in ordered_decomps(engine, g - h, k - j_size):
-                        row = row_values(engine, a, b)
+                        row = row_values(a, b)
                         if not row:
                             continue
                         rest = [0] * (k - 1)
@@ -324,18 +448,19 @@ class TestStructuralInvariants:
             assert total.is_zero or total.min_exponent >= 1, (g, k, rest)
 
     def test_residue_rows_sheet_symmetric(self):
-        """rows(a, b) == rows(b, a): the kernel is invariant under the deck
-        involution and a residue under zeta -> sigma(zeta), and a row is
-        e(b)[a-p] + e(a)[b-p].  The engine sweeps each unordered split once
-        on the strength of this identity.
+        """row(a, b) == row(b, a): the kernel is invariant under the deck
+        involution and a residue under zeta -> sigma(zeta), and a row read
+        from the table is u(a)[n] + u(b)[n].  The engine sweeps each
+        unordered split once on the strength of this identity.
         Checked on a fixed grid of pole data at order 34, independent of
         which rows the recursion asks for: a pair is resolvable exactly when
         its swap is, and then the two rows are equal."""
         eng = LambertEngine(order=34)
+        _, u = eng.u_table
 
         def row(a, b):
             try:
-                return eng.rows(a, b)
+                return _kernels.contract({a: 1}, b, u, eng.order)
             except TruncationError:
                 return None
 
