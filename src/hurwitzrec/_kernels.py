@@ -3,12 +3,16 @@
 Each kernel clears the denominators of its inputs once and works on plain
 ``int``s, so no intermediate result is ever a `Fraction`: `conv` and
 `unit_inverse` divide once at the end, and the residue sweeps read each
-residue as two entries of one integer table (`contract`) and add into one
-running sum ``[den, {(p, rest): num}]`` per form.  Results are exact.
+pulled pair of slots from one lazily filled integer table (`PairTable`,
+itself built from two entries of the engine's residue table per pole pair by
+`contract`) and add into one running sum ``[den, {(p, rest): num}]`` per
+form.  Results are exact.
 """
 
 from fractions import Fraction
 from math import comb, lcm
+
+from .poleform import basis_poles
 
 
 def clear_denominators(values):
@@ -106,6 +110,42 @@ def contract(group, b, u, order):
     return sums
 
 
+class PairTable(dict):
+    """``T[x, y] = {p: num}``, over ``den``: the residues of the recursion
+    kernel at pole order p against a pulled pair of slots, each ``x`` and
+    ``y`` a basis index (>= 1, expanded to pole orders by `basis_poles`) or
+    a Bergman power (<= 0, the pole order itself).  Filled on first use from
+    an engine's residue table ``(den, u)`` at ``order`` by `contract`, which
+    raises TruncationError for a pair the table cannot resolve; symmetric,
+    since a row is; zero entries are dropped."""
+
+    def __init__(self, u_table, order):
+        super().__init__()
+        self.den, self.u = u_table
+        self.order = order
+
+    def __missing__(self, key):
+        x, y = key
+        poles_x = basis_poles(x) if x > 0 else {x: 1}
+        sums = {}
+        for b, c in (basis_poles(y) if y > 0 else {y: 1}).items():
+            for p, v in contract(poles_x, b, self.u, self.order).items():
+                sums[p] = sums.get(p, 0) + c * v
+        row = {p: v for p, v in sums.items() if v}
+        self[x, y] = self[y, x] = row
+        return row
+
+
+def contract_pairs(group, y, table):
+    """``sum_x group[x] * T[x, y]`` as ``{p: num}`` over ``table.den``, for
+    one ``{x: num}`` of a decomposition; zero sums are dropped."""
+    sums = {}
+    for x, num in group.items():
+        for p, v in table[x, y].items():
+            sums[p] = sums.get(p, 0) + num * v
+    return {p: v for p, v in sums.items() if v}
+
+
 def accumulate(acc, u, sums, c):
     """Add ``c * sums`` into ``acc[u]``, made only for a nonempty ``sums``."""
     if sums:
@@ -133,31 +173,30 @@ def add_sweep(out, acc, den):
                 sums[p, u] = sums.get((p, u), 0) + v * scale
 
 
-def pair_sweep(out, terms_a, terms_b, table, order, weight=1):
-    """Accumulate ``weight`` times the residue-table contributions of all
-    (A-term, B-term) pairs.
+def pair_sweep(out, terms_a, terms_b, table, weight=1):
+    """Accumulate ``weight`` times the residues of all (A-term, B-term)
+    pairs.
 
-    ``terms_a``/``terms_b`` are decompositions ``(den, {rest: {a: num}})``,
-    integer weights over one denominator, with ``a`` the pole order evaluated
-    at the branch (negative ``a`` encodes a Bergman power ``z**(-a)``) and
-    ``rest`` the weakly-decreasing tuple of pole orders left on symbolic
-    variables.  ``table`` is an engine's ``(den, u)`` at ``order``, read by
-    `contract`.  The A side is contracted once per ``(ra, b)``, and rests
-    are merged and counted once per ``(ra, rb)``.  ``out`` is a running sum
-    as in `add_sweep`, keyed by the first-slot order p and the merged
-    rest-tuple.  ``weight`` is 2 when this one sweep stands for both
-    orientations of a split: a row ``u[a][n] + u[b][n]`` is symmetric in a
-    and b, so swapping the A and B sides adds identical integers.
+    ``terms_a``/``terms_b`` are decompositions ``(den, {rest: {x: num}})``,
+    integer weights over one denominator, with ``x`` the pulled slot (a
+    basis index, or a Bergman power ``-m`` for ``zeta**m``) and ``rest`` the
+    weakly decreasing tuple of indices left on symbolic variables.  Each
+    pulled pair ``(x, y)`` is read from the `PairTable` ``table``.  The A
+    side is contracted once per ``(ra, y)``, and rests are merged and
+    counted once per ``(ra, rb)``.  ``out`` is a running sum as in
+    `add_sweep`, keyed by the first-slot pole order p and the merged rest.
+    ``weight`` is 2 when this one sweep stands for both orientations of a
+    split: the table is symmetric, so swapping the A and B sides adds
+    identical integers.
     """
     (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
-    den_u, u = table
-    orders_b = {b for group in groups_b.values() for b in group}
+    pulled_b = {y for group in groups_b.values() for y in group}
     acc = {}
     for ra, group_a in groups_a.items():
-        contracted = {b: contract(group_a, b, u, order) for b in orders_b}
+        contracted = {y: contract_pairs(group_a, y, table) for y in pulled_b}
         for rb, group_b in groups_b.items():
             merged = tuple(sorted(ra + rb, reverse=True))
             n = weight * count_ways(merged, ra)
-            for b, bn in group_b.items():
-                accumulate(acc, merged, contracted[b], n * bn)
-    add_sweep(out, acc, den_a * den_b * den_u)
+            for y, yn in group_b.items():
+                accumulate(acc, merged, contracted[y], n * yn)
+    add_sweep(out, acc, den_a * den_b * table.den)

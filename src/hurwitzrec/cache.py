@@ -1,26 +1,29 @@
-"""On-disk cache of computed correlation forms.
+"""On-disk cache of computed correlation forms, in the ELSV basis.
 
 The file is a single JSON document carrying a format version and a curve
 fingerprint.  A version or fingerprint mismatch (the fingerprint covers the
 sign convention and the engine version) makes the loader ignore the whole
 file; it is never read partially.  So does a malformed entry, a repeated
-(g, k), an unstable (g, k), a form with no terms, a pole of order 1 or a
-pole order above 6g - 4 + 2k, none of which a stable form W(g, k) has (for
-every stable (g, k) some H_{g,mu} with len(mu) = k is positive, so W(g, k)
-is never zero).  Entries are keyed by (g, k): a form does not
-depend on the truncation order it was computed at.
+(g, k), an unstable (g, k), a form with no terms, or a key outside the
+window 2g - 3 + k <= sum(e_i - 1) <= 3g - 3 + k, none of which a stable
+form W(g, k) has (for every stable (g, k) some H_{g,mu} with len(mu) = k is
+positive, so W(g, k) is never zero; the constructor refuses a key of the
+wrong length or an index below 1).  Entries are keyed by (g, k): a form
+does not depend on the truncation order it was computed at.  Writers merge
+under an exclusive `flock` on the sidecar file ``<path>.lock``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import os
 
 from .poleform import PoleForm
 from .toprec import is_stable
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def load_cache(path, fingerprint):
@@ -38,10 +41,11 @@ def load_cache(path, fingerprint):
     try:
         for entry in doc["poleforms"]:
             form = PoleForm.from_obj(entry)
-            key = (form.g, form.k)
-            bound = 6 * form.g - 4 + 2 * form.k
-            bad_pole = any(1 in a or a[0] > bound for a in form.nums)
-            if bad_pole or key in out or not form.nums or not is_stable(*key):
+            g, k = key = (form.g, form.k)
+            # the degree sum(e_i - 1) of each key, in the window
+            low, high = 2 * g - 3 + k, 3 * g - 3 + k
+            outside = any(not low <= sum(e) - k <= high for e in form.nums)
+            if outside or key in out or not form.nums or not is_stable(*key):
                 return {}
             out[key] = form
     except (ArithmeticError, LookupError, TypeError, ValueError):
@@ -76,7 +80,9 @@ def save_cache(path, fingerprint, forms):
 def attach_cache(engine, path):
     """Preload an engine's memo table from the file (when compatible) and
     return a closure that merges the memo into the file as it is then,
-    unless the engine computed nothing the file did not already hold."""
+    unless the engine computed nothing the file did not already hold.  The
+    re-read, merge and replace run under an exclusive lock on ``<path>.lock``,
+    so two runs that flush at once both keep their forms."""
     fingerprint = engine.fingerprint()
     loaded = load_cache(path, fingerprint)
     engine.preload(loaded, path)
@@ -84,6 +90,12 @@ def attach_cache(engine, path):
     def flush():
         if loaded.keys() >= engine._memo.keys():
             return
-        save_cache(path, fingerprint, {**load_cache(path, fingerprint), **engine._memo})
+        try:
+            lock = open(f"{path}.lock", "a")
+        except OSError as exc:
+            raise CacheWriteError(f"cannot write the cache file {path}: {exc.strerror}") from exc
+        with lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            save_cache(path, fingerprint, {**load_cache(path, fingerprint), **engine._memo})
 
     return flush

@@ -1,31 +1,28 @@
 """From correlation forms on the Lambert curve to Hurwitz numbers.
 
-Each pole factor dz/(z-1)^a, divided by dx(z) = (1-z)/z dz and written in
-the variable v with z = L(v) (the inverse of v = z e^(-z)), becomes the
-power series (-1)^a * z/(1-z)^(a+1) at z = L(v).  Lagrange inversion gives
-its coefficients in closed form,
+A form is stored in the ELSV basis xihat_e(t), t = 1/(1-z) (see `poleform`).
+Written in the variable v with z = L(v) (the inverse of v = z e^(-z)),
+xihat_0 = t - 1 = z/(1-z) is v L'(v), and the step xihat_(e+1) = (t-1) t^2
+d/dt xihat_e is v d/dv, so
 
-    [v^m] (-1)^a z/(1-z)^(a+1) |_{z=L(v)}
-        = (-1)^a/m * sum_{j<m} (j+1) C(j+a, a) m^(m-1-j) / (m-1-j)!,
+    m! [v^m] xihat_e(t) |_{z=L(v)} = m^(m+e),
 
-so F(a, m) = m! times this coefficient is an integer.  This is the Laplace
-transform that carries the pole basis to Hurwitz numbers in
-Eynard-Mulase-Safnuk (arXiv:0907.5224).  A k-variable form, stored on
-weakly decreasing pole multisets, then expands into a symmetric series whose
-v^mu coefficient is the sum over its terms of the coefficient times, over
-the distinct orderings (a_1, ..., a_k) of the multiset, prod_i F(a_i, mu_i),
-all divided by prod_i mu_i!.  ``h_series`` computes this on integers by
-contracting one slot at a time: slot i takes part mu_i and one pole order per
-distinct value of each remaining multiset, so every mu sharing a prefix
-shares the work.  The coefficients encode H_{g,mu}; the character oracle
-provides the independent values the expansion must reproduce.
+an integer.  This is the Laplace transform that carries the forms to Hurwitz
+numbers in Eynard-Mulase-Safnuk (arXiv:0907.5224).  A k-variable form,
+stored on weakly decreasing index multisets, then expands into a symmetric
+series whose v^mu coefficient is the sum over its terms of the coefficient
+times, over the distinct orderings (e_1, ..., e_k) of the multiset, prod_i
+mu_i^(mu_i + e_i), all divided by prod_i mu_i!.  ``h_series`` computes this
+on integers by contracting one slot at a time: slot i takes part mu_i and one
+index per distinct value of each remaining multiset, so every mu sharing a
+prefix shares the work.  The coefficients encode H_{g,mu}; the character
+oracle provides the independent values the expansion must reproduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .partitions import HurwitzOracle, aut_size, check_partition, partitions_of
 from .poleform import PoleForm, format_rational
@@ -46,27 +43,10 @@ def lambert_series(order: int) -> Series:
     return (z * (-z).exp()).reversion().truncate(order)
 
 
-@lru_cache(maxsize=None)
-def pole_factor_int(a: int, m: int) -> int:
-    """F(a, m) = m! [v^m] (-1)^a z/(1-z)^(a+1) at z = L(v), by the closed
-    form of Lagrange inversion; an integer, and 0 for m = 0."""
-    if m < 1:
-        return 0
-    f = factorial(m - 1)
-    total = sum(
-        (j + 1) * comb(j + a, a) * m ** (m - 1 - j) * (f // factorial(m - 1 - j))
-        for j in range(m)
-    )
-    return -total if a % 2 else total
-
-
-def pole_factor_series(a: int, order: int) -> Series:
-    """One variable's factor (-1)^a * z/(1-z)^(a+1) at z = L(v), known
-    through v^order."""
-    if a < 1:
-        raise ValueError("pole order must be >= 1")
-    coeffs = [Fraction(pole_factor_int(a, m), factorial(m)) for m in range(order + 1)]
-    return Series(0, coeffs, order + 1)
+def basis_factors(m: int, top: int) -> list[int]:
+    """m! [v^m] xihat_e(t) at z = L(v) for e = 0 .. top: the integers
+    m^(m+e)."""
+    return [m ** (m + e) for e in range(top + 1)]
 
 
 class HSeries:
@@ -97,14 +77,12 @@ def h_series(form: PoleForm, n_max: int) -> HSeries:
     """Expand a PoleForm into the v-variables through z_i = L(v_i).
 
     Depth first over weakly decreasing exponent prefixes: the level at depth
-    d maps each remaining pole multiset to its integer weight after slots
+    d maps each remaining index multiset to its integer weight after slots
     1..d took the prefix's parts, and only one level per depth is alive.
     """
     k = form.k
-    factors = [None] + [
-        [pole_factor_int(a, m) for a in range(form.max_pole_order + 1)]
-        for m in range(1, n_max + 1)
-    ]
+    top = max((key[0] for key in form.nums), default=0)
+    factors = [None] + [basis_factors(m, top) for m in range(1, n_max + 1)]
     coeffs = {}
 
     def contract(level, prefix, budget, top, scale):
@@ -120,12 +98,12 @@ def h_series(form: PoleForm, n_max: int) -> HSeries:
             nxt = {}
             for key, num in level.items():
                 prev = None
-                for i, a in enumerate(key):
-                    if a == prev:
+                for i, e in enumerate(key):
+                    if e == prev:
                         continue
-                    prev = a
+                    prev = e
                     rest = key[:i] + key[i + 1 :]
-                    nxt[rest] = nxt.get(rest, 0) + f[a] * num
+                    nxt[rest] = nxt.get(rest, 0) + f[e] * num
             contract(nxt, prefix + (m,), budget - m, m, scale_m)
 
     contract(form.nums, (), n_max, n_max, form.den)

@@ -1,20 +1,36 @@
-"""Exact pole-basis representation of the correlation forms.
+"""Exact representation of the correlation forms in the ELSV basis.
 
-A k-variable correlation form at a single simple branch point z* is a finite
-sum of products dz_i/(z_i - z*)^{a_i}.  The forms are symmetric under
-permuting variables, so a form is stored as a map from the weakly-decreasing
-multi-index (the multiset of pole orders) to the coefficient of any ordered
+With t = 1/(1-z), a pole slot dz/(z - z*)^a at the branch point z* = 1,
+divided by dx = (1-z)/z dz, is p_a(t) = (-1)^a t^a (t-1).  The forms are
+stored in the basis xihat_0 = t - 1, xihat_(e+1) = (t-1) t^2 d/dt xihat_e
+instead.  In v, with z = L(v) the inverse of v = z e^(-z), the operator
+(t-1) t^2 d/dt is v d/dv, so [v^m] xihat_e = m^(m+e)/m!; by the ELSV formula
+(Eynard-Mulase-Safnuk, arXiv:0907.5224) every W(g, k) is a short sum of
+products prod_i xihat_(e_i)(t_i), all e_i >= 1, whose coefficients are linear
+Hodge integrals: the key e has (-1)^j <prod tau_(e_i - 1) lambda_j>_g with
+sum (e_i - 1) + j = 3g - 3 + k, so sum (e_i - 1) lies in the window
+[2g - 3 + k, 3g - 3 + k].
+
+Two triangular integer maps convert one slot at a time: `basis_poles` takes a
+basis index to pole orders, and `pole_basis` takes a pole order to basis
+indices, with the residual index -j standing for t^(2j-1) (t-1) = -p_(2j-1),
+which no form holds.
+
+A form is symmetric under permuting variables, so it is stored as a map from
+the weakly decreasing tuple of indices to the coefficient of any ordered
 monomial with that content, held as integer numerators ``nums`` over one
 positive denominator ``den`` in lowest terms (``gcd(den, *nums) == 1``).
 ``PoleForm(g, k, terms, den)`` takes ``terms[key] / den`` for coefficients
-given as ints or `Fraction`s; the ``terms`` property returns `Fraction`s.
+given as ints or `Fraction`s; the ``terms`` property returns `Fraction`s, and
+`pole_terms` the same form in the pole basis.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import factorial, gcd, lcm
 
 
 def format_rational(q: Fraction) -> str:
@@ -38,8 +54,57 @@ def splits(key):
             yield a, key[:i] + key[i + 1 :]
 
 
+def _orderings(key) -> int:
+    """The number of distinct orderings of a multiset."""
+    count = factorial(len(key))
+    for v in set(key):
+        count //= factorial(key.count(v))
+    return count
+
+
+@lru_cache(maxsize=None)
+def basis_poles(e: int):
+    """``{a: int}`` with xihat_e = sum_a M[a] p_a: M[a] = (-1)^a [t^a] q_e for
+    xihat_e = (t-1) q_e.  For e >= 1 the pole orders run from e + 1 to 2e,
+    the top one with coefficient (2e-1)!!."""
+    q = [1]  # q_0, coefficients by power of t
+    for _ in range(e):
+        # q_(e+1) = t^2 (q_e + (t-1) q_e')
+        s = q + [0]
+        for i, c in enumerate(q[1:]):
+            s[i + 1] += (i + 1) * c
+            s[i] -= (i + 1) * c
+        q = [0, 0] + s
+    return {a: -c if a % 2 else c for a, c in enumerate(q) if c}
+
+
+@lru_cache(maxsize=None)
+def pole_basis(top: int):
+    """``(den, {p: {index: num}})`` for pole orders 1 <= p <= top, with p_p =
+    sum num/den times the basis element of each index: xihat_e for e >= 1 and
+    the residual t^(2j-1) (t-1) = -p_(2j-1) for -j.  Even orders reduce
+    against the top pole of xihat_(p/2), odd ones are residual."""
+    rows = {}
+    for p in range(1, top + 1):
+        if p % 2:
+            rows[p] = {-((p + 1) // 2): Fraction(-1)}
+            continue
+        poles = basis_poles(p // 2)
+        row = {p // 2: Fraction(1)}
+        for a, c in poles.items():
+            if a < p:
+                for index, v in rows[a].items():
+                    row[index] = row.get(index, 0) - c * v
+        rows[p] = {index: v / poles[p] for index, v in row.items() if v}
+    den = lcm(*(v.denominator for row in rows.values() for v in row.values()))
+    return den, {
+        p: {index: v.numerator * (den // v.denominator) for index, v in row.items()}
+        for p, row in rows.items()
+    }
+
+
 class PoleForm:
-    """Symmetric k-form in the pole basis at the branch point."""
+    """Symmetric k-form at the branch point, stored in the ELSV basis."""
 
     __slots__ = ("g", "k", "den", "nums", "_decomps")
 
@@ -53,7 +118,7 @@ class PoleForm:
             if not c:
                 continue
             key = tuple(sorted(key, reverse=True))
-            if len(key) != k or any(type(a) is not int or a < 1 for a in key):
+            if len(key) != k or any(type(e) is not int or e < 1 for e in key):
                 raise ValueError(f"bad multi-index {key} for arity {k}")
             if key in canonical and canonical[key] != c:
                 raise ValueError(f"conflicting coefficients for {key}")
@@ -68,16 +133,36 @@ class PoleForm:
 
     @property
     def terms(self):
-        """The coefficients as {multi-index: Fraction}."""
+        """The coefficients as {basis multi-index: Fraction}."""
         return {key: Fraction(num, self.den) for key, num in self.nums.items()}
 
     def coefficient(self, multi_index) -> Fraction:
-        """Coefficient of the ordered monomial prod dz_i/(z_i-z*)^(a_i)."""
+        """Coefficient of the ordered monomial prod xihat_(e_i)(t_i)."""
         return Fraction(self.nums.get(tuple(sorted(multi_index, reverse=True)), 0), self.den)
 
-    @property
-    def max_pole_order(self) -> int:
-        return max((key[0] for key in self.nums), default=0)
+    def pole_terms(self):
+        """The form in the pole basis, {pole multi-index: Fraction}, each slot
+        converted through `basis_poles`.
+
+        A symmetric form is the polynomial sum_E c(E) N(E) prod_i X_(e_i) in
+        commuting variables, N(E) being the number of distinct orderings of
+        E; each X_e becomes sum_a M[e][a] Y_a, and the coefficient of the pole
+        multiset A is then [Y^A] / N(A)."""
+        total = {}
+        for key, num in self.nums.items():
+            poly = {(): num * _orderings(key)}
+            for e in key:
+                nxt = {}
+                for mono, c in poly.items():
+                    for a, m in basis_poles(e).items():
+                        grown = tuple(sorted(mono + (a,), reverse=True))
+                        nxt[grown] = nxt.get(grown, 0) + c * m
+                poly = nxt
+            for mono, c in poly.items():
+                total[mono] = total.get(mono, 0) + c
+        return {
+            key: Fraction(c, self.den * _orderings(key)) for key, c in total.items() if c
+        }
 
     def __eq__(self, other):
         if not isinstance(other, PoleForm):
@@ -88,29 +173,33 @@ class PoleForm:
         return f"<PoleForm g={self.g} k={self.k} with {len(self.nums)} terms>"
 
     def decompositions(self):
-        """The `splits` of all stored keys as ``(den, {rest: {a: num}})``,
-        ``num / den`` being the coefficient of the key ``rest`` plus ``a``."""
+        """The `splits` of all stored keys as ``(den, {rest: {e: num}})``,
+        ``num / den`` being the coefficient of the key ``rest`` plus ``e``."""
         if self._decomps is None:
             groups = {}
             for key, num in self.nums.items():
-                for a, rest in splits(key):
-                    groups.setdefault(rest, {})[a] = num
+                for e, rest in splits(key):
+                    groups.setdefault(rest, {})[e] = num
             self._decomps = (self.den, groups)
         return self._decomps
 
     # -- serialization ------------------------------------------------------
 
     def to_obj(self):
-        terms = [
-            {"a": list(key), "c": format_rational(c)}
-            for key, c in sorted(self.terms.items())
-        ]
+        """The basis terms, as a cache file stores them."""
+        terms = [{"e": list(key), "c": format_rational(c)} for key, c in sorted(self.terms.items())]
         return {"g": self.g, "k": self.k, "terms": terms}
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(", ", ": "))
 
     @classmethod
     def from_obj(cls, obj) -> "PoleForm":
-        terms = {tuple(t["a"]): parse_rational(t["c"]) for t in obj["terms"]}
+        terms = {tuple(t["e"]): parse_rational(t["c"]) for t in obj["terms"]}
         return cls(obj["g"], obj["k"], terms)
+
+    def canonical_json(self) -> str:
+        """The pole terms as JSON, ``{"g", "k", "terms": [{"a", "c"}]}``
+        sorted by pole multi-index: what ``wkg`` prints."""
+        terms = [
+            {"a": list(key), "c": format_rational(c)}
+            for key, c in sorted(self.pole_terms().items())
+        ]
+        return json.dumps({"g": self.g, "k": self.k, "terms": terms}, separators=(", ", ": "))

@@ -1,8 +1,8 @@
 """Deterministic self-checks of the series layer.
 
 Seeded randomized checks of the ring axioms and the inverse-pair
-identities, and the closed-form Lambert pole factors that the extraction
-relies on against series reversion, runnable from the command line
+identities, and the closed-form Lambert basis factors m^(m+e) that the
+extraction relies on against series reversion, runnable from the command line
 (`hurwitzrec check series`).  Every check is an exact equality; any failure
 is reported with context.
 """
@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
-from .extract import lambert_series, pole_factor_series
+from .extract import basis_factors, lambert_series
 from .series import Series, residue_of_product
 
 
@@ -81,20 +82,23 @@ def run_series_checks():
             if full.trunc_order > -1:
                 assert residue_of_product(a, b) == full.residue(), "paired residue"
 
-    def pole_factors():
+    def basis_factors_check():
         order = 9
         lv = lambert_series(order + 1)
         z = Series.identity(order + 2)
-        inv = (1 - z).invert_unit()
-        factor = z * inv
-        for a in range(1, 7):
-            factor = factor * inv  # z/(1-z)^(a+1)
-            direct = factor.scale((-1) ** a).compose(lv)
-            assert pole_factor_series(a, order).agrees_with(direct), f"pole factor a={a}"
+        t_minus_1 = z * (1 - z).invert_unit()  # xihat_0 = t - 1 = z/(1-z)
+        xihat = t_minus_1
+        for e in range(7):
+            direct = xihat.compose(lv)
+            for m in range(order + 1):
+                want = Fraction(basis_factors(m, e)[e], factorial(m)) if m else 0
+                assert direct.coefficient(m) == want, f"basis factor e={e}, m={m}"
+            # (t-1) t^2 d/dt is z/(1-z) d/dz, as dt = t^2 dz
+            xihat = (t_minus_1 * xihat.derivative()).truncate(order + 2)
 
     check("ring axioms", ring_axioms)
     check("compose/reversion round trips", inverse_pairs)
     check("Laurent unit inversion", unit_inverse)
     check("residue identities", residues)
-    check("Lambert pole factors (closed form vs reversion)", pole_factors)
+    check("Lambert basis factors (closed form vs reversion)", basis_factors_check)
     return results

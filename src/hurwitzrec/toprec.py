@@ -4,11 +4,13 @@ instantiated on the Lambert curve x(z) = -z + ln z, y(z) = z.
 Everything is expanded in the local coordinate zeta = z - 1 at the unique
 branch point z* = 1, as truncated Laurent series known below the engine
 order; y = 1 + zeta enters only through zeta - sigma(zeta).  Correlation
-forms are finite PoleForms; the residue in the recursion becomes
-coefficient extraction on those series.  The recursion kernel is never
-built: every residue is a sum of two entries of one integer table, the
-series u(b) = zeta^(b+2) e(b) with e(b) = sigma' sigma^(-b) / (2 omega)
-(see `LambertEngine.u_table`).
+forms are finite PoleForms in the ELSV basis (see `poleform`); the residue
+in the recursion becomes coefficient extraction on those series.  The
+recursion kernel is never built: every residue is a sum of two entries of
+one integer table, the series u(b) = zeta^(b+2) e(b) with e(b) = sigma'
+sigma^(-b) / (2 omega) (see `LambertEngine.u_table`), and the sweeps read
+each pulled pair of basis slots from one table built from it (see
+`_kernels.PairTable`).
 
 Near the branch point x = x0 + c2*xi^2 in an odd coordinate xi(zeta) (for
 the Lambert curve x = -1 - xi^2/2, the coordinate `bridge` reads the times
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import _kernels
-from .poleform import PoleForm, splits
+from .poleform import PoleForm, pole_basis, splits
 from .series import Series
 
 _HALF = Fraction(1, 2)
@@ -123,8 +125,14 @@ class LambertEngine:
     def _bergman_terms(self):
         # B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2), each
         # zeta^m as the branch pole order -m, up to the top pole order
-        # order - 5 of the kernel
-        return 1, {(m + 2,): {-m: m + 1} for m in range(self.order - 6)}
+        # order - 5 of the kernel; the pole dz0 / (z0 - z*)^(m + 2) is written
+        # in the basis, residual indices included
+        den, to_basis = pole_basis(self.order - 5)
+        groups = {}
+        for m in range(self.order - 6):
+            for index, num in to_basis[m + 2].items():
+                groups.setdefault((index,), {})[-m] = (m + 1) * num
+        return den, groups
 
     # -- curve fingerprint (for caches) -------------------------------------
 
@@ -190,6 +198,12 @@ class LambertEngine:
         )
         return den, {b: nums[i * known : (i + 1) * known] for i, b in enumerate(u)}
 
+    @cached_property
+    def pair_table(self) -> _kernels.PairTable:
+        """The residues of every pulled pair of slots, read from `u_table`
+        and filled as the sweeps ask for them."""
+        return _kernels.PairTable(self.u_table, self.order)
+
     # -- the recursion ---------------------------------------------------------
 
     def w(self, g: int, k: int) -> PoleForm:
@@ -232,7 +246,7 @@ class LambertEngine:
                 terms_a = self._decomps(h, j_a + 1)
                 terms_b = self._decomps(g - h, j_b + 1)
                 weight = 1 if (h, j_a) == (g - h, j_b) else 2
-                _kernels.pair_sweep(out, terms_a, terms_b, self.u_table, self.order, weight)
+                _kernels.pair_sweep(out, terms_a, terms_b, self.pair_table, weight)
 
         fed = set().union(*(self._fed_by_cache.get(key, ()) for key in inputs))
         form = self._assemble(g, k, out, fed)
@@ -260,34 +274,50 @@ class LambertEngine:
 
     def _sweep_term1(self, out, prev: PoleForm):
         den_c, groups = prev.decompositions()
-        den_u, u = self.u_table
+        table = self.pair_table
         acc = {}
         for rest, group in groups.items():
-            for b, left in splits(rest):
-                _kernels.accumulate(acc, left, _kernels.contract(group, b, u, self.order), 1)
-        _kernels.add_sweep(out, acc, den_c * den_u)
+            for y, left in splits(rest):
+                _kernels.accumulate(acc, left, _kernels.contract_pairs(group, y, table), 1)
+        _kernels.add_sweep(out, acc, den_c * table.den)
 
     def _assemble(self, g, k, out, fed) -> PoleForm:
-        """Collapse (first-slot pole, rest-multiset) data into a symmetric
-        PoleForm, checking that every way of singling out the first slot
-        agrees (this is the symmetry of the recursion output; a failure
-        means the truncation order was insufficient or, when the preloaded
-        forms ``fed`` went into it, that the cache file is wrong)."""
-        den, values = out
-        fulls = {tuple(sorted(u + (p,), reverse=True)) for (p, u), v in values.items() if v}
-        terms = {}
-        for full in fulls:
-            vals = [values.get(split, 0) for split in splits(full)]
-            if any(v != vals[0] for v in vals):
-                if fed:
-                    cause = (
-                        f"the forms {sorted(fed)} read from the cache file "
-                        f"{self._cache_source} are the likely cause"
-                    )
-                else:
-                    cause = f"truncation order {self.order} is insufficient"
-                raise ArithmeticError(
-                    f"slot-symmetry violated assembling W({g},{k}) at {full}; {cause}"
+        """Convert the first-slot pole order p of the sweeps' (p, rest) sums
+        into the basis and collapse them into a symmetric PoleForm, checking
+        that every way of singling out the first slot agrees and that no key
+        with a residual index is nonzero.  A failure means the truncation
+        order was insufficient or, when the preloaded forms ``fed`` went into
+        it, that the cache file is wrong."""
+
+        def fail(what, full):
+            if fed:
+                cause = (
+                    f"the forms {sorted(fed)} read from the cache file "
+                    f"{self._cache_source} are the likely cause"
                 )
+            else:
+                cause = f"truncation order {self.order} is insufficient"
+            raise ArithmeticError(f"{what} assembling W({g},{k}) at {full}; {cause}")
+
+        den_out, values = out
+        den_basis, to_basis = pole_basis(self.order - 5)
+        converted = {}
+        for (p, rest), num in values.items():
+            if num:
+                for index, c in to_basis[p].items():
+                    converted[index, rest] = converted.get((index, rest), 0) + c * num
+        fulls = {
+            tuple(sorted(rest + (index,), reverse=True))
+            for (index, rest), v in converted.items()
+            if v
+        }
+        terms = {}
+        for full in sorted(fulls):
+            vals = [converted.get(split, 0) for split in splits(full)]
+            if any(v != vals[0] for v in vals):
+                fail("slot-symmetry violated", full)
             terms[full] = vals[0]
-        return PoleForm(g, k, terms, den)
+        residual = [full for full in sorted(terms) if full[-1] < 0]
+        if residual:
+            fail("residual index nonzero", residual[0])
+        return PoleForm(g, k, terms, den_out * den_basis)

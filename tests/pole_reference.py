@@ -1,0 +1,80 @@
+"""The pole-basis extraction, kept as a reference for the ELSV-basis one.
+
+A pole factor dz/(z-1)^a, divided by dx(z) = (1-z)/z dz and written in v
+with z = L(v), is (-1)^a z/(1-z)^(a+1) at z = L(v).  Lagrange inversion
+gives its coefficients in closed form,
+
+    F(a, m) = m! [v^m] (-1)^a z/(1-z)^(a+1) |_{z=L(v)}
+            = (-1)^a (m-1)! sum_{j<m} (j+1) C(j+a, a) m^(m-1-j) / (m-1-j)!,
+
+an integer.  `pole_h_coeffs` expands a form read in the pole basis
+(`PoleForm.pole_terms`) with these factors, one slot at a time, as the
+extraction did before forms were stored in the ELSV basis.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial, lcm
+
+from hurwitzrec.series import Series
+
+
+@lru_cache(maxsize=None)
+def pole_factor_int(a: int, m: int) -> int:
+    """F(a, m), an integer, and 0 for m = 0."""
+    if m < 1:
+        return 0
+    f = factorial(m - 1)
+    total = sum(
+        (j + 1) * comb(j + a, a) * m ** (m - 1 - j) * (f // factorial(m - 1 - j))
+        for j in range(m)
+    )
+    return -total if a % 2 else total
+
+
+def pole_factor_series(a: int, order: int) -> Series:
+    """One variable's factor (-1)^a * z/(1-z)^(a+1) at z = L(v), known
+    through v^order."""
+    if a < 1:
+        raise ValueError("pole order must be >= 1")
+    coeffs = [Fraction(pole_factor_int(a, m), factorial(m)) for m in range(order + 1)]
+    return Series(0, coeffs, order + 1)
+
+
+def pole_h_coeffs(form, n_max):
+    """The v^mu coefficients, |mu| <= n_max, of a form read in the pole
+    basis: depth first over weakly decreasing exponent prefixes, each slot
+    taking one pole order per distinct value of the remaining multiset."""
+    poles = form.pole_terms()
+    den = lcm(*(c.denominator for c in poles.values()))
+    nums = {key: c.numerator * (den // c.denominator) for key, c in poles.items()}
+    top = max(key[0] for key in nums)
+    factors = [None] + [
+        [pole_factor_int(a, m) for a in range(top + 1)] for m in range(1, n_max + 1)
+    ]
+    k = form.k
+    coeffs = {}
+
+    def contract(level, prefix, budget, top, scale):
+        slots_left = k - len(prefix) - 1
+        for m in range(1, min(top, budget - slots_left) + 1):
+            f = factors[m]
+            scale_m = scale * factorial(m)
+            if not slots_left:
+                total = sum(f[key[0]] * num for key, num in level.items())
+                if total:
+                    coeffs[prefix + (m,)] = Fraction(total, scale_m)
+                continue
+            nxt = {}
+            for key, num in level.items():
+                prev = None
+                for i, a in enumerate(key):
+                    if a == prev:
+                        continue
+                    prev = a
+                    rest = key[:i] + key[i + 1 :]
+                    nxt[rest] = nxt.get(rest, 0) + f[a] * num
+            contract(nxt, prefix + (m,), budget - m, m, scale_m)
+
+    contract(nums, (), n_max, n_max, den)
+    return coeffs

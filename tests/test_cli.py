@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,7 +171,7 @@ class TestCache:
         # version joined it, when the engine still summed Fractions
         old = "5d178ea0f91098e9"
         path = str(tmp_path / "forms.json")
-        form = {"g": 0, "k": 3, "terms": [{"a": [2, 2, 2], "c": "1/1"}]}
+        form = {"g": 0, "k": 3, "terms": [{"e": [1, 1, 1], "c": "1/1"}]}
         doc = {"format": CACHE_FORMAT, "fingerprint": old, "poleforms": [form]}
         Path(path).write_text(json.dumps(doc))
         assert len(load_cache(path, old)) == 1
@@ -271,13 +272,13 @@ class TestCache:
         [
             ("c", "1/0"),  # a zero denominator
             ("c", 5),  # a coefficient that is a JSON number, not a string
-            ("a", [2.0]),  # a pole order that is not an int
-            ("a", [True]),  # a bool is not a pole order
-            ("a", [1]),  # stable forms have no pole of order 1
-            ("a", [5]),  # W(1,1) has no pole above order 6g - 4 + 2k = 4
+            ("e", [1.0]),  # a basis index that is not an int
+            ("e", [True]),  # a bool is not a basis index
+            ("e", [0]),  # stable forms have no index below 1
+            ("e", [3]),  # W(1,1) has no key above the window sum(e_i - 1) <= 1
         ],
         ids=["zero-denominator", "number-coefficient", "float-order", "bool-order",
-             "order-one", "order-above-bound"],
+             "index-zero", "above-window"],
     )
     def test_malformed_entry_ignored(self, tmp_path, field, value):
         path = str(tmp_path / "forms.json")
@@ -287,12 +288,95 @@ class TestCache:
         assert cold.returncode == 0
         doc = json.loads(Path(path).read_text())
         (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
-        assert entry["terms"][0]["a"] == [2]
+        assert entry["terms"] == [{"e": [1], "c": "-1/24"}, {"e": [2], "c": "1/24"}]
         entry["terms"][0][field] = value
         Path(path).write_text(json.dumps(doc))
         warm = run_cli(*args)
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
+
+    def test_key_below_window_ignored(self, tmp_path):
+        from hurwitzrec.cache import load_cache
+        from hurwitzrec.toprec import LambertEngine
+
+        # W(2,1) has keys with sum(e_i - 1) in [2, 3]; (2,) is below
+        path = str(tmp_path / "forms.json")
+        args = ("table", "--method", "recursion", "--g-max", "2", "--n-max", "2",
+                "--cache", path)
+        cold = run_cli(*args)
+        assert cold.returncode == 0
+        doc = json.loads(Path(path).read_text())
+        (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (2, 1)]
+        assert entry["terms"][0]["e"] == [3]
+        entry["terms"][0]["e"] = [2]
+        Path(path).write_text(json.dumps(doc))
+        assert load_cache(path, LambertEngine().fingerprint()) == {}
+        warm = run_cli(*args)
+        assert warm.returncode == 0
+        assert warm.stdout == cold.stdout
+
+    def test_format_two_pole_file_ignored(self, tmp_path):
+        from hurwitzrec.cache import load_cache
+        from hurwitzrec.toprec import LambertEngine, required_order
+
+        # the layout before forms were stored in the ELSV basis: format 2,
+        # each entry the pole terms as `wkg` prints them
+        path = str(tmp_path / "forms.json")
+        engine = LambertEngine(order=required_order(1, 3))
+        fingerprint = engine.fingerprint()
+        forms = [json.loads(engine.w(g, k).canonical_json()) for g, k in [(0, 3), (1, 1)]]
+        doc = {"format": 2, "fingerprint": fingerprint, "poleforms": forms}
+        Path(path).write_text(json.dumps(doc))
+        assert load_cache(path, fingerprint) == {}
+        args = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "3")
+        cold = run_cli(*args)
+        warm = run_cli(*args, "--cache", path)
+        assert warm.returncode == cold.returncode == 0
+        assert warm.stdout == cold.stdout
+        assert json.loads(Path(path).read_text())["format"] == 3
+
+    def test_concurrent_flushes_keep_both_forms(self, tmp_path):
+        """Two processes flush disjoint forms into one file at the same time.
+        Each holds its re-read for 0.5 s before it writes, so without the
+        lock both would merge into the same old file and one side's form
+        would be lost."""
+        from hurwitzrec.cache import load_cache
+        from hurwitzrec.toprec import LambertEngine
+
+        path, go = tmp_path / "forms.json", tmp_path / "go"
+        ready = [tmp_path / "ready-0", tmp_path / "ready-1"]
+        child = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from hurwitzrec import cache\n"
+            "from hurwitzrec.toprec import LambertEngine\n"
+            "path, go, ready = sys.argv[1], Path(sys.argv[2]), Path(sys.argv[3])\n"
+            "g, k = int(sys.argv[4]), int(sys.argv[5])\n"
+            "engine = LambertEngine(order=10)\n"
+            "flush = cache.attach_cache(engine, path)\n"
+            "engine.w(g, k)\n"
+            "read = cache.load_cache\n"
+            "def slow_read(*args):\n"
+            "    forms = read(*args)\n"
+            "    time.sleep(0.5)\n"
+            "    return forms\n"
+            "cache.load_cache = slow_read\n"
+            "ready.touch()\n"
+            "while not go.exists():\n"
+            "    time.sleep(0.01)\n"
+            "flush()\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", child, str(path), str(go), str(r), g, k], env=env)
+            for r, (g, k) in zip(ready, [("0", "3"), ("1", "1")])
+        ]
+        deadline = time.monotonic() + 120
+        while not all(r.exists() for r in ready) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        go.touch()
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+        assert sorted(load_cache(str(path), LambertEngine().fingerprint())) == [(0, 3), (1, 1)]
 
     def test_empty_form_ignored(self, tmp_path):
         # no stable W(g, k) is zero: read as one, W(1,1) would give H_{1,(d)} = 0
@@ -314,7 +398,7 @@ class TestCache:
         from hurwitzrec.cache import CACHE_FORMAT, load_cache
 
         path = str(tmp_path / "forms.json")
-        stable = {"g": 0, "k": 3, "terms": [{"a": [2, 2, 2], "c": "1/1"}]}
+        stable = {"g": 0, "k": 3, "terms": [{"e": [1, 1, 1], "c": "1/1"}]}
         unstable = {"g": g, "k": k, "terms": []}
         doc = {"format": CACHE_FORMAT, "fingerprint": "f", "poleforms": [stable]}
         Path(path).write_text(json.dumps(doc))

@@ -6,17 +6,18 @@ import pytest
 
 from hurwitzrec.extract import (
     HSeries,
+    basis_factors,
     extract_hurwitz,
     h_series,
     hurwitz_by_recursion,
     lambert_series,
-    pole_factor_int,
-    pole_factor_series,
     verify_bm,
 )
 from hurwitzrec.partitions import HurwitzOracle, partitions_of
+from hurwitzrec.poleform import basis_poles
 from hurwitzrec.series import Series
 from hurwitzrec.toprec import LambertEngine, is_stable, required_order
+from pole_reference import pole_factor_int, pole_factor_series, pole_h_coeffs
 
 F = Fraction
 
@@ -42,8 +43,9 @@ class ReversionFactors:
 
 
 def reference_h_coeffs(form, n_max):
-    """The v^mu coefficients of a form: for each term, the sum over the
-    distinct orderings of its pole multiset of the product of factors."""
+    """The v^mu coefficients of a form: for each term of its pole view, the
+    sum over the distinct orderings of its pole multiset of the product of
+    factors."""
     table = ReversionFactors(n_max)
     coeffs = {}
     for n in range(form.k, n_max + 1):
@@ -51,7 +53,7 @@ def reference_h_coeffs(form, n_max):
             if len(mu) != form.k:
                 continue
             total = F(0)
-            for key, c in form.terms.items():
+            for key, c in form.pole_terms().items():
                 values = tuple(sorted(set(key), reverse=True))
                 counts = tuple(key.count(v) for v in values)
 
@@ -129,6 +131,37 @@ class TestPoleFactors:
         for a in range(12):
             for m in range(10):
                 assert F(pole_factor_int(a, m), math.factorial(m)) == table.coefficient(a, m)
+
+
+class TestBasisFactors:
+    def test_slot_maps_carry_pole_factors_to_basis_factors(self):
+        """m^(m+e) = sum_a M[e][a] F(a, m): xihat_e written in poles by
+        `basis_poles` has the closed-form coefficients, each pole factor
+        taken by series reversion."""
+        table = ReversionFactors(9)
+        for e in range(8):
+            for m in range(1, 10):
+                by_poles = sum(c * table.coefficient(a, m) for a, c in basis_poles(e).items())
+                assert by_poles == F(basis_factors(m, e)[e], math.factorial(m)) == F(
+                    m ** (m + e), math.factorial(m)
+                ), (e, m)
+
+    def test_basis_equals_pole_reference_on_every_order_28_form(self):
+        """h_series on the stored basis terms equals the pole-basis extraction
+        of tests/pole_reference.py on the pole view, for all 33 stable forms
+        an order-28 engine computes."""
+        engine = LambertEngine(order=28)
+        cases = [
+            (g, k)
+            for g in range(5)
+            for k in range(1, 14)
+            if is_stable(g, k) and required_order(g, k) <= 28
+        ]
+        assert len(cases) == 33
+        for g, k in cases:
+            form = engine.w(g, k)
+            n_max = k + 3
+            assert h_series(form, n_max).coeffs == pole_h_coeffs(form, n_max), (g, k)
 
 
 class TestHSeries:

@@ -11,7 +11,7 @@ import pytest
 from hurwitzrec import _kernels
 from hurwitzrec.series import TruncationError, residue_of_product
 from hurwitzrec.toprec import LambertEngine, required_order
-from test_toprec import other_sheet, reference_kernel
+from test_toprec import other_sheet, reference_basis_poles, reference_kernel
 
 F = Fraction
 _ZERO = F(0)
@@ -55,16 +55,25 @@ def ref_row(table, order, a, b):
     return {p: F(u[a][top - p] + u[b][top - p], den) for p in range(2, min(top, order - 5) + 1)}
 
 
-def ref_pair_sweep(out, terms_a, terms_b, table, order, weight=1):
+def ref_slot(x):
+    """A pulled slot as pole orders: a basis index through its definition,
+    a Bergman power as itself."""
+    return reference_basis_poles(x) if x > 0 else {x: 1}
+
+
+def ref_pair_sweep(out, terms_a, terms_b, table, weight=1):
+    """The sweep one pole pair at a time, reading the residue table that the
+    `PairTable` ``table`` was built from, not the pair table itself."""
     (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
     for (ra, group_a), (rb, group_b) in product(groups_a.items(), groups_b.items()):
-        for (a, an), (b, bn) in product(group_a.items(), group_b.items()):
+        for (x, xn), (y, yn) in product(group_a.items(), group_b.items()):
             u = tuple(sorted(ra + rb, reverse=True))
-            c = F(an, den_a) * F(bn, den_b) * ref_count_ways(u, ra) * weight
+            c = F(xn, den_a) * F(yn, den_b) * ref_count_ways(u, ra) * weight
             sums = out[1]
-            for p, v in ref_row(table, order, a, b).items():
-                # the running sum holds numerators over out[0]
-                sums[p, u] = sums.get((p, u), 0) + c * v * out[0]
+            for (a, ca), (b, cb) in product(ref_slot(x).items(), ref_slot(y).items()):
+                for p, v in ref_row((table.den, table.u), table.order, a, b).items():
+                    # the running sum holds numerators over out[0]
+                    sums[p, u] = sums.get((p, u), 0) + ca * cb * c * v * out[0]
 
 
 def nonzero(out):
@@ -81,7 +90,8 @@ def random_fractions(rng, n, top=9, den_max=12):
     return [F(rng.randint(-top, top), rng.randint(1, den_max)) for _ in range(n)]
 
 
-# pole data drawn from -3 .. 6 keeps a + b <= order - 3 at this order
+# pulled slots drawn from -3 .. 3 reach pole orders -3 .. 6, which keeps
+# a + b <= order - 3 at this order
 SWEEP_ORDER = 15
 
 
@@ -92,11 +102,11 @@ def random_sweep(rng, n_terms, den_max):
     def mk_terms():
         groups = {}
         for _ in range(n_terms):
-            a = rng.randint(-3, 6)
+            x = rng.randint(-3, 3)
             rest = tuple(
-                sorted((rng.randint(2, 6) for _ in range(rng.randint(0, 3))), reverse=True)
+                sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 3))), reverse=True)
             )
-            groups.setdefault(rest, {})[a] = rng.randint(-5 * den_max, 5 * den_max)
+            groups.setdefault(rest, {})[x] = rng.randint(-5 * den_max, 5 * den_max) or 1
         return rng.randint(1, den_max), groups
 
     def entry():
@@ -104,6 +114,10 @@ def random_sweep(rng, n_terms, den_max):
 
     u = {b: [entry() for _ in range(SWEEP_ORDER - 2)] for b in range(-3, 7)}
     return mk_terms(), mk_terms(), (rng.randint(1, den_max), u)
+
+
+def pair_table(table):
+    return _kernels.PairTable(table, SWEEP_ORDER)
 
 
 class TestAgainstReference:
@@ -137,28 +151,30 @@ class TestAgainstReference:
         rng = random.Random(5)
         ta, tb, table = random_sweep(rng, 30, 7)
         fast, ref = [1, {}], [1, {}]
-        _kernels.pair_sweep(fast, ta, tb, table, SWEEP_ORDER)
-        ref_pair_sweep(ref, ta, tb, table, SWEEP_ORDER)
+        _kernels.pair_sweep(fast, ta, tb, pair_table(table))
+        ref_pair_sweep(ref, ta, tb, pair_table(table))
         assert nonzero(fast) == nonzero(ref)
         fast2, ref2 = [1, {}], [1, {}]
-        _kernels.pair_sweep(fast2, ta, tb, table, SWEEP_ORDER, weight=2)
-        ref_pair_sweep(ref2, ta, tb, table, SWEEP_ORDER, weight=2)
+        _kernels.pair_sweep(fast2, ta, tb, pair_table(table), weight=2)
+        ref_pair_sweep(ref2, ta, tb, pair_table(table), weight=2)
         assert nonzero(fast2) == nonzero(ref2)
         assert nonzero(fast2) == {key: 2 * v for key, v in nonzero(fast).items()}
 
     def test_pair_sweep_swap_symmetric_rows(self, monkeypatch):
-        """Rows read from the table are symmetric in (a, b), so sweeping
-        (A, B) and (B, A) adds the same integers: the identity that lets the
-        engine sweep each unordered split once with weight 2."""
+        """Rows read from the residue table are symmetric in (a, b), so the
+        pair table is symmetric and sweeping (A, B) and (B, A) adds the same
+        integers: the identity that lets the engine sweep each unordered
+        split once with weight 2."""
         rng = random.Random(6)
         ta, tb, table = random_sweep(rng, 30, 7)
         ab, ba = [1, {}], [1, {}]
-        _kernels.pair_sweep(ab, ta, tb, table, SWEEP_ORDER)
-        _kernels.pair_sweep(ba, tb, ta, table, SWEEP_ORDER)
+        _kernels.pair_sweep(ab, ta, tb, pair_table(table))
+        _kernels.pair_sweep(ba, tb, ta, pair_table(table))
         assert ab[1] and nonzero(ab) == nonzero(ba)
 
         # a contract weighing the two reads unequally breaks the identity,
-        # so the test can fail
+        # so the test can fail; each sweep fills its own pair table, so each
+        # row is weighed toward the side that asked for it first
         contract = _kernels.contract
 
         def lopsided(group, b, u, order):
@@ -167,20 +183,38 @@ class TestAgainstReference:
 
         monkeypatch.setattr(_kernels, "contract", lopsided)
         ab, ba = [1, {}], [1, {}]
-        _kernels.pair_sweep(ab, ta, tb, table, SWEEP_ORDER)
-        _kernels.pair_sweep(ba, tb, ta, table, SWEEP_ORDER)
+        _kernels.pair_sweep(ab, ta, tb, pair_table(table))
+        _kernels.pair_sweep(ba, tb, ta, pair_table(table))
         assert nonzero(ab) != nonzero(ba)
 
     def test_pair_sweep_wide_denominators(self):
         rng = random.Random(4)
         ta, tb, table = random_sweep(rng, 30, 10**30)
         fast, ref = [1, {}], [1, {}]
-        _kernels.pair_sweep(fast, ta, tb, table, SWEEP_ORDER)
-        ref_pair_sweep(ref, ta, tb, table, SWEEP_ORDER)
+        _kernels.pair_sweep(fast, ta, tb, pair_table(table))
+        ref_pair_sweep(ref, ta, tb, pair_table(table))
         # a second sweep into the same output rescales the numerators there
-        _kernels.pair_sweep(fast, tb, ta, table, SWEEP_ORDER)
-        ref_pair_sweep(ref, tb, ta, table, SWEEP_ORDER)
+        _kernels.pair_sweep(fast, tb, ta, pair_table(table))
+        ref_pair_sweep(ref, tb, ta, pair_table(table))
         assert nonzero(fast) == nonzero(ref)
+
+    def test_pair_table_drops_zeros_and_raises_beyond_the_order(self):
+        """A pair-table row is the sum of its pole rows, weighed by the slot
+        map, with zero entries dropped, and raises where a pole row does."""
+        rng = random.Random(8)
+        _, _, table = random_sweep(rng, 1, 7)
+        table[1][-3] = [0] * (SWEEP_ORDER - 2)  # u(-3) zero: some rows cancel
+        pairs = pair_table(table)
+        for x, y in product(range(-3, 4), repeat=2):
+            want = {}
+            for (a, ca), (b, cb) in product(ref_slot(x).items(), ref_slot(y).items()):
+                for p, v in ref_row(table, SWEEP_ORDER, a, b).items():
+                    want[p] = want.get(p, 0) + ca * cb * v * table[0]
+            assert pairs[x, y] == {p: v for p, v in want.items() if v}, (x, y)
+            assert pairs[x, y] is pairs[y, x]
+        assert {} in pairs.values()
+        with pytest.raises(TruncationError):
+            _kernels.PairTable(table, 12)[3, 3]
 
 
 def test_rows_match_series_residues():

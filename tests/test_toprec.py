@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from hurwitzrec import _kernels
-from hurwitzrec.poleform import PoleForm, splits
+from hurwitzrec.poleform import PoleForm, basis_poles, pole_basis, splits
 from hurwitzrec.series import Series, TruncationError, residue_of_product
 from hurwitzrec.toprec import (
     LambertEngine,
@@ -138,14 +138,27 @@ def two_sided_bergman(engine):
     return (engine.sigma.derivative() * (d * d).invert_unit()).truncate(engine.order)
 
 
+def index_poles(index):
+    """A basis index as pole orders: xihat_e for e >= 1, and the residual
+    t^(2j-1) (t-1) = -p_(2j-1) for -j."""
+    return basis_poles(index) if index > 0 else {-2 * index - 1: -1}
+
+
 class TestBergman:
     def test_expansion_entries(self, engine):
-        # B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2)
+        # B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2), the
+        # pole written in the basis: converted back, zeta^m carries (m+1) p_(m+2)
         den, groups = engine._bergman_terms
-        assert den == 1
-        assert groups[(2,)] == {0: 1} and groups[(3,)] == {-1: 2} and groups[(4,)] == {-2: 3}
+        assert all(len(rest) == 1 for rest in groups)
+        assert groups[(1,)] == {0: den}  # p_2 = xihat_1
+        poles = {}
+        for (index,), group in groups.items():
+            for power, num in group.items():
+                for a, c in index_poles(index).items():
+                    poles[power, a] = poles.get((power, a), 0) + F(num * c, den)
         # one entry per pole order of the kernel, p = 2 .. order - 5
-        assert sorted(groups) == [(p,) for p in sorted(reference_kernel(engine))]
+        want = {(2 - p, p): p - 1 for p in reference_kernel(engine)}
+        assert {key: c for key, c in poles.items() if c} == want
 
 
 class TestKernel:
@@ -267,8 +280,10 @@ class TestResidueTable:
         assert len(cases) == 38
         for need, g, k in cases:
             # every form a sweep of W(g, k) reads needs a lower order, so it is
-            # in the memo already and the reads recorded are W(g, k)'s own
+            # in the memo already and, with the pair table emptied, the reads
+            # recorded are W(g, k)'s own
             reads.clear()
+            engine.pair_table.clear()
             engine.w(g, k)
             if (g, k) == (1, 1):
                 # its one sweep is the two-sided Bergman term, read from e(0)
@@ -300,13 +315,14 @@ class TestStability:
 
 class TestSmallForms:
     def test_w03(self, engine):
-        assert engine.w(0, 3).terms == {(2, 2, 2): F(1)}
+        assert engine.w(0, 3).terms == {(1, 1, 1): F(1)}
+        assert engine.w(0, 3).pole_terms() == {(2, 2, 2): F(1)}
 
     def test_w11(self, engine):
         w11 = engine.w(1, 1)
-        assert w11.terms == {(2,): F(-1, 24), (3,): F(1, 12), (4,): F(1, 8)}
-        assert w11.max_pole_order == 4
-        assert w11.coefficient((1,)) == 0
+        assert w11.pole_terms() == {(2,): F(-1, 24), (3,): F(1, 12), (4,): F(1, 8)}
+        assert max(key[0] for key in w11.pole_terms()) == 4
+        assert (1,) not in w11.pole_terms()
 
     def test_symmetric_queries(self, engine):
         w = engine.w(0, 4)
@@ -317,12 +333,13 @@ class TestSmallForms:
     def test_no_simple_poles(self, engine):
         for g, k in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]:
             form = engine.w(g, k)
-            assert all(key[-1] >= 2 for key in form.terms)
+            assert all(key[-1] >= 2 for key in form.pole_terms())
 
 
 def ordered_terms(form):
+    """The pole view of a form on ordered tuples."""
     out = {}
-    for key, c in form.terms.items():
+    for key, c in form.pole_terms().items():
         for perm in set(itertools.permutations(key)):
             out[perm] = c
     return out
@@ -422,9 +439,10 @@ class TestOrderedReference:
         reference = w_by_ordered_assembly(engine, g, k)
         form = engine.w(g, k)
         # reference carries ordered tuples; they must be permutation-invariant
-        # and agree with the canonical storage
+        # and agree with the canonical storage read in the pole basis
+        poles = form.pole_terms()
         for key, val in reference.items():
-            assert val == form.coefficient(key), (key, val)
+            assert val == poles.get(tuple(sorted(key, reverse=True))), (key, val)
         expanded = ordered_terms(form)
         assert set(reference) == set(expanded)
 
@@ -436,12 +454,13 @@ class TestStructuralInvariants:
         differential pulled back) cancels every pole and the constant term:
         in the odd coordinate s the forms carry only odd negative powers, so
         their symmetrization is regular and vanishes at the branch point."""
-        form = engine.w(g, k)
-        rests = {key[1:] for key in ordered_terms(form)}
+        ordered = ordered_terms(engine.w(g, k))
+        top = max(key[0] for key in ordered)
+        rests = {key[1:] for key in ordered}
         for rest in rests:
             total = Series.zero(engine.order)
-            for a in range(1, form.max_pole_order + 1):
-                c = form.coefficient((a,) + rest)
+            for a in range(1, top + 1):
+                c = ordered.get((a,) + rest)
                 if c:
                     direct = Series.monomial(c, -a, engine.order)
                     total = total + direct + other_sheet(engine, a).scale(c)
@@ -506,13 +525,13 @@ class TestFg:
     def test_phi_constant_independence(self):
         # the constant of the primitive Phi pairs only with an order-1 pole
         eng = LambertEngine(order=required_order(3, 1))
-        assert eng.w(2, 1).coefficient((1,)) == 0
-        assert eng.w(3, 1).coefficient((1,)) == 0
+        assert (1,) not in eng.w(2, 1).pole_terms()
+        assert (1,) not in eng.w(3, 1).pole_terms()
 
     def test_snapshots(self):
         # self-snapshots: no external ground truth exists for these
         eng = LambertEngine(order=required_order(3, 1))
-        assert eng.w(2, 1).terms == {
+        assert eng.w(2, 1).pole_terms() == {
             (4,): F(7, 960),
             (5,): F(-37, 1440),
             (6,): F(-19, 128),
@@ -526,15 +545,19 @@ class TestFg:
 class TestPoleFormSerialization:
     def test_round_trip(self, engine):
         form = engine.w(1, 2)
-        again = PoleForm.from_obj(json.loads(form.canonical_json()))
+        again = PoleForm.from_obj(json.loads(json.dumps(form.to_obj())))
         assert again == form
 
     def test_canonical_ordering(self):
-        form = PoleForm(0, 3, {(2, 3, 2): F(5), (2, 2, 2): F(1)})
+        # xihat_1 = p_2 and xihat_2 = 2 p_3 + 3 p_4, one slot at a time
+        form = PoleForm(0, 3, {(1, 2, 1): F(5), (1, 1, 1): F(1)})
         obj = json.loads(form.canonical_json())
-        assert obj["terms"][0]["a"] == [2, 2, 2]
-        assert obj["terms"][1]["a"] == [3, 2, 2]
-        assert obj["terms"][0]["c"] == "1/1"
+        assert [t["a"] for t in obj["terms"]] == [[2, 2, 2], [3, 2, 2], [4, 2, 2]]
+        assert [t["c"] for t in obj["terms"]] == ["1/1", "10/1", "15/1"]
+        assert form.to_obj()["terms"] == [
+            {"e": [1, 1, 1], "c": "1/1"},
+            {"e": [2, 1, 1], "c": "5/1"},
+        ]
 
 
 class TestRepresentation:
@@ -616,3 +639,131 @@ def test_form_bytes_pinned():
     for (g, k), digest in pinned.items():
         form = engine.w(g, k).canonical_json().encode()
         assert hashlib.sha256(form).hexdigest() == digest, (g, k)
+
+
+def reference_basis_poles(e):
+    """xihat_e in the pole basis from its definition: Fraction polynomials in
+    t, xihat_0 = t - 1 and xihat_(e+1) = (t-1) t^2 d/dt xihat_e, then p_a =
+    (-1)^a t^a (t-1) peeled off from the top degree down."""
+    poly = {0: F(-1), 1: F(1)}
+    for _ in range(e):
+        deriv = {i - 1: i * c for i, c in poly.items() if i}
+        t2_deriv = {i + 2: c for i, c in deriv.items()}
+        poly = {}
+        for i, c in t2_deriv.items():  # (t - 1) * t^2 xihat'
+            poly[i + 1] = poly.get(i + 1, 0) + c
+            poly[i] = poly.get(i, 0) - c
+        poly = {i: c for i, c in poly.items() if c}
+    out = {}
+    while poly:
+        top = max(poly)
+        c = poly[top] * (-1) ** (top - 1)  # p_(top-1) has leading (-1)^(top-1) t^top
+        out[top - 1] = c
+        for i, v in {top - 1: -1, top: 1}.items():
+            poly[i] = poly.get(i, 0) - c * (-1) ** (top - 1) * v
+        poly = {i: v for i, v in poly.items() if v}
+    return out
+
+
+class TestElsvBasis:
+    def test_slot_map_from_definition(self):
+        for e in range(12):
+            assert basis_poles(e) == reference_basis_poles(e), e
+            if e:
+                assert min(basis_poles(e)) == e + 1 and max(basis_poles(e)) == 2 * e
+
+    def test_pole_map_inverts_the_slot_map(self):
+        """Every pole order written in the basis, the residuals included, and
+        read back through the slot map is that pole order."""
+        den, rows = pole_basis(35)
+        assert sorted(rows) == list(range(1, 36))
+        for p, row in rows.items():
+            back = {}
+            for index, num in row.items():
+                for a, c in index_poles(index).items():
+                    back[a] = back.get(a, 0) + F(num * c, den)
+            assert {a: c for a, c in back.items() if c} == {p: 1}, p
+
+    def test_linear_hodge_integrals(self):
+        """The coefficient of the key (e,) of W(g,1) is (-1)^j <tau_(e-1)
+        lambda_j>_g with e - 1 + j = 3g - 2: <tau_1>_1 = <lambda_1>_1 = 1/24,
+        <tau_4>_2 = 1/1152, <tau_7>_3 = 1/82944, and the bottom term of W(3,1)
+        is -b_3 = -31/967680 from the lambda_g formula."""
+        eng = LambertEngine(order=required_order(3, 1))
+        assert eng.w(1, 1).terms == {(2,): F(1, 24), (1,): F(-1, 24)}
+        assert eng.w(2, 1).terms == {(5,): F(1, 1152), (4,): F(-1, 480), (3,): F(7, 5760)}
+        assert eng.w(3, 1).terms == {
+            (8,): F(1, 82944),
+            (7,): F(-7, 138240),
+            (6,): F(41, 580608),
+            (5,): F(-31, 967680),
+        }
+        for g in (1, 2, 3):
+            # <tau_(3g-3) lambda_1>_g = g (g + 4) / 5 * <tau_(3g-2)>_g
+            w = eng.w(g, 1)
+            assert w.coefficient((3 * g - 2,)) == -F(g * (g + 4), 5) * w.coefficient((3 * g - 1,))
+
+    def test_keys_fill_the_window(self):
+        """Every key of every form of an order-28 engine has sum(e_i - 1) in
+        [2g - 3 + k, 3g - 3 + k], both ends reached."""
+        engine = LambertEngine(order=28)
+        for g in range(5):
+            for k in range(1, 14):
+                if is_stable(g, k) and required_order(g, k) <= 28:
+                    degrees = {sum(key) - k for key in engine.w(g, k).nums}
+                    assert min(degrees) == 2 * g - 3 + k, (g, k)
+                    assert max(degrees) == 3 * g - 3 + k, (g, k)
+
+
+def perturbed_pole_map(real):
+    """`pole_basis` with p_2 = xihat_1 + r_2 in place of xihat_1: the
+    Bergman rests and the assembly both read it, so every form stays
+    symmetric but gains terms with the residual index -2."""
+
+    def pole_map(top):
+        den, rows = real(top)
+        return den, {**rows, 2: {1: den, -2: den}}
+
+    return pole_map
+
+
+class TestResidualCheck:
+    def test_perturbed_conversion_raises_naming_the_key(self, monkeypatch):
+        from hurwitzrec import toprec
+
+        monkeypatch.setattr(toprec, "pole_basis", perturbed_pole_map(pole_basis))
+        with pytest.raises(ArithmeticError, match=r"residual index nonzero .* W\(0,3\) at \(-2, -2, -2\)"):
+            LambertEngine(order=12).w(0, 3)
+
+    def test_perturbed_conversion_exits_70(self, monkeypatch, capsys):
+        from hurwitzrec import cli, toprec
+
+        monkeypatch.delenv("HURWITZREC_CACHE", raising=False)
+        monkeypatch.setattr(toprec, "pole_basis", perturbed_pole_map(pole_basis))
+        code = cli.main(["wkg", "1", "1"])
+        out, err = capsys.readouterr()
+        assert code == 70
+        assert out == ""
+        assert err == (
+            "internal error: residual index nonzero assembling W(1,1) at (-2,); "
+            "truncation order 10 is insufficient\n"
+        )
+
+
+class TestZeroEntries:
+    def test_pair_table_and_buckets_hold_no_zero(self, monkeypatch):
+        """No entry of the pair table is 0, and the sweeps never add a zero
+        into a bucket, over every form of W(3, 4)'s recursion."""
+        added = []
+        accumulate = _kernels.accumulate
+
+        def checked(acc, u, sums, c):
+            added.append(c != 0 and all(sums.values()))
+            accumulate(acc, u, sums, c)
+
+        monkeypatch.setattr(_kernels, "accumulate", checked)
+        engine = LambertEngine(order=required_order(3, 4))
+        engine.w(3, 4)
+        assert added and all(added)
+        assert len(engine.pair_table) > 100
+        assert all(all(row.values()) for row in engine.pair_table.values())
