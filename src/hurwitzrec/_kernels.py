@@ -28,15 +28,21 @@ def conv(a, b, nout):
         return []
     da, anum = clear_denominators(a[:nout])
     db, bnum = clear_denominators(b[:nout])
+    den = da * db
+    return [Fraction(c, den) for c in conv_ints(anum, bnum, nout)]
+
+
+def conv_ints(a, b, nout):
+    """First ``nout`` coefficients of the Cauchy product of two lists of
+    ``int``s, as ``int``s."""
     acc = [0] * nout
-    for i, ai in enumerate(anum):
+    for i, ai in enumerate(a[:nout]):
         if not ai:
             continue
-        for j, bj in enumerate(bnum[: nout - i], i):
+        for j, bj in enumerate(b[: nout - i], i):
             if bj:
                 acc[j] += ai * bj
-    den = da * db
-    return [Fraction(c, den) for c in acc]
+    return acc
 
 
 def unit_inverse(a, n):

@@ -15,14 +15,29 @@ from fractions import Fraction
 from .partitions import HurwitzOracle, aut_size, check_partition
 from .poleform import format_rational
 from .series import Series
-from .toprec import lambert_x, odd_coordinate
+from .toprec import lambert_x
 
 _ZERO = Fraction(0)
 
 
+def odd_coordinate(x_local: Series, order: int) -> Series:
+    """The coordinate xi(zeta) = zeta + ... with x = x0 + c2*xi^2, to ``order``.
+
+    Requires a simple branch point (no linear term, nonzero quadratic term).
+    The coefficient of zeta^n in xi needs x_local at zeta^(n+1), so x_local
+    must be known strictly beyond the requested order.
+    """
+    if x_local.coefficient(1) != 0 or x_local.coefficient(2) == 0:
+        raise ValueError("not a simple branch point: need x = x0 + c2*zeta^2 + ...")
+    if x_local.trunc_order <= order:
+        raise ValueError(f"xi to order {order} needs x_local known to order {order + 1}")
+    xi_squared = (x_local - x_local.coefficient(0)).scale(1 / x_local.coefficient(2))
+    return xi_squared.truncate(order + 1).sqrt_unit()
+
+
 def xi_of_zeta(order: int) -> Series:
     """The odd coordinate xi(zeta) with xi^2/2 = zeta - log(1+zeta), known
-    below order + 1: the Lambert x = -1 - xi^2/2 in `toprec.odd_coordinate`."""
+    below order + 1: the Lambert x = -1 - xi^2/2 in `odd_coordinate`."""
     return odd_coordinate(lambert_x(order + 2), order + 1)
 
 

@@ -12,17 +12,20 @@ sigma^(-b) / (2 omega) (see `LambertEngine.u_table`), and the sweeps read
 each pulled pair of basis slots from one table built from it (see
 `_kernels.PairTable`).
 
-Near the branch point x = x0 + c2*xi^2 in an odd coordinate xi(zeta) (for
-the Lambert curve x = -1 - xi^2/2, the coordinate `bridge` reads the times
-in), and the deck involution is xi -> -xi.  The global sign of the recursion
-kernel, on which sources differ, is fixed to the one the character oracle
-confirms on the smallest stable cases.
+The deck involution sigma(zeta) = -zeta + O(zeta^2), the other local
+solution of x(sigma) = x(zeta), is built from the curve's own differential
+equation: x'(zeta) = -zeta / (1 + zeta), so differentiating x(sigma) =
+x(zeta) gives (1 + zeta) sigma sigma' = zeta (1 + sigma), which fixes one
+coefficient of sigma per order (see `LambertEngine.sigma`).  The global sign
+of the recursion kernel, on which sources differ, is fixed to the one the
+character oracle confirms on the smallest stable cases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from . import _kernels
 from .poleform import PoleForm, pole_basis, splits
@@ -64,33 +67,21 @@ def lambert_x(trunc_order: int) -> Series:
     return Series(0, [-1, 0] + tail, trunc_order)
 
 
-def odd_coordinate(x_local: Series, order: int) -> Series:
-    """The coordinate xi(zeta) = zeta + ... with x = x0 + c2*xi^2, to ``order``.
+def check_deck_involution(sigma: Series) -> Series:
+    """Return ``sigma`` if it is -zeta + O(zeta^2) and solves (1 + zeta)
+    sigma sigma' = zeta (1 + sigma) below its truncation order t, and raise
+    ValueError otherwise.
 
-    Requires a simple branch point (no linear term, nonzero quadratic term).
-    The coefficient of zeta^n in xi needs x_local at zeta^(n+1), so x_local
-    must be known strictly beyond the requested order.
+    This is the check that x(sigma) = x(zeta) through zeta^t.  With the
+    Lambert x'(zeta) = -zeta / (1 + zeta), d/dzeta [x(sigma) - x(zeta)] is
+    the residual of that equation over (1 + sigma)(1 + zeta), a unit, and
+    both sides vanish at zeta = 0; so the residual vanishes through
+    zeta^(t-1) exactly when x(sigma) - x(zeta) does through zeta^t.  The
+    identity solves the equation too, hence the leading coefficient.
     """
-    if x_local.coefficient(1) != 0 or x_local.coefficient(2) == 0:
-        raise ValueError("not a simple branch point: need x = x0 + c2*zeta^2 + ...")
-    if x_local.trunc_order <= order:
-        raise ValueError(f"xi to order {order} needs x_local known to order {order + 1}")
-    xi_squared = (x_local - x_local.coefficient(0)).scale(1 / x_local.coefficient(2))
-    return xi_squared.truncate(order + 1).sqrt_unit()
-
-
-def deck_involution(x_local: Series, order: int) -> Series:
-    """The nontrivial local solution of x(sigma(zeta)) = x(zeta).
-
-    In the odd coordinate of `odd_coordinate` the involution is xi -> -xi,
-    so sigma(zeta) = zeta(-xi(zeta)).  Needs x_local as `odd_coordinate`
-    does: a simple branch point, known strictly beyond ``order``.
-    """
-    xi = odd_coordinate(x_local, order)
-    sigma = xi.reversion().compose(-xi)
-    # the identity fixes x too; the deck involution is -zeta + O(zeta^2)
-    fixes_x = x_local.compose(sigma).agrees_with(x_local.truncate(order))
-    if sigma.coefficient(1) != -1 or not fixes_x:
+    zeta = Series.identity(sigma.trunc_order)
+    residual = (1 + zeta) * sigma * sigma.derivative() - zeta * (1 + sigma)
+    if sigma.coefficient(1) != -1 or not residual.is_zero:
         raise ValueError("no deck involution exists at this order")
     return sigma
 
@@ -115,11 +106,27 @@ class LambertEngine:
 
     @cached_property
     def sigma(self) -> Series:
-        """The deck involution at z* = 1, known below the engine order."""
+        """The deck involution at z* = 1, known below the engine order.
+
+        sigma = -zeta + O(zeta^2) solves (1 + zeta) sigma sigma' = zeta (1 +
+        sigma), the derivative of x(sigma) = x(zeta).  With Q = sigma^2 this
+        is (1 + zeta) Q' = 2 zeta (1 + sigma), which at zeta^(n-1) reads
+        n Q_n + (n-1) Q_(n-1) = 2 sigma_(n-2) for n >= 3, from Q_2 = 1.  As
+        Q_n = -2 sigma_(n-1) + sum_{i=2}^{n-2} sigma_i sigma_(n-i), each n
+        gives sigma_(n-1) in O(n) products.  `check_deck_involution` then
+        checks the equation on the result, which is the check that sigma
+        fixes x.
+        """
         if self.order < 8:
             raise ValueError("order must be at least 8")
-        # x one order beyond the engine's, as deck_involution needs
-        return deck_involution(lambert_x(self.order + 1), self.order)
+        # sigma[i] is the coefficient of zeta^i; q is Q_(n-1) on entering step n
+        sigma = [Fraction(0), Fraction(-1)]
+        q = Fraction(1)
+        for n in range(3, self.order + 1):
+            q = (2 * sigma[n - 2] - (n - 1) * q) / n
+            cross = sum(sigma[i] * sigma[n - i] for i in range(2, n - 1))
+            sigma.append((cross - q) / 2)
+        return check_deck_involution(Series(1, sigma[1:], self.order))
 
     @cached_property
     def _bergman_terms(self):
@@ -181,22 +188,36 @@ class LambertEngine:
         u(b) = s^(-b) u(0), s = sigma / zeta, is a power series with a
         nonzero constant term, so both reads are at n = a + b + 2 - p: the
         row is u(a)[n] + u(b)[n] (see `_kernels.contract`).
+
+        The u(b) are built in integers: s, 1/s and u(0) are cleared of
+        denominators once each, every step is one integer convolution with
+        the gcd of the row divided out, and one lcm puts the rows over the
+        table's denominator.
         """
         order = self.order
-        s = self.sigma.shift(-1)
-        s_inv = s.invert_unit()
-        u = {0: self.e0.shift(2)}
-        for b in range(1, order - 4):
-            u[b] = u[b - 1] * s_inv
-        for b in range(-1, 6 - order, -1):
-            u[b] = u[b + 1] * s
-        if any(f.min_exponent < 0 for f in u.values()):
-            raise ValueError("an e(b) starts below zeta^(-b-2), which the table would drop")
         known = order - 2
-        den, nums = _kernels.clear_denominators(
-            [f.coefficient(n) for f in u.values() for n in range(known)]
-        )
-        return den, {b: nums[i * known : (i + 1) * known] for i, b in enumerate(u)}
+        u0 = self.e0.shift(2)
+        # s and 1/s are unit power series, so every u(b) starts where u(0) does
+        if u0.min_exponent < 0:
+            raise ValueError("an e(b) starts below zeta^(-b-2), which the table would drop")
+
+        def cleared(f):
+            return _kernels.clear_denominators([f.coefficient(n) for n in range(known)])
+
+        s = self.sigma.shift(-1)
+        rows = {0: cleared(u0)}
+        for factor, step, stop in ((s.invert_unit(), 1, order - 4), (s, -1, 6 - order)):
+            den_f, nums_f = cleared(factor)
+            for b in range(step, stop, step):
+                den, nums = rows[b - step]
+                nums = _kernels.conv_ints(nums, nums_f, known)
+                den *= den_f
+                common = gcd(den, *nums)
+                rows[b] = den // common, [v // common for v in nums]
+        # each row is in lowest terms, so the lcm of their denominators is
+        # the least common denominator of the whole table
+        den = lcm(*(d for d, _ in rows.values()))
+        return den, {b: [v * (den // d) for v in nums] for b, (d, nums) in rows.items()}
 
     @cached_property
     def pair_table(self) -> _kernels.PairTable:

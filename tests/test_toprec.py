@@ -8,14 +8,14 @@ from math import gcd
 import pytest
 
 from hurwitzrec import _kernels
+from hurwitzrec.bridge import odd_coordinate
 from hurwitzrec.poleform import PoleForm, basis_poles, pole_basis, splits
 from hurwitzrec.series import Series, TruncationError, residue_of_product
 from hurwitzrec.toprec import (
     LambertEngine,
-    deck_involution,
+    check_deck_involution,
     is_stable,
     lambert_x,
-    odd_coordinate,
     required_order,
 )
 
@@ -46,6 +46,20 @@ class TestCurve:
         omega = (Series.identity(10) - sigma) * lambert_x(10).derivative()
         assert omega.min_exponent == 2
         assert omega.coefficient(2) == -2
+
+
+def deck_involution(x_local, order):
+    """Generic reference for sigma, for any x with a simple branch point:
+    in the odd coordinate xi of `odd_coordinate` the involution is xi -> -xi,
+    so sigma(zeta) = zeta(-xi(zeta)), by series reversion and composition.
+    Needs x_local known strictly beyond ``order``."""
+    xi = odd_coordinate(x_local, order)
+    sigma = xi.reversion().compose(-xi)
+    # the identity fixes x too; the deck involution is -zeta + O(zeta^2)
+    fixes_x = x_local.compose(sigma).agrees_with(x_local.truncate(order))
+    if sigma.coefficient(1) != -1 or not fixes_x:
+        raise ValueError("no deck involution exists at this order")
+    return sigma
 
 
 def newton_deck_involution(x_local, order):
@@ -93,11 +107,29 @@ class TestDeckInvolution:
     def test_matches_newton_reference(self, order):
         # x known to exactly order + 1, the least deck_involution accepts
         x = lambert_x(order + 1)
-        assert deck_involution(x, order) == newton_deck_involution(x, order)
+        sigma = LambertEngine(order=order).sigma
+        assert sigma == deck_involution(x, order)
+        assert sigma == newton_deck_involution(x, order)
 
     def test_matches_newton_reference_off_lambert(self):
         x = Series(0, [-1, 0, -3, 5, 7], 17)
         assert deck_involution(x, 16) == newton_deck_involution(x, 16)
+
+    @pytest.mark.parametrize("n", [2, 13, 27])
+    def test_residual_check_rejects_a_perturbed_coefficient(self, n):
+        # the top coefficient included: it enters the residual at zeta^27 but
+        # x(sigma) - x(zeta) only at zeta^28, so a check of x(sigma) = x(zeta)
+        # below the truncation order would miss it
+        sigma = LambertEngine(order=28).sigma
+        assert check_deck_involution(sigma) is sigma
+        perturbed = sigma + Series.monomial(1, n, 28)
+        with pytest.raises(ValueError, match="no deck involution"):
+            check_deck_involution(perturbed)
+
+    def test_residual_check_rejects_the_identity(self):
+        # the identity fixes x and solves the equation too
+        with pytest.raises(ValueError, match="no deck involution"):
+            check_deck_involution(Series.identity(28))
 
     def test_odd_coordinate_squares_to_x(self):
         # x = x0 + c2*xi^2, checked from the definition for the Lambert x
@@ -181,6 +213,25 @@ class TestKernel:
             eng.e0
 
 
+def reference_u_table(engine):
+    """The residue table built from `Series` products: u(b) = s^(-b) u(0),
+    s = sigma / zeta, one factor at a time, cleared of denominators at the
+    end over all entries at once."""
+    order = engine.order
+    s = engine.sigma.shift(-1)
+    s_inv = s.invert_unit()
+    u = {0: engine.e0.shift(2)}
+    for b in range(1, order - 4):
+        u[b] = u[b - 1] * s_inv
+    for b in range(-1, 6 - order, -1):
+        u[b] = u[b + 1] * s
+    known = order - 2
+    den, nums = _kernels.clear_denominators(
+        [f.coefficient(n) for f in u.values() for n in range(known)]
+    )
+    return den, {b: nums[i * known : (i + 1) * known] for i, b in enumerate(u)}
+
+
 def table_series(engine, b):
     """u(b) read back from the residue table as a Series."""
     den, u = engine.u_table
@@ -214,6 +265,23 @@ class TestResidueTable:
             for _ in range(abs(b)):
                 s_power = s_power * (s_inv if b > 0 else s)
             assert (u0 * s_power).agrees_with(u), b
+
+    @pytest.mark.parametrize("order", [8, 12, 20, 28, 40])
+    def test_matches_series_product_reference(self, order):
+        engine = LambertEngine(order=order)
+        den, u = engine.u_table
+        ref_den, ref_u = reference_u_table(engine)
+        assert den == ref_den
+        assert list(u.items()) == list(ref_u.items())
+
+    def test_set_up_uses_no_reversion_or_composition(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generic series route used in the curve set-up")
+
+        monkeypatch.setattr(Series, "reversion", refuse)
+        monkeypatch.setattr(Series, "compose", refuse)
+        den, u = LambertEngine(order=28).u_table
+        assert den > 0 and sorted(u) == list(table_range(28))
 
     def test_rejects_e_starting_below_its_index(self):
         # a triple pole in e(0) would give u(0) a zeta^(-1) term the table drops
