@@ -54,8 +54,8 @@ CACHE_ENV = "HURWITZREC_CACHE"
 # 40 admits W(4,5) and W(3,8) (order 36) and W(2,13) (order 40), which take
 # 0.4 s, 0.7 s and 2.1 s of CPU in process on a 2-core Xeon (wkg 2 13, which
 # also writes the form's 16,799 pole terms, takes 3.3 s).  The oracle's
-# cost grows fastest with |mu|: --g-max 3 --n-max 12 takes 1.3 s of CPU on a
-# 2-core Xeon.  Its genus bound is the highest genus order 40 admits: W(6,1)
+# cost grows fastest with |mu|: --g-max 3 --n-max 12 takes 0.55 s of CPU on
+# a 2-core Xeon.  Its genus bound is the highest genus order 40 admits: W(6,1)
 # needs 40.
 RECURSION_MAX_ORDER = 40
 ORACLE_MAX_N = 12

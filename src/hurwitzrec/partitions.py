@@ -29,17 +29,21 @@ takes w_max = 2 g_max - 2 + 2 n_max.  At n = n_max that keeps exactly the
 e <= 2 g_max - 2 that its lookups read; at lower degrees it keeps the larger
 exponents, up to 2 g_max - 2 + 2 (n_max - n), that products into degree
 n_max need.
+
+The series hold no Fraction.  Each degree n of Z, F and exp F is a dict of
+integer numerators over one positive denominator, in lowest terms: build_z
+writes degree n over (n!)^2 w_max!, and each graded step brings its terms to
+the lcm of their denominators, sums in integers and divides by n times that
+lcm once.  A Fraction is made only when a coefficient is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 Partition = tuple[int, ...]
-
-_ZERO = Fraction(0)
 
 
 def check_partition(mu) -> Partition:
@@ -151,18 +155,14 @@ def _mn(lam: Partition, mu: Partition) -> int:
     r, rest = mu[0], mu[1:]
     N = len(lam)
     h = [lam[i] - (i + 1) + N for i in range(N)]
-    hset = set(h)
     total = 0
-    for i, hi in enumerate(h):
+    for hi in h:
         lo = hi - r
-        if lo < 0 or lo in hset:
+        if lo < 0 or lo in h:
             continue
-        between = sum(1 for x in h if lo < x < hi)
-        sub = sorted((x for x in h if x != hi), reverse=True)
-        sub.append(lo)
-        sub.sort(reverse=True)
+        sub = sorted([x for x in h if x != hi] + [lo], reverse=True)
         term = _mn(_beta_to_partition(sub), rest)
-        total += -term if between % 2 else term
+        total += -term if sum(lo < x < hi for x in h) % 2 else term
     return total
 
 
@@ -201,7 +201,7 @@ def cov_disconnected(mu: Partition, b: int) -> Fraction:
     if b < 0:
         raise ValueError("b must be nonnegative")
     if not mu:
-        return Fraction(1) if b == 0 else _ZERO
+        return Fraction(int(b == 0))
     n = sum(mu)
     total = sum(w * f**b for w, f in _burnside_weights(mu))
     return Fraction(class_size(mu) * total, factorial(n) ** 2)
@@ -213,10 +213,11 @@ def _burnside_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
     partitions lam of n = |mu|; they do not depend on b.  Each Burnside
     weight (dim lam / n!)^2 * f_central(lam, mu) is the first entry times
     |C_mu| / (n!)^2, so the sum over lam stays in integers and dim(lam) is
-    not divided out and back in."""
+    not divided out and back in.  Each lam comes from partitions_of(n), so
+    the Murnaghan-Nakayama recursion runs without `character`'s checks."""
     n = sum(mu)
     return tuple(
-        (dim * character(lam, mu), f_c2(lam))
+        (dim * _mn(lam, mu), f_c2(lam))
         for lam, dim in zip(partitions_of(n), _dims(n))
     )
 
@@ -235,40 +236,43 @@ def _dims(n: int) -> tuple[int, ...]:
 class PSeriesZ:
     """Truncated generating function graded by degree n and weight e + 2n.
 
-    ``data[n]`` maps ``(mu, e)`` to a Fraction, where ``mu`` is the partition
+    ``data[n]`` maps ``(mu, e)`` to an integer numerator over the degree's
+    one positive denominator ``den[n]``, where ``mu`` is the partition
     labelling the monomial p_mu and ``e`` the exponent of the string
     coupling (e = b - |mu| - len(mu) termwise; exponents add under products).
-    Only terms with n <= n_max and weight e + 2n <= w_max are kept; the module
+    Every degree is kept in lowest terms, gcd(den[n], *numerators) = 1, with
+    no zero numerator, so equal series have equal representations.  Only
+    terms with n <= n_max and weight e + 2n <= w_max are kept; the module
     docstring shows why this cut is exact under products, log and exp.
     """
 
-    def __init__(self, n_max: int, w_max: int, data=None):
+    def __init__(self, n_max: int, w_max: int):
         self.n_max = n_max
         self.w_max = w_max
         self.data = {n: {} for n in range(n_max + 1)}
-        if data:
-            for n, terms in data.items():
-                self.data[n].update(terms)
+        self.den = [1] * (n_max + 1)
 
     def coefficient(self, n: int, mu: Partition, e: int) -> Fraction:
+        mu = check_partition(mu)
         if n > self.n_max or e + 2 * n > self.w_max:
             raise ValueError(
                 f"term of degree {n} and exponent {e} beyond truncation "
                 f"(n_max={self.n_max}, w_max={self.w_max})"
             )
-        return self.data[n].get((tuple(mu), e), _ZERO)
+        return Fraction(self.data[n].get((mu, e), 0), self.den[n])
 
     def __eq__(self, other):
         if not isinstance(other, PSeriesZ):
             return NotImplemented
-        if (self.n_max, self.w_max) != (other.n_max, other.w_max):
-            return False
-        for n in range(self.n_max + 1):
-            a = {k: v for k, v in self.data[n].items() if v}
-            b = {k: v for k, v in other.data[n].items() if v}
-            if a != b:
-                return False
-        return True
+        return (self.n_max, self.w_max, self.data, self.den) == (
+            other.n_max, other.w_max, other.data, other.den
+        )
+
+    def _set(self, n: int, nums: dict, den: int) -> None:
+        """Store degree n as nums / den, in lowest terms and without zeros."""
+        g = gcd(den, *nums.values())
+        self.data[n] = {key: v // g for key, v in nums.items() if v}
+        self.den[n] = den // g
 
     def log(self) -> "PSeriesZ":
         """Formal logarithm F = log Z; requires constant coefficient 1.
@@ -276,11 +280,11 @@ class PSeriesZ:
         Degree by degree from n Z_n = sum_{k=1..n} k F_k Z_{n-k}:
         F_n = Z_n - (1/n) sum_{k<n} k F_k Z_{n-k}.
         """
-        if self.data[0] != {((), 0): Fraction(1)}:
+        if self.data[0] != {((), 0): self.den[0]}:
             raise ValueError("log requires a series with constant term 1")
         out = PSeriesZ(self.n_max, self.w_max)
         for n in range(1, self.n_max + 1):
-            out.data[n] = _graded_step(self.data[n], out, self, n, Fraction(-1, n))
+            out._set(n, *_graded_step(self, out, self, n, -1))
         return out
 
     def exp(self) -> "PSeriesZ":
@@ -291,31 +295,36 @@ class PSeriesZ:
         """
         if self.data[0]:
             raise ValueError("exp requires a series without constant term")
-        out = PSeriesZ(self.n_max, self.w_max, {0: {((), 0): Fraction(1)}})
+        out = PSeriesZ(self.n_max, self.w_max)
+        out.data[0] = {((), 0): 1}
         for n in range(1, self.n_max + 1):
-            out.data[n] = _graded_step(self.data[n], self, out, n, Fraction(1, n))
+            out._set(n, *_graded_step(self, self, out, n, 1))
         return out
 
 
-def _graded_step(base: dict, f: PSeriesZ, z: PSeriesZ, n: int, scale: Fraction) -> dict:
-    """base + scale * (the degree-n part of sum_{k=1..n-1} k F_k Z_{n-k}),
-    skipping every product of weight above w_max, with zero entries dropped.
+def _graded_step(base: PSeriesZ, f: PSeriesZ, z: PSeriesZ, n: int, sign: int):
+    """Degree n of base + (sign/n) * sum_{k=1..n-1} k F_k Z_{n-k}, as
+    (numerators, denominator), skipping every product of weight above w_max.
 
-    A product of degree n has weight ea + eb + 2n, so it is kept when
-    ea + eb <= w_max - 2n."""
-    out = dict(base)
+    The base and each k F_k Z_{n-k} are brought to the lcm L of their
+    denominators, with k and L's cofactor folded into the outer coefficient,
+    so a kept product costs one integer multiply and one add; the sum is
+    over n L.  A product of degree n has weight ea + eb + 2n, so it is kept
+    when ea + eb <= w_max - 2n."""
+    lcd = lcm(base.den[n], *(f.den[k] * z.den[n - k] for k in range(1, n)))
+    out = {key: v * n * lcd // base.den[n] for key, v in base.data[n].items()}
     e_cap = f.w_max - 2 * n
     for k in range(1, n):
-        terms_z = z.data[n - k]
+        scale = sign * k * lcd // (f.den[k] * z.den[n - k])
+        terms_z = z.data[n - k].items()
         for (mua, ea), ca in f.data[k].items():
             eb_cap = e_cap - ea
-            ca *= k * scale
-            for (mub, eb), cb in terms_z.items():
-                if eb > eb_cap:
-                    continue
-                key = (_merge_partitions(mua, mub), ea + eb)
-                out[key] = out.get(key, _ZERO) + ca * cb
-    return {key: v for key, v in out.items() if v}
+            ca *= scale
+            for (mub, eb), cb in terms_z:
+                if eb <= eb_cap:
+                    key = (_merge_partitions(mua, mub), ea + eb)
+                    out[key] = out.get(key, 0) + ca * cb
+    return out, n * lcd
 
 
 def _merge_partitions(a: Partition, b: Partition) -> Partition:
@@ -325,17 +334,24 @@ def _merge_partitions(a: Partition, b: Partition) -> Partition:
 def build_z(n_max: int, w_max: int) -> PSeriesZ:
     """Assemble Z from the Burnside counts, up to degree n_max and weight
     w_max, that is up to b = w_max - n + len(mu) simple branch points for
-    the monomial p_mu of degree n."""
-    z = PSeriesZ(n_max, w_max, {0: {((), 0): Fraction(1)}})
+    the monomial p_mu of degree n.
+
+    The coefficient cov_disconnected(mu, b) / b! is written over the
+    degree's denominator (n!)^2 w_max! as the integer
+    |C_mu| * sum_lam w_lam f_lam^b * (w_max! / b!), with the pairs
+    (w_lam, f_lam) of `_burnside_weights`."""
+    top = factorial(w_max)
+    z = PSeriesZ(n_max, w_max)
+    z.data[0] = {((), 0): 1}
     for n in range(1, n_max + 1):
-        dest = z.data[n]
+        nums = {}
         for mu in partitions_of(n):
-            lmu = len(mu)
+            lmu, size = len(mu), class_size(mu)
             # b must have the parity of n + len(mu) for a cover to exist
             for b in range((n + lmu) % 2, w_max - n + lmu + 1, 2):
-                c = cov_disconnected(mu, b)
-                if c:
-                    dest[(mu, b - n - lmu)] = c / factorial(b)
+                total = sum(w * f**b for w, f in _burnside_weights(mu))
+                nums[(mu, b - n - lmu)] = size * total * (top // factorial(b))
+        z._set(n, nums, factorial(n) ** 2 * top)
     return z
 
 

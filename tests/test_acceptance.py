@@ -31,7 +31,7 @@ from hurwitzrec.toprec import LambertEngine, required_order
 
 F = Fraction
 
-G_MAX, N_MAX = 2, 6
+G_MAX, N_MAX = 3, 7
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
+from hurwitzrec import partitions
 from hurwitzrec.extract import hurwitz_by_recursion
 from hurwitzrec.partitions import (
     HurwitzOracle,
@@ -51,6 +52,12 @@ def hook_length_dim(lam):
     return factorial(sum(lam)) // prod
 
 
+def fractions(series):
+    """The series' coefficients as {n: {(mu, e): Fraction}}."""
+    return {n: {key: Fraction(v, series.den[n]) for key, v in t.items()}
+            for n, t in series.data.items()}
+
+
 def reference_mul(a, b, n_max):
     """Naive product of two series {n: {(mu, e): c}} up to degree n_max,
     term by term, with no weight cut."""
@@ -82,7 +89,7 @@ def weight_cut(series, w_max):
 def reference_log(z):
     """log Z = sum_m (-1)^(m+1) (Z-1)^m / m, from full power products of the
     cut Z, then cut to its weight bound."""
-    p = {n: t for n, t in z.data.items() if n > 0}
+    p = {n: t for n, t in fractions(z).items() if n > 0}
     out = {n: {} for n in range(z.n_max + 1)}
     power = p
     for m in range(1, z.n_max + 1):
@@ -97,11 +104,11 @@ def reference_exp(f):
     cut to its weight bound."""
     out = {n: {} for n in range(f.n_max + 1)}
     out[0][((), 0)] = Fraction(1)
-    power = f.data
+    power = terms = fractions(f)
     for m in range(1, f.n_max + 1):
         reference_scaled_add(out, power, Fraction(1, factorial(m)))
         if m < f.n_max:
-            power = reference_mul(power, f.data, f.n_max)
+            power = reference_mul(power, terms, f.n_max)
     return weight_cut(out, f.w_max)
 
 
@@ -319,10 +326,27 @@ class TestOracle:
     def test_graded_log_and_exp_match_power_series(self):
         z = build_z(7, 14)
         f = z.log()
-        assert nonzero(f.data) == nonzero(reference_log(z))
-        assert nonzero(f.exp().data) == nonzero(reference_exp(f))
+        assert nonzero(fractions(f)) == nonzero(reference_log(z))
+        assert nonzero(fractions(f.exp())) == nonzero(reference_exp(f))
 
-    @pytest.mark.parametrize("n_max,g_max", [(7, 0), (8, 1), (6, 3), (5, 5)])
+    def test_log_and_exp_run_in_integers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Fraction made while building Z, log or exp")
+
+        monkeypatch.setattr(partitions, "Fraction", refuse)
+        z = build_z(9, 18)
+        assert z.log().exp() == z
+
+    def test_every_degree_in_lowest_terms(self):
+        z = build_z(7, 14)
+        f = z.log()
+        for series in (z, f, f.exp()):
+            for n, nums in series.data.items():
+                den = series.den[n]
+                assert den > 0 and gcd(den, *nums.values()) == 1, n
+                assert all(nums.values()), n
+
+    @pytest.mark.parametrize("n_max,g_max", [(7, 0), (8, 1), (9, 1), (6, 3), (5, 5)])
     def test_weight_cut_matches_b_bounded_log(self, n_max, g_max):
         oracle = HurwitzOracle(n_max, g_max)
         f = reference_b_bounded_log(n_max, 2 * g_max - 2 + 2 * n_max)
@@ -343,6 +367,9 @@ class TestOracle:
         z = build_z(6, 10)
         weights = {e + 2 * n for n, t in z.data.items() for (_mu, e) in t}
         assert weights == {0, 2, 4, 6, 8, 10}
+        # a negative bound would cut the constant term 1 itself
+        with pytest.raises(ValueError):
+            build_z(3, -1)
 
     def test_coefficient_refuses_terms_beyond_the_cut(self):
         z = build_z(4, 8)
@@ -353,12 +380,18 @@ class TestOracle:
         with pytest.raises(ValueError):
             z.coefficient(4, (1, 1, 1, 1), 2)
 
+    def test_coefficient_refuses_a_non_canonical_partition(self):
+        z = build_z(4, 8)
+        assert z.coefficient(3, (2, 1), -2) != 0
+        with pytest.raises(ValueError):
+            z.coefficient(3, (1, 2), -2)
+
     def test_equality_compares_the_cut(self):
         assert PSeriesZ(3, 4) != PSeriesZ(3, 5)
         assert PSeriesZ(3, 4) != PSeriesZ(2, 4)
         assert PSeriesZ(3, 4) == PSeriesZ(3, 4)
         # odd and even bounds keep the same terms, since weights are even
-        assert build_z(4, 6).data == build_z(4, 7).data
+        assert fractions(build_z(4, 6)) == fractions(build_z(4, 7))
         assert build_z(4, 6).log() != build_z(4, 7).log()
 
     def test_range_checks(self):
