@@ -4,9 +4,9 @@ Each kernel clears the denominators of its inputs once and works on plain
 ``int``s, so no intermediate result is ever a `Fraction`: `conv` and
 `unit_inverse` divide once at the end, and the residue sweeps read each
 pulled pair of slots from one lazily filled integer table (`PairTable`,
-itself built from two entries of the engine's residue table per pole pair by
-`contract`) and add into one running sum ``[den, {(p, rest): num}]`` per
-form.  Results are exact.
+itself filled from the engine's residue table, one row per pulled slot) and
+add into one running sum ``[den, {(p, rest): num}]`` per form.  Results are
+exact.
 """
 
 from fractions import Fraction
@@ -92,38 +92,19 @@ def count_ways(u, sub):
     return ways
 
 
-def contract(group, b, u, order):
-    """``sum_a group[a] * row(a, b)`` as ``{p: num}`` for one ``{a: num}``
-    of a decomposition, read from an engine's residue table ``u`` at
-    ``order``: row(a, b)[p] = u[a][n] + u[b][n] at n = a + b + 2 - p, for
-    p = 2 .. min(a + b + 2, order - 5).  The table knows n < order - 2, so
-    a + b > order - 3 raises TruncationError."""
-    ub = u[b]
-    sums = {}
-    for a, num in group.items():
-        top = a + b
-        if top > order - 3:
-            from .series import TruncationError
-
-            raise TruncationError(
-                f"engine order {order} cannot resolve the residue "
-                f"for pole data (a={a}, b={b})"
-            )
-        ua = u[a]
-        for n in range(max(0, top + 7 - order), top + 1):
-            p = top + 2 - n
-            sums[p] = sums.get(p, 0) + num * (ua[n] + ub[n])
-    return sums
-
-
 class PairTable(dict):
     """``T[x, y] = {p: num}``, over ``den``: the residues of the recursion
     kernel at pole order p against a pulled pair of slots, each ``x`` and
-    ``y`` a basis index (>= 1, expanded to pole orders by `basis_poles`) or
-    a Bergman power (<= 0, the pole order itself).  Filled on first use from
-    an engine's residue table ``(den, u)`` at ``order`` by `contract`, which
-    raises TruncationError for a pair the table cannot resolve; symmetric,
-    since a row is; zero entries are dropped."""
+    ``y`` a basis index (>= 1) or a Bergman power (<= 0).  Filled on first
+    use from an engine's residue table ``(den, {s: U_s})`` at ``order``;
+    symmetric; zero entries are dropped.
+
+    With P_s the pole orders of slot s (`basis_poles` for a basis index, the
+    power itself for a Bergman power) and top(s) the largest of them, the
+    row is T[x, y][p] = sum_a P_x[a] U_y[a + top(y) + 2 - p] + sum_b P_y[b]
+    U_x[b + top(x) + 2 - p] for p = 2 .. order - 5, each U a power series.
+    The table knows U_s[n] for n < order - 2, so top(x) + top(y) > order - 3
+    raises TruncationError."""
 
     def __init__(self, u_table, order):
         super().__init__()
@@ -132,12 +113,22 @@ class PairTable(dict):
 
     def __missing__(self, key):
         x, y = key
-        poles_x = basis_poles(x) if x > 0 else {x: 1}
-        sums = {}
-        for b, c in (basis_poles(y) if y > 0 else {y: 1}).items():
-            for p, v in contract(poles_x, b, self.u, self.order).items():
-                sums[p] = sums.get(p, 0) + c * v
-        row = {p: v for p, v in sums.items() if v}
+        poles_x, poles_y = (basis_poles(s) if s > 0 else {s: 1} for s in key)
+        top_x, top_y = max(poles_x), max(poles_y)
+        if top_x + top_y > self.order - 3:
+            from .series import TruncationError
+
+            raise TruncationError(
+                f"engine order {self.order} cannot resolve the residue "
+                f"for the pulled slots (x={x}, y={y})"
+            )
+        sums = [0] * (self.order - 4)  # by p; p = 0, 1 stay 0
+        for poles, u, top in ((poles_x, self.u[y], top_y), (poles_y, self.u[x], top_x)):
+            for a, c in poles.items():
+                n = a + top + 2
+                for p in range(2, min(n, self.order - 5) + 1):
+                    sums[p] += c * u[n - p]
+        row = {p: v for p, v in enumerate(sums) if v}
         self[x, y] = self[y, x] = row
         return row
 

@@ -11,11 +11,17 @@ positive, so W(g, k) is never zero; the constructor refuses a key of the
 wrong length or an index below 1).  Entries are keyed by (g, k): a form
 does not depend on the truncation order it was computed at.  Writers merge
 under an exclusive `flock` on the sidecar file ``<path>.lock``.
+
+Anything at the path other than a regular file or a symlink to one, such as
+a directory, a FIFO or a device, is never opened: it is unusable to the
+loader, and a writer refuses it with CacheWriteError before it makes the
+lock or a temporary file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import fcntl
 import json
 import os
@@ -28,6 +34,9 @@ CACHE_FORMAT = 3
 
 def load_cache(path, fingerprint):
     """Return {(g, k): PoleForm}; {} when unusable."""
+    # opening a FIFO would block, and reading a device is never a cache
+    if not os.path.isfile(path):
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -90,6 +99,9 @@ def attach_cache(engine, path):
     def flush():
         if loaded.keys() >= engine._memo.keys():
             return
+        if os.path.exists(path) and not os.path.isfile(path):
+            reason = os.strerror(errno.EISDIR) if os.path.isdir(path) else "not a regular file"
+            raise CacheWriteError(f"cannot write the cache file {path}: {reason}")
         try:
             lock = open(f"{path}.lock", "a")
         except OSError as exc:

@@ -52,14 +52,16 @@ CACHE_ENV = "HURWITZREC_CACHE"
 # Size bounds, checked before any engine or oracle is built.  The recursion's
 # cost grows steeply with the truncation order its largest form needs; order
 # 40 admits W(4,5) and W(3,8) (order 36) and W(2,13) (order 40), which take
-# 0.4 s, 0.7 s and 2.1 s of CPU in process on a 2-core Xeon (wkg 2 13, which
-# also writes the form's 16,799 pole terms, takes 3.3 s).  The oracle's
+# 0.3 s, 0.6 s and 1.7 s of CPU in process on a 2-core Xeon (wkg 2 13, which
+# also writes the form's 16,799 pole terms, takes 3.5 s).  The oracle's
 # cost grows fastest with |mu|: --g-max 3 --n-max 12 takes 0.55 s of CPU on
-# a 2-core Xeon.  Its genus bound is the highest genus order 40 admits: W(6,1)
-# needs 40.
+# a 2-core Xeon.  Its genus bound is the highest genus whose W(g,1) the
+# recursion's bound admits.
 RECURSION_MAX_ORDER = 40
 ORACLE_MAX_N = 12
-ORACLE_MAX_G = 6
+ORACLE_MAX_G = max(
+    g for g in range(RECURSION_MAX_ORDER) if required_order(g, 1) <= RECURSION_MAX_ORDER
+)
 
 
 class _UsageError(Exception):

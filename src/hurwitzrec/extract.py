@@ -85,7 +85,7 @@ def h_series(form: PoleForm, n_max: int) -> HSeries:
     factors = [None] + [basis_factors(m, top) for m in range(1, n_max + 1)]
     coeffs = {}
 
-    def contract(level, prefix, budget, top, scale):
+    def contract_slot(level, prefix, budget, top, scale):
         # slots after this one each need a part >= 1
         slots_left = k - len(prefix) - 1
         for m in range(1, min(top, budget - slots_left) + 1):
@@ -104,9 +104,9 @@ def h_series(form: PoleForm, n_max: int) -> HSeries:
                     prev = e
                     rest = key[:i] + key[i + 1 :]
                     nxt[rest] = nxt.get(rest, 0) + f[e] * num
-            contract(nxt, prefix + (m,), budget - m, m, scale_m)
+            contract_slot(nxt, prefix + (m,), budget - m, m, scale_m)
 
-    contract(form.nums, (), n_max, n_max, form.den)
+    contract_slot(form.nums, (), n_max, n_max, form.den)
     return HSeries(form.g, k, n_max, coeffs)
 
 

@@ -6,11 +6,13 @@ branch point z* = 1, as truncated Laurent series known below the engine
 order; y = 1 + zeta enters only through zeta - sigma(zeta).  Correlation
 forms are finite PoleForms in the ELSV basis (see `poleform`); the residue
 in the recursion becomes coefficient extraction on those series.  The
-recursion kernel is never built: every residue is a sum of two entries of
-one integer table, the series u(b) = zeta^(b+2) e(b) with e(b) = sigma'
-sigma^(-b) / (2 omega) (see `LambertEngine.u_table`), and the sweeps read
-each pulled pair of basis slots from one table built from it (see
-`_kernels.PairTable`).
+recursion kernel is never built: the residue against a pulled pair of slots
+is two reads of one integer table with a row U_s per pulled slot s, the slot
+on the other sheet over 2 (zeta - sigma) (see `LambertEngine.u_table`), and
+the sweeps read each pair from one table filled from it (see
+`_kernels.PairTable`).  Since sigma fixes x, the basis step xihat_(e+1) =
+d/dx xihat_e carries over to the other sheet, so row s + 1 is one exact
+integer step from row s.
 
 The deck involution sigma(zeta) = -zeta + O(zeta^2), the other local
 solution of x(sigma) = x(zeta), is built from the curve's own differential
@@ -161,63 +163,73 @@ class LambertEngine:
     # -- branch-point evaluation data ----------------------------------------
 
     @cached_property
-    def e0(self) -> Series:
-        """e(0) = sigma' / (2 omega), a Laurent series in zeta with a double
-        pole, where omega = (zeta - sigma) x'."""
-        order = self.order
-        omega = (Series.identity(order) - self.sigma) * lambert_x(order).derivative()
-        if omega.min_exponent != 2:
+    def halves(self):
+        """The two power series the residue table is made of, ``(rhat,
+        what)``: rhat = zeta R_0 = -(1/s + zeta) and what = zeta / (2 (zeta -
+        sigma)) = 1 / (2 (1 - s)), s = sigma / zeta.  A simple branch point
+        needs s = -1 + O(zeta), so that zeta - sigma vanishes to first order
+        and the kernel denominator (zeta - sigma) x' to second."""
+        s = self.sigma.shift(-1)
+        if s.coefficient(0) != -1:
             raise ValueError(
                 "kernel denominator must vanish to second order at a simple branch point"
             )
-        return (self.sigma.derivative() * omega.invert_unit()).scale(_HALF)
+        rhat = -(s.invert_unit() + Series.identity(s.trunc_order))
+        return rhat, (1 - s).invert_unit().scale(_HALF)
 
     @cached_property
     def u_table(self):
-        """The residue table ``(den, {b: nums})``: ``nums[n] / den`` is the
-        coefficient of zeta^n in u(b) = zeta^(b+2) e(b), for n < order - 2
-        and -(order - 7) <= b <= order - 5, with e(b) = sigma' sigma^(-b) /
-        (2 omega).
+        """The residue table ``(den, {s: nums})``: ``nums[n] / den`` is the
+        coefficient of zeta^n in U_s = zeta^(top(s)+2) R_s / (2 (zeta -
+        sigma)), for n < order - 2, one row per pulled slot s: the basis
+        indices 0 .. (order - 5) // 2, top(s) = 2s their top pole order, and
+        the Bergman powers -(order - 7) .. -1, top(s) = s.
 
-        The kernel at pole order p is K_p = (zeta^(p-1) - sigma^(p-1)) /
-        (2 omega): the Bergman kernel sum_m (m+1) zeta^m dz1/(z1-z*)^(m+2)
-        integrated from sigma to zeta, p = m + 2, over 2 omega with omega =
-        (y - y o sigma) x' = (zeta - sigma) x'.  As sigma fixes x and flips
-        the sign of omega dzeta, Res[K_p zeta^(-a) sigma' sigma^(-b)] =
-        e(b)[a-p] + e(a)[b-p], f[n] being the coefficient of zeta^n.  Each
-        u(b) = s^(-b) u(0), s = sigma / zeta, is a power series with a
-        nonzero constant term, so both reads are at n = a + b + 2 - p: the
-        row is u(a)[n] + u(b)[n] (see `_kernels.contract`).
+        R_s is slot s on the other sheet, divided by dx: R_0 = -(1 + sigma) /
+        sigma is xihat_0 = t - 1 at sigma, R_(s+1) = -(1 + zeta)/zeta R_s' is
+        d/dx R_s, which is xihat_(s+1) at sigma because sigma fixes x, and
+        R_(-m) = sigma^m R_0 is the Bergman power zeta^m dzeta / dx there.
+        The kernel at pole order p is K_p = (zeta^(p-1) - sigma^(p-1)) / (2
+        omega), omega = (zeta - sigma) x'; pulling its sigma^(p-1) half back
+        by sigma, which fixes x and flips the sign of omega dzeta, makes the
+        residue of a pulled pair of slots two reads of these rows (see
+        `_kernels.PairTable`).
 
-        The u(b) are built in integers: s, 1/s and u(0) are cleared of
-        denominators once each, every step is one integer convolution with
-        the gcd of the row divided out, and one lcm puts the rows over the
-        table's denominator.
+        The rows are built in integers from the two `halves`, each cleared
+        of denominators once: with rhat_x = zeta^(2x+1) R_x, U_x = rhat_x
+        what is one integer convolution, and rhat_(x+1)[n] = -(q[n] +
+        q[n-1]) with q[n] = (n - 2x - 1) rhat_x[n] is the exact step d/dx.
+        The Bergman rows are U_(-m) = (sigma / zeta)^m U_0, one convolution
+        each; the gcd of every row is divided out, and one lcm puts the rows
+        over the table's denominator.
         """
         order = self.order
         known = order - 2
-        u0 = self.e0.shift(2)
-        # s and 1/s are unit power series, so every u(b) starts where u(0) does
-        if u0.min_exponent < 0:
-            raise ValueError("an e(b) starts below zeta^(-b-2), which the table would drop")
 
         def cleared(f):
+            if f.min_exponent < 0:
+                raise ValueError("a half starts below zeta^0, which the table would drop")
             return _kernels.clear_denominators([f.coefficient(n) for n in range(known)])
 
-        s = self.sigma.shift(-1)
-        rows = {0: cleared(u0)}
-        for factor, step, stop in ((s.invert_unit(), 1, order - 4), (s, -1, 6 - order)):
-            den_f, nums_f = cleared(factor)
-            for b in range(step, stop, step):
-                den, nums = rows[b - step]
-                nums = _kernels.conv_ints(nums, nums_f, known)
-                den *= den_f
-                common = gcd(den, *nums)
-                rows[b] = den // common, [v // common for v in nums]
+        rows = {}
+
+        def put(slot, den, nums):
+            common = gcd(den, *nums)
+            rows[slot] = den // common, [v // common for v in nums]
+
+        (den_r, rhat), (den_w, what) = (cleared(half) for half in self.halves)
+        for x in range((order - 5) // 2 + 1):
+            put(x, den_r * den_w, _kernels.conv_ints(rhat, what, known))
+            q = [(n - 2 * x - 1) * v for n, v in enumerate(rhat)]
+            rhat = [-q[0]] + [-(q[n] + q[n - 1]) for n in range(1, known)]
+        den_s, s = cleared(self.sigma.shift(-1))
+        for m in range(1, order - 6):
+            den, nums = rows[1 - m]
+            put(-m, den * den_s, _kernels.conv_ints(nums, s, known))
         # each row is in lowest terms, so the lcm of their denominators is
         # the least common denominator of the whole table
         den = lcm(*(d for d, _ in rows.values()))
-        return den, {b: [v * (den // d) for v in nums] for b, (d, nums) in rows.items()}
+        return den, {slot: [v * (den // d) for v in nums] for slot, (d, nums) in rows.items()}
 
     @cached_property
     def pair_table(self) -> _kernels.PairTable:
@@ -235,10 +247,10 @@ class LambertEngine:
 
         The split products are summed over unordered splits: the term for
         ``(h, J), (g-h, J')`` equals the swapped one, because the residue
-        row of pole data (a, b) is ``u(a)[n] + u(b)[n]`` (see `u_table`)
-        and ``C(n, k) == C(n, n-k)`` in the rest counts.  So each split with
-        ``(h, |J|) < (g-h, |J'|)`` is swept once with weight 2, and a split
-        equal to its swap once with weight 1.
+        row of a pulled pair of slots is symmetric in them (see
+        `_kernels.PairTable`) and ``C(n, k) == C(n, n-k)`` in the rest
+        counts.  So each split with ``(h, |J|) < (g-h, |J'|)`` is swept once
+        with weight 2, and a split equal to its swap once with weight 1.
         """
         check_stable(g, k)
         memo = self._memo.get((g, k))
@@ -284,14 +296,14 @@ class LambertEngine:
     def _sweep_two_sided(self, out):
         # The Bergman kernel with one variable on each sheet, sigma' / (zeta -
         # sigma)^2, gives Res[K_p sigma' / (zeta - sigma)^2] = 2 G[-p] with
-        # G = e(0) / (zeta - sigma)^2, its sigma^(p-1) half pulled back by
-        # sigma as in `u_table`.
-        d = Series.identity(self.order) - self.sigma
-        two_sided = self.e0 * (d * d).invert_unit()
-        den, nums = _kernels.clear_denominators(two_sided.coefficients)
-        m = two_sided.min_exponent
-        sums = {p: 2 * nums[-p - m] for p in range(2, self.order - 4) if -p >= m}
-        _kernels.add_sweep(out, {(): sums}, den)
+        # G = R_0 / (2 (zeta - sigma)^3) = 4 rhat what^3 zeta^(-4), its
+        # sigma^(p-1) half pulled back by sigma as in `u_table`; only p <= 4
+        # is nonzero.
+        rhat, what = (half.truncate(3) for half in self.halves)
+        g = rhat * what * what * what
+        ps = range(2, min(5, self.order - 4))
+        den, nums = _kernels.clear_denominators([8 * g.coefficient(4 - p) for p in ps])
+        _kernels.add_sweep(out, {(): dict(zip(ps, nums))}, den)
 
     def _sweep_term1(self, out, prev: PoleForm):
         den_c, groups = prev.decompositions()

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -12,13 +13,13 @@ import pytest
 CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "hurwitzrec.cli"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=300):
     # a developer's own cache file must not leak into (or out of) the suite
     env = {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
+        CLI + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -265,7 +266,10 @@ class TestCache:
         warm = LambertEngine(order=required_order(1, 2))
         attach_cache(warm, path)
         assert warm.w(1, 2) == form
-        assert "sigma" not in warm.__dict__ and "u_table" not in warm.__dict__
+        # no curve data: neither sigma, nor the two halves the residue table
+        # is cleared from, nor the table, nor the pair table read from it
+        built = {"sigma", "halves", "u_table", "pair_table"} & warm.__dict__.keys()
+        assert not built
 
     @pytest.mark.parametrize(
         "field, value",
@@ -472,6 +476,18 @@ class TestExitCodes:
         assert r.returncode == 74
         assert r.stderr == f"error: cannot write the cache file {path}: {reason}\n"
         assert list(tmp_path.rglob("*.tmp.*")) == []
+        assert not (tmp_path / "adir.lock").exists()
+
+    def test_cache_fifo_at_path_exit_74(self, tmp_path):
+        # a FIFO is neither read (opening it would block until a writer
+        # came) nor replaced; the timeout makes a blocked run fail, not hang
+        path = tmp_path / "forms.fifo"
+        os.mkfifo(path)
+        r = run_cli("wkg", "1", "1", "--cache", str(path), timeout=60)
+        assert r.returncode == 74
+        assert r.stderr == f"error: cannot write the cache file {path}: not a regular file\n"
+        assert stat.S_ISFIFO(os.stat(path).st_mode)
+        assert list(tmp_path.glob("*.lock")) == [] and list(tmp_path.glob("*.tmp.*")) == []
 
     def test_interrupt_exit_130(self, monkeypatch, capsys):
         from hurwitzrec import cli

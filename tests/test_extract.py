@@ -251,9 +251,11 @@ class TestVerifyBM:
 
     def test_corrupted_sign_fails_at_smallest_stable_case(self):
         # the opposite kernel sign, set before the residue table is built:
-        # negating e(0) negates every u(b), residue row and two-sided term
+        # negating what = zeta / (2 (zeta - sigma)) negates every slot row,
+        # pair-table row and the two-sided term 4 rhat what^3 zeta^(-4)
         bad = LambertEngine(order=required_order(1, 3))
-        bad.e0 = -bad.e0
+        rhat, what = bad.halves
+        bad.halves = rhat, -what
         assert "u_table" not in bad.__dict__
         report = verify_bm(1, 3, engine=bad)
         assert not report.ok

@@ -11,7 +11,13 @@ import pytest
 from hurwitzrec import _kernels
 from hurwitzrec.series import TruncationError, residue_of_product
 from hurwitzrec.toprec import LambertEngine, required_order
-from test_toprec import other_sheet, reference_basis_poles, reference_kernel
+from test_toprec import (
+    other_sheet,
+    reference_basis_poles,
+    reference_kernel,
+    reference_u_table,
+    slot_table,
+)
 
 F = Fraction
 _ZERO = F(0)
@@ -61,9 +67,9 @@ def ref_slot(x):
     return reference_basis_poles(x) if x > 0 else {x: 1}
 
 
-def ref_pair_sweep(out, terms_a, terms_b, table, weight=1):
-    """The sweep one pole pair at a time, reading the residue table that the
-    `PairTable` ``table`` was built from, not the pair table itself."""
+def ref_pair_sweep(out, terms_a, terms_b, pole_table, order, weight=1):
+    """The sweep one pole pair at a time, reading the pole-order residue
+    table ``pole_table`` at ``order``, not a pair table or its slot rows."""
     (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
     for (ra, group_a), (rb, group_b) in product(groups_a.items(), groups_b.items()):
         for (x, xn), (y, yn) in product(group_a.items(), group_b.items()):
@@ -71,7 +77,7 @@ def ref_pair_sweep(out, terms_a, terms_b, table, weight=1):
             c = F(xn, den_a) * F(yn, den_b) * ref_count_ways(u, ra) * weight
             sums = out[1]
             for (a, ca), (b, cb) in product(ref_slot(x).items(), ref_slot(y).items()):
-                for p, v in ref_row((table.den, table.u), table.order, a, b).items():
+                for p, v in ref_row(pole_table, order, a, b).items():
                     # the running sum holds numerators over out[0]
                     sums[p, u] = sums.get((p, u), 0) + ca * cb * c * v * out[0]
 
@@ -96,8 +102,8 @@ SWEEP_ORDER = 15
 
 
 def random_sweep(rng, n_terms, den_max):
-    """Two random decompositions and a random residue table ``(den, u)`` at
-    `SWEEP_ORDER`, some of its entries zero."""
+    """Two random decompositions and a random pole-order residue table
+    ``(den, {b: u(b)})`` at `SWEEP_ORDER`, some of its entries zero."""
 
     def mk_terms():
         groups = {}
@@ -116,8 +122,21 @@ def random_sweep(rng, n_terms, den_max):
     return mk_terms(), mk_terms(), (rng.randint(1, den_max), u)
 
 
-def pair_table(table):
-    return _kernels.PairTable(table, SWEEP_ORDER)
+def pair_table(table, order=SWEEP_ORDER, cls=_kernels.PairTable):
+    """A pair table on the slot rows -3 .. 3 of the pole-order table."""
+    return cls(slot_table(table, range(-3, 4), SWEEP_ORDER - 2), order)
+
+
+class Lopsided(_kernels.PairTable):
+    """A pair table that weighs each row toward the side that asked for it
+    first, by doubling that slot's row."""
+
+    def __missing__(self, key):
+        x, _ = key
+        u = {**self.u, x: [2 * v for v in self.u[x]]}
+        row = _kernels.PairTable((self.den, u), self.order)[key]
+        self[key] = self[key[::-1]] = row
+        return row
 
 
 class TestAgainstReference:
@@ -152,17 +171,17 @@ class TestAgainstReference:
         ta, tb, table = random_sweep(rng, 30, 7)
         fast, ref = [1, {}], [1, {}]
         _kernels.pair_sweep(fast, ta, tb, pair_table(table))
-        ref_pair_sweep(ref, ta, tb, pair_table(table))
+        ref_pair_sweep(ref, ta, tb, table, SWEEP_ORDER)
         assert nonzero(fast) == nonzero(ref)
         fast2, ref2 = [1, {}], [1, {}]
         _kernels.pair_sweep(fast2, ta, tb, pair_table(table), weight=2)
-        ref_pair_sweep(ref2, ta, tb, pair_table(table), weight=2)
+        ref_pair_sweep(ref2, ta, tb, table, SWEEP_ORDER, weight=2)
         assert nonzero(fast2) == nonzero(ref2)
         assert nonzero(fast2) == {key: 2 * v for key, v in nonzero(fast).items()}
 
-    def test_pair_sweep_swap_symmetric_rows(self, monkeypatch):
-        """Rows read from the residue table are symmetric in (a, b), so the
-        pair table is symmetric and sweeping (A, B) and (B, A) adds the same
+    def test_pair_sweep_swap_symmetric_rows(self):
+        """Rows read from the residue table are symmetric in the two pulled
+        slots, so the pair table is symmetric and sweeping (A, B) and (B, A) adds the same
         integers: the identity that lets the engine sweep each unordered
         split once with weight 2."""
         rng = random.Random(6)
@@ -172,19 +191,12 @@ class TestAgainstReference:
         _kernels.pair_sweep(ba, tb, ta, pair_table(table))
         assert ab[1] and nonzero(ab) == nonzero(ba)
 
-        # a contract weighing the two reads unequally breaks the identity,
+        # a pair table weighing the two reads unequally breaks the identity,
         # so the test can fail; each sweep fills its own pair table, so each
         # row is weighed toward the side that asked for it first
-        contract = _kernels.contract
-
-        def lopsided(group, b, u, order):
-            doubled = {a: [2 * v for v in u[a]] for a in group}
-            return contract(group, b, {**u, **doubled}, order)
-
-        monkeypatch.setattr(_kernels, "contract", lopsided)
         ab, ba = [1, {}], [1, {}]
-        _kernels.pair_sweep(ab, ta, tb, pair_table(table))
-        _kernels.pair_sweep(ba, tb, ta, pair_table(table))
+        _kernels.pair_sweep(ab, ta, tb, pair_table(table, cls=Lopsided))
+        _kernels.pair_sweep(ba, tb, ta, pair_table(table, cls=Lopsided))
         assert nonzero(ab) != nonzero(ba)
 
     def test_pair_sweep_wide_denominators(self):
@@ -192,15 +204,16 @@ class TestAgainstReference:
         ta, tb, table = random_sweep(rng, 30, 10**30)
         fast, ref = [1, {}], [1, {}]
         _kernels.pair_sweep(fast, ta, tb, pair_table(table))
-        ref_pair_sweep(ref, ta, tb, pair_table(table))
+        ref_pair_sweep(ref, ta, tb, table, SWEEP_ORDER)
         # a second sweep into the same output rescales the numerators there
         _kernels.pair_sweep(fast, tb, ta, pair_table(table))
-        ref_pair_sweep(ref, tb, ta, pair_table(table))
+        ref_pair_sweep(ref, tb, ta, table, SWEEP_ORDER)
         assert nonzero(fast) == nonzero(ref)
 
     def test_pair_table_drops_zeros_and_raises_beyond_the_order(self):
-        """A pair-table row is the sum of its pole rows, weighed by the slot
-        map, with zero entries dropped, and raises where a pole row does."""
+        """A pair-table row read from the slot rows is the sum of its pole
+        rows, weighed by the slot map, with zero entries dropped, and raises
+        where a pole row does."""
         rng = random.Random(8)
         _, _, table = random_sweep(rng, 1, 7)
         table[1][-3] = [0] * (SWEEP_ORDER - 2)  # u(-3) zero: some rows cancel
@@ -214,43 +227,49 @@ class TestAgainstReference:
             assert pairs[x, y] is pairs[y, x]
         assert {} in pairs.values()
         with pytest.raises(TruncationError):
-            _kernels.PairTable(table, 12)[3, 3]
+            pair_table(table, order=12)[3, 3]
 
 
 def test_rows_match_series_residues():
-    """Each residue row read from the table equals the residues of the
-    kernel built piece by piece against zeta^(-a) sigma' sigma^(-b), and
-    raises exactly where they do; b < 0 covers the Bergman powers that
-    W(0,3) sweeps."""
+    """Each pair-table row equals the sum over its pole pairs (a, b) of the
+    residues of the kernel built piece by piece against zeta^(-a) sigma'
+    sigma^(-b), and raises exactly where they do; slots below 1 cover the
+    Bergman powers that W(0,3) sweeps."""
     engine = LambertEngine(order=14)
-    den, u = engine.u_table
+    table = engine.pair_table
     kernel = reference_kernel(engine)
-    for a in range(-4, 9):
-        for b in range(-4, 9):
-            s = other_sheet(engine, b).shift(-a)
-            try:
-                expected = {}
+    for x, y in product(range(-4, 5), repeat=2):
+        expected = {}
+        try:
+            for (a, ca), (b, cb) in product(ref_slot(x).items(), ref_slot(y).items()):
+                s = other_sheet(engine, b).shift(-a)
                 if s.min_exponent <= 0:
                     for p, piece in kernel.items():
                         val = residue_of_product(piece, s)
-                        if val:
-                            expected[p] = val
-            except TruncationError:
-                with pytest.raises(TruncationError):
-                    _kernels.contract({a: 1}, b, u, engine.order)
-                continue
-            row = _kernels.contract({a: 1}, b, u, engine.order)
-            got = {p: F(v, den) for p, v in row.items() if v}
-            assert got == expected, (a, b)
+                        expected[p] = expected.get(p, 0) + ca * cb * val
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                table[x, y]
+            continue
+        got = {p: F(v, table.den) for p, v in table[x, y].items()}
+        assert got == {p: v for p, v in expected.items() if v}, (x, y)
 
 
 def test_engine_agrees_across_backends(monkeypatch):
     """The engine on the integer kernels equals the engine on the reference
-    kernels, coefficient for coefficient and byte for byte."""
-    real = LambertEngine(order=required_order(2, 2)).w(2, 2)
+    kernels, its pair sweeps reading the pole-order reference table one pole
+    pair at a time, coefficient for coefficient and byte for byte."""
+    order = required_order(2, 2)
+    real = LambertEngine(order=order).w(2, 2)
     monkeypatch.setattr(_kernels, "conv", ref_conv)
     monkeypatch.setattr(_kernels, "unit_inverse", ref_unit_inverse)
-    monkeypatch.setattr(_kernels, "pair_sweep", ref_pair_sweep)
-    ref = LambertEngine(order=required_order(2, 2)).w(2, 2)
+    ref_engine = LambertEngine(order=order)
+    pole_table = reference_u_table(ref_engine)
+
+    def sweep(out, terms_a, terms_b, table, weight=1):
+        ref_pair_sweep(out, terms_a, terms_b, pole_table, table.order, weight)
+
+    monkeypatch.setattr(_kernels, "pair_sweep", sweep)
+    ref = ref_engine.w(2, 2)
     assert real == ref
     assert real.canonical_json() == ref.canonical_json()

@@ -206,21 +206,26 @@ class TestKernel:
         assert min(s.min_exponent for s in reference_kernel(engine).values()) == -1
 
     def test_denominator_order_guard(self):
-        # sigma = zeta + zeta^2 makes (zeta - sigma) x' vanish to third order
+        # sigma = zeta + zeta^2 makes (zeta - sigma) x' vanish to third order:
+        # s = sigma / zeta = 1 + zeta has constant term 1, not -1
         eng = LambertEngine(order=10)
         eng.sigma = Series(1, [1, 1], 10)
         with pytest.raises(ValueError, match="second order"):
-            eng.e0
+            eng.halves
 
 
 def reference_u_table(engine):
-    """The residue table built from `Series` products: u(b) = s^(-b) u(0),
-    s = sigma / zeta, one factor at a time, cleared of denominators at the
-    end over all entries at once."""
+    """The pole-order residue table built from `Series` products, the
+    reference for the slot rows: u(b) = zeta^(b+2) e(b), e(b) = sigma'
+    sigma^(-b) / (2 omega), omega = (zeta - sigma) x', for -(order - 7) <=
+    b <= order - 5.  u(0) is sigma' / (2 omega) shifted, and u(b) = s^(-b)
+    u(0), s = sigma / zeta, one factor at a time; cleared of denominators
+    at the end over all entries at once."""
     order = engine.order
+    omega = (Series.identity(order) - engine.sigma) * lambert_x(order).derivative()
     s = engine.sigma.shift(-1)
     s_inv = s.invert_unit()
-    u = {0: engine.e0.shift(2)}
+    u = {0: (engine.sigma.derivative() * omega.invert_unit()).scale(F(1, 2)).shift(2)}
     for b in range(1, order - 4):
         u[b] = u[b - 1] * s_inv
     for b in range(-1, 6 - order, -1):
@@ -232,47 +237,112 @@ def reference_u_table(engine):
     return den, {b: nums[i * known : (i + 1) * known] for i, b in enumerate(u)}
 
 
-def table_series(engine, b):
-    """u(b) read back from the residue table as a Series."""
+def slot_poles(s):
+    """A pulled slot as pole orders: a basis index through the slot map, a
+    Bergman power as itself."""
+    return basis_poles(s) if s > 0 else {s: 1}
+
+
+def slot_range(order):
+    """The pulled slots the residue table has a row for."""
+    return range(-(order - 7), (order - 5) // 2 + 1)
+
+
+def slot_table(pole_table, slots, known):
+    """``(den, {s: U_s})`` from a pole-order table ``(den, {b: u(b)})``:
+    U_s = zeta^(top(s)+2) sum_b P_s[b] e(b) = sum_b P_s[b] zeta^(top(s)-b)
+    u(b), top(s) the largest pole order of slot s."""
+    den, u = pole_table
+    rows = {}
+    for s in slots:
+        poles = slot_poles(s)
+        top = max(poles)
+        rows[s] = [
+            sum(c * u[b][n - top + b] for b, c in poles.items() if n - top + b >= 0)
+            for n in range(known)
+        ]
+    return den, rows
+
+
+def pole_pair_row(pole_table, order, x, y):
+    """The pair-table row of slots x and y as the sum over their pole pairs
+    (a, b) of the pole rows u(a)[n] + u(b)[n], n = a + b + 2 - p, for p = 2
+    .. min(a + b + 2, order - 5): ``{p: num}`` over the table's denominator,
+    zeros dropped, or None when some a + b > order - 3, beyond the table."""
+    _, u = pole_table
+    sums = {}
+    for a, ca in slot_poles(x).items():
+        for b, cb in slot_poles(y).items():
+            if a + b > order - 3:
+                return None
+            for p in range(2, min(a + b + 2, order - 5) + 1):
+                n = a + b + 2 - p
+                sums[p] = sums.get(p, 0) + ca * cb * (u[a][n] + u[b][n])
+    return {p: v for p, v in sums.items() if v}
+
+
+def table_series(engine, s):
+    """U_s read back from the residue table as a Series."""
     den, u = engine.u_table
-    return Series(0, [F(v, den) for v in u[b]], engine.order - 2)
+    return Series(0, [F(v, den) for v in u[s]], engine.order - 2)
 
 
-def table_range(order):
-    return range(-(order - 7), order - 4)
+def slot_tops(key):
+    """The top pole orders of a pair of pulled slots."""
+    return [max(slot_poles(s)) for s in key]
 
 
 class TestResidueTable:
     @pytest.mark.parametrize("order", [8, 12, 20])
     def test_u_is_a_power_of_s_times_u0(self, order):
-        """u(b) = zeta^(b+2) e(b), with e(b) = sigma' sigma^(-b) / (2 omega)
-        taken from its definition, equals s^(-b) u(0) for s = sigma / zeta,
-        and has a nonzero constant term."""
+        """Each slot row is its definition U_s = zeta^(top(s)+2) R_s / (2
+        (zeta - sigma)), with R_s = sum_b P_s[b] sigma' sigma^(-b) / x' the
+        slot on the other sheet over dx, taken pole by pole: a power series
+        with a nonzero constant term.  Each Bergman row is U_(-m) = s^m U_0,
+        s = sigma / zeta."""
         engine = LambertEngine(order=order)
-        assert sorted(engine.u_table[1]) == list(table_range(order))
+        assert sorted(engine.u_table[1]) == list(slot_range(order))
         omega = (Series.identity(order) - engine.sigma) * lambert_x(order).derivative()
         half_over_omega = omega.invert_unit().scale(F(1, 2))
         s = engine.sigma.shift(-1)
-        s_inv = s.invert_unit()
         u0 = table_series(engine, 0)
-        for b in table_range(order):
-            u = table_series(engine, b)
-            e_b = other_sheet(engine, b) * half_over_omega
-            assert u.coefficient(0) != 0, b
-            assert e_b.min_exponent == -b - 2, b
-            assert e_b.shift(b + 2).agrees_with(u), b
-            s_power = Series.constant(1, order - 2)
-            for _ in range(abs(b)):
-                s_power = s_power * (s_inv if b > 0 else s)
-            assert (u0 * s_power).agrees_with(u), b
+        s_power = Series.constant(1, order - 2)
+        for slot in slot_range(order):
+            u = table_series(engine, slot)
+            poles = slot_poles(slot)
+            other = Series.zero(order)
+            for b, c in poles.items():
+                other = other + other_sheet(engine, b).scale(c)
+            defined = (other * half_over_omega).shift(max(poles) + 2)
+            assert u.coefficient(0) != 0, slot
+            assert defined.min_exponent == 0, slot
+            assert defined.agrees_with(u), slot
+        for m in range(1, order - 6):
+            s_power = s_power * s
+            assert (u0 * s_power).agrees_with(table_series(engine, -m)), m
 
-    @pytest.mark.parametrize("order", [8, 12, 20, 28, 40])
+    @pytest.mark.parametrize("order", range(8, 41))
     def test_matches_series_product_reference(self, order):
+        """Every slot row equals the sum over its pole orders of the rows of
+        the pole-order reference, and every pair-table row the sum over its
+        pole pairs of the reference's rows u(a)[n] + u(b)[n]; exactly the
+        slot pairs with a pole pair beyond the table raise."""
         engine = LambertEngine(order=order)
         den, u = engine.u_table
-        ref_den, ref_u = reference_u_table(engine)
-        assert den == ref_den
-        assert list(u.items()) == list(ref_u.items())
+        reference = reference_u_table(engine)
+        ref_den, ref_u = slot_table(reference, slot_range(order), order - 2)
+        assert sorted(u) == list(slot_range(order))
+        for s, nums in u.items():
+            assert [v * ref_den for v in nums] == [v * den for v in ref_u[s]], s
+        table = engine.pair_table
+        for x, y in itertools.product(slot_range(order), repeat=2):
+            want = pole_pair_row(reference, order, x, y)
+            if want is None:
+                with pytest.raises(TruncationError):
+                    table[x, y]
+                continue
+            got = {p: v * ref_den for p, v in table[x, y].items()}
+            assert got == {p: v * den for p, v in want.items()}, (x, y)
 
     def test_set_up_uses_no_reversion_or_composition(self, monkeypatch):
         def refuse(*args):
@@ -281,64 +351,74 @@ class TestResidueTable:
         monkeypatch.setattr(Series, "reversion", refuse)
         monkeypatch.setattr(Series, "compose", refuse)
         den, u = LambertEngine(order=28).u_table
-        assert den > 0 and sorted(u) == list(table_range(28))
+        assert den > 0 and sorted(u) == list(slot_range(28))
 
     def test_rejects_e_starting_below_its_index(self):
-        # a triple pole in e(0) would give u(0) a zeta^(-1) term the table drops
-        engine = LambertEngine(order=10)
-        engine.e0 = engine.e0 + Series.monomial(1, -3, 10)
-        with pytest.raises(ValueError, match="starts below"):
-            engine.u_table
+        # a zeta^(-1) term in either half would give U_0 = zeta^2 e(0) a
+        # zeta^(-1) term, e(0) one below its index, which the table drops
+        for which in (0, 1):
+            engine = LambertEngine(order=10)
+            halves = list(engine.halves)
+            halves[which] = halves[which] + Series.monomial(1, -1, 9)
+            engine.halves = tuple(halves)
+            with pytest.raises(ValueError, match="starts below"):
+                engine.u_table
 
     @pytest.mark.parametrize("order", [8, 12, 20, 28])
     def test_rows_equal_reference_residues(self, order):
-        """The reversed sum u(a) + u(b) equals the residues of the kernel
-        built piece by piece, for all pole data in the table's range that
-        it resolves."""
+        """Every pair-table row equals the sum over its pole pairs of the
+        residues of the kernel built piece by piece, for all slot pairs in
+        the table's range that it resolves."""
         engine = LambertEngine(order=order)
-        den, u = engine.u_table
+        table = engine.pair_table
         reference = reference_rows(engine)
-        for a in table_range(order):
-            for b in table_range(order):
-                if a + b <= order - 3:
-                    row = _kernels.contract({a: 1}, b, u, order)
-                    got = [(p, F(v, den)) for p, v in sorted(row.items()) if v]
-                    assert got == reference(a, b), (a, b)
+        for key in itertools.product(slot_range(order), repeat=2):
+            if sum(slot_tops(key)) > order - 3:
+                continue
+            want = {}
+            for a, ca in slot_poles(key[0]).items():
+                for b, cb in slot_poles(key[1]).items():
+                    for p, v in reference(a, b):
+                        want[p] = want.get(p, 0) + ca * cb * v
+            got = {p: F(v, table.den) for p, v in table[key].items()}
+            assert got == {p: v for p, v in want.items() if v}, key
 
     @pytest.mark.parametrize("order", [8, 12, 20])
     def test_truncation_boundary(self, order):
-        """A row raises exactly from a + b = order - 2 on, the first pole
-        data whose residue the series reference cannot determine either."""
+        """A slot pair raises exactly from top(x) + top(y) = order - 2 on,
+        where the series reference cannot determine the residue of the top
+        pole pair either."""
         engine = LambertEngine(order=order)
-        _, u = engine.u_table
+        table = engine.pair_table
         reference = reference_rows(engine)
-        for a in table_range(order):
-            for b in table_range(order):
-                if a + b <= order - 3:
-                    _kernels.contract({a: 1}, b, u, order)
-                    continue
-                with pytest.raises(TruncationError, match=f"a={a}, b={b}"):
-                    _kernels.contract({a: 1}, b, u, order)
-                if a + b == order - 2:
-                    with pytest.raises(TruncationError):
-                        reference(a, b)
+        for x, y in itertools.product(slot_range(order), repeat=2):
+            top_x, top_y = slot_tops((x, y))
+            if top_x + top_y <= order - 3:
+                table[x, y]
+                continue
+            with pytest.raises(TruncationError, match=f"x={x}, y={y}"):
+                table[x, y]
+            if top_x + top_y == order - 2:
+                with pytest.raises(TruncationError):
+                    reference(top_x, top_y)
 
     def test_sweeps_stay_inside_the_bound(self, monkeypatch):
         """For every stable (g, k) with required order at most 30, the
-        largest a + b its sweeps read is required_order(g, k) - 8, below the
-        bound required_order(g, k) - 3 of the table at that order, so the
-        CLI, which runs at the largest order a request needs, never reaches
-        the bound.  Every a and b lies in that table too, bar the Bergman
-        powers -m, which follow the engine's own order."""
+        largest top(x) + top(y) its sweeps read is required_order(g, k) - 8,
+        below the bound required_order(g, k) - 3 of the table at that order,
+        so the CLI, which runs at the largest order a request needs, never
+        reaches the bound.  Every slot lies in that table too, bar the
+        Bergman powers -m, which follow the engine's own order."""
         engine = LambertEngine(order=30)
-        contract, reads = _kernels.contract, []
+        missing, reads = _kernels.PairTable.__missing__, []
 
-        def recording(group, b, u, order):
-            # (largest a + b, largest order, smallest order) of this call
-            reads.append((max(group) + b, max(b, *group), min(b, *group)))
-            return contract(group, b, u, order)
+        def recording(table, key):
+            # (top(x) + top(y), the larger top, the smaller slot) of this pair
+            tops = slot_tops(key)
+            reads.append((sum(tops), max(tops), min(key)))
+            return missing(table, key)
 
-        monkeypatch.setattr(_kernels, "contract", recording)
+        monkeypatch.setattr(_kernels.PairTable, "__missing__", recording)
         cases = sorted(
             (required_order(g, k), g, k)
             for g in range(5)
@@ -354,7 +434,7 @@ class TestResidueTable:
             engine.pair_table.clear()
             engine.w(g, k)
             if (g, k) == (1, 1):
-                # its one sweep is the two-sided Bergman term, read from e(0)
+                # its one sweep is the two-sided Bergman term, read from the halves
                 assert not reads
                 continue
             tops, highs, lows = zip(*reads)
@@ -535,29 +615,30 @@ class TestStructuralInvariants:
             assert total.is_zero or total.min_exponent >= 1, (g, k, rest)
 
     def test_residue_rows_sheet_symmetric(self):
-        """row(a, b) == row(b, a): the kernel is invariant under the deck
-        involution and a residue under zeta -> sigma(zeta), and a row read
-        from the table is u(a)[n] + u(b)[n].  The engine sweeps each
-        unordered split once on the strength of this identity.
-        Checked on a fixed grid of pole data at order 34, independent of
-        which rows the recursion asks for: a pair is resolvable exactly when
-        its swap is, and then the two rows are equal."""
+        """T[x, y] == T[y, x]: the kernel is invariant under the deck
+        involution and a residue under zeta -> sigma(zeta), and a pair-table
+        row is the sum of one read of U_y and one of U_x.  The engine sweeps
+        each unordered split once on the strength of this identity.
+        Checked on a fixed grid of slots at order 34, each row in a fresh
+        table so that neither orientation is the other read back, and
+        independent of which rows the recursion asks for: a pair is
+        resolvable exactly when its swap is, and then the two rows are
+        equal."""
         eng = LambertEngine(order=34)
-        _, u = eng.u_table
 
-        def row(a, b):
+        def row(x, y):
             try:
-                return _kernels.contract({a: 1}, b, u, eng.order)
+                return _kernels.PairTable(eng.u_table, eng.order)[x, y]
             except TruncationError:
                 return None
 
         resolved = 0
-        for a in range(-10, 30):
-            for b in range(-10, 30):
-                here = row(a, b)
-                assert here == row(b, a), (a, b)
+        for x in range(-10, 15):
+            for y in range(-10, 15):
+                here = row(x, y)
+                assert here == row(y, x), (x, y)
                 resolved += here is not None
-        assert resolved == 1222
+        assert resolved == 534
 
     def test_order_robustness(self):
         lo = LambertEngine(order=required_order(2, 1))
