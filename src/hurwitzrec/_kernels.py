@@ -5,8 +5,11 @@ Each kernel clears the denominators of its inputs once and works on plain
 `unit_inverse` divide once at the end, and the residue sweeps read each
 pulled pair of slots from one lazily filled integer table (`PairTable`,
 itself filled from the engine's residue table, one row per pulled slot) and
-add into one running sum ``[den, {(p, rest): num}]`` per form.  Results are
-exact.
+add into one running sum per form, ``{rest: {p: num}}`` keyed by the merged
+rest and the first-slot pole order p.  The sum's denominator is fixed by the
+engine before the first sweep, as the lcm of every sweep's own denominator;
+each sweep folds ``den // own`` into its integer multiplier, so nothing held
+is ever rescaled.  Results are exact.
 """
 
 from fractions import Fraction
@@ -153,26 +156,9 @@ def accumulate(acc, u, sums, c):
             bucket[p] = bucket.get(p, 0) + c * v
 
 
-def add_sweep(out, acc, den):
-    """Add the integer sums ``acc`` ({rest: {p: num}}), taken over ``den``,
-    into ``out``, one form's running sum ``[den, {(p, rest): num}]``; the
-    numerators held are rescaled when the common denominator grows."""
-    held, sums = out
-    out[0] = common = lcm(held, den)
-    if common != held:
-        scale = common // held
-        for key in sums:
-            sums[key] *= scale
-    scale = common // den
-    for u, bucket in acc.items():
-        for p, v in bucket.items():
-            if v:
-                sums[p, u] = sums.get((p, u), 0) + v * scale
-
-
-def pair_sweep(out, terms_a, terms_b, table, weight=1):
-    """Accumulate ``weight`` times the residues of all (A-term, B-term)
-    pairs.
+def pair_sweep(acc, den, terms_a, terms_b, table, weight):
+    """Add ``weight`` times the residues of all (A-term, B-term) pairs into
+    ``acc``.
 
     ``terms_a``/``terms_b`` are decompositions ``(den, {rest: {x: num}})``,
     integer weights over one denominator, with ``x`` the pulled slot (a
@@ -180,20 +166,21 @@ def pair_sweep(out, terms_a, terms_b, table, weight=1):
     weakly decreasing tuple of indices left on symbolic variables.  Each
     pulled pair ``(x, y)`` is read from the `PairTable` ``table``.  The A
     side is contracted once per ``(ra, y)``, and rests are merged and
-    counted once per ``(ra, rb)``.  ``out`` is a running sum as in
-    `add_sweep`, keyed by the first-slot pole order p and the merged rest.
-    ``weight`` is 2 when this one sweep stands for both orientations of a
-    split: the table is symmetric, so swapping the A and B sides adds
-    identical integers.
+    counted once per ``(ra, rb)``.  ``acc`` is the form's running sum
+    ``{rest: {p: num}}``, keyed by the merged rest and the first-slot pole
+    order p, over ``den``: a multiple, fixed before the first sweep, of
+    this sweep's own denominator ``den_a * den_b * table.den``.  ``weight``
+    is 2 when this one sweep stands for both orientations of a split: the
+    table is symmetric, so swapping the A and B sides adds identical
+    integers.
     """
     (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
+    scale = weight * (den // (den_a * den_b * table.den))
     pulled_b = {y for group in groups_b.values() for y in group}
-    acc = {}
     for ra, group_a in groups_a.items():
         contracted = {y: contract_pairs(group_a, y, table) for y in pulled_b}
         for rb, group_b in groups_b.items():
             merged = tuple(sorted(ra + rb, reverse=True))
-            n = weight * count_ways(merged, ra)
+            n = scale * count_ways(merged, ra)
             for y, yn in group_b.items():
                 accumulate(acc, merged, contracted[y], n * yn)
-    add_sweep(out, acc, den_a * den_b * table.den)

@@ -12,10 +12,14 @@ wrong length or an index below 1).  Entries are keyed by (g, k): a form
 does not depend on the truncation order it was computed at.  Writers merge
 under an exclusive `flock` on the sidecar file ``<path>.lock``.
 
-Anything at the path other than a regular file or a symlink to one, such as
-a directory, a FIFO or a device, is never opened: it is unusable to the
-loader, and a writer refuses it with CacheWriteError before it makes the
-lock or a temporary file.
+A symlink at the path is resolved once, when the cache is attached: the
+load, the lock, the temporary file and the replace all act on its target,
+so the link survives and the target holds the forms.  Anything else at the
+path other than a regular file, such as a directory, a FIFO or a device, is
+never opened: it is unusable to the loader, and a writer refuses it with
+CacheWriteError before it makes the lock or a temporary file.  A writer
+refuses anything but a regular file at the lock path the same way, before
+opening it, since opening a FIFO there would block.
 """
 
 from __future__ import annotations
@@ -91,7 +95,11 @@ def attach_cache(engine, path):
     return a closure that merges the memo into the file as it is then,
     unless the engine computed nothing the file did not already hold.  The
     re-read, merge and replace run under an exclusive lock on ``<path>.lock``,
-    so two runs that flush at once both keep their forms."""
+    so two runs that flush at once both keep their forms.  ``path`` is
+    resolved first, so a symlink's target is read and written, and every
+    message names the resolved path."""
+    path = os.path.realpath(path)
+    lock_path = f"{path}.lock"
     fingerprint = engine.fingerprint()
     loaded = load_cache(path, fingerprint)
     engine.preload(loaded, path)
@@ -102,8 +110,12 @@ def attach_cache(engine, path):
         if os.path.exists(path) and not os.path.isfile(path):
             reason = os.strerror(errno.EISDIR) if os.path.isdir(path) else "not a regular file"
             raise CacheWriteError(f"cannot write the cache file {path}: {reason}")
+        if os.path.exists(lock_path) and not os.path.isfile(lock_path):
+            raise CacheWriteError(
+                f"cannot write the cache file {path}: its lock {lock_path} is not a regular file"
+            )
         try:
-            lock = open(f"{path}.lock", "a")
+            lock = open(lock_path, "a")
         except OSError as exc:
             raise CacheWriteError(f"cannot write the cache file {path}: {exc.strerror}") from exc
         with lock:

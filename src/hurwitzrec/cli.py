@@ -52,10 +52,11 @@ CACHE_ENV = "HURWITZREC_CACHE"
 # Size bounds, checked before any engine or oracle is built.  The recursion's
 # cost grows steeply with the truncation order its largest form needs; order
 # 40 admits W(4,5) and W(3,8) (order 36) and W(2,13) (order 40), which take
-# 0.3 s, 0.6 s and 1.7 s of CPU in process on a 2-core Xeon (wkg 2 13, which
-# also writes the form's 16,799 pole terms, takes 3.5 s).  The oracle's
-# cost grows fastest with |mu|: --g-max 3 --n-max 12 takes 0.55 s of CPU on
-# a 2-core Xeon.  Its genus bound is the highest genus whose W(g,1) the
+# about 0.3 s, 0.5 s and 1.5 s of CPU in process on a 2-core Intel Xeon
+# virtual machine (wkg 2 13, which also writes the form's 16,799 pole terms,
+# takes about 3.0 s as a whole process).  The oracle's cost grows fastest
+# with |mu|: --g-max 3 --n-max 12 takes about 0.39 s of CPU on the same
+# machine.  Its genus bound is the highest genus whose W(g,1) the
 # recursion's bound admits.
 RECURSION_MAX_ORDER = 40
 ORACLE_MAX_N = 12

@@ -133,7 +133,6 @@ def dim_irrep(lam: Partition) -> int:
     return dim
 
 
-@cache
 def character(lam: Partition, mu: Partition) -> int:
     """Irreducible character chi_lam evaluated on the class of cycle type mu.
 

@@ -262,27 +262,35 @@ class LambertEngine:
                 f"(g={g}, k={k}) needs truncation order {need}, engine has {self.order}"
             )
 
-        out = [1, {}]
-        inputs = []
-        if g >= 1:
-            if (g - 1, k + 1) == (0, 2):
-                self._sweep_two_sided(out)
-            else:
-                inputs.append((g - 1, k + 1))
-                self._sweep_term1(out, self.w(g - 1, k + 1))
+        # the inputs of every sweep first, so that the form's running sum has
+        # one denominator, fixed before the first sweep
+        prev = None if g == 0 or (g, k) == (1, 1) else self.w(g - 1, k + 1).decompositions()
+        inputs = [(g - 1, k + 1)] if prev else []
+        sweeps = []
         for h in range(g + 1):
             for j_a in range(k):
                 j_b = k - 1 - j_a
                 if (j_a == 0 and h == 0) or (j_b == 0 and h == g) or (h, j_a) > (g - h, j_b):
                     continue
                 inputs += [(h, j_a + 1), (g - h, j_b + 1)]
-                terms_a = self._decomps(h, j_a + 1)
-                terms_b = self._decomps(g - h, j_b + 1)
                 weight = 1 if (h, j_a) == (g - h, j_b) else 2
-                _kernels.pair_sweep(out, terms_a, terms_b, self.pair_table, weight)
+                sweeps.append((self._decomps(h, j_a + 1), self._decomps(g - h, j_b + 1), weight))
+        if (g, k) == (1, 1):
+            # the two-sided Bergman row is W(1,1)'s only term: no residue table
+            den, row = self._sweep_two_sided()
+            acc = {(): row}
+        else:
+            table = self.pair_table
+            dens = [den_a * den_b for (den_a, _), (den_b, _), _ in sweeps]
+            den = table.den * lcm(*dens, *([prev[0]] if prev else []))
+            acc = {}
+            if prev:
+                self._sweep_term1(acc, den, prev)
+            for terms_a, terms_b, weight in sweeps:
+                _kernels.pair_sweep(acc, den, terms_a, terms_b, table, weight)
 
         fed = set().union(*(self._fed_by_cache.get(key, ()) for key in inputs))
-        form = self._assemble(g, k, out, fed)
+        form = self._assemble(g, k, den, acc, fed)
         if fed:
             self._fed_by_cache[(g, k)] = fed
         self._memo[(g, k)] = form
@@ -293,7 +301,7 @@ class LambertEngine:
             return self._bergman_terms
         return self.w(h, m).decompositions()
 
-    def _sweep_two_sided(self, out):
+    def _sweep_two_sided(self):
         # The Bergman kernel with one variable on each sheet, sigma' / (zeta -
         # sigma)^2, gives Res[K_p sigma' / (zeta - sigma)^2] = 2 G[-p] with
         # G = R_0 / (2 (zeta - sigma)^3) = 4 rhat what^3 zeta^(-4), its
@@ -303,24 +311,26 @@ class LambertEngine:
         g = rhat * what * what * what
         ps = range(2, min(5, self.order - 4))
         den, nums = _kernels.clear_denominators([8 * g.coefficient(4 - p) for p in ps])
-        _kernels.add_sweep(out, {(): dict(zip(ps, nums))}, den)
+        return den, dict(zip(ps, nums))
 
-    def _sweep_term1(self, out, prev: PoleForm):
-        den_c, groups = prev.decompositions()
+    def _sweep_term1(self, acc, den, prev):
+        # the W(g-1, k+1) term: two slots pulled from the decomposition prev
+        den_c, groups = prev
         table = self.pair_table
-        acc = {}
+        scale = den // (den_c * table.den)
         for rest, group in groups.items():
             for y, left in splits(rest):
-                _kernels.accumulate(acc, left, _kernels.contract_pairs(group, y, table), 1)
-        _kernels.add_sweep(out, acc, den_c * table.den)
+                _kernels.accumulate(acc, left, _kernels.contract_pairs(group, y, table), scale)
 
-    def _assemble(self, g, k, out, fed) -> PoleForm:
-        """Convert the first-slot pole order p of the sweeps' (p, rest) sums
-        into the basis and collapse them into a symmetric PoleForm, checking
-        that every way of singling out the first slot agrees and that no key
-        with a residual index is nonzero.  A failure means the truncation
-        order was insufficient or, when the preloaded forms ``fed`` went into
-        it, that the cache file is wrong."""
+    def _assemble(self, g, k, den, acc, fed) -> PoleForm:
+        """Convert the first-slot pole order p of the form's running sum
+        ``acc``, ``{rest: {p: num}}`` over ``den`` (fixed in `w` before the
+        first sweep), into the basis, entries that cancel to 0 ignored, and
+        collapse it into a symmetric PoleForm, checking that every way of
+        singling out the first slot agrees and that no key with a residual
+        index is nonzero.  A failure means the truncation order was
+        insufficient or, when the preloaded forms ``fed`` went into it, that
+        the cache file is wrong."""
 
         def fail(what, full):
             if fed:
@@ -332,13 +342,13 @@ class LambertEngine:
                 cause = f"truncation order {self.order} is insufficient"
             raise ArithmeticError(f"{what} assembling W({g},{k}) at {full}; {cause}")
 
-        den_out, values = out
         den_basis, to_basis = pole_basis(self.order - 5)
         converted = {}
-        for (p, rest), num in values.items():
-            if num:
-                for index, c in to_basis[p].items():
-                    converted[index, rest] = converted.get((index, rest), 0) + c * num
+        for rest, bucket in acc.items():
+            for p, num in bucket.items():
+                if num:
+                    for index, c in to_basis[p].items():
+                        converted[index, rest] = converted.get((index, rest), 0) + c * num
         fulls = {
             tuple(sorted(rest + (index,), reverse=True))
             for (index, rest), v in converted.items()
@@ -353,4 +363,4 @@ class LambertEngine:
         residual = [full for full in sorted(terms) if full[-1] < 0]
         if residual:
             fail("residual index nonzero", residual[0])
-        return PoleForm(g, k, terms, den_out * den_basis)
+        return PoleForm(g, k, terms, den * den_basis)

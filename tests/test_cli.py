@@ -271,6 +271,24 @@ class TestCache:
         built = {"sigma", "halves", "u_table", "pair_table"} & warm.__dict__.keys()
         assert not built
 
+    def test_symlink_at_path_keeps_link_and_writes_target(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("{}")
+        link = tmp_path / "link.json"
+        link.symlink_to("target.json")
+        cold = run_cli("wkg", "1", "1", "--cache", str(link))
+        assert cold.returncode == 0
+        assert link.is_symlink() and os.readlink(link) == "target.json"
+        doc = json.loads(target.read_text())
+        assert [(e["g"], e["k"]) for e in doc["poleforms"]] == [(1, 1)]
+        # the lock sits beside the file that is written, not beside the link
+        assert (tmp_path / "target.json.lock").exists()
+        assert not (tmp_path / "link.json.lock").exists()
+        written = target.read_bytes()
+        warm = run_cli("wkg", "1", "1", "--cache", str(link))
+        assert (warm.returncode, warm.stdout, warm.stderr) == (0, cold.stdout, cold.stderr)
+        assert link.is_symlink() and target.read_bytes() == written
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -488,6 +506,21 @@ class TestExitCodes:
         assert r.stderr == f"error: cannot write the cache file {path}: not a regular file\n"
         assert stat.S_ISFIFO(os.stat(path).st_mode)
         assert list(tmp_path.glob("*.lock")) == [] and list(tmp_path.glob("*.tmp.*")) == []
+
+    def test_cache_fifo_at_lock_exit_74(self, tmp_path):
+        # opening a FIFO at the lock path would block until a reader came;
+        # it is refused before it is opened, and the timeout makes a blocked
+        # run fail, not hang
+        path = tmp_path / "forms.json"
+        lock = tmp_path / "forms.json.lock"
+        os.mkfifo(lock)
+        r = run_cli("wkg", "1", "1", "--cache", str(path), timeout=60)
+        assert r.returncode == 74
+        assert r.stderr == (
+            f"error: cannot write the cache file {path}: its lock {lock} is not a regular file\n"
+        )
+        assert stat.S_ISFIFO(os.stat(lock).st_mode)
+        assert not path.exists() and list(tmp_path.glob("*.tmp.*")) == []
 
     def test_interrupt_exit_130(self, monkeypatch, capsys):
         from hurwitzrec import cli

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -67,26 +67,36 @@ def ref_slot(x):
     return reference_basis_poles(x) if x > 0 else {x: 1}
 
 
-def ref_pair_sweep(out, terms_a, terms_b, pole_table, order, weight=1):
+def ref_pair_sweep(acc, den, terms_a, terms_b, pole_table, order, weight):
     """The sweep one pole pair at a time, reading the pole-order residue
-    table ``pole_table`` at ``order``, not a pair table or its slot rows."""
+    table ``pole_table`` at ``order``, not a pair table or its slot rows,
+    and adding into the running sum ``acc``, ``{rest: {p: num}}`` over
+    ``den``; every term must be an integer over ``den``."""
     (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
     for (ra, group_a), (rb, group_b) in product(groups_a.items(), groups_b.items()):
         for (x, xn), (y, yn) in product(group_a.items(), group_b.items()):
             u = tuple(sorted(ra + rb, reverse=True))
             c = F(xn, den_a) * F(yn, den_b) * ref_count_ways(u, ra) * weight
-            sums = out[1]
+            bucket = acc.setdefault(u, {})
             for (a, ca), (b, cb) in product(ref_slot(x).items(), ref_slot(y).items()):
                 for p, v in ref_row(pole_table, order, a, b).items():
-                    # the running sum holds numerators over out[0]
-                    sums[p, u] = sums.get((p, u), 0) + ca * cb * c * v * out[0]
+                    num = ca * cb * c * v * den
+                    assert num.denominator == 1, (den, p, u)
+                    bucket[p] = bucket.get(p, 0) + int(num)
 
 
-def nonzero(out):
-    """Sweep output as {(p, rest): Fraction} without zero entries, which
-    assembly ignores."""
-    den, sums = out
-    return {key: F(num, den) for key, num in sums.items() if num}
+def nonzero(den, acc):
+    """A running sum ``{rest: {p: num}}`` over ``den`` as {(p, rest):
+    Fraction} without zero entries, which assembly ignores."""
+    return {
+        (p, rest): F(num, den) for rest, bucket in acc.items() for p, num in bucket.items() if num
+    }
+
+
+def own_den(terms_a, terms_b, table):
+    """The denominator of one sweep's residues: ``den_a * den_b`` times the
+    residue table's."""
+    return terms_a[0] * terms_b[0] * table[0]
 
 
 # -- random inputs ---------------------------------------------------------------
@@ -167,17 +177,20 @@ class TestAgainstReference:
             assert _kernels.count_ways(u, v) == ref_count_ways(u, v)
 
     def test_pair_sweep(self):
+        """A sweep over a multiple of its own denominator folds the quotient
+        into its multiplier."""
         rng = random.Random(5)
         ta, tb, table = random_sweep(rng, 30, 7)
-        fast, ref = [1, {}], [1, {}]
-        _kernels.pair_sweep(fast, ta, tb, pair_table(table))
-        ref_pair_sweep(ref, ta, tb, table, SWEEP_ORDER)
-        assert nonzero(fast) == nonzero(ref)
-        fast2, ref2 = [1, {}], [1, {}]
-        _kernels.pair_sweep(fast2, ta, tb, pair_table(table), weight=2)
-        ref_pair_sweep(ref2, ta, tb, table, SWEEP_ORDER, weight=2)
-        assert nonzero(fast2) == nonzero(ref2)
-        assert nonzero(fast2) == {key: 2 * v for key, v in nonzero(fast).items()}
+        den = 3 * own_den(ta, tb, table)
+        fast, ref = {}, {}
+        _kernels.pair_sweep(fast, den, ta, tb, pair_table(table), 1)
+        ref_pair_sweep(ref, den, ta, tb, table, SWEEP_ORDER, 1)
+        assert nonzero(den, fast) == nonzero(den, ref)
+        fast2, ref2 = {}, {}
+        _kernels.pair_sweep(fast2, den, ta, tb, pair_table(table), 2)
+        ref_pair_sweep(ref2, den, ta, tb, table, SWEEP_ORDER, 2)
+        assert nonzero(den, fast2) == nonzero(den, ref2)
+        assert nonzero(den, fast2) == {key: 2 * v for key, v in nonzero(den, fast).items()}
 
     def test_pair_sweep_swap_symmetric_rows(self):
         """Rows read from the residue table are symmetric in the two pulled
@@ -186,29 +199,34 @@ class TestAgainstReference:
         split once with weight 2."""
         rng = random.Random(6)
         ta, tb, table = random_sweep(rng, 30, 7)
-        ab, ba = [1, {}], [1, {}]
-        _kernels.pair_sweep(ab, ta, tb, pair_table(table))
-        _kernels.pair_sweep(ba, tb, ta, pair_table(table))
-        assert ab[1] and nonzero(ab) == nonzero(ba)
+        den = own_den(ta, tb, table)
+        ab, ba = {}, {}
+        _kernels.pair_sweep(ab, den, ta, tb, pair_table(table), 1)
+        _kernels.pair_sweep(ba, den, tb, ta, pair_table(table), 1)
+        assert ab and nonzero(den, ab) == nonzero(den, ba)
 
         # a pair table weighing the two reads unequally breaks the identity,
         # so the test can fail; each sweep fills its own pair table, so each
         # row is weighed toward the side that asked for it first
-        ab, ba = [1, {}], [1, {}]
-        _kernels.pair_sweep(ab, ta, tb, pair_table(table, cls=Lopsided))
-        _kernels.pair_sweep(ba, tb, ta, pair_table(table, cls=Lopsided))
-        assert nonzero(ab) != nonzero(ba)
+        ab, ba = {}, {}
+        _kernels.pair_sweep(ab, den, ta, tb, pair_table(table, cls=Lopsided), 1)
+        _kernels.pair_sweep(ba, den, tb, ta, pair_table(table, cls=Lopsided), 1)
+        assert nonzero(den, ab) != nonzero(den, ba)
 
     def test_pair_sweep_wide_denominators(self):
+        """Two sweeps whose own denominators differ add into one sum over
+        their lcm, as the engine's sweeps of one form do."""
         rng = random.Random(4)
         ta, tb, table = random_sweep(rng, 30, 10**30)
-        fast, ref = [1, {}], [1, {}]
-        _kernels.pair_sweep(fast, ta, tb, pair_table(table))
-        ref_pair_sweep(ref, ta, tb, table, SWEEP_ORDER)
-        # a second sweep into the same output rescales the numerators there
-        _kernels.pair_sweep(fast, tb, ta, pair_table(table))
-        ref_pair_sweep(ref, tb, ta, table, SWEEP_ORDER)
-        assert nonzero(fast) == nonzero(ref)
+        sweeps = [(ta, tb), (ta, ta)]
+        dens = [own_den(a, b, table) for a, b in sweeps]
+        assert dens[0] != dens[1]
+        den = lcm(*dens)
+        fast, ref = {}, {}
+        for a, b in sweeps:
+            _kernels.pair_sweep(fast, den, a, b, pair_table(table), 1)
+            ref_pair_sweep(ref, den, a, b, table, SWEEP_ORDER, 1)
+        assert nonzero(den, fast) == nonzero(den, ref)
 
     def test_pair_table_drops_zeros_and_raises_beyond_the_order(self):
         """A pair-table row read from the slot rows is the sum of its pole
@@ -266,8 +284,8 @@ def test_engine_agrees_across_backends(monkeypatch):
     ref_engine = LambertEngine(order=order)
     pole_table = reference_u_table(ref_engine)
 
-    def sweep(out, terms_a, terms_b, table, weight=1):
-        ref_pair_sweep(out, terms_a, terms_b, pole_table, table.order, weight)
+    def sweep(acc, den, terms_a, terms_b, table, weight):
+        ref_pair_sweep(acc, den, terms_a, terms_b, pole_table, table.order, weight)
 
     monkeypatch.setattr(_kernels, "pair_sweep", sweep)
     ref = ref_engine.w(2, 2)

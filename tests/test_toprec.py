@@ -472,6 +472,15 @@ class TestSmallForms:
         assert max(key[0] for key in w11.pole_terms()) == 4
         assert (1,) not in w11.pole_terms()
 
+    def test_w11_alone_builds_no_tables(self):
+        """W(1,1)'s only term is the two-sided Bergman row, taken from the
+        two halves: no residue table, pair table or Bergman decomposition."""
+        engine = LambertEngine(10)
+        assert engine.w(1, 1).pole_terms() == {(2,): F(-1, 24), (3,): F(1, 12), (4,): F(1, 8)}
+        built = {"u_table", "pair_table", "_bergman_terms"} & engine.__dict__.keys()
+        assert not built
+        assert {"sigma", "halves"} <= engine.__dict__.keys()
+
     def test_symmetric_queries(self, engine):
         w = engine.w(0, 4)
         for key in w.terms:
