@@ -10,11 +10,21 @@ rest and the first-slot pole order p.  The sum's denominator is fixed by the
 engine before the first sweep, as the lcm of every sweep's own denominator;
 each sweep folds ``den // own`` into its integer multiplier, so nothing held
 is ever rescaled.  Results are exact.
+
+A split term of the recursion sums over the subsets J of the remaining
+variables.  On forms stored by weakly decreasing index tuples, the subsets
+that turn rests ``ra`` and ``rb`` into one merged rest are the choices of
+which of the merged slots came from ``ra``: for each value v held m times in
+the merged rest, C(m, m_a) of them, m_a the count of v in ``ra``.  Since
+m = m_a + m_b, the product over v is ``aut(merged) / (aut(ra) * aut(rb))``,
+with ``aut`` = `partitions.aut_size`, the product of m! over repeated
+entries.
 """
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
+from .partitions import aut_size
 from .poleform import basis_poles
 
 
@@ -70,29 +80,6 @@ def unit_inverse(a, n):
                 acc += ai * powers[i - 1] * scaled[k - i]
         scaled.append(-acc)
     return [Fraction(da * s, powers[k + 1]) for k, s in enumerate(scaled)]
-
-
-def count_ways(u, sub):
-    """Product over values v of C(mult_u(v), mult_sub(v)) for sorted tuples."""
-    ways = 1
-    i = j = 0
-    nu, ns = len(u), len(sub)
-    while j < ns:
-        v = sub[j]
-        rs = 0
-        while j < ns and sub[j] == v:
-            rs += 1
-            j += 1
-        while i < nu and u[i] > v:
-            i += 1
-        ru = 0
-        while i < nu and u[i] == v:
-            ru += 1
-            i += 1
-        if rs > ru:
-            return 0
-        ways *= comb(ru, rs)
-    return ways
 
 
 class PairTable(dict):
@@ -166,21 +153,25 @@ def pair_sweep(acc, den, terms_a, terms_b, table, weight):
     weakly decreasing tuple of indices left on symbolic variables.  Each
     pulled pair ``(x, y)`` is read from the `PairTable` ``table``.  The A
     side is contracted once per ``(ra, y)``, and rests are merged and
-    counted once per ``(ra, rb)``.  ``acc`` is the form's running sum
-    ``{rest: {p: num}}``, keyed by the merged rest and the first-slot pole
-    order p, over ``den``: a multiple, fixed before the first sweep, of
-    this sweep's own denominator ``den_a * den_b * table.den``.  ``weight``
-    is 2 when this one sweep stands for both orientations of a split: the
-    table is symmetric, so swapping the A and B sides adds identical
-    integers.
+    counted once per ``(ra, rb)``: the count, the number of ways to choose
+    which merged slots came from ``ra``, is ``aut_size(merged) // (aut_a *
+    aut_b)``, each side's ``aut`` taken once per rest.  ``acc`` is the
+    form's running sum ``{rest: {p: num}}``, keyed by the merged rest and
+    the first-slot pole order p, over ``den``: a multiple, fixed before the
+    first sweep, of this sweep's own denominator ``den_a * den_b *
+    table.den``.  ``weight`` is 2 when this one sweep stands for both
+    orientations of a split: the table is symmetric, so swapping the A and
+    B sides adds identical integers.
     """
     (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
     scale = weight * (den // (den_a * den_b * table.den))
     pulled_b = {y for group in groups_b.values() for y in group}
+    side_b = [(rb, aut_size(rb), group_b) for rb, group_b in groups_b.items()]
     for ra, group_a in groups_a.items():
+        aut_a = aut_size(ra)
         contracted = {y: contract_pairs(group_a, y, table) for y in pulled_b}
-        for rb, group_b in groups_b.items():
+        for rb, aut_b, group_b in side_b:
             merged = tuple(sorted(ra + rb, reverse=True))
-            n = scale * count_ways(merged, ra)
+            n = scale * (aut_size(merged) // (aut_a * aut_b))
             for y, yn in group_b.items():
                 accumulate(acc, merged, contracted[y], n * yn)

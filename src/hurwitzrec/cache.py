@@ -3,14 +3,17 @@
 The file is a single JSON document carrying a format version and a curve
 fingerprint.  A version or fingerprint mismatch (the fingerprint covers the
 sign convention and the engine version) makes the loader ignore the whole
-file; it is never read partially.  So does a malformed entry, a repeated
-(g, k), an unstable (g, k), a form with no terms, or a key outside the
-window 2g - 3 + k <= sum(e_i - 1) <= 3g - 3 + k, none of which a stable
-form W(g, k) has (for every stable (g, k) some H_{g,mu} with len(mu) = k is
-positive, so W(g, k) is never zero; the constructor refuses a key of the
-wrong length or an index below 1).  Entries are keyed by (g, k): a form
-does not depend on the truncation order it was computed at.  Writers merge
-under an exclusive `flock` on the sidecar file ``<path>.lock``.
+file; it is never read partially.  So does a malformed entry, a g or k
+that is not a JSON integer (true and 1.0 would pass for 1 as dict keys), a
+repeated (g, k), a multi-index repeated within one form (a dict would keep
+its last coefficient), an unstable (g, k), a form with no terms, or a key
+outside the window 2g - 3 + k <= sum(e_i - 1) <= 3g - 3 + k, none of which
+a stable form W(g, k) has (for every stable (g, k) some H_{g,mu} with
+len(mu) = k is positive, so W(g, k) is never zero; the constructor refuses
+a key of the wrong length or an index below 1).  Entries are keyed by
+(g, k): a form does not depend on the truncation order it was computed at.
+Writers merge under an exclusive `flock` on the sidecar file
+``<path>.lock``.
 
 A symlink at the path is resolved once, when the cache is attached: the
 load, the lock, the temporary file and the replace all act on its target,

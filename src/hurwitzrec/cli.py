@@ -30,12 +30,10 @@ import json
 import os
 import sys
 
-from .bridge import elsv_consistency, times_by_recursion, times_from_curve
 from .cache import CacheWriteError, attach_cache
 from .extract import table_rows, verify_bm
 from .partitions import HurwitzOracle
 from .poleform import format_rational
-from .selfcheck import run_series_checks
 from .series import TruncationError
 from .toprec import LambertEngine, check_stable, required_order
 
@@ -201,6 +199,10 @@ def _cmd_wkg(args):
 
 
 def _cmd_check(args):
+    # only these suites need the check modules; table and wkg never compile them
+    from .bridge import elsv_consistency, times_by_recursion, times_from_curve
+    from .selfcheck import run_series_checks
+
     if args.suite != "bm" and (args.g_max is not None or args.n_max is not None):
         raise _UsageError("--g-max and --n-max apply only to check bm")
     if args.suite == "bm":

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 Partition = tuple[int, ...]
 
@@ -56,18 +56,19 @@ def check_partition(mu) -> Partition:
     return mu
 
 
-def multiplicities(mu: Partition) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for part in mu:
-        out[part] = out.get(part, 0) + 1
-    return out
-
-
 def aut_size(mu: Partition) -> int:
-    """Order of the stabilizer of mu under permutations of its parts."""
-    out = 1
-    for m in multiplicities(mu).values():
-        out *= factorial(m)
+    """|Aut mu|, the order of the stabilizer of mu under permutations of its
+    entries: the product of m! over the runs of m equal entries.  mu is any
+    weakly decreasing tuple of ints, not only a partition, so a rest holding
+    residual indices -j counts the same way.  The package's one multiset
+    count: the orderings of a key, the class sizes and the sweeps' merge
+    counts are all quotients of it.  It is not cached: the sweeps ask for
+    tens of thousands of distinct rests."""
+    out, i = 1, 0
+    while i < len(mu):
+        run = mu.count(mu[i])  # the equal entries are adjacent
+        out *= factorial(run)
+        i += run
     return out
 
 
@@ -103,14 +104,10 @@ def _beta_to_partition(h) -> Partition:
 
 
 def class_size(mu: Partition) -> int:
-    """Cardinality of the conjugacy class of cycle type mu in S_{|mu|}."""
+    """Cardinality of the conjugacy class of cycle type mu in S_{|mu|}: n!
+    over the order |Aut mu| * prod(mu) of a permutation's centralizer."""
     mu = check_partition(mu)
-    denom = 1
-    for r, m in multiplicities(mu).items():
-        denom *= factorial(m) * r**m
-    size, rem = divmod(factorial(sum(mu)), denom)
-    assert rem == 0
-    return size
+    return factorial(sum(mu)) // (aut_size(mu) * prod(mu))
 
 
 def dim_irrep(lam: Partition) -> int:

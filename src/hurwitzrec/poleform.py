@@ -32,6 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
+from .partitions import aut_size
+
 
 def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
@@ -55,11 +57,8 @@ def splits(key):
 
 
 def _orderings(key) -> int:
-    """The number of distinct orderings of a multiset."""
-    count = factorial(len(key))
-    for v in set(key):
-        count //= factorial(key.count(v))
-    return count
+    """The number of distinct orderings of a weakly decreasing ``key``."""
+    return factorial(len(key)) // aut_size(key)
 
 
 @lru_cache(maxsize=None)
@@ -111,6 +110,8 @@ class PoleForm:
     def __init__(self, g: int, k: int, terms, den: int = 1):
         if den < 1:
             raise ValueError(f"denominator {den} is not positive")
+        if type(g) is not int or type(k) is not int:
+            raise ValueError(f"genus {g!r} and arity {k!r} must be ints")
         self.g = g
         self.k = k
         canonical = {}
@@ -192,7 +193,10 @@ class PoleForm:
 
     @classmethod
     def from_obj(cls, obj) -> "PoleForm":
-        terms = {tuple(t["e"]): parse_rational(t["c"]) for t in obj["terms"]}
+        pairs = [(tuple(t["e"]), parse_rational(t["c"])) for t in obj["terms"]]
+        terms = dict(pairs)
+        if len(terms) < len(pairs):
+            raise ValueError("a multi-index is repeated")
         return cls(obj["g"], obj["k"], terms)
 
     def canonical_json(self) -> str:

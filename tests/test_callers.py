@@ -88,3 +88,31 @@ def _unread_fields():
 
 def test_every_field_is_read():
     assert sorted(_unread_fields()) == []
+
+
+def _imports(tree):
+    """The modules a parsed file imports, as ``(node, dotted name)``; a
+    relative import is written with its leading dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node, "." * node.level + (node.module or "")
+
+
+def _parse(name):
+    return ast.parse((SRC / name).read_text(encoding="utf-8"))
+
+
+def test_partitions_imports_nothing_from_the_package():
+    # the character oracle stays independent of the curve code it checks
+    names = [name for _, name in _imports(_parse("partitions.py"))]
+    assert names and not [n for n in names if n.startswith((".", "hurwitzrec"))]
+
+
+def test_cli_imports_check_modules_only_for_check():
+    # table and wkg compile neither module
+    tree = _parse("cli.py")
+    top = {name for node, name in _imports(tree) if node in tree.body}
+    assert not top & {".bridge", ".selfcheck"}
+    assert {".bridge", ".selfcheck"} <= {name for _, name in _imports(tree)}

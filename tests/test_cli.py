@@ -317,6 +317,27 @@ class TestCache:
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda entry: entry.update(g=True),  # hashes equal to 1 as a key
+            lambda entry: entry.update(g=1.0),  # so does a float
+            lambda entry: entry["terms"].append({"e": [2], "c": "5/24"}),  # a repeated key
+        ],
+        ids=["bool-genus", "float-genus", "repeated-key"],
+    )
+    def test_entry_passing_for_another_ignored(self, tmp_path, edit):
+        path = str(tmp_path / "forms.json")
+        cold = run_cli("wkg", "1", "1")
+        assert cold.returncode == 0
+        assert run_cli("wkg", "1", "1", "--cache", path).stdout == cold.stdout
+        doc = json.loads(Path(path).read_text())
+        (entry,) = doc["poleforms"]
+        edit(entry)
+        Path(path).write_text(json.dumps(doc))
+        warm = run_cli("wkg", "1", "1", "--cache", path)
+        assert (warm.returncode, warm.stdout) == (cold.returncode, cold.stdout)
+
     def test_key_below_window_ignored(self, tmp_path):
         from hurwitzrec.cache import load_cache
         from hurwitzrec.toprec import LambertEngine

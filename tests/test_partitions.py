@@ -1,5 +1,7 @@
+import random
+from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -17,7 +19,6 @@ from hurwitzrec.partitions import (
     f_c2,
     f_central,
     h_encoding,
-    multiplicities,
     partitions_of,
 )
 from hurwitzrec.toprec import LambertEngine, required_order
@@ -152,8 +153,17 @@ class TestPartitions:
             ps = partitions_of(n)
             assert ps == tuple(sorted(ps, reverse=True))
 
-    def test_multiplicities(self):
-        assert multiplicities((3, 2, 2, 1)) == {3: 1, 2: 2, 1: 1}
+    def test_aut_size_against_counter(self):
+        """The product of m! over repeated entries, for partitions and for
+        weakly decreasing tuples holding residual indices -j."""
+        assert aut_size((3, 2, 2, 1)) == 2 and aut_size(()) == 1
+        rng = random.Random(11)
+        tuples = [mu for n in range(9) for mu in partitions_of(n)] + [
+            tuple(sorted((rng.randint(-3, 4) for _ in range(rng.randint(0, 8))), reverse=True))
+            for _ in range(200)
+        ]
+        for mu in tuples:
+            assert aut_size(mu) == prod(factorial(c) for c in Counter(mu).values()), mu
 
 
 class TestHEncoding:

@@ -9,7 +9,7 @@ import pytest
 
 from hurwitzrec import _kernels
 from hurwitzrec.bridge import odd_coordinate
-from hurwitzrec.poleform import PoleForm, basis_poles, pole_basis, splits
+from hurwitzrec.poleform import PoleForm, _orderings, basis_poles, pole_basis, splits
 from hurwitzrec.series import Series, TruncationError, residue_of_product
 from hurwitzrec.toprec import (
     LambertEngine,
@@ -765,6 +765,12 @@ class TestRepresentation:
                 rest.remove(a)
                 expected.append((a, tuple(rest)))
             assert list(splits(key)) == expected
+
+    def test_orderings_against_permutations(self):
+        # drawn from a decreasing pool, each key is weakly decreasing
+        for n in range(7):
+            for key in itertools.combinations_with_replacement((4, 3, 2, 1, -1), n):
+                assert _orderings(key) == len(set(itertools.permutations(key))), key
 
 
 class TestFingerprint:
