@@ -26,16 +26,11 @@ needs, and the forms do not depend on it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .cache import CacheWriteError, attach_cache
-from .extract import table_rows, verify_bm
-from .partitions import HurwitzOracle
-from .poleform import format_rational
-from .series import TruncationError
-from .toprec import LambertEngine, check_stable, required_order
+# Each command imports the layers it runs where it runs them, so that
+# --help loads no layer and an oracle table loads no curve code.
 
 EX_OK = 0
 EX_MISMATCH = 2
@@ -55,12 +50,11 @@ CACHE_ENV = "HURWITZREC_CACHE"
 # takes about 3.0 s as a whole process).  The oracle's cost grows fastest
 # with |mu|: --g-max 3 --n-max 12 takes about 0.39 s of CPU on the same
 # machine.  Its genus bound is the highest genus whose W(g,1) the
-# recursion's bound admits.
+# recursion's bound admits: W(g,1) needs order 6g + 4 (toprec.required_order),
+# so the bound is 6 (a test holds the two in step).
 RECURSION_MAX_ORDER = 40
 ORACLE_MAX_N = 12
-ORACLE_MAX_G = max(
-    g for g in range(RECURSION_MAX_ORDER) if required_order(g, 1) <= RECURSION_MAX_ORDER
-)
+ORACLE_MAX_G = (RECURSION_MAX_ORDER - 4) // 6
 
 
 class _UsageError(Exception):
@@ -107,6 +101,8 @@ def _cache_path(args):
 
 def _recursion_order(g, k):
     """The truncation order W(g, k) needs, refused above the size bound."""
+    from .toprec import required_order
+
     need = required_order(g, k)
     if need > RECURSION_MAX_ORDER:
         raise ValueError(
@@ -124,10 +120,14 @@ def _check_oracle_size(g_max, n_max):
 
 
 def _make_engine(args, order):
+    from .toprec import LambertEngine
+
     engine = LambertEngine(order=order)
     flush = None
     path = _cache_path(args)
     if path:
+        from .cache import attach_cache
+
         flush = attach_cache(engine, path)
         if args.verbose:
             print(f"cache attached at {path}", file=sys.stderr)
@@ -135,6 +135,8 @@ def _make_engine(args, order):
 
 
 def _cmd_table(args):
+    from .extract import table_rows
+
     if args.g_max < 0 or args.n_max < 1:
         raise _UsageError("need --g-max >= 0 and --n-max >= 1")
     need_recursion = args.method in ("recursion", "both")
@@ -143,6 +145,8 @@ def _cmd_table(args):
     if need_recursion:  # first: its bound covers every genus above the oracle's
         order = _recursion_order(args.g_max, args.n_max)
     if need_oracle:
+        from .partitions import HurwitzOracle
+
         _check_oracle_size(args.g_max, args.n_max)
         oracle = HurwitzOracle(args.n_max, args.g_max)
     if need_recursion:
@@ -158,6 +162,8 @@ def _cmd_table(args):
 
 def _emit_table(rows, args):
     if args.fmt == "json":
+        import json
+
         print(json.dumps(rows, separators=(", ", ": ")))
         return
     if args.fmt == "csv":
@@ -189,6 +195,8 @@ def _emit_table(rows, args):
 
 
 def _cmd_wkg(args):
+    from .toprec import check_stable
+
     check_stable(args.g, args.k)
     engine, flush = _make_engine(args, _recursion_order(args.g, args.k))
     form = engine.w(args.g, args.k)
@@ -199,13 +207,11 @@ def _cmd_wkg(args):
 
 
 def _cmd_check(args):
-    # only these suites need the check modules; table and wkg never compile them
-    from .bridge import elsv_consistency, times_by_recursion, times_from_curve
-    from .selfcheck import run_series_checks
-
     if args.suite != "bm" and (args.g_max is not None or args.n_max is not None):
         raise _UsageError("--g-max and --n-max apply only to check bm")
     if args.suite == "bm":
+        from .extract import verify_bm
+
         g_max = 1 if args.g_max is None else args.g_max
         n_max = 4 if args.n_max is None else args.n_max
         if g_max < 0 or n_max < 1:
@@ -220,11 +226,16 @@ def _cmd_check(args):
         return EX_OK if report.ok else EX_MISMATCH
 
     if args.suite == "elsv":
+        from .bridge import elsv_consistency
+
         report = elsv_consistency()
         print(report.to_text())
         return EX_OK if report.ok else EX_MISMATCH
 
     if args.suite == "times":
+        from .bridge import times_by_recursion, times_from_curve
+        from .poleform import format_rational
+
         t_max = 20
         from_curve = times_from_curve(t_max)
         from_recursion = times_by_recursion(t_max)
@@ -239,6 +250,8 @@ def _cmd_check(args):
             )
         print("times: dual routes agree" if ok else "times: MISMATCH")
         return EX_OK if ok else EX_MISMATCH
+
+    from .selfcheck import run_series_checks
 
     results = run_series_checks()
     ok = True
@@ -263,12 +276,16 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (ArithmeticError, TruncationError) as exc:
-        # every truncation order is chosen here, so one too low is a fault;
-        # TruncationError is a ValueError and must be caught first
+    except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_SOFTWARE
     except ValueError as exc:
+        from .series import TruncationError
+
+        # every truncation order is chosen here, so one too low is a fault
+        if isinstance(exc, TruncationError):
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EX_SOFTWARE
         print(f"error: {exc}", file=sys.stderr)
         return EX_RANGE
     except BrokenPipeError:
@@ -276,7 +293,12 @@ def main(argv=None) -> int:
         # interpreter exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EX_IOERR
-    except CacheWriteError as exc:
+    except Exception as exc:
+        # only a run with a cache path loads the module that can raise it
+        from .cache import CacheWriteError
+
+        if not isinstance(exc, CacheWriteError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EX_IOERR
     except KeyboardInterrupt:

@@ -26,17 +26,17 @@ from math import factorial
 
 from .partitions import HurwitzOracle, aut_size, check_partition, partitions_of
 from .poleform import PoleForm, format_rational
-from .series import Series
-from .toprec import LambertEngine, is_stable, required_order
 
 _ZERO = Fraction(0)
 
 
-def lambert_series(order: int) -> Series:
-    """The series L(v) with L(v) e^(-L(v)) = v, by reversion.
+def lambert_series(order: int):
+    """The Series L(v) with L(v) e^(-L(v)) = v, by reversion.
 
     Coefficients are m^(m-1)/m!.
     """
+    from .series import Series
+
     if order < 1:
         raise ValueError("order must be positive")
     z = Series.identity(order + 1)
@@ -131,8 +131,9 @@ def extract_hurwitz(hs: HSeries, g: int, mu) -> Fraction:
     return coeff * Fraction(factorial(b), denom)
 
 
-def hurwitz_by_recursion(engine: LambertEngine, g: int, mu) -> Fraction:
-    """H_{g,mu} via the topological recursion route (stable range only)."""
+def hurwitz_by_recursion(engine, g: int, mu) -> Fraction:
+    """H_{g,mu} via the topological recursion route (stable range only), from
+    a `toprec.LambertEngine`."""
     mu = check_partition(mu)
     hs = h_series(engine.w(g, len(mu)), sum(mu))
     return extract_hurwitz(hs, g, mu)
@@ -174,13 +175,15 @@ def table_rows(g_max, n_max, engine, oracle):
     {"g", "mu", "recursion", "oracle", "equal"}: the value by each route
     given (either may be None), formatted, and with both whether they agree.  With an engine only
     the stable (g, len(mu)) appear; one series serves every mu of a (g, k).
+    Without one, nothing here loads the curve code.
     """
     hs_cache = {}
     for g in range(g_max + 1):
         for n in range(1, n_max + 1):
             for mu in partitions_of(n):
                 k = len(mu)
-                if engine is not None and not is_stable(g, k):
+                # stable: 2g - 2 + k > 0, as g >= 0 and k >= 1 here
+                if engine is not None and 2 * g - 2 + k <= 0:
                     continue
                 row = {"g": g, "mu": list(mu)}
                 if engine is not None:
@@ -198,15 +201,19 @@ def table_rows(g_max, n_max, engine, oracle):
 def verify_bm(
     g_max: int,
     n_max: int,
-    engine: LambertEngine | None = None,
+    engine=None,
     oracle: HurwitzOracle | None = None,
 ) -> BMReport:
-    """Compare recursion vs oracle for every stable (g, mu) in range.
+    """Compare recursion vs oracle for every stable (g, mu) in range, with
+    the given `toprec.LambertEngine` or a new one at the order the range
+    needs.
 
     Stops at the first mismatch; the report then ends with the offending
     record.
     """
     if engine is None:
+        from .toprec import LambertEngine, required_order
+
         engine = LambertEngine(order=required_order(g_max, n_max))
     if oracle is None:
         oracle = HurwitzOracle(n_max, g_max)

@@ -3,7 +3,9 @@ count of branched covers.
 
 Partitions are weakly-decreasing tuples of positive integers.  Characters are
 evaluated by the Murnaghan-Nakayama rule on beta-sets (first-column hook
-lengths), which makes border-strip removal a single subtraction.
+lengths), which makes border-strip removal a single subtraction; one row
+holds chi_lam(mu) for every lam of |mu| at once, from the row of mu less its
+largest part.
 
 The connected-cover oracle builds the generating function Z of
 disconnected cover counts, graded by the degree n, the monomial p_mu and the
@@ -141,25 +143,51 @@ def character(lam: Partition, mu: Partition) -> int:
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("character requires |lam| = |mu|")
-    return _mn(lam, mu)
+    return _chars(mu)[_index(sum(lam))[lam]]
 
 
 @cache
-def _mn(lam: Partition, mu: Partition) -> int:
+def _chars(mu: Partition) -> tuple[int, ...]:
+    """chi_lam(mu) for every lam in partitions_of(|mu|), in that order: each
+    is the signed sum of chi_(lam less a strip)(mu[1:]) over the border
+    strips of size mu[0] in lam."""
     if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]
-    N = len(lam)
-    h = [lam[i] - (i + 1) + N for i in range(N)]
-    total = 0
-    for hi in h:
-        lo = hi - r
-        if lo < 0 or lo in h:
-            continue
-        sub = sorted([x for x in h if x != hi] + [lo], reverse=True)
-        term = _mn(_beta_to_partition(sub), rest)
-        total += -term if sum(lo < x < hi for x in h) % 2 else term
-    return total
+        return (1,)
+    below = _chars(mu[1:])
+    return tuple(
+        sum(sign * below[i] for i, sign in strips) for strips in _strips(sum(mu), mu[0])
+    )
+
+
+@cache
+def _strips(n: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each lam in partitions_of(n), the border strips of size r: one pair
+    (index of lam less the strip in partitions_of(n - r), sign) per strip.
+
+    On the beta-set h of lam, removing a strip subtracts r from one entry hi
+    whose result lo is a free nonnegative slot; the sign is (-1) to the number
+    of entries strictly between lo and hi."""
+    index = _index(n - r)
+    out = []
+    for lam in partitions_of(n):
+        N = len(lam)
+        h = h_encoding(lam, N)
+        strips = []
+        for hi in h:
+            lo = hi - r
+            if lo < 0 or lo in h:
+                continue
+            sub = sorted([x for x in h if x != hi] + [lo], reverse=True)
+            sign = -1 if sum(lo < x < hi for x in h) % 2 else 1
+            strips.append((index[_beta_to_partition(sub)], sign))
+        out.append(tuple(strips))
+    return tuple(out)
+
+
+@cache
+def _index(n: int) -> dict[Partition, int]:
+    """Each partition of n to its position in partitions_of(n)."""
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
 
 
 def f_central(lam: Partition, mu: Partition) -> Fraction:
@@ -209,12 +237,12 @@ def _burnside_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
     partitions lam of n = |mu|; they do not depend on b.  Each Burnside
     weight (dim lam / n!)^2 * f_central(lam, mu) is the first entry times
     |C_mu| / (n!)^2, so the sum over lam stays in integers and dim(lam) is
-    not divided out and back in.  Each lam comes from partitions_of(n), so
-    the Murnaghan-Nakayama recursion runs without `character`'s checks."""
+    not divided out and back in.  The characters are the row `_chars(mu)`,
+    read without `character`'s checks."""
     n = sum(mu)
     return tuple(
-        (dim * _mn(lam, mu), f_c2(lam))
-        for lam, dim in zip(partitions_of(n), _dims(n))
+        (dim * chi, f_c2(lam))
+        for lam, dim, chi in zip(partitions_of(n), _dims(n), _chars(mu))
     )
 
 

@@ -27,7 +27,6 @@ given as ints or `Fraction`s; the ``terms`` property returns `Fraction`s, and
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
@@ -202,6 +201,8 @@ class PoleForm:
     def canonical_json(self) -> str:
         """The pole terms as JSON, ``{"g", "k", "terms": [{"a", "c"}]}``
         sorted by pole multi-index: what ``wkg`` prints."""
+        import json  # only wkg and the tests print a form
+
         terms = [
             {"a": list(key), "c": format_rational(c)}
             for key, c in sorted(self.pole_terms().items())

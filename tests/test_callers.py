@@ -111,8 +111,10 @@ def test_partitions_imports_nothing_from_the_package():
 
 
 def test_cli_imports_check_modules_only_for_check():
-    # table and wkg compile neither module
+    # table and wkg compile neither module, and each command imports the
+    # layers it runs, so the module top imports none
     tree = _parse("cli.py")
     top = {name for node, name in _imports(tree) if node in tree.body}
     assert not top & {".bridge", ".selfcheck"}
+    assert not [n for n in top if n.startswith((".", "hurwitzrec"))]
     assert {".bridge", ".selfcheck"} <= {name for _, name in _imports(tree)}

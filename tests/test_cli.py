@@ -490,6 +490,64 @@ class TestSizeBound:
         # refused before anything was computed, so no cache file was written
         assert not cache.exists()
 
+    def test_oracle_genus_bound_is_the_recursions(self):
+        # cli derives the bound without loading toprec; it must stay the
+        # highest genus whose W(g,1) the recursion's order bound admits
+        from hurwitzrec import cli
+        from hurwitzrec.toprec import required_order
+
+        admitted = [
+            g for g in range(cli.RECURSION_MAX_ORDER)
+            if required_order(g, 1) <= cli.RECURSION_MAX_ORDER
+        ]
+        assert cli.ORACLE_MAX_G == max(admitted) == 6
+
+
+# Runs the CLI in a fresh interpreter and prints, as the last line of stderr,
+# the package and hashing modules loaded when it returns.
+LOADED_PROBE = """
+import json, sys
+from hurwitzrec.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+names = sorted(m for m in sys.modules if m.split(".")[0] in ("hurwitzrec", "hashlib", "_hashlib"))
+print(json.dumps(names), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def loaded_modules(*args):
+    env = {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
+    r = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    return set(json.loads(r.stderr.splitlines()[-1]))
+
+
+class TestImports:
+    """Each request loads only the layers it runs."""
+
+    def test_help_loads_no_layer(self):
+        assert loaded_modules("--help") == {"hurwitzrec", "hurwitzrec.cli"}
+
+    def test_oracle_table_loads_no_curve_code(self):
+        loaded = loaded_modules("table", "--method", "oracle", "--g-max", "1", "--n-max", "5")
+        assert "hurwitzrec.partitions" in loaded
+        curve = {"toprec", "series", "_kernels", "cache", "bridge", "selfcheck"}
+        assert not loaded & {f"hurwitzrec.{name}" for name in curve}
+
+    def test_cached_recursion_loads_no_hashlib(self, tmp_path):
+        path = tmp_path / "forms.json"
+        args = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "3", "--cache", str(path))
+        for run in ("cold", "warm"):
+            loaded = loaded_modules(*args)
+            assert path.exists() and "hurwitzrec.cache" in loaded, run
+            assert not loaded & {"hashlib", "_hashlib"}, run
+
 
 class TestExitCodes:
     def test_broken_pipe_exit_74(self):
@@ -544,12 +602,12 @@ class TestExitCodes:
         assert not path.exists() and list(tmp_path.glob("*.tmp.*")) == []
 
     def test_interrupt_exit_130(self, monkeypatch, capsys):
-        from hurwitzrec import cli
+        from hurwitzrec import cli, extract
 
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "table_rows", interrupted)
+        monkeypatch.setattr(extract, "table_rows", interrupted)
         try:
             code = cli.main(["table", "--method", "oracle", "--g-max", "0", "--n-max", "1"])
         except KeyboardInterrupt:
@@ -561,14 +619,14 @@ class TestExitCodes:
     def test_truncation_error_exit_70(self, monkeypatch, capsys):
         # the CLI chooses every truncation order itself, so a residue that
         # order cannot resolve is an internal fault, not a request out of range
-        from hurwitzrec import cli
+        from hurwitzrec import cli, toprec
         from hurwitzrec.series import TruncationError
 
         def unresolved(self, g, k):
             raise TruncationError("engine order 11 cannot resolve the residue")
 
         monkeypatch.delenv("HURWITZREC_CACHE", raising=False)
-        monkeypatch.setattr(cli.LambertEngine, "w", unresolved)
+        monkeypatch.setattr(toprec.LambertEngine, "w", unresolved)
         code = cli.main(["wkg", "2", "2"])
         out, err = capsys.readouterr()
         assert code == 70

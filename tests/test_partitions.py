@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd, prod
 
 import pytest
@@ -211,7 +212,36 @@ class TestDimension:
             assert sum(dim_irrep(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
 
 
+@cache
+def naive_character(lam, mu):
+    """chi_lam(mu) by the Murnaghan-Nakayama rule, one (lam, mu) at a time:
+    remove each border strip of size mu[0] from lam's beta-set, rebuilding
+    the beta-set and the partition at every step.  The reference the
+    package's character rows are held to."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    N = len(lam)
+    h = [lam[i] - (i + 1) + N for i in range(N)]
+    total = 0
+    for hi in h:
+        lo = hi - r
+        if lo < 0 or lo in h:
+            continue
+        sub = sorted([x for x in h if x != hi] + [lo], reverse=True)
+        smaller = tuple(x for x in (sub[i] - (N - 1 - i) for i in range(N)) if x > 0)
+        term = naive_character(smaller, rest)
+        total += -term if sum(lo < x < hi for x in h) % 2 else term
+    return total
+
+
 class TestCharacters:
+    def test_rows_match_the_naive_rule(self):
+        for n in range(11):
+            for mu in partitions_of(n):
+                row = tuple(naive_character(lam, mu) for lam in partitions_of(n))
+                assert partitions._chars(mu) == row, mu
+
     def test_trivial_representation(self):
         for n in range(1, 7):
             for mu in partitions_of(n):

@@ -12,6 +12,7 @@ from hurwitzrec.bridge import odd_coordinate
 from hurwitzrec.poleform import PoleForm, _orderings, basis_poles, pole_basis, splits
 from hurwitzrec.series import Series, TruncationError, residue_of_product
 from hurwitzrec.toprec import (
+    ENGINE_VERSION,
     LambertEngine,
     check_deck_involution,
     is_stable,
@@ -784,6 +785,16 @@ class TestFingerprint:
         # strings; a change of the fingerprint recipe would orphan them
         for order in (8, 20):
             assert LambertEngine(order=order).fingerprint() == "daf91dc4013b9690"
+
+    def test_recipe_gives_the_literal(self):
+        # the engine returns the fingerprint as a constant; raising
+        # ENGINE_VERSION without putting in the new one fails here
+        import hashlib
+
+        x_local = lambert_x(8)
+        coeffs = ",".join(str(x_local.coefficient(n)) for n in range(8))
+        raw = f"lambert-t1|engine={ENGINE_VERSION}|sign=1|x={coeffs}"
+        assert hashlib.sha256(raw.encode()).hexdigest()[:16] == "daf91dc4013b9690"
 
 
 def test_form_bytes_pinned():
