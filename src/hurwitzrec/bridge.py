@@ -6,6 +6,10 @@ In the odd local coordinate xi with x = -1 - xi^2/2 (at t = 1), the curve
 becomes a Kontsevich-type curve y = 1 - 2 xi + sum t_{m+2} xi^m.  The times
 t_m are produced two independent ways: from the curve expansion, and from
 the quadratic recursion they satisfy; the two must agree termwise.
+
+The series and curve layers are imported by the functions that expand the
+curve, so the Hodge-integral check, which reads only the oracle, loads
+neither.
 """
 
 from __future__ import annotations
@@ -14,13 +18,11 @@ from fractions import Fraction
 
 from .partitions import HurwitzOracle, aut_size, check_partition
 from .poleform import format_rational
-from .series import Series
-from .toprec import lambert_x
 
 _ZERO = Fraction(0)
 
 
-def odd_coordinate(x_local: Series, order: int) -> Series:
+def odd_coordinate(x_local, order: int):
     """The coordinate xi(zeta) = zeta + ... with x = x0 + c2*xi^2, to ``order``.
 
     Requires a simple branch point (no linear term, nonzero quadratic term).
@@ -35,13 +37,15 @@ def odd_coordinate(x_local: Series, order: int) -> Series:
     return xi_squared.truncate(order + 1).sqrt_unit()
 
 
-def xi_of_zeta(order: int) -> Series:
+def xi_of_zeta(order: int):
     """The odd coordinate xi(zeta) with xi^2/2 = zeta - log(1+zeta), known
     below order + 1: the Lambert x = -1 - xi^2/2 in `odd_coordinate`."""
+    from .toprec import lambert_x
+
     return odd_coordinate(lambert_x(order + 2), order + 1)
 
 
-def y_of_xi(order: int) -> Series:
+def y_of_xi(order: int):
     """y = 1 + zeta re-expanded in the odd coordinate xi."""
     if order < 6:
         raise ValueError("order must be at least 6")
@@ -76,9 +80,11 @@ def times_by_recursion(t_max: int) -> dict[int, Fraction]:
     return t
 
 
-def f_series(order: int) -> Series:
+def f_series(order: int):
     """f(z) = sum_{m>=1} (2m+1)!/m! * t_{2m+3}/(2 - t_3) * z^m."""
     from math import factorial
+
+    from .series import Series
 
     times = times_by_recursion(2 * order + 4)
     norm = 2 - times[3]
@@ -89,7 +95,7 @@ def f_series(order: int) -> Series:
     return Series(1, coeffs, order)
 
 
-def g_series(order: int) -> Series:
+def g_series(order: int):
     """g(z) = -log(1 - f(z)); only odd powers survive."""
     if order < 8:
         raise ValueError("order must be at least 8")

@@ -7,15 +7,15 @@ Exit codes (64 to 74 as in sysexits.h):
 
 - 0 success;
 - 2 a mathematical mismatch was found;
-- 64 bad flags, including ``--g-max`` or ``--n-max`` given to a ``check``
-  suite other than ``bm``;
+- 64 bad flags, including ``--g-max``, ``--n-max``, ``--cache`` or
+  ``--verbose`` given to a ``check`` suite other than ``bm``;
 - 65 request out of range, including a request above a size bound;
 - 70 internal inconsistency: an exact self-check of the recursion failed
   (for instance a form that is not symmetric in its slots), or a residue
   that the truncation order the CLI chose cannot resolve;
-- 74 an I/O error: stdout was closed before all output was written (a
-  broken pipe, as in ``hurwitzrec table ... | head -1``), or the cache file
-  could not be written;
+- 74 an I/O error: stdout is closed or full, its reader left before all
+  output was written (a broken pipe, as in ``hurwitzrec table ... |
+  head -1``), or the cache file could not be written;
 - 130 interrupted (Ctrl-C), as a shell reports 128 + SIGINT.
 
 Stdout carries data; stderr carries diagnostics.  The series truncation
@@ -207,8 +207,11 @@ def _cmd_wkg(args):
 
 
 def _cmd_check(args):
-    if args.suite != "bm" and (args.g_max is not None or args.n_max is not None):
-        raise _UsageError("--g-max and --n-max apply only to check bm")
+    if args.suite != "bm":
+        if args.g_max is not None or args.n_max is not None:
+            raise _UsageError("--g-max and --n-max apply only to check bm")
+        if args.cache is not None or args.verbose:
+            raise _UsageError("--cache and --verbose apply only to check bm")
     if args.suite == "bm":
         from .extract import verify_bm
 
@@ -268,6 +271,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
+    if sys.stdout is None:
+        # descriptor 1 was closed before start, as by `>&-`
+        print("error: cannot write to stdout: it is closed", file=sys.stderr)
+        return EX_IOERR
     commands = {"table": _cmd_table, "wkg": _cmd_wkg, "check": _cmd_check}
     try:
         code = commands[args.command](args)
@@ -288,10 +295,13 @@ def main(argv=None) -> int:
             return EX_SOFTWARE
         print(f"error: {exc}", file=sys.stderr)
         return EX_RANGE
-    except BrokenPipeError:
-        # The reader is gone; point stdout at devnull so that the flush at
-        # interpreter exit does not raise again.
+    except OSError as exc:
+        # Stdout is full, or its reader is gone; point it at devnull so that
+        # the flush at interpreter exit does not fail again.  A reader that
+        # left (`| head -1`) chose to, so a broken pipe gets no message.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         return EX_IOERR
     except Exception as exc:
         # only a run with a cache path loads the module that can raise it

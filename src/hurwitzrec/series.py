@@ -14,14 +14,16 @@ a scalar factor scales it.  `invert_unit`, `reversion`, `exp`, `log1p` and
 `sqrt_unit` return their result to the order their input determines.
 `compose` substitutes into a power-series outer only; a Laurent outer raises
 ValueError.
+
+Products and reciprocals run on integers: `conv` and `unit_inverse` clear the
+denominators of their inputs once, work on plain ``int``s and divide once at
+the end, so no intermediate result is a `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-
-from . import _kernels
+from math import isqrt, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -175,7 +177,7 @@ class Series:
             self.trunc_order + other.min_exponent, other.trunc_order + self.min_exponent
         )
         lo = self.min_exponent + other.min_exponent
-        return Series(lo, _kernels.conv(self.coefficients, other.coefficients, t - lo), t)
+        return Series(lo, conv(self.coefficients, other.coefficients, t - lo), t)
 
     __rmul__ = __mul__
 
@@ -194,7 +196,7 @@ class Series:
         if self.is_zero:
             raise ValueError("cannot invert a series that is zero up to truncation")
         m = self.min_exponent
-        b = _kernels.unit_inverse(self.coefficients, len(self.coefficients))
+        b = unit_inverse(self.coefficients, len(self.coefficients))
         return Series(-m, b, self.trunc_order - 2 * m)
 
     # -- composition and reversion ------------------------------------------
@@ -322,3 +324,60 @@ def residue_of_product(f, g):
             if d:
                 acc += c * d
     return acc
+
+
+# -- integer loops ------------------------------------------------------------
+
+
+def clear_denominators(values):
+    """``(den, nums)`` with ``values[i] == nums[i] / den``; ``den`` is the
+    least common denominator (1 for an empty input)."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def conv(a, b, nout):
+    """First ``nout`` coefficients of the Cauchy product of coefficient lists."""
+    if nout <= 0:
+        return []
+    da, anum = clear_denominators(a[:nout])
+    db, bnum = clear_denominators(b[:nout])
+    den = da * db
+    return [Fraction(c, den) for c in conv_ints(anum, bnum, nout)]
+
+
+def conv_ints(a, b, nout):
+    """First ``nout`` coefficients of the Cauchy product of two lists of
+    ``int``s, as ``int``s."""
+    acc = [0] * nout
+    for i, ai in enumerate(a[:nout]):
+        if not ai:
+            continue
+        for j, bj in enumerate(b[: nout - i], i):
+            if bj:
+                acc[j] += ai * bj
+    return acc
+
+
+def unit_inverse(a, n):
+    """First ``n`` coefficients of the reciprocal of a unit power series.
+
+    With ``a = anum / da`` the k-th coefficient is ``da * s_k / a0**(k+1)``
+    for the integers ``s_k = -sum_i anum[i] * a0**(i-1) * s_(k-i)``.  These
+    grow like ``a0**n``; the series inverted here keep ``a0.bit_length() * n``
+    to a few thousand bits.
+    """
+    da, anum = clear_denominators(a[:n])
+    a0 = anum[0]
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * a0)
+    scaled = [1]
+    for k in range(1, n):
+        acc = 0
+        for i in range(1, min(k, len(anum) - 1) + 1):
+            ai = anum[i]
+            if ai:
+                acc += ai * powers[i - 1] * scaled[k - i]
+        scaled.append(-acc)
+    return [Fraction(da * s, powers[k + 1]) for k, s in enumerate(scaled)]

@@ -10,9 +10,18 @@ recursion kernel is never built: the residue against a pulled pair of slots
 is two reads of one integer table with a row U_s per pulled slot s, the slot
 on the other sheet over 2 (zeta - sigma) (see `LambertEngine.u_table`), and
 the sweeps read each pair from one table filled from it (see
-`_kernels.PairTable`).  Since sigma fixes x, the basis step xihat_(e+1) =
-d/dx xihat_e carries over to the other sheet, so row s + 1 is one exact
-integer step from row s.
+`PairTable`).  Since sigma fixes x, the basis step xihat_(e+1) = d/dx
+xihat_e carries over to the other sheet, so row s + 1 is one exact integer
+step from row s.
+
+A pulled slot is a basis index (> 0) or a Bergman power (<= 0, -m standing
+for zeta^m); its pole orders are `basis_poles` of the index or the power
+itself.  Each form is summed in one running sum ``{rest: {p: num}}``, keyed
+by the weakly decreasing tuple of indices left on the symbolic variables and
+the first-slot pole order p, in integers over one denominator.  `w` fixes
+that denominator before the first sweep, as the lcm of every sweep's own, and
+each sweep folds the quotient into its integer multiplier, so nothing held is
+ever rescaled.
 
 The deck involution sigma(zeta) = -zeta + O(zeta^2), the other local
 solution of x(sigma) = x(zeta), is built from the curve's own differential
@@ -29,9 +38,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from . import _kernels
-from .poleform import PoleForm, pole_basis, splits
-from .series import Series
+from .partitions import aut_size
+from .poleform import PoleForm, basis_poles, pole_basis, splits
+from .series import Series, TruncationError, clear_denominators, conv_ints
 
 _HALF = Fraction(1, 2)
 
@@ -69,6 +78,12 @@ def check_stable(g: int, k: int) -> None:
     raise ValueError(f"(g={g}, k={k}) is outside the stable range 2g-2+k > 0")
 
 
+def kernel_top(order: int) -> int:
+    """The top pole order of the recursion kernel at engine order ``order``:
+    the residues, the pole basis and the Bergman terms stop there."""
+    return order - 5
+
+
 def lambert_x(trunc_order: int) -> Series:
     """x = -1 - zeta + log(1 + zeta) = -1 + sum_{n>=2} (-1)^(n+1) zeta^n / n,
     the Lambert x(z) = -z + ln z at z = 1 + zeta, known below ``trunc_order``."""
@@ -93,6 +108,95 @@ def check_deck_involution(sigma: Series) -> Series:
     if sigma.coefficient(1) != -1 or not residual.is_zero:
         raise ValueError("no deck involution exists at this order")
     return sigma
+
+
+class PairTable(dict):
+    """``T[x, y] = {p: num}``, over ``den``: the residues of the recursion
+    kernel at pole order p against a pulled pair of slots.  Filled on first
+    use from an engine's residue table ``(den, {s: U_s})`` at ``order``;
+    symmetric; zero entries are dropped.
+
+    With P_s the pole orders of slot s and top(s) the largest of them, the
+    row is T[x, y][p] = sum_a P_x[a] U_y[a + top(y) + 2 - p] + sum_b P_y[b]
+    U_x[b + top(x) + 2 - p] for p = 2 .. `kernel_top`, each U a power
+    series.  The table knows U_s[n] for n < order - 2, so top(x) + top(y) >
+    order - 3 raises TruncationError."""
+
+    def __init__(self, u_table, order):
+        super().__init__()
+        self.den, self.u = u_table
+        self.order = order
+
+    def __missing__(self, key):
+        x, y = key
+        poles_x, poles_y = (basis_poles(s) if s > 0 else {s: 1} for s in key)
+        top_x, top_y = max(poles_x), max(poles_y)
+        if top_x + top_y > self.order - 3:
+            raise TruncationError(
+                f"engine order {self.order} cannot resolve the residue "
+                f"for the pulled slots (x={x}, y={y})"
+            )
+        top = kernel_top(self.order)
+        sums = [0] * (top + 1)  # by p; p = 0, 1 stay 0
+        for poles, u, top_u in ((poles_x, self.u[y], top_y), (poles_y, self.u[x], top_x)):
+            for a, c in poles.items():
+                n = a + top_u + 2
+                for p in range(2, min(n, top) + 1):
+                    sums[p] += c * u[n - p]
+        row = {p: v for p, v in enumerate(sums) if v}
+        self[x, y] = self[y, x] = row
+        return row
+
+
+def contract_pairs(group, y, table):
+    """``sum_x group[x] * T[x, y]`` as ``{p: num}`` over ``table.den``, for
+    one ``{x: num}`` of a decomposition; zero sums are dropped."""
+    sums = {}
+    for x, num in group.items():
+        for p, v in table[x, y].items():
+            sums[p] = sums.get(p, 0) + num * v
+    return {p: v for p, v in sums.items() if v}
+
+
+def accumulate(acc, u, sums, c):
+    """Add ``c * sums`` into ``acc[u]``, made only for a nonempty ``sums``."""
+    if sums:
+        bucket = acc.get(u)
+        if bucket is None:
+            bucket = acc[u] = {}
+        for p, v in sums.items():
+            bucket[p] = bucket.get(p, 0) + c * v
+
+
+def pair_sweep(acc, den, terms_a, terms_b, table, weight):
+    """Add ``weight`` times the residues of all (A-term, B-term) pairs into
+    the running sum ``acc`` over ``den``, a multiple of this sweep's own
+    denominator ``den_a * den_b * table.den``.
+
+    ``terms_a``/``terms_b`` are decompositions ``(den, {rest: {x: num}})``,
+    ``x`` the pulled slot.  A split term of the recursion sums over the
+    subsets J of the remaining variables.  On forms stored by weakly
+    decreasing index tuples, the subsets that turn rests ``ra`` and ``rb``
+    into one merged rest are the choices of which merged slots came from
+    ``ra``: for each value v held m times in the merged rest, C(m, m_a) of
+    them, m_a its count in ``ra``.  Since m = m_a + m_b, the product over v
+    is aut(merged) / (aut(ra) aut(rb)), with aut = `aut_size`.  ``weight``
+    is 2 when this one sweep stands for both orientations of a split: the
+    table is symmetric, so swapping the A and B sides adds identical
+    integers.
+    """
+    (den_a, groups_a), (den_b, groups_b) = terms_a, terms_b
+    scale = weight * (den // (den_a * den_b * table.den))
+    pulled_b = {y for group in groups_b.values() for y in group}
+    side_b = [(rb, aut_size(rb), group_b) for rb, group_b in groups_b.items()]
+    for ra, group_a in groups_a.items():
+        aut_a = aut_size(ra)
+        contracted = {y: contract_pairs(group_a, y, table) for y in pulled_b}
+        for rb, aut_b, group_b in side_b:
+            merged = tuple(sorted(ra + rb, reverse=True))
+            n = scale * (aut_size(merged) // (aut_a * aut_b))
+            for y, yn in group_b.items():
+                accumulate(acc, merged, contracted[y], n * yn)
 
 
 class LambertEngine:
@@ -140,12 +244,13 @@ class LambertEngine:
     @cached_property
     def _bergman_terms(self):
         # B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2), each
-        # zeta^m as the branch pole order -m, up to the top pole order
-        # order - 5 of the kernel; the pole dz0 / (z0 - z*)^(m + 2) is written
-        # in the basis, residual indices included
-        den, to_basis = pole_basis(self.order - 5)
+        # zeta^m as the Bergman power -m, up to the kernel's top pole order;
+        # the pole dz0 / (z0 - z*)^(m + 2) is written in the basis, residual
+        # indices included
+        top = kernel_top(self.order)
+        den, to_basis = pole_basis(top)
         groups = {}
-        for m in range(self.order - 6):
+        for m in range(top - 1):
             for index, num in to_basis[m + 2].items():
                 groups.setdefault((index,), {})[-m] = (m + 1) * num
         return den, groups
@@ -183,9 +288,10 @@ class LambertEngine:
     def u_table(self):
         """The residue table ``(den, {s: nums})``: ``nums[n] / den`` is the
         coefficient of zeta^n in U_s = zeta^(top(s)+2) R_s / (2 (zeta -
-        sigma)), for n < order - 2, one row per pulled slot s: the basis
-        indices 0 .. (order - 5) // 2, top(s) = 2s their top pole order, and
-        the Bergman powers -(order - 7) .. -1, top(s) = s.
+        sigma)), for n < order - 2, one row per pulled slot s up to the
+        kernel's top pole order: the basis indices 0 .. top // 2, top(s) = 2s
+        their top pole order, and the Bergman powers -(top - 2) .. -1, top(s)
+        = s.
 
         R_s is slot s on the other sheet, divided by dx: R_0 = -(1 + sigma) /
         sigma is xihat_0 = t - 1 at sigma, R_(s+1) = -(1 + zeta)/zeta R_s' is
@@ -195,7 +301,7 @@ class LambertEngine:
         omega), omega = (zeta - sigma) x'; pulling its sigma^(p-1) half back
         by sigma, which fixes x and flips the sign of omega dzeta, makes the
         residue of a pulled pair of slots two reads of these rows (see
-        `_kernels.PairTable`).
+        `PairTable`).
 
         The rows are built in integers from the two `halves`, each cleared
         of denominators once: with rhat_x = zeta^(2x+1) R_x, U_x = rhat_x
@@ -205,13 +311,13 @@ class LambertEngine:
         each; the gcd of every row is divided out, and one lcm puts the rows
         over the table's denominator.
         """
-        order = self.order
+        order, top = self.order, kernel_top(self.order)
         known = order - 2
 
         def cleared(f):
             if f.min_exponent < 0:
                 raise ValueError("a half starts below zeta^0, which the table would drop")
-            return _kernels.clear_denominators([f.coefficient(n) for n in range(known)])
+            return clear_denominators([f.coefficient(n) for n in range(known)])
 
         rows = {}
 
@@ -220,24 +326,24 @@ class LambertEngine:
             rows[slot] = den // common, [v // common for v in nums]
 
         (den_r, rhat), (den_w, what) = (cleared(half) for half in self.halves)
-        for x in range((order - 5) // 2 + 1):
-            put(x, den_r * den_w, _kernels.conv_ints(rhat, what, known))
+        for x in range(top // 2 + 1):
+            put(x, den_r * den_w, conv_ints(rhat, what, known))
             q = [(n - 2 * x - 1) * v for n, v in enumerate(rhat)]
             rhat = [-q[0]] + [-(q[n] + q[n - 1]) for n in range(1, known)]
         den_s, s = cleared(self.sigma.shift(-1))
-        for m in range(1, order - 6):
+        for m in range(1, top - 1):
             den, nums = rows[1 - m]
-            put(-m, den * den_s, _kernels.conv_ints(nums, s, known))
+            put(-m, den * den_s, conv_ints(nums, s, known))
         # each row is in lowest terms, so the lcm of their denominators is
         # the least common denominator of the whole table
         den = lcm(*(d for d, _ in rows.values()))
         return den, {slot: [v * (den // d) for v in nums] for slot, (d, nums) in rows.items()}
 
     @cached_property
-    def pair_table(self) -> _kernels.PairTable:
+    def pair_table(self) -> PairTable:
         """The residues of every pulled pair of slots, read from `u_table`
         and filled as the sweeps ask for them."""
-        return _kernels.PairTable(self.u_table, self.order)
+        return PairTable(self.u_table, self.order)
 
     # -- the recursion ---------------------------------------------------------
 
@@ -250,7 +356,7 @@ class LambertEngine:
         The split products are summed over unordered splits: the term for
         ``(h, J), (g-h, J')`` equals the swapped one, because the residue
         row of a pulled pair of slots is symmetric in them (see
-        `_kernels.PairTable`) and ``C(n, k) == C(n, n-k)`` in the rest
+        `PairTable`) and ``C(n, k) == C(n, n-k)`` in the rest
         counts.  So each split with ``(h, |J|) < (g-h, |J'|)`` is swept once
         with weight 2, and a split equal to its swap once with weight 1.
         """
@@ -289,7 +395,7 @@ class LambertEngine:
             if prev:
                 self._sweep_term1(acc, den, prev)
             for terms_a, terms_b, weight in sweeps:
-                _kernels.pair_sweep(acc, den, terms_a, terms_b, table, weight)
+                pair_sweep(acc, den, terms_a, terms_b, table, weight)
 
         fed = set().union(*(self._fed_by_cache.get(key, ()) for key in inputs))
         form = self._assemble(g, k, den, acc, fed)
@@ -311,8 +417,8 @@ class LambertEngine:
         # is nonzero.
         rhat, what = (half.truncate(3) for half in self.halves)
         g = rhat * what * what * what
-        ps = range(2, min(5, self.order - 4))
-        den, nums = _kernels.clear_denominators([8 * g.coefficient(4 - p) for p in ps])
+        ps = range(2, min(5, kernel_top(self.order) + 1))
+        den, nums = clear_denominators([8 * g.coefficient(4 - p) for p in ps])
         return den, dict(zip(ps, nums))
 
     def _sweep_term1(self, acc, den, prev):
@@ -322,7 +428,7 @@ class LambertEngine:
         scale = den // (den_c * table.den)
         for rest, group in groups.items():
             for y, left in splits(rest):
-                _kernels.accumulate(acc, left, _kernels.contract_pairs(group, y, table), scale)
+                accumulate(acc, left, contract_pairs(group, y, table), scale)
 
     def _assemble(self, g, k, den, acc, fed) -> PoleForm:
         """Convert the first-slot pole order p of the form's running sum
@@ -344,7 +450,7 @@ class LambertEngine:
                 cause = f"truncation order {self.order} is insufficient"
             raise ArithmeticError(f"{what} assembling W({g},{k}) at {full}; {cause}")
 
-        den_basis, to_basis = pole_basis(self.order - 5)
+        den_basis, to_basis = pole_basis(kernel_top(self.order))
         converted = {}
         for rest, bucket in acc.items():
             for p, num in bucket.items():

@@ -110,6 +110,18 @@ def test_partitions_imports_nothing_from_the_package():
     assert names and not [n for n in names if n.startswith((".", "hurwitzrec"))]
 
 
+def test_series_imports_nothing_from_the_package():
+    # the series layer sits below the curve code that builds on it
+    names = [name for _, name in _imports(_parse("series.py"))]
+    assert names and not [n for n in names if n.startswith((".", "hurwitzrec"))]
+
+
+def test_toprec_imports_only_at_its_top():
+    # with series below it, the engine needs no import deferred to run time
+    tree = _parse("toprec.py")
+    assert all(node in tree.body for node, _ in _imports(tree))
+
+
 def test_cli_imports_check_modules_only_for_check():
     # table and wkg compile neither module, and each command imports the
     # layers it runs, so the module top imports none

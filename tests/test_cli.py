@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import stat
@@ -13,9 +14,13 @@ import pytest
 CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "hurwitzrec.cli"]
 
 
-def run_cli(*args, env_extra=None, timeout=300):
+def cli_env():
     # a developer's own cache file must not leak into (or out of) the suite
-    env = {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
+    return {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
+
+
+def run_cli(*args, env_extra=None, timeout=300):
+    env = cli_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -125,6 +130,17 @@ class TestCheck:
         r = run_cli("check", *args)
         assert r.returncode == 64
         assert r.stderr == "usage error: --g-max and --n-max apply only to check bm\n"
+        assert r.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [("times", "--cache", "/nonexistent/dir/x.json"), ("elsv", "--verbose")],
+        ids=["cache", "verbose"],
+    )
+    def test_cache_flags_refused_elsewhere(self, args):
+        r = run_cli("check", *args)
+        assert r.returncode == 64
+        assert r.stderr == "usage error: --cache and --verbose apply only to check bm\n"
         assert r.stdout == ""
 
 
@@ -409,7 +425,7 @@ class TestCache:
             "    time.sleep(0.01)\n"
             "flush()\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
+        env = cli_env()
         procs = [
             subprocess.Popen([sys.executable, "-c", child, str(path), str(go), str(r), g, k], env=env)
             for r, (g, k) in zip(ready, [("0", "3"), ("1", "1")])
@@ -519,10 +535,9 @@ sys.exit(code)
 
 
 def loaded_modules(*args):
-    env = {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
     r = subprocess.run(
         [sys.executable, "-c", LOADED_PROBE, *args],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=cli_env(), timeout=300,
     )
     assert r.returncode == 0, r.stderr
     return set(json.loads(r.stderr.splitlines()[-1]))
@@ -537,8 +552,13 @@ class TestImports:
     def test_oracle_table_loads_no_curve_code(self):
         loaded = loaded_modules("table", "--method", "oracle", "--g-max", "1", "--n-max", "5")
         assert "hurwitzrec.partitions" in loaded
-        curve = {"toprec", "series", "_kernels", "cache", "bridge", "selfcheck"}
+        curve = {"toprec", "series", "cache", "bridge", "selfcheck"}
         assert not loaded & {f"hurwitzrec.{name}" for name in curve}
+
+    def test_elsv_check_loads_no_curve_code(self):
+        loaded = loaded_modules("check", "elsv")
+        assert "hurwitzrec.bridge" in loaded
+        assert not loaded & {"hurwitzrec.toprec", "hurwitzrec.series"}
 
     def test_cached_recursion_loads_no_hashlib(self, tmp_path):
         path = tmp_path / "forms.json"
@@ -551,15 +571,35 @@ class TestImports:
 
 class TestExitCodes:
     def test_broken_pipe_exit_74(self):
-        env = {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
         with subprocess.Popen(
             CLI + ["table", "--g-max", "1", "--n-max", "3", "--format", "csv"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
         ) as proc:
             proc.stdout.close()  # the reader is gone before the first write
             stderr = proc.stderr.read()
             assert proc.wait(timeout=300) == 74
         assert "Traceback" not in stderr
+
+    def test_closed_stdout_exit_74(self):
+        # the shell starts the CLI with descriptor 1 closed
+        r = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", *CLI, "check", "elsv"],
+            stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60,
+        )
+        assert r.returncode == 74
+        assert r.stderr == "error: cannot write to stdout: it is closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_stdout_exit_74(self):
+        # every write to /dev/full fails with ENOSPC; the flush at exit must
+        # not fail again, which would exit 120
+        with open("/dev/full", "w") as full:
+            r = subprocess.run(
+                CLI + ["table", "--method", "oracle", "--g-max", "0", "--n-max", "2"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60,
+            )
+        assert r.returncode == 74
+        assert r.stderr == f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n"
 
     @pytest.mark.parametrize(
         "target, reason",

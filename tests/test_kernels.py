@@ -8,7 +8,7 @@ from math import comb, lcm
 
 import pytest
 
-from hurwitzrec import _kernels
+from hurwitzrec import series, toprec
 from hurwitzrec.partitions import aut_size
 from hurwitzrec.series import TruncationError, residue_of_product
 from hurwitzrec.toprec import LambertEngine, required_order
@@ -133,19 +133,19 @@ def random_sweep(rng, n_terms, den_max):
     return mk_terms(), mk_terms(), (rng.randint(1, den_max), u)
 
 
-def pair_table(table, order=SWEEP_ORDER, cls=_kernels.PairTable):
+def pair_table(table, order=SWEEP_ORDER, cls=toprec.PairTable):
     """A pair table on the slot rows -3 .. 3 of the pole-order table."""
     return cls(slot_table(table, range(-3, 4), SWEEP_ORDER - 2), order)
 
 
-class Lopsided(_kernels.PairTable):
+class Lopsided(toprec.PairTable):
     """A pair table that weighs each row toward the side that asked for it
     first, by doubling that slot's row."""
 
     def __missing__(self, key):
         x, _ = key
         u = {**self.u, x: [2 * v for v in self.u[x]]}
-        row = _kernels.PairTable((self.den, u), self.order)[key]
+        row = toprec.PairTable((self.den, u), self.order)[key]
         self[key] = self[key[::-1]] = row
         return row
 
@@ -157,7 +157,7 @@ class TestAgainstReference:
             a = random_fractions(rng, rng.randint(0, 25))
             b = random_fractions(rng, rng.randint(0, 25))
             nout = rng.randint(0, 40)
-            assert _kernels.conv(a, b, nout) == ref_conv(a, b, nout)
+            assert series.conv(a, b, nout) == ref_conv(a, b, nout)
 
     def test_unit_inverse(self):
         rng = random.Random(2)
@@ -166,7 +166,7 @@ class TestAgainstReference:
             a = random_fractions(rng, 20, top=top, den_max=top)
             if not a[0]:
                 a[0] = F(3, 7)
-            assert _kernels.unit_inverse(a, 18) == ref_unit_inverse(a, 18)
+            assert series.unit_inverse(a, 18) == ref_unit_inverse(a, 18)
 
     def test_merge_and_count(self):
         """The sweep's merge count, a quotient of automorphism counts, is
@@ -188,11 +188,11 @@ class TestAgainstReference:
         ta, tb, table = random_sweep(rng, 30, 7)
         den = 3 * own_den(ta, tb, table)
         fast, ref = {}, {}
-        _kernels.pair_sweep(fast, den, ta, tb, pair_table(table), 1)
+        toprec.pair_sweep(fast, den, ta, tb, pair_table(table), 1)
         ref_pair_sweep(ref, den, ta, tb, table, SWEEP_ORDER, 1)
         assert nonzero(den, fast) == nonzero(den, ref)
         fast2, ref2 = {}, {}
-        _kernels.pair_sweep(fast2, den, ta, tb, pair_table(table), 2)
+        toprec.pair_sweep(fast2, den, ta, tb, pair_table(table), 2)
         ref_pair_sweep(ref2, den, ta, tb, table, SWEEP_ORDER, 2)
         assert nonzero(den, fast2) == nonzero(den, ref2)
         assert nonzero(den, fast2) == {key: 2 * v for key, v in nonzero(den, fast).items()}
@@ -206,16 +206,16 @@ class TestAgainstReference:
         ta, tb, table = random_sweep(rng, 30, 7)
         den = own_den(ta, tb, table)
         ab, ba = {}, {}
-        _kernels.pair_sweep(ab, den, ta, tb, pair_table(table), 1)
-        _kernels.pair_sweep(ba, den, tb, ta, pair_table(table), 1)
+        toprec.pair_sweep(ab, den, ta, tb, pair_table(table), 1)
+        toprec.pair_sweep(ba, den, tb, ta, pair_table(table), 1)
         assert ab and nonzero(den, ab) == nonzero(den, ba)
 
         # a pair table weighing the two reads unequally breaks the identity,
         # so the test can fail; each sweep fills its own pair table, so each
         # row is weighed toward the side that asked for it first
         ab, ba = {}, {}
-        _kernels.pair_sweep(ab, den, ta, tb, pair_table(table, cls=Lopsided), 1)
-        _kernels.pair_sweep(ba, den, tb, ta, pair_table(table, cls=Lopsided), 1)
+        toprec.pair_sweep(ab, den, ta, tb, pair_table(table, cls=Lopsided), 1)
+        toprec.pair_sweep(ba, den, tb, ta, pair_table(table, cls=Lopsided), 1)
         assert nonzero(den, ab) != nonzero(den, ba)
 
     def test_pair_sweep_wide_denominators(self):
@@ -229,7 +229,7 @@ class TestAgainstReference:
         den = lcm(*dens)
         fast, ref = {}, {}
         for a, b in sweeps:
-            _kernels.pair_sweep(fast, den, a, b, pair_table(table), 1)
+            toprec.pair_sweep(fast, den, a, b, pair_table(table), 1)
             ref_pair_sweep(ref, den, a, b, table, SWEEP_ORDER, 1)
         assert nonzero(den, fast) == nonzero(den, ref)
 
@@ -284,15 +284,15 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
     pair at a time, coefficient for coefficient and byte for byte."""
     order = required_order(2, 2)
     real = LambertEngine(order=order).w(2, 2)
-    monkeypatch.setattr(_kernels, "conv", ref_conv)
-    monkeypatch.setattr(_kernels, "unit_inverse", ref_unit_inverse)
+    monkeypatch.setattr(series, "conv", ref_conv)
+    monkeypatch.setattr(series, "unit_inverse", ref_unit_inverse)
     ref_engine = LambertEngine(order=order)
     pole_table = reference_u_table(ref_engine)
 
     def sweep(acc, den, terms_a, terms_b, table, weight):
         ref_pair_sweep(acc, den, terms_a, terms_b, pole_table, table.order, weight)
 
-    monkeypatch.setattr(_kernels, "pair_sweep", sweep)
+    monkeypatch.setattr(toprec, "pair_sweep", sweep)
     ref = ref_engine.w(2, 2)
     assert real == ref
     assert real.canonical_json() == ref.canonical_json()

@@ -7,10 +7,10 @@ from math import gcd
 
 import pytest
 
-from hurwitzrec import _kernels
+from hurwitzrec import toprec
 from hurwitzrec.bridge import odd_coordinate
 from hurwitzrec.poleform import PoleForm, _orderings, basis_poles, pole_basis, splits
-from hurwitzrec.series import Series, TruncationError, residue_of_product
+from hurwitzrec.series import Series, TruncationError, clear_denominators, residue_of_product
 from hurwitzrec.toprec import (
     ENGINE_VERSION,
     LambertEngine,
@@ -232,7 +232,7 @@ def reference_u_table(engine):
     for b in range(-1, 6 - order, -1):
         u[b] = u[b + 1] * s
     known = order - 2
-    den, nums = _kernels.clear_denominators(
+    den, nums = clear_denominators(
         [f.coefficient(n) for f in u.values() for n in range(known)]
     )
     return den, {b: nums[i * known : (i + 1) * known] for i, b in enumerate(u)}
@@ -411,7 +411,7 @@ class TestResidueTable:
         reaches the bound.  Every slot lies in that table too, bar the
         Bergman powers -m, which follow the engine's own order."""
         engine = LambertEngine(order=30)
-        missing, reads = _kernels.PairTable.__missing__, []
+        missing, reads = toprec.PairTable.__missing__, []
 
         def recording(table, key):
             # (top(x) + top(y), the larger top, the smaller slot) of this pair
@@ -419,7 +419,7 @@ class TestResidueTable:
             reads.append((sum(tops), max(tops), min(key)))
             return missing(table, key)
 
-        monkeypatch.setattr(_kernels.PairTable, "__missing__", recording)
+        monkeypatch.setattr(toprec.PairTable, "__missing__", recording)
         cases = sorted(
             (required_order(g, k), g, k)
             for g in range(5)
@@ -638,7 +638,7 @@ class TestStructuralInvariants:
 
         def row(x, y):
             try:
-                return _kernels.PairTable(eng.u_table, eng.order)[x, y]
+                return toprec.PairTable(eng.u_table, eng.order)[x, y]
             except TruncationError:
                 return None
 
@@ -930,13 +930,13 @@ class TestZeroEntries:
         """No entry of the pair table is 0, and the sweeps never add a zero
         into a bucket, over every form of W(3, 4)'s recursion."""
         added = []
-        accumulate = _kernels.accumulate
+        accumulate = toprec.accumulate
 
         def checked(acc, u, sums, c):
             added.append(c != 0 and all(sums.values()))
             accumulate(acc, u, sums, c)
 
-        monkeypatch.setattr(_kernels, "accumulate", checked)
+        monkeypatch.setattr(toprec, "accumulate", checked)
         engine = LambertEngine(order=required_order(3, 4))
         engine.w(3, 4)
         assert added and all(added)
