@@ -48,10 +48,12 @@ CACHE_ENV = "HURWITZREC_CACHE"
 # about 0.3 s, 0.5 s and 1.5 s of CPU in process on a 2-core Intel Xeon
 # virtual machine (wkg 2 13, which also writes the form's 16,799 pole terms,
 # takes about 3.0 s as a whole process).  The oracle's cost grows fastest
-# with |mu|: --g-max 3 --n-max 12 takes about 0.39 s of CPU on the same
-# machine.  Its genus bound is the highest genus whose W(g,1) the
-# recursion's bound admits: W(g,1) needs order 6g + 4 (toprec.required_order),
-# so the bound is 6 (a test holds the two in step).
+# with |mu|: in process on the same machine, HurwitzOracle(12, 3) takes about
+# 0.2 s of CPU, and past the bound HurwitzOracle(14, 3) 0.52-0.57 s and
+# HurwitzOracle(14, 6) 0.85-0.98 s, about three quarters of it in log.  Its
+# genus bound is the highest genus whose W(g,1) the recursion's bound admits:
+# W(g,1) needs order 6g + 4 (toprec.required_order), so the bound is 6 (a
+# test holds the two in step).
 RECURSION_MAX_ORDER = 40
 ORACLE_MAX_N = 12
 ORACLE_MAX_G = (RECURSION_MAX_ORDER - 4) // 6
@@ -174,10 +176,11 @@ def _emit_table(rows, args):
                 if method in row:
                     print(f"{row['g']},{mu},{method},{row[method]}")
         return
+    # the columns follow --method, so a table with no rows keeps its header
     header = f"{'g':>2}  {'mu':<14}"
-    if any("recursion" in r for r in rows):
+    if args.method != "oracle":
         header += f" {'recursion':>16}"
-    if any("oracle" in r for r in rows):
+    if args.method != "recursion":
         header += f" {'oracle':>16}"
     if args.method == "both":
         header += "  equal"

@@ -5,7 +5,10 @@ Partitions are weakly-decreasing tuples of positive integers.  Characters are
 evaluated by the Murnaghan-Nakayama rule on beta-sets (first-column hook
 lengths), which makes border-strip removal a single subtraction; one row
 holds chi_lam(mu) for every lam of |mu| at once, from the row of mu less its
-largest part.
+largest part.  This is the module's one character table: the dimensions are
+its row of the identity class (1^n).  The Burnside counts sum the terms of
+the lam that share one |f_c2(lam)| once, a partition and its conjugate among
+them (see `_burnside_weights`).
 
 The connected-cover oracle builds the generating function Z of
 disconnected cover counts, graded by the degree n, the monomial p_mu and the
@@ -113,23 +116,10 @@ def class_size(mu: Partition) -> int:
 
 
 def dim_irrep(lam: Partition) -> int:
-    """Dimension of the irreducible S_{|lam|} representation indexed by lam.
-
-    Evaluated as |lam|! * Vandermonde(h) / prod h_i! on the h-encoding with
-    N = len(lam) entries.
-    """
-    lam = check_partition(lam)
-    h = h_encoding(lam, max(len(lam), 1))
-    num = factorial(sum(lam))
-    for i in range(len(h)):
-        for j in range(i + 1, len(h)):
-            num *= h[i] - h[j]
-    den = 1
-    for hi in h:
-        den *= factorial(hi)
-    dim, rem = divmod(num, den)
-    assert rem == 0 and dim > 0
-    return dim
+    """Dimension of the irreducible S_{|lam|} representation indexed by lam:
+    chi_lam on the identity class (1^n), the row `_chars((1,) * n)` of the
+    one character table."""
+    return character(lam, (1,) * sum(check_partition(lam)))
 
 
 def character(lam: Partition, mu: Partition) -> int:
@@ -192,8 +182,9 @@ def _index(n: int) -> dict[Partition, int]:
 
 def f_central(lam: Partition, mu: Partition) -> Fraction:
     """The central character |C_mu| * chi_lam(C_mu) / dim(lam): the textbook
-    definition the tests hold `f_c2` and `cov_disconnected` to; the oracle
-    keeps dim(lam) * chi_lam(mu) in integers instead (`_burnside_weights`)."""
+    definition the tests hold `f_c2` and the Burnside sums to.  The oracle
+    never divides by dim(lam): it keeps dim(lam) * chi_lam(mu) in integers,
+    both factors read from the character rows."""
     return Fraction(class_size(mu) * character(lam, mu), dim_irrep(lam))
 
 
@@ -202,7 +193,8 @@ def f_c2(lam: Partition) -> int:
     """Central character of the transposition class, as the content sum.
 
     Equals sum_i lam_i*(lam_i - 2i + 1)/2, which is f_central against the
-    class (2, 1, ..., 1) whenever |lam| >= 2, and 0 for |lam| < 2.
+    class (2, 1, ..., 1) whenever |lam| >= 2, and 0 for |lam| < 2.  The
+    conjugate partition has the opposite content sum.
 
     An equivalent quadratic form in the h-encoding is
     (1/2)*sum h_i^2 - (N - 1/2)*sum h_i + N(N-1)(2N-1)/6; a variant with
@@ -219,37 +211,45 @@ def cov_disconnected(mu: Partition, b: int) -> Fraction:
     sphere with monodromy mu over one point and b transpositions elsewhere.
 
     Burnside: sum over partitions lam of |mu| of
-    (dim lam / n!)^2 * f_central(lam, mu) * f_c2(lam)^b.
+    (dim lam / n!)^2 * f_central(lam, mu) * f_c2(lam)^b, that is |C_mu| / (n!)^2
+    times the integer sum of dim(lam) * chi_lam(mu) * f_c2(lam)^b.  This is
+    the unfolded sum, one term per lam at every b, that the tests hold
+    build_z's folded weights to.
     """
     mu = check_partition(mu)
     if b < 0:
         raise ValueError("b must be nonnegative")
-    if not mu:
-        return Fraction(int(b == 0))
     n = sum(mu)
-    total = sum(w * f**b for w, f in _burnside_weights(mu))
+    total = sum(
+        dim * chi * f_c2(lam) ** b
+        for lam, dim, chi in zip(partitions_of(n), _chars((1,) * n), _chars(mu))
+    )
     return Fraction(class_size(mu) * total, factorial(n) ** 2)
 
 
 @cache
 def _burnside_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
-    """The integer pairs (dim(lam) * chi_lam(mu), f_c2(lam)) over the
-    partitions lam of n = |mu|; they do not depend on b.  Each Burnside
-    weight (dim lam / n!)^2 * f_central(lam, mu) is the first entry times
-    |C_mu| / (n!)^2, so the sum over lam stays in integers and dim(lam) is
-    not divided out and back in.  The characters are the row `_chars(mu)`,
-    read without `character`'s checks."""
+    """The integer pairs (w, f) with
+    sum_lam dim(lam) chi_lam(mu) f_c2(lam)^b = sum w f^b, the sum over the
+    partitions lam of n = |mu|, at every b of the parity of n + len(mu): the
+    only b with covers, and the only b build_z reads.  There is one pair per
+    distinct f = |f_c2(lam)|, and none with w = 0.
+
+    At such b, f_c2^b = |f_c2|^b sgn(f_c2)^(n + len(mu)), so w sums
+    dim(lam) * chi_lam(mu) * sgn(f_c2(lam))^(n + len(mu)) over the lam of
+    one |f_c2|.  Conjugation keeps dim, sends f_c2 to -f_c2 and chi_lam(mu)
+    to sgn(mu) chi_lam(mu), sgn(mu) = (-1)^(n - len(mu)) (Macdonald, I.7),
+    so at that parity lam and its conjugate add the same term to one w; at
+    the other they cancel, which is why no cover exists there.  Dimensions
+    and characters are the rows `_chars((1,) * n)` and `_chars(mu)`."""
     n = sum(mu)
-    return tuple(
-        (dim * chi, f_c2(lam))
-        for lam, dim, chi in zip(partitions_of(n), _dims(n), _chars(mu))
-    )
-
-
-@cache
-def _dims(n: int) -> tuple[int, ...]:
-    """dim_irrep over partitions_of(n), in that order."""
-    return tuple(dim_irrep(lam) for lam in partitions_of(n))
+    flip = (n + len(mu)) % 2
+    weights = {}
+    for lam, dim, chi in zip(partitions_of(n), _chars((1,) * n), _chars(mu)):
+        f = f_c2(lam)
+        sign = -1 if flip and f < 0 else 1
+        weights[abs(f)] = weights.get(abs(f), 0) + sign * dim * chi
+    return tuple((w, f) for f, w in weights.items() if w)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +362,8 @@ def build_z(n_max: int, w_max: int) -> PSeriesZ:
 
     The coefficient cov_disconnected(mu, b) / b! is written over the
     degree's denominator (n!)^2 w_max! as the integer
-    |C_mu| * sum_lam w_lam f_lam^b * (w_max! / b!), with the pairs
-    (w_lam, f_lam) of `_burnside_weights`."""
+    |C_mu| * sum w f^b * (w_max! / b!), with the pairs (w, f) of
+    `_burnside_weights`, one per distinct |f_c2(lam)|."""
     top = factorial(w_max)
     z = PSeriesZ(n_max, w_max)
     z.data[0] = {((), 0): 1}

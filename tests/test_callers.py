@@ -18,7 +18,7 @@ SRC = Path(hurwitzrec.__file__).parent
 
 ALLOWED = {
     "_Parser.error": "argparse calls it",
-    "cov_disconnected": "the Burnside count the tests pin; build_z sums its integer numerators",
+    "cov_disconnected": "the per-lam Burnside count the tests hold build_z's folded sums to",
     "f_central": "the textbook reference the Burnside tests compare against",
     "g_series": "acceptance criterion 3 pins its displayed coefficients",
     "hurwitz_by_recursion": "the README Library example uses it",

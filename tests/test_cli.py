@@ -42,6 +42,16 @@ class TestTable:
         assert r.returncode == 0
         assert r.stdout.splitlines() == ["g,mu,method,value", "0,1,oracle,1/1"]
 
+    @pytest.mark.parametrize("method,header", [
+        ("recursion", " g  mu                    recursion"),
+        ("both", " g  mu                    recursion           oracle  equal"),
+    ])
+    def test_empty_table_keeps_its_columns(self, method, header):
+        # no (g, mu) with g = 0, |mu| <= 2 is stable, so the recursion lists none
+        r = run_cli("table", "--g-max", "0", "--n-max", "2", "--method", method)
+        assert r.returncode == 0
+        assert r.stdout == header + "\n"
+
     def test_json_format(self):
         r = run_cli(
             "table", "--g-max", "1", "--n-max", "2", "--method", "both",

@@ -54,6 +54,11 @@ def hook_length_dim(lam):
     return factorial(sum(lam)) // prod
 
 
+def conj(lam):
+    """The conjugate partition: the column lengths of lam's diagram."""
+    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0] if lam else 0))
+
+
 def fractions(series):
     """The series' coefficients as {n: {(mu, e): Fraction}}."""
     return {n: {key: Fraction(v, series.den[n]) for key, v in t.items()}
@@ -340,6 +345,32 @@ class TestBurnside:
     def test_empty_cover(self):
         assert cov_disconnected((), 0) == 1
         assert cov_disconnected((), 3) == 0
+
+
+class TestBurnsideFold:
+    """build_z reads one weight per |f_c2|, folded by the conjugate identity;
+    cov_disconnected keeps the per-lam sum the fold is held to here."""
+
+    def test_conjugation_flips_content_and_character_sign(self):
+        for n in range(11):
+            for lam in partitions_of(n):
+                assert f_c2(conj(lam)) == -f_c2(lam), lam
+                for mu in partitions_of(n):
+                    expected = (-1) ** (n - len(mu)) * character(lam, mu)
+                    assert character(conj(lam), mu) == expected, (lam, mu)
+
+    def test_folded_weights_match_the_per_lam_sum(self):
+        for n in range(11):
+            for mu in partitions_of(n):
+                weights = partitions._burnside_weights(mu)
+                assert len({f for _, f in weights}) == len(weights), mu
+                assert all(w and f >= 0 for w, f in weights), mu
+                for b in range((n + len(mu)) % 2, 13, 2):
+                    per_lam = sum(
+                        dim_irrep(lam) * character(lam, mu) * f_c2(lam) ** b
+                        for lam in partitions_of(n)
+                    )
+                    assert sum(w * f**b for w, f in weights) == per_lam, (mu, b)
 
 
 class TestOracle:
