@@ -84,7 +84,7 @@ def save_cache(path, fingerprint, forms):
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(", ", ": "))
+            fh.write(json.dumps(doc, separators=(", ", ": ")))
         os.replace(tmp, path)
     except OSError as exc:
         raise CacheWriteError(f"cannot write the cache file {path}: {exc.strerror}") from exc

@@ -21,7 +21,11 @@ by the weakly decreasing tuple of indices left on the symbolic variables and
 the first-slot pole order p, in integers over one denominator.  `w` fixes
 that denominator before the first sweep, as the lcm of every sweep's own, and
 each sweep folds the quotient into its integer multiplier, so nothing held is
-ever rescaled.
+ever rescaled.  The Bergman split B(z0, z_i) W(g, k-1), a term of every form
+with k >= 2, is not swept as a product of two forms: its rows, the Bergman
+decomposition contracted with each pulled slot, are kept once per engine with
+the zero rows left out (see `BergmanRows`), and `bergman_sweep` adds each
+stored row into its merged rest.
 
 The deck involution sigma(zeta) = -zeta + O(zeta^2), the other local
 solution of x(sigma) = x(zeta), is built from the curve's own differential
@@ -199,6 +203,45 @@ def pair_sweep(acc, den, terms_a, terms_b, table, weight):
                 accumulate(acc, merged, contracted[y], n * yn)
 
 
+class BergmanRows(dict):
+    """``R[y] = {i: row}``: each group ``(i,): {-m: num}`` of the Bergman
+    decomposition ``(den, groups)`` contracted with the pulled slot y,
+    ``row = contract_pairs(group, y, table)`` over ``table.den``, stored only
+    when nonzero.  Filled on first use, so each contraction is made once per
+    engine, not once per form that sweeps the Bergman term."""
+
+    def __init__(self, bergman_terms, table):
+        super().__init__()
+        self.den, self.groups = bergman_terms
+        self.table = table
+
+    def __missing__(self, y):
+        rows = {}
+        for (i,), group in self.groups.items():
+            row = contract_pairs(group, y, self.table)
+            if row:
+                rows[i] = row
+        self[y] = rows
+        return rows
+
+
+def bergman_sweep(acc, den, rows, terms_b, weight):
+    """`pair_sweep` with the Bergman decomposition as side A, read from its
+    table ``rows`` (a `BergmanRows`): the split term B(z0, z_i) W(h, m).
+
+    Side A's rests are the single indices (i,), so a merged rest is rb +
+    (i,), and its count aut(merged) / (aut((i,)) aut(rb)) is the
+    multiplicity of i in it.  Only the stored nonzero rows are merged.
+    """
+    den_b, groups_b = terms_b
+    scale = weight * (den // (rows.den * den_b * rows.table.den))
+    for rb, group_b in groups_b.items():
+        for y, yn in group_b.items():
+            for i, row in rows[y].items():
+                merged = tuple(sorted(rb + (i,), reverse=True))
+                accumulate(acc, merged, row, scale * (rb.count(i) + 1) * yn)
+
+
 class LambertEngine:
     """Memoized computation of the correlation forms of the Lambert curve.
 
@@ -345,6 +388,12 @@ class LambertEngine:
         and filled as the sweeps ask for them."""
         return PairTable(self.u_table, self.order)
 
+    @cached_property
+    def bergman_rows(self) -> BergmanRows:
+        """The Bergman decomposition contracted with each pulled slot, filled
+        as the Bergman sweeps ask for it."""
+        return BergmanRows(self._bergman_terms, self.pair_table)
+
     # -- the recursion ---------------------------------------------------------
 
     def w(self, g: int, k: int) -> PoleForm:
@@ -359,6 +408,10 @@ class LambertEngine:
         `PairTable`) and ``C(n, k) == C(n, n-k)`` in the rest
         counts.  So each split with ``(h, |J|) < (g-h, |J'|)`` is swept once
         with weight 2, and a split equal to its swap once with weight 1.
+        In that order the Bergman kernel W(0,2) is always side A, and side B
+        too only in W(0,3).  Its split is read from the engine's
+        `bergman_rows` by `bergman_sweep`; the W(g-1, k+1) term and every
+        other split go through the pair table.
         """
         check_stable(g, k)
         memo = self._memo.get((g, k))
@@ -395,7 +448,10 @@ class LambertEngine:
             if prev:
                 self._sweep_term1(acc, den, prev)
             for terms_a, terms_b, weight in sweeps:
-                pair_sweep(acc, den, terms_a, terms_b, table, weight)
+                if terms_a is self._bergman_terms:
+                    bergman_sweep(acc, den, self.bergman_rows, terms_b, weight)
+                else:
+                    pair_sweep(acc, den, terms_a, terms_b, table, weight)
 
         fed = set().union(*(self._fed_by_cache.get(key, ()) for key in inputs))
         form = self._assemble(g, k, den, acc, fed)

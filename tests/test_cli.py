@@ -482,7 +482,7 @@ class TestCache:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cache.json, "dump", interrupted)
+        monkeypatch.setattr(cache.json, "dumps", interrupted)
         path = tmp_path / "forms.json"
         with pytest.raises(KeyboardInterrupt):
             cache.save_cache(str(path), "fingerprint", {})

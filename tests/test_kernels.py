@@ -10,6 +10,7 @@ import pytest
 
 from hurwitzrec import series, toprec
 from hurwitzrec.partitions import aut_size
+from hurwitzrec.poleform import splits
 from hurwitzrec.series import TruncationError, residue_of_product
 from hurwitzrec.toprec import LambertEngine, required_order
 from test_toprec import (
@@ -280,19 +281,49 @@ def test_rows_match_series_residues():
 
 def test_engine_agrees_with_reference_kernels(monkeypatch):
     """The engine on the integer kernels equals the engine on the reference
-    kernels, its pair sweeps reading the pole-order reference table one pole
-    pair at a time, coefficient for coefficient and byte for byte."""
+    kernels, coefficient for coefficient and byte for byte.  Every residue
+    the reference engine sums is read from the pole-order reference table
+    one pole pair at a time: its pair sweeps, its Bergman rows and its
+    W(g-1, k+1) term all go through `ref_pair_sweep`, so its own pair table
+    is never filled."""
     order = required_order(2, 2)
     real = LambertEngine(order=order).w(2, 2)
     monkeypatch.setattr(series, "conv", ref_conv)
     monkeypatch.setattr(series, "unit_inverse", ref_unit_inverse)
     ref_engine = LambertEngine(order=order)
     pole_table = reference_u_table(ref_engine)
+    swept = Counter()
 
     def sweep(acc, den, terms_a, terms_b, table, weight):
+        swept["pairs"] += 1
         ref_pair_sweep(acc, den, terms_a, terms_b, pole_table, table.order, weight)
 
+    class BergmanRows(toprec.BergmanRows):
+        def __missing__(self, y):
+            # each Bergman group (i,) swept against the one slot y
+            swept["bergman"] += 1
+            acc = {}
+            one = (1, {(): {y: 1}})
+            ref_pair_sweep(acc, self.table.den, (1, self.groups), one, pole_table, order, 1)
+            rows = {i: {p: v for p, v in row.items() if v} for (i,), row in acc.items()}
+            self[y] = {i: row for i, row in rows.items() if row}
+            return self[y]
+
+    def sweep_term1(self, acc, den, prev):
+        # each pulled pair of one rest, the second slot y splitting off as a
+        # one-slot side
+        swept["term1"] += 1
+        den_c, groups = prev
+        for rest, group in groups.items():
+            for y, left in splits(rest):
+                one = (1, {left: {y: 1}})
+                ref_pair_sweep(acc, den, (den_c, {(): group}), one, pole_table, order, 1)
+
     monkeypatch.setattr(toprec, "pair_sweep", sweep)
+    monkeypatch.setattr(toprec, "BergmanRows", BergmanRows)
+    monkeypatch.setattr(LambertEngine, "_sweep_term1", sweep_term1)
     ref = ref_engine.w(2, 2)
     assert real == ref
     assert real.canonical_json() == ref.canonical_json()
+    assert min(swept["pairs"], swept["bergman"], swept["term1"]) > 0
+    assert not ref_engine.pair_table

@@ -14,9 +14,11 @@ from hurwitzrec.series import Series, TruncationError, clear_denominators, resid
 from hurwitzrec.toprec import (
     ENGINE_VERSION,
     LambertEngine,
+    bergman_sweep,
     check_deck_involution,
     is_stable,
     lambert_x,
+    pair_sweep,
     required_order,
 )
 
@@ -192,6 +194,83 @@ class TestBergman:
         # one entry per pole order of the kernel, p = 2 .. order - 5
         want = {(2 - p, p): p - 1 for p in reference_kernel(engine)}
         assert {key: c for key, c in poles.items() if c} == want
+
+
+def bergman_closure(monkeypatch):
+    """An engine at W(3, 4)'s order that has computed it, and every
+    ``(decomposition, weight)`` its closure swept against W(0, 2)."""
+    swept = []
+
+    def recording(acc, den, rows, terms_b, weight):
+        swept.append((terms_b, weight))
+        bergman_sweep(acc, den, rows, terms_b, weight)
+
+    monkeypatch.setattr(toprec, "bergman_sweep", recording)
+    engine = LambertEngine(order=required_order(3, 4))
+    engine.w(3, 4)
+    return engine, swept
+
+
+class TestBergmanSweep:
+    def test_equals_pair_sweep(self, monkeypatch):
+        """For every decomposition W(3, 4)'s closure sweeps against W(0, 2),
+        the Bergman loop over the engine's table of Bergman rows adds the
+        same integers as `pair_sweep` with the Bergman decomposition as side
+        A, at weights 1 and 2, into a running sum over a multiple of the
+        sweep's own denominator."""
+        engine, swept = bergman_closure(monkeypatch)
+        bergman, table, rows = engine._bergman_terms, engine.pair_table, engine.bergman_rows
+        # each of the 17 forms with k >= 2 sweeps it once: W(0, 3) with
+        # weight 1 against the Bergman decomposition itself, the rest with 2
+        assert len(swept) == 17
+        assert [w for terms_b, w in swept if terms_b is bergman] == [1]
+        repeated = 0
+        for terms_b, _ in swept:
+            den = 3 * bergman[0] * terms_b[0] * table.den
+            for weight in (1, 2):
+                fast, slow = {}, {}
+                bergman_sweep(fast, den, rows, terms_b, weight)
+                pair_sweep(slow, den, bergman, terms_b, table, weight)
+                assert fast and fast == slow
+            repeated += any(
+                i in rb for rb, group in terms_b[1].items() for y in group for i in rows[y]
+            )
+        # most of them merge a row into a rest that holds its index already,
+        # so a count above 1 is checked
+        assert repeated == 14
+
+    def test_rows_are_the_nonzero_contractions(self, monkeypatch):
+        """Each row the Bergman table holds after W(3, 4)'s closure is the
+        contraction of one Bergman group with one pulled slot, and a
+        contraction that is zero is left out."""
+        engine, _ = bergman_closure(monkeypatch)
+        rows = engine.bergman_rows
+        groups = engine._bergman_terms[1]
+        assert len(groups) == 22 and len(rows) > 10
+        for y, row_y in rows.items():
+            for (i,), group in groups.items():
+                row = toprec.contract_pairs(group, y, engine.pair_table)
+                assert row_y.get(i, {}) == row and all(row.values())
+
+    def test_counts(self, monkeypatch):
+        """Over W(3, 4)'s closure at order 28 (its 20 forms), the calls of
+        the sweeps' inner steps are pinned.  The Bergman term contracts each
+        group with each pulled slot once for all forms, merges only the
+        nonzero rows and takes no automorphism count; swept as a pair of
+        forms it would take about twice the contractions, four times the
+        accumulations and six times the automorphism counts."""
+        calls = Counter()
+        for name in ("contract_pairs", "accumulate", "aut_size"):
+
+            def counted(*args, _name=name, _real=getattr(toprec, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(toprec, name, counted)
+        engine = LambertEngine(order=required_order(3, 4))
+        engine.w(3, 4)
+        assert len(engine._memo) == 20
+        assert calls == {"contract_pairs": 1524, "accumulate": 2716, "aut_size": 777}
 
 
 class TestKernel:
@@ -429,10 +508,11 @@ class TestResidueTable:
         assert len(cases) == 38
         for need, g, k in cases:
             # every form a sweep of W(g, k) reads needs a lower order, so it is
-            # in the memo already and, with the pair table emptied, the reads
-            # recorded are W(g, k)'s own
+            # in the memo already and, with the pair table and the Bergman
+            # rows emptied, the reads recorded are W(g, k)'s own
             reads.clear()
             engine.pair_table.clear()
+            engine.bergman_rows.clear()
             engine.w(g, k)
             if (g, k) == (1, 1):
                 # its one sweep is the two-sided Bergman term, read from the halves
@@ -475,10 +555,11 @@ class TestSmallForms:
 
     def test_w11_alone_builds_no_tables(self):
         """W(1,1)'s only term is the two-sided Bergman row, taken from the
-        two halves: no residue table, pair table or Bergman decomposition."""
+        two halves: no residue table, pair table, Bergman decomposition or
+        Bergman rows."""
         engine = LambertEngine(10)
         assert engine.w(1, 1).pole_terms() == {(2,): F(-1, 24), (3,): F(1, 12), (4,): F(1, 8)}
-        built = {"u_table", "pair_table", "_bergman_terms"} & engine.__dict__.keys()
+        built = {"u_table", "pair_table", "_bergman_terms", "bergman_rows"} & engine.__dict__.keys()
         assert not built
         assert {"sigma", "halves"} <= engine.__dict__.keys()
 
