@@ -2,13 +2,17 @@
 
 Subcommands: ``table`` (Hurwitz numbers by either or both routes), ``wkg``
 (canonical JSON of one correlation form), ``check`` (verification suites).
+``table`` and ``check bm`` share one set-up and one writer: ``check bm``
+prints the rows of ``table --method both`` up to the first mismatch, then one
+verdict line.
 
 Exit codes (64 to 74 as in sysexits.h):
 
 - 0 success;
 - 2 a mathematical mismatch was found;
-- 64 bad flags, including ``--g-max``, ``--n-max``, ``--cache`` or
-  ``--verbose`` given to a ``check`` suite other than ``bm``;
+- 64 bad flags, including an empty ``--cache``, and ``--g-max``,
+  ``--n-max``, ``--cache`` or ``--verbose`` given to a ``check`` suite other
+  than ``bm``;
 - 65 request out of range, including a request above a size bound;
 - 70 internal inconsistency: an exact self-check of the recursion failed
   (for instance a form that is not symmetric in its slots), or a residue
@@ -73,7 +77,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cache", default=None, help="path to the PoleForm cache file")
+        p.add_argument("--cache", type=_path, help="path to the PoleForm cache file")
         p.add_argument("--verbose", action="store_true")
 
     p_table = sub.add_parser("table", help="emit H_{g,mu} for a range")
@@ -97,8 +101,15 @@ def _build_parser():
     return parser
 
 
+def _path(text):
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def _cache_path(args):
-    return args.cache or os.environ.get(CACHE_ENV)
+    # an explicit flag wins; an empty HURWITZREC_CACHE means no cache
+    return args.cache if args.cache is not None else os.environ.get(CACHE_ENV)
 
 
 def _recursion_order(g, k):
@@ -112,13 +123,6 @@ def _recursion_order(g, k):
             f"size bound of order {RECURSION_MAX_ORDER}"
         )
     return need
-
-
-def _check_oracle_size(g_max, n_max):
-    if n_max > ORACLE_MAX_N:
-        raise ValueError(f"--n-max {n_max} is above the oracle's size bound of {ORACLE_MAX_N}")
-    if g_max > ORACLE_MAX_G:
-        raise ValueError(f"--g-max {g_max} is above the oracle's genus bound of {ORACLE_MAX_G}")
 
 
 def _make_engine(args, order):
@@ -136,63 +140,66 @@ def _make_engine(args, order):
     return engine, flush
 
 
-def _cmd_table(args):
-    from .extract import table_rows
-
-    if args.g_max < 0 or args.n_max < 1:
+def _set_up(args, g_max, n_max, method):
+    """The engine and the oracle a table by `method` needs (None for the
+    other) and the engine's cache flush or None, after every bound is checked.
+    """
+    if g_max < 0 or n_max < 1:
         raise _UsageError("need --g-max >= 0 and --n-max >= 1")
-    need_recursion = args.method in ("recursion", "both")
-    need_oracle = args.method in ("oracle", "both")
     engine = flush = oracle = None
-    if need_recursion:  # first: its bound covers every genus above the oracle's
-        order = _recursion_order(args.g_max, args.n_max)
-    if need_oracle:
+    if method != "oracle":  # first: its bound covers every genus above the oracle's
+        order = _recursion_order(g_max, n_max)
+    if method != "recursion":
+        if n_max > ORACLE_MAX_N:
+            raise ValueError(f"--n-max {n_max} is above the oracle's size bound of {ORACLE_MAX_N}")
+        if g_max > ORACLE_MAX_G:
+            raise ValueError(f"--g-max {g_max} is above the oracle's genus bound of {ORACLE_MAX_G}")
+    if method != "oracle":
+        engine, flush = _make_engine(args, order)
+    if method != "recursion":
         from .partitions import HurwitzOracle
 
-        _check_oracle_size(args.g_max, args.n_max)
-        oracle = HurwitzOracle(args.n_max, args.g_max)
-    if need_recursion:
-        engine, flush = _make_engine(args, order)
+        oracle = HurwitzOracle(n_max, g_max)
+    return engine, oracle, flush
 
-    rows = list(table_rows(args.g_max, args.n_max, engine, oracle))
-    mismatch = args.method == "both" and not all(row["equal"] for row in rows)
+
+def _cmd_table(args):
+    from .extract import routes, table_rows
+
+    engine, oracle, flush = _set_up(args, args.g_max, args.n_max, args.method)
+    pairs = routes(engine, oracle, args.n_max)
+    rows = list(table_rows(args.g_max, args.n_max, pairs))
     if flush:
         flush()
-    _emit_table(rows, args)
-    return EX_MISMATCH if mismatch else EX_OK
+    _emit_table(rows, [name for name, _value in pairs], args.fmt)
+    return EX_OK if all(row.get("equal", True) for row in rows) else EX_MISMATCH
 
 
-def _emit_table(rows, args):
-    if args.fmt == "json":
+def _mu_text(mu):
+    return "(" + ",".join(str(x) for x in mu) + ")"
+
+
+def _emit_table(rows, names, fmt):
+    if fmt == "json":
         import json
 
         print(json.dumps(rows, separators=(", ", ": ")))
         return
-    if args.fmt == "csv":
+    if fmt == "csv":
         print("g,mu,method,value")
         for row in rows:
             mu = ";".join(str(x) for x in row["mu"])
-            for method in ("recursion", "oracle"):
-                if method in row:
-                    print(f"{row['g']},{mu},{method},{row[method]}")
+            for name in names:
+                print(f"{row['g']},{mu},{name},{row[name]}")
         return
-    # the columns follow --method, so a table with no rows keeps its header
-    header = f"{'g':>2}  {'mu':<14}"
-    if args.method != "oracle":
-        header += f" {'recursion':>16}"
-    if args.method != "recursion":
-        header += f" {'oracle':>16}"
-    if args.method == "both":
-        header += "  equal"
-    print(header)
+    # the columns follow the routes, so a table with no rows keeps its header
+    compared = len(names) > 1
+    print(f"{'g':>2}  {'mu':<14}" + "".join(f" {name:>16}" for name in names)
+          + ("  equal" if compared else ""))
     for row in rows:
-        mu = "(" + ",".join(str(x) for x in row["mu"]) + ")"
-        line = f"{row['g']:>2}  {mu:<14}"
-        if "recursion" in row:
-            line += f" {row['recursion']:>16}"
-        if "oracle" in row:
-            line += f" {row['oracle']:>16}"
-        if args.method == "both":
+        line = f"{row['g']:>2}  {_mu_text(row['mu']):<14}"
+        line += "".join(f" {row[name]:>16}" for name in names)
+        if compared:
             line += "  " + ("yes" if row["equal"] else "NO")
         print(line)
 
@@ -220,16 +227,17 @@ def _cmd_check(args):
 
         g_max = 1 if args.g_max is None else args.g_max
         n_max = 4 if args.n_max is None else args.n_max
-        if g_max < 0 or n_max < 1:
-            raise _UsageError("need --g-max >= 0 and --n-max >= 1")
-        order = _recursion_order(g_max, n_max)
-        _check_oracle_size(g_max, n_max)
-        engine, flush = _make_engine(args, order)
-        report = verify_bm(g_max, n_max, engine=engine)
+        engine, oracle, flush = _set_up(args, g_max, n_max, "both")
+        rows = verify_bm(g_max, n_max, engine, oracle)
         if flush:
             flush()
-        print(report.to_text())
-        return EX_OK if report.ok else EX_MISMATCH
+        _emit_table(rows, ("recursion", "oracle"), "text")
+        # verify_bm stops at the first mismatch, so only the last row can be one
+        ok = all(row["equal"] for row in rows)
+        last = rows[-1] if rows else None
+        verdict = "all equal" if ok else f"MISMATCH at g={last['g']} mu={_mu_text(last['mu'])}"
+        print(f"-- {len(rows)} cases: {verdict}")
+        return EX_OK if ok else EX_MISMATCH
 
     if args.suite == "elsv":
         from .bridge import elsv_consistency

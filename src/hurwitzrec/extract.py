@@ -17,6 +17,11 @@ on integers by contracting one slot at a time: slot i takes part mu_i and one
 index per distinct value of each remaining multiset, so every mu sharing a
 prefix shares the work.  The coefficients encode H_{g,mu}; the character
 oracle provides the independent values the expansion must reproduce.
+
+A table is one walk over the rows (g, mu) of a request, ``table_rows``, with
+each route plain data: a ``(name, value)`` pair from ``routes``.  A row is
+kept when every route has a value for it, and two routes add their verdict.
+``verify_bm`` is that table for both routes, cut at the first mismatch.
 """
 
 from __future__ import annotations
@@ -139,62 +144,48 @@ def hurwitz_by_recursion(engine, g: int, mu) -> Fraction:
     return extract_hurwitz(hs, g, mu)
 
 
-class BMReport:
-    """Cross-method comparison of the two Hurwitz-number routes."""
+def routes(engine, oracle, n_max):
+    """The ``(name, value)`` pair of each route given, in table order.
 
-    def __init__(self, records):
-        self.records = records
-
-    @property
-    def ok(self):
-        return all(r["equal"] for r in self.records)
-
-    @property
-    def first_mismatch(self):
-        for r in self.records:
-            if not r["equal"]:
-                return r
-        return None
-
-    def to_text(self) -> str:
-        lines = [f"{'g':>2}  {'mu':<16} {'recursion':>14} {'oracle':>14}  equal"]
-        for r in self.records:
-            mu = ",".join(str(x) for x in r["mu"])
-            lines.append(
-                f"{r['g']:>2}  ({mu})"
-                + " " * max(1, 15 - len(mu) - 2)
-                + f"{r['recursion']:>14} {r['oracle']:>14}  {'yes' if r['equal'] else 'NO'}"
-            )
-        verdict = "all equal" if self.ok else f"MISMATCH at {self.first_mismatch}"
-        lines.append(f"-- {len(self.records)} cases: {verdict}")
-        return "\n".join(lines)
-
-
-def table_rows(g_max, n_max, engine, oracle):
-    """Yield one row per (g, mu) with g <= g_max and |mu| <= n_max, as
-    {"g", "mu", "recursion", "oracle", "equal"}: the value by each route
-    given (either may be None), formatted, and with both whether they agree.  With an engine only
-    the stable (g, len(mu)) appear; one series serves every mu of a (g, k).
-    Without one, nothing here loads the curve code.
+    ``value(g, mu)`` is H_{g,mu} as a Fraction, or None for a row outside the
+    route's range.  The recursion covers the stable (g, len(mu)) and expands
+    one series per (g, k) for every mu of it; without an engine nothing here
+    loads the curve code.
     """
-    hs_cache = {}
+    pairs = []
+    if engine is not None:
+        series = {}
+
+        def recursion(g, mu):
+            k = len(mu)
+            if 2 * g - 2 + k <= 0:  # unstable, as g >= 0 and k >= 1 here
+                return None
+            if (g, k) not in series:
+                series[g, k] = h_series(engine.w(g, k), n_max)
+            return extract_hurwitz(series[g, k], g, mu)
+
+        pairs.append(("recursion", recursion))
+    if oracle is not None:
+        pairs.append(("oracle", oracle.hurwitz))
+    return pairs
+
+
+def table_rows(g_max, n_max, routes):
+    """Yield one row per (g, mu) with g <= g_max and |mu| <= n_max that every
+    route covers, as {"g", "mu", <name>: value, ...}: the formatted value of
+    each ``(name, value)`` route in order, and, when more than one route is
+    given, "equal", whether they all agree.
+    """
     for g in range(g_max + 1):
         for n in range(1, n_max + 1):
             for mu in partitions_of(n):
-                k = len(mu)
-                # stable: 2g - 2 + k > 0, as g >= 0 and k >= 1 here
-                if engine is not None and 2 * g - 2 + k <= 0:
+                values = [value(g, mu) for _name, value in routes]
+                if None in values:
                     continue
                 row = {"g": g, "mu": list(mu)}
-                if engine is not None:
-                    hs = hs_cache.get((g, k))
-                    if hs is None:
-                        hs = hs_cache[g, k] = h_series(engine.w(g, k), n_max)
-                    row["recursion"] = format_rational(extract_hurwitz(hs, g, mu))
-                if oracle is not None:
-                    row["oracle"] = format_rational(oracle.hurwitz(g, mu))
-                if engine is not None and oracle is not None:
-                    row["equal"] = row["recursion"] == row["oracle"]
+                row.update((name, format_rational(q)) for (name, _value), q in zip(routes, values))
+                if len(routes) > 1:
+                    row["equal"] = len(set(values)) == 1
                 yield row
 
 
@@ -203,13 +194,13 @@ def verify_bm(
     n_max: int,
     engine=None,
     oracle: HurwitzOracle | None = None,
-) -> BMReport:
+) -> list[dict]:
     """Compare recursion vs oracle for every stable (g, mu) in range, with
     the given `toprec.LambertEngine` or a new one at the order the range
     needs.
 
-    Stops at the first mismatch; the report then ends with the offending
-    record.
+    Returns the `table_rows` compared, in table order.  It stops at the first
+    mismatch, so every row is equal except possibly the last.
     """
     if engine is None:
         from .toprec import LambertEngine, required_order
@@ -217,9 +208,9 @@ def verify_bm(
         engine = LambertEngine(order=required_order(g_max, n_max))
     if oracle is None:
         oracle = HurwitzOracle(n_max, g_max)
-    records = []
-    for row in table_rows(g_max, n_max, engine, oracle):
-        records.append(row)
+    rows = []
+    for row in table_rows(g_max, n_max, routes(engine, oracle, n_max)):
+        rows.append(row)
         if not row["equal"]:
             break
-    return BMReport(records)
+    return rows

@@ -131,6 +131,16 @@ class TestCheck:
         assert r.returncode == 0
         assert "all equal" in r.stdout
 
+    def test_bm_is_table_plus_verdict(self):
+        # one writer: check bm prints table's rows, then only its verdict
+        rng = ("--g-max", "2", "--n-max", "5")
+        table = run_cli("table", "--method", "both", *rng)
+        bm = run_cli("check", "bm", *rng)
+        assert table.returncode == bm.returncode == 0
+        cases = len(table.stdout.splitlines()) - 1
+        assert bm.stdout == table.stdout + f"-- {cases} cases: all equal\n"
+        assert bm.stderr == table.stderr == ""
+
     @pytest.mark.parametrize(
         "args",
         [("times", "--g-max", "99"), ("elsv", "--n-max", "3"), ("series", "--g-max", "1")],
@@ -493,6 +503,22 @@ class TestCache:
         r = run_cli("wkg", "0", "3", env_extra={"HURWITZREC_CACHE": path})
         assert r.returncode == 0 and os.path.exists(path)
 
+    def test_empty_cache_flag_refused(self, tmp_path):
+        # an explicit flag wins over the environment, so an empty one is an
+        # error, not a fall back to HURWITZREC_CACHE
+        path = tmp_path / "envcache.json"
+        r = run_cli("wkg", "1", "1", "--cache", "", env_extra={"HURWITZREC_CACHE": str(path)})
+        assert r.returncode == 64
+        assert r.stderr == "usage error: argument --cache: an empty path names no file\n"
+        assert r.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_env_var_means_no_cache(self):
+        r = run_cli("wkg", "0", "3", "--verbose", env_extra={"HURWITZREC_CACHE": ""})
+        assert r.returncode == 0
+        # --verbose names an attached cache, and none is attached
+        assert r.stderr == ""
+
 
 class TestSizeBound:
     @pytest.mark.parametrize(
@@ -650,6 +676,45 @@ class TestExitCodes:
         )
         assert stat.S_ISFIFO(os.stat(lock).st_mode)
         assert not path.exists() and list(tmp_path.glob("*.tmp.*")) == []
+
+    @pytest.fixture
+    def flipped_kernel_sign(self, monkeypatch):
+        # every engine main builds gets the opposite kernel sign, as
+        # TestVerifyBM::test_corrupted_sign_fails_at_smallest_stable_case
+        # sets it on one engine through LambertEngine.halves
+        from hurwitzrec import toprec
+
+        halves = toprec.LambertEngine.halves.func
+
+        def flipped(self):
+            rhat, what = halves(self)
+            return rhat, -what
+
+        monkeypatch.delenv("HURWITZREC_CACHE", raising=False)
+        monkeypatch.setattr(toprec.LambertEngine, "halves", property(flipped))
+
+    def test_table_mismatch_exit_2(self, flipped_kernel_sign, capsys):
+        from hurwitzrec import cli
+
+        code = cli.main(["table", "--method", "both", "--g-max", "1", "--n-max", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        rows = out.splitlines()[1:]
+        # every stable row with g <= 1, |mu| <= 3 is printed, mismatch or not
+        assert len(rows) == 7
+        assert rows[0].startswith(" 0  (1,1,1) ") and rows[0].endswith("  NO")
+
+    def test_check_bm_mismatch_exit_2(self, flipped_kernel_sign, capsys):
+        from hurwitzrec import cli
+
+        code = cli.main(["check", "bm", "--g-max", "1", "--n-max", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        *header, row, verdict = out.splitlines()
+        # the rows end at the first mismatch, and the verdict names it
+        assert header == [" g  mu                    recursion           oracle  equal"]
+        assert row.startswith(" 0  (1,1,1) ") and row.endswith("  NO")
+        assert verdict == "-- 1 cases: MISMATCH at g=0 mu=(1,1,1)"
 
     def test_interrupt_exit_130(self, monkeypatch, capsys):
         from hurwitzrec import cli, extract

@@ -229,25 +229,21 @@ class TestExtraction:
 
 class TestVerifyBM:
     def test_small_range_all_equal(self, engine, oracle):
-        report = verify_bm(1, 3, engine=engine, oracle=HurwitzOracle(3, 1))
-        assert report.ok
-        assert len(report.records) == 7
-        assert report.first_mismatch is None
+        rows = verify_bm(1, 3, engine=engine, oracle=HurwitzOracle(3, 1))
+        assert all(r["equal"] for r in rows)
+        assert len(rows) == 7
+        # no row is a mismatch, so none ends the list early
+        assert rows[-1]["equal"]
 
     def test_vacuous_range(self):
-        report = verify_bm(0, 2)
-        assert report.ok
-        assert report.records == []
+        rows = verify_bm(0, 2)
+        assert all(r["equal"] for r in rows)
+        assert rows == []
 
     def test_json_shape(self, engine):
-        report = verify_bm(1, 2, engine=engine)
-        rows = report.records
+        rows = verify_bm(1, 2, engine=engine)
         assert all(set(r) == {"g", "mu", "recursion", "oracle", "equal"} for r in rows)
         assert all(isinstance(r["recursion"], str) for r in rows)
-
-    def test_text_has_verdict(self, engine):
-        report = verify_bm(1, 2, engine=engine)
-        assert "all equal" in report.to_text()
 
     def test_corrupted_sign_fails_at_smallest_stable_case(self):
         # the opposite kernel sign, set before the residue table is built:
@@ -257,9 +253,10 @@ class TestVerifyBM:
         rhat, what = bad.halves
         bad.halves = rhat, -what
         assert "u_table" not in bad.__dict__
-        report = verify_bm(1, 3, engine=bad)
-        assert not report.ok
-        first = report.records[0]
+        rows = verify_bm(1, 3, engine=bad)
+        assert not all(r["equal"] for r in rows)
+        first = rows[0]
         assert first["g"] == 0 and first["mu"] == [1, 1, 1]
         assert not first["equal"]
-        assert report.records[-1] == report.first_mismatch
+        # it stops at the first mismatch, which is then the last row
+        assert rows[-1] is first
