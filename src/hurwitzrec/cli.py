@@ -93,7 +93,7 @@ def _build_parser():
     common(p_wkg)
 
     p_check = sub.add_parser("check", help="run a verification suite")
-    p_check.add_argument("suite", choices=("bm", "elsv", "times", "series"))
+    p_check.add_argument("suite", choices=("bm", "elsv", "times"))
     p_check.add_argument("--g-max", type=int, help="check bm only (default 1)")
     p_check.add_argument("--n-max", type=int, help="check bm only (default 4)")
     common(p_check)
@@ -246,32 +246,22 @@ def _cmd_check(args):
         print(report.to_text())
         return EX_OK if report.ok else EX_MISMATCH
 
-    if args.suite == "times":
-        from .bridge import times_by_recursion, times_from_curve
-        from .poleform import format_rational
+    from .bridge import times_by_recursion, times_from_curve
+    from .poleform import format_rational
 
-        t_max = 20
-        from_curve = times_from_curve(t_max)
-        from_recursion = times_by_recursion(t_max)
-        ok = True
-        for m, v in from_curve.items():
-            w = from_recursion[m]
-            match = v == w
-            ok = ok and match
-            print(
-                f"t_{m} = {format_rational(v)}"
-                + ("" if match else f"  RECURSION DISAGREES: {format_rational(w)}")
-            )
-        print("times: dual routes agree" if ok else "times: MISMATCH")
-        return EX_OK if ok else EX_MISMATCH
-
-    from .selfcheck import run_series_checks
-
-    results = run_series_checks()
+    t_max = 20
+    from_curve = times_from_curve(t_max)
+    from_recursion = times_by_recursion(t_max)
     ok = True
-    for name, passed, detail in results:
-        ok = ok and passed
-        print(f"{'ok' if passed else 'FAIL'}  {name}" + (f": {detail}" if detail else ""))
+    for m, v in from_curve.items():
+        w = from_recursion[m]
+        match = v == w
+        ok = ok and match
+        print(
+            f"t_{m} = {format_rational(v)}"
+            + ("" if match else f"  RECURSION DISAGREES: {format_rational(w)}")
+        )
+    print("times: dual routes agree" if ok else "times: MISMATCH")
     return EX_OK if ok else EX_MISMATCH
 
 

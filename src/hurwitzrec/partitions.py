@@ -14,7 +14,7 @@ The connected-cover oracle builds the generating function Z of
 disconnected cover counts, graded by the degree n, the monomial p_mu and the
 Euler-characteristic exponent e of the string coupling, then takes its formal
 logarithm F = log Z degree by degree from the graded identity
-n Z_n = sum_{k=1..n} k F_k Z_{n-k}, which also gives the exponential back.
+n Z_n = sum_{k=1..n} k F_k Z_{n-k}.
 Simple Hurwitz numbers are read off the logarithm; this route never touches
 the spectral-curve machinery and serves as the independent ground truth for
 it.
@@ -28,18 +28,18 @@ has negative weight, the terms of weight above a bound w_max span an ideal of
 the series with nonnegative weights: any product with one such factor has
 weight above w_max as well.  Dropping that ideal is therefore a ring
 homomorphism that keeps the degree, so it commutes with the graded identity
-above, with log and with exp: the log of the cut Z, with every product above
-w_max skipped, is exactly the cut of the log of the uncut Z.  The oracle
+above and with log: the log of the cut Z, with every product above w_max
+skipped, is exactly the cut of the log of the uncut Z.  The oracle
 takes w_max = 2 g_max - 2 + 2 n_max.  At n = n_max that keeps exactly the
 e <= 2 g_max - 2 that its lookups read; at lower degrees it keeps the larger
 exponents, up to 2 g_max - 2 + 2 (n_max - n), that products into degree
 n_max need.
 
-The series hold no Fraction.  Each degree n of Z, F and exp F is a dict of
-integer numerators over one positive denominator, in lowest terms: build_z
-writes degree n over (n!)^2 w_max!, and each graded step brings its terms to
-the lcm of their denominators, sums in integers and divides by n times that
-lcm once.  A Fraction is made only when a coefficient is read.
+The series hold no Fraction.  Each degree n of Z and F is a dict of integer
+numerators over one positive denominator, in lowest terms: build_z writes
+degree n over (n!)^2 w_max!, and each step of log brings its terms to the
+lcm of their denominators, sums in integers and divides by n times that lcm
+once.  A Fraction is made only when a coefficient is read.
 """
 
 from __future__ import annotations
@@ -52,8 +52,13 @@ Partition = tuple[int, ...]
 
 
 def check_partition(mu) -> Partition:
-    """Coerce to a canonical partition tuple, validating shape."""
-    mu = tuple(int(x) for x in mu)
+    """mu as a tuple, refused unless its parts are positive ints in weakly
+    decreasing order.  A part that is not an int (a bool, a float or a
+    string) is refused rather than coerced."""
+    mu = tuple(mu)
+    for x in mu:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"partition parts must be ints, not {x!r}: {mu}")
     if any(x <= 0 for x in mu):
         raise ValueError(f"partition parts must be positive: {mu}")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
@@ -115,27 +120,6 @@ def class_size(mu: Partition) -> int:
     return factorial(sum(mu)) // (aut_size(mu) * prod(mu))
 
 
-def dim_irrep(lam: Partition) -> int:
-    """Dimension of the irreducible S_{|lam|} representation indexed by lam:
-    chi_lam on the identity class (1^n), the row `_chars((1,) * n)` of the
-    one character table."""
-    return character(lam, (1,) * sum(check_partition(lam)))
-
-
-def character(lam: Partition, mu: Partition) -> int:
-    """Irreducible character chi_lam evaluated on the class of cycle type mu.
-
-    Murnaghan-Nakayama recursion, largest part of mu first: removing a
-    border strip of size r from lam is subtracting r from one beta-set entry,
-    with sign (-1)^(number of beta entries jumped over).
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("character requires |lam| = |mu|")
-    return _chars(mu)[_index(sum(lam))[lam]]
-
-
 @cache
 def _chars(mu: Partition) -> tuple[int, ...]:
     """chi_lam(mu) for every lam in partitions_of(|mu|), in that order: each
@@ -180,21 +164,14 @@ def _index(n: int) -> dict[Partition, int]:
     return {lam: i for i, lam in enumerate(partitions_of(n))}
 
 
-def f_central(lam: Partition, mu: Partition) -> Fraction:
-    """The central character |C_mu| * chi_lam(C_mu) / dim(lam): the textbook
-    definition the tests hold `f_c2` and the Burnside sums to.  The oracle
-    never divides by dim(lam): it keeps dim(lam) * chi_lam(mu) in integers,
-    both factors read from the character rows."""
-    return Fraction(class_size(mu) * character(lam, mu), dim_irrep(lam))
-
-
 @cache
 def f_c2(lam: Partition) -> int:
     """Central character of the transposition class, as the content sum.
 
-    Equals sum_i lam_i*(lam_i - 2i + 1)/2, which is f_central against the
-    class (2, 1, ..., 1) whenever |lam| >= 2, and 0 for |lam| < 2.  The
-    conjugate partition has the opposite content sum.
+    Equals sum_i lam_i*(lam_i - 2i + 1)/2, which is the central character
+    |C| chi_lam(C) / dim(lam) of the class C of cycle type (2, 1, ..., 1)
+    whenever |lam| >= 2, and 0 for |lam| < 2.  The conjugate partition has
+    the opposite content sum.
 
     An equivalent quadratic form in the h-encoding is
     (1/2)*sum h_i^2 - (N - 1/2)*sum h_i + N(N-1)(2N-1)/6; a variant with
@@ -204,27 +181,6 @@ def f_c2(lam: Partition) -> int:
     lam = check_partition(lam)
     # twice the content sum, so even
     return sum(part * (part - 2 * i - 1) for i, part in enumerate(lam)) // 2
-
-
-def cov_disconnected(mu: Partition, b: int) -> Fraction:
-    """Weighted count of possibly-disconnected degree-|mu| covers of the
-    sphere with monodromy mu over one point and b transpositions elsewhere.
-
-    Burnside: sum over partitions lam of |mu| of
-    (dim lam / n!)^2 * f_central(lam, mu) * f_c2(lam)^b, that is |C_mu| / (n!)^2
-    times the integer sum of dim(lam) * chi_lam(mu) * f_c2(lam)^b.  This is
-    the unfolded sum, one term per lam at every b, that the tests hold
-    build_z's folded weights to.
-    """
-    mu = check_partition(mu)
-    if b < 0:
-        raise ValueError("b must be nonnegative")
-    n = sum(mu)
-    total = sum(
-        dim * chi * f_c2(lam) ** b
-        for lam, dim, chi in zip(partitions_of(n), _chars((1,) * n), _chars(mu))
-    )
-    return Fraction(class_size(mu) * total, factorial(n) ** 2)
 
 
 @cache
@@ -267,7 +223,7 @@ class PSeriesZ:
     Every degree is kept in lowest terms, gcd(den[n], *numerators) = 1, with
     no zero numerator, so equal series have equal representations.  Only
     terms with n <= n_max and weight e + 2n <= w_max are kept; the module
-    docstring shows why this cut is exact under products, log and exp.
+    docstring shows why this cut is exact under products and log.
     """
 
     def __init__(self, n_max: int, w_max: int):
@@ -302,53 +258,34 @@ class PSeriesZ:
         """Formal logarithm F = log Z; requires constant coefficient 1.
 
         Degree by degree from n Z_n = sum_{k=1..n} k F_k Z_{n-k}:
-        F_n = Z_n - (1/n) sum_{k<n} k F_k Z_{n-k}.
+        F_n = Z_n - (1/n) sum_{k<n} k F_k Z_{n-k}, skipping every product of
+        weight above w_max.
+
+        Z_n and each k F_k Z_{n-k} are brought to the lcm L of their
+        denominators, with k and L's cofactor folded into the outer
+        coefficient, so a kept product costs one integer multiply and one
+        add; the sum is over n L.  A product of degree n has weight
+        ea + eb + 2n, so it is kept when ea + eb <= w_max - 2n.
         """
         if self.data[0] != {((), 0): self.den[0]}:
             raise ValueError("log requires a series with constant term 1")
-        out = PSeriesZ(self.n_max, self.w_max)
+        z, f = self, PSeriesZ(self.n_max, self.w_max)
         for n in range(1, self.n_max + 1):
-            out._set(n, *_graded_step(self, out, self, n, -1))
-        return out
-
-    def exp(self) -> "PSeriesZ":
-        """Formal exponential Z = exp F; requires zero constant coefficient.
-
-        Degree by degree from the same identity:
-        Z_n = F_n + (1/n) sum_{k<n} k F_k Z_{n-k}.
-        """
-        if self.data[0]:
-            raise ValueError("exp requires a series without constant term")
-        out = PSeriesZ(self.n_max, self.w_max)
-        out.data[0] = {((), 0): 1}
-        for n in range(1, self.n_max + 1):
-            out._set(n, *_graded_step(self, self, out, n, 1))
-        return out
-
-
-def _graded_step(base: PSeriesZ, f: PSeriesZ, z: PSeriesZ, n: int, sign: int):
-    """Degree n of base + (sign/n) * sum_{k=1..n-1} k F_k Z_{n-k}, as
-    (numerators, denominator), skipping every product of weight above w_max.
-
-    The base and each k F_k Z_{n-k} are brought to the lcm L of their
-    denominators, with k and L's cofactor folded into the outer coefficient,
-    so a kept product costs one integer multiply and one add; the sum is
-    over n L.  A product of degree n has weight ea + eb + 2n, so it is kept
-    when ea + eb <= w_max - 2n."""
-    lcd = lcm(base.den[n], *(f.den[k] * z.den[n - k] for k in range(1, n)))
-    out = {key: v * n * lcd // base.den[n] for key, v in base.data[n].items()}
-    e_cap = f.w_max - 2 * n
-    for k in range(1, n):
-        scale = sign * k * lcd // (f.den[k] * z.den[n - k])
-        terms_z = z.data[n - k].items()
-        for (mua, ea), ca in f.data[k].items():
-            eb_cap = e_cap - ea
-            ca *= scale
-            for (mub, eb), cb in terms_z:
-                if eb <= eb_cap:
-                    key = (_merge_partitions(mua, mub), ea + eb)
-                    out[key] = out.get(key, 0) + ca * cb
-    return out, n * lcd
+            lcd = lcm(z.den[n], *(f.den[k] * z.den[n - k] for k in range(1, n)))
+            out = {key: v * n * lcd // z.den[n] for key, v in z.data[n].items()}
+            e_cap = self.w_max - 2 * n
+            for k in range(1, n):
+                scale = -k * lcd // (f.den[k] * z.den[n - k])
+                terms_z = z.data[n - k].items()
+                for (mua, ea), ca in f.data[k].items():
+                    eb_cap = e_cap - ea
+                    ca *= scale
+                    for (mub, eb), cb in terms_z:
+                        if eb <= eb_cap:
+                            key = (_merge_partitions(mua, mub), ea + eb)
+                            out[key] = out.get(key, 0) + ca * cb
+            f._set(n, out, n * lcd)
+        return f
 
 
 def _merge_partitions(a: Partition, b: Partition) -> Partition:
@@ -360,8 +297,9 @@ def build_z(n_max: int, w_max: int) -> PSeriesZ:
     w_max, that is up to b = w_max - n + len(mu) simple branch points for
     the monomial p_mu of degree n.
 
-    The coefficient cov_disconnected(mu, b) / b! is written over the
-    degree's denominator (n!)^2 w_max! as the integer
+    The coefficient, the Burnside count
+    |C_mu| / (n!)^2 * sum_lam dim(lam) chi_lam(mu) f_c2(lam)^b over b!, is
+    written over the degree's denominator (n!)^2 w_max! as the integer
     |C_mu| * sum w f^b * (w_max! / b!), with the pairs (w, f) of
     `_burnside_weights`, one per distinct |f_c2(lam)|."""
     top = factorial(w_max)

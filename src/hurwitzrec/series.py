@@ -3,8 +3,8 @@
 A :class:`Series` stores coefficients for exponents in ``[min_exponent,
 trunc_order)``; exponents below ``min_exponent`` are known to be zero and
 exponents at or beyond ``trunc_order`` are unknown.  Every series carries an
-int ``trunc_order``, and ``Series(...)`` and the constructors `zero`,
-`constant`, `monomial` and `identity` all need it.
+int ``trunc_order``, and ``Series(...)`` and the constructors `constant`,
+`monomial` and `identity` all need it.
 
 Every operation propagates the truncation order conservatively: a
 coefficient is reported only when the operands fully determine it.
@@ -12,8 +12,6 @@ Arithmetic is exact; coefficients are `fractions.Fraction`.  A scalar added
 to or subtracted from a series is the constant known to that series' order;
 a scalar factor scales it.  `invert_unit`, `reversion`, `exp`, `log1p` and
 `sqrt_unit` return their result to the order their input determines.
-`compose` substitutes into a power-series outer only; a Laurent outer raises
-ValueError.
 
 Products and reciprocals run on integers: `conv` and `unit_inverse` clear the
 denominators of their inputs once, work on plain ``int``s and divide once at
@@ -64,10 +62,6 @@ class Series:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc_order):
-        return cls(trunc_order, [], trunc_order)
-
-    @classmethod
     def constant(cls, c, trunc_order):
         return cls(0, [c], trunc_order)
 
@@ -97,10 +91,6 @@ class Series:
             return self.coefficients[i]
         return _ZERO
 
-    def residue(self):
-        """Coefficient at exponent -1 (the residue in the local coordinate)."""
-        return self.coefficient(-1)
-
     def known_exponents(self):
         return range(self.min_exponent, self.min_exponent + len(self.coefficients))
 
@@ -112,12 +102,6 @@ class Series:
             and self.coefficients == other.coefficients
             and self.trunc_order == other.trunc_order
         )
-
-    def agrees_with(self, other):
-        """Equality of all coefficients on the common known range."""
-        lo = min(self.min_exponent, other.min_exponent)
-        hi = min(self.trunc_order, other.trunc_order)
-        return all(self.coefficient(n) == other.coefficient(n) for n in range(lo, hi))
 
     def __repr__(self):
         parts = []
@@ -199,36 +183,7 @@ class Series:
         b = unit_inverse(self.coefficients, len(self.coefficients))
         return Series(-m, b, self.trunc_order - 2 * m)
 
-    # -- composition and reversion ------------------------------------------
-
-    def compose(self, inner):
-        """Substitute ``inner`` (a power series with no constant term) for z
-        in this power series."""
-        if self.min_exponent < 0:
-            raise ValueError("compose requires a power-series outer")
-        if not inner.is_zero and inner.min_exponent < 1:
-            raise ValueError("compose requires an inner series without constant term")
-        # a zero inner has min_exponent == trunc_order
-        mi = max(1, inner.min_exponent)
-        # the inner's unknown tail enters through the outer's lowest nonzero
-        # non-constant exponent j, at order (j-1)*mi + inner.trunc_order
-        j = next(
-            (j for j, c in zip(self.known_exponents(), self.coefficients) if j and c),
-            max(1, self.trunc_order),
-        )
-        t = min(self.trunc_order * mi, inner.trunc_order + (j - 1) * mi)
-        if inner.is_zero:
-            return Series(0, [self.coefficient(0)], t)
-        out = Series.zero(t)
-        power = Series.constant(1, t)
-        prev_j = 0
-        for j, c in zip(self.known_exponents(), self.coefficients):
-            if c:
-                for _ in range(j - prev_j):
-                    power = (power * inner).truncate(t)
-                prev_j = j
-                out = out + power.scale(c)
-        return out.truncate(t)
+    # -- reversion ------------------------------------------------------------
 
     def reversion(self):
         """Compositional inverse: the unique b with self(b(z)) = z, known to
@@ -300,30 +255,6 @@ class Series:
             acc -= sum(b[i] * b[k - i] for i in range(1, k))
             b.append(acc * half)
         return Series(m // 2, b, self.trunc_order - m // 2)
-
-
-def residue_of_product(f, g):
-    """Residue of f*g computed as a dot product, without forming the product.
-
-    Raises TruncationError when the truncation orders of the factors do not
-    determine the coefficient at exponent -1.
-    """
-    for x, y in ((f, g), (g, f)):
-        if -1 - x.trunc_order >= y.min_exponent:
-            raise TruncationError("truncation orders do not determine the residue")
-    acc = _ZERO
-    for n, c in zip(f.known_exponents(), f.coefficients):
-        if not c:
-            continue
-        m = -1 - n
-        if m < g.min_exponent:
-            continue
-        i = m - g.min_exponent
-        if i < len(g.coefficients):
-            d = g.coefficients[i]
-            if d:
-                acc += c * d
-    return acc
 
 
 # -- integer loops ------------------------------------------------------------

@@ -18,16 +18,11 @@ from hurwitzrec.bridge import (
     y_of_xi,
 )
 from hurwitzrec.extract import lambert_series, verify_bm
-from hurwitzrec.partitions import (
-    HurwitzOracle,
-    build_z,
-    character,
-    class_size,
-    cov_disconnected,
-    partitions_of,
-)
+from hurwitzrec.partitions import HurwitzOracle, build_z, class_size, partitions_of
 from hurwitzrec.series import Series
 from hurwitzrec.toprec import LambertEngine, required_order
+from oracle_reference import character, cov_disconnected, fractions, nonzero, reference_exp
+from series_reference import agrees_with, compose
 
 F = Fraction
 
@@ -134,8 +129,8 @@ def test_criterion_6_structural_invariants(engine):
 
     # the deck involution is an involution
     sigma = engine.sigma
-    checks["sigma-involution"] = sigma.compose(sigma).agrees_with(
-        Series.identity(engine.order)
+    checks["sigma-involution"] = agrees_with(
+        compose(sigma, sigma), Series.identity(engine.order)
     )
 
     # order-robustness: recomputing at a higher order changes nothing
@@ -144,9 +139,10 @@ def test_criterion_6_structural_invariants(engine):
         engine.w(g, k) == hi.w(g, k) for g, k in [(0, 3), (1, 1), (1, 2), (2, 1)]
     )
 
-    # exp(log Z) == Z on the disconnected generating function
+    # exp(log Z) == Z on the disconnected generating function, with the
+    # power-series exp, which shares no code with the graded log
     z = build_z(4, 8)
-    checks["exp-log-round-trip"] = z.log().exp() == z
+    checks["exp-log-round-trip"] = nonzero(reference_exp(z.log())) == fractions(z)
 
     # parity vanishing of the Burnside counts
     parity = True

@@ -116,10 +116,14 @@ class TestCheck:
         assert "t_4 = 1/3" in r.stdout
         assert "dual routes agree" in r.stdout
 
-    def test_series_suite(self):
+    def test_series_suite_refused(self):
+        # the series checks live in the test suite, not in the CLI
         r = run_cli("check", "series")
-        assert r.returncode == 0
-        assert "FAIL" not in r.stdout
+        assert r.returncode == 64
+        assert r.stdout == ""
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:")
+        assert all(repr(suite) in lines[0] for suite in ("bm", "elsv", "times"))
 
     def test_elsv_suite(self):
         r = run_cli("check", "elsv")
@@ -143,8 +147,8 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "args",
-        [("times", "--g-max", "99"), ("elsv", "--n-max", "3"), ("series", "--g-max", "1")],
-        ids=["times", "elsv", "series"],
+        [("times", "--g-max", "99"), ("elsv", "--n-max", "3")],
+        ids=["times", "elsv"],
     )
     def test_bm_flags_refused_elsewhere(self, args):
         r = run_cli("check", *args)
@@ -588,7 +592,7 @@ class TestImports:
     def test_oracle_table_loads_no_curve_code(self):
         loaded = loaded_modules("table", "--method", "oracle", "--g-max", "1", "--n-max", "5")
         assert "hurwitzrec.partitions" in loaded
-        curve = {"toprec", "series", "cache", "bridge", "selfcheck"}
+        curve = {"toprec", "series", "cache", "bridge"}
         assert not loaded & {f"hurwitzrec.{name}" for name in curve}
 
     def test_elsv_check_loads_no_curve_code(self):

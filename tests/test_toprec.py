@@ -10,7 +10,7 @@ import pytest
 from hurwitzrec import toprec
 from hurwitzrec.bridge import odd_coordinate
 from hurwitzrec.poleform import PoleForm, _orderings, basis_poles, pole_basis, splits
-from hurwitzrec.series import Series, TruncationError, clear_denominators, residue_of_product
+from hurwitzrec.series import Series, TruncationError, clear_denominators
 from hurwitzrec.toprec import (
     ENGINE_VERSION,
     LambertEngine,
@@ -21,6 +21,7 @@ from hurwitzrec.toprec import (
     pair_sweep,
     required_order,
 )
+from series_reference import agrees_with, compose, zero
 
 F = Fraction
 
@@ -57,9 +58,9 @@ def deck_involution(x_local, order):
     so sigma(zeta) = zeta(-xi(zeta)), by series reversion and composition.
     Needs x_local known strictly beyond ``order``."""
     xi = odd_coordinate(x_local, order)
-    sigma = xi.reversion().compose(-xi)
+    sigma = compose(xi.reversion(), -xi)
     # the identity fixes x too; the deck involution is -zeta + O(zeta^2)
-    fixes_x = x_local.compose(sigma).agrees_with(x_local.truncate(order))
+    fixes_x = agrees_with(compose(x_local, sigma), x_local.truncate(order))
     if sigma.coefficient(1) != -1 or not fixes_x:
         raise ValueError("no deck involution exists at this order")
     return sigma
@@ -74,8 +75,8 @@ def newton_deck_involution(x_local, order):
     while sigma.trunc_order < order:
         t_new = min(2 * sigma.trunc_order - 1, order)
         guess = Series(1, sigma.coefficients, t_new)
-        resid = p.compose(guess) - p
-        sigma = (guess - resid * dp.compose(guess).invert_unit()).truncate(t_new)
+        resid = compose(p, guess) - p
+        sigma = (guess - resid * compose(dp, guess).invert_unit()).truncate(t_new)
     return sigma
 
 
@@ -94,12 +95,12 @@ class TestDeckInvolution:
 
     def test_involution_property(self):
         sigma = LambertEngine(order=12).sigma
-        assert sigma.compose(sigma).agrees_with(Series.identity(12))
+        assert agrees_with(compose(sigma, sigma), Series.identity(12))
 
     def test_fixes_x(self):
         sigma = LambertEngine(order=12).sigma
         x = lambert_x(12)
-        assert x.compose(sigma).agrees_with(x)
+        assert agrees_with(compose(x, sigma), x)
 
     def test_rejects_non_simple(self):
         x = Series(0, [-1, 0, 0, 1], 11)  # cubic branch point
@@ -138,7 +139,7 @@ class TestDeckInvolution:
         # x = x0 + c2*xi^2, checked from the definition for the Lambert x
         x = lambert_x(21)
         xi = odd_coordinate(x, 20)
-        assert (-1 + (xi * xi).scale(F(-1, 2))).agrees_with(x.truncate(21))
+        assert agrees_with(-1 + (xi * xi).scale(F(-1, 2)), x.truncate(21))
 
 
 def reference_kernel(engine):
@@ -390,16 +391,16 @@ class TestResidueTable:
         for slot in slot_range(order):
             u = table_series(engine, slot)
             poles = slot_poles(slot)
-            other = Series.zero(order)
+            other = zero(order)
             for b, c in poles.items():
                 other = other + other_sheet(engine, b).scale(c)
             defined = (other * half_over_omega).shift(max(poles) + 2)
             assert u.coefficient(0) != 0, slot
             assert defined.min_exponent == 0, slot
-            assert defined.agrees_with(u), slot
+            assert agrees_with(defined, u), slot
         for m in range(1, order - 6):
             s_power = s_power * s
-            assert (u0 * s_power).agrees_with(table_series(engine, -m)), m
+            assert agrees_with(u0 * s_power, table_series(engine, -m)), m
 
     @pytest.mark.parametrize("order", range(8, 41))
     def test_matches_series_product_reference(self, order):
@@ -429,7 +430,8 @@ class TestResidueTable:
             raise AssertionError("generic series route used in the curve set-up")
 
         monkeypatch.setattr(Series, "reversion", refuse)
-        monkeypatch.setattr(Series, "compose", refuse)
+        # composition exists only among the tests' references
+        assert not hasattr(Series, "compose")
         den, u = LambertEngine(order=28).u_table
         assert den > 0 and sorted(u) == list(slot_range(28))
 
@@ -605,7 +607,7 @@ def reference_rows(engine):
                 sheets[b] = other_sheet(engine, b)
             s = sheets[b].shift(-a)
             rows[a, b] = [
-                (p, v) for p, piece in kernel.items() if (v := residue_of_product(piece, s))
+                (p, v) for p, piece in kernel.items() if (v := (piece * s).coefficient(-1))
             ]
         return rows[a, b]
 
@@ -628,7 +630,7 @@ def w_by_ordered_assembly(engine, g, k):
         if (g - 1, k + 1) == (0, 2):
             ts = two_sided_bergman(engine)
             for p, piece in reference_kernel(engine).items():
-                v = residue_of_product(piece, ts)
+                v = (piece * ts).coefficient(-1)
                 if v:
                     acc(p, (), v)
         else:
@@ -697,7 +699,7 @@ class TestStructuralInvariants:
         top = max(key[0] for key in ordered)
         rests = {key[1:] for key in ordered}
         for rest in rests:
-            total = Series.zero(engine.order)
+            total = zero(engine.order)
             for a in range(1, top + 1):
                 c = ordered.get((a,) + rest)
                 if c:
