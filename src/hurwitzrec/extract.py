@@ -12,11 +12,12 @@ numbers in Eynard-Mulase-Safnuk (arXiv:0907.5224).  A k-variable form,
 stored on weakly decreasing index multisets, then expands into a symmetric
 series whose v^mu coefficient is the sum over its terms of the coefficient
 times, over the distinct orderings (e_1, ..., e_k) of the multiset, prod_i
-mu_i^(mu_i + e_i), all divided by prod_i mu_i!.  ``h_series`` computes this
-on integers by contracting one slot at a time: slot i takes part mu_i and one
-index per distinct value of each remaining multiset, so every mu sharing a
-prefix shares the work.  The coefficients encode H_{g,mu}; the character
-oracle provides the independent values the expansion must reproduce.
+mu_i^(mu_i + e_i), all divided by prod_i mu_i!.  ``h_series`` computes the
+integer sums with `poleform.contract_slots`, the slot walk that also gives
+the pole view: slot i takes part mu_i and one index per distinct value of
+each remaining multiset, so every mu sharing a prefix shares the work.  The
+coefficients encode H_{g,mu}; the character oracle provides the independent
+values the expansion must reproduce.
 
 A table is one walk over the rows (g, mu) of a request, ``table_rows``, with
 each route plain data: a ``(name, value)`` pair from ``routes``.  A row is
@@ -27,10 +28,10 @@ kept when every route has a value for it, and two routes add their verdict.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .partitions import HurwitzOracle, aut_size, check_partition, partitions_of
-from .poleform import PoleForm, format_rational
+from .poleform import PoleForm, contract_slots, format_rational
 
 _ZERO = Fraction(0)
 
@@ -79,40 +80,16 @@ class HSeries:
 
 
 def h_series(form: PoleForm, n_max: int) -> HSeries:
-    """Expand a PoleForm into the v-variables through z_i = L(v_i).
-
-    Depth first over weakly decreasing exponent prefixes: the level at depth
-    d maps each remaining index multiset to its integer weight after slots
-    1..d took the prefix's parts, and only one level per depth is alive.
-    """
-    k = form.k
+    """Expand a PoleForm into the v-variables through z_i = L(v_i): the
+    `contract_slots` of its numerators with the rows m^(m+e) of each part m,
+    each total divided by den * prod_i mu_i!."""
     top = max((key[0] for key in form.nums), default=0)
     factors = [None] + [basis_factors(m, top) for m in range(1, n_max + 1)]
-    coeffs = {}
-
-    def contract_slot(level, prefix, budget, top, scale):
-        # slots after this one each need a part >= 1
-        slots_left = k - len(prefix) - 1
-        for m in range(1, min(top, budget - slots_left) + 1):
-            f = factors[m]
-            scale_m = scale * factorial(m)
-            if not slots_left:
-                total = sum(f[key[0]] * num for key, num in level.items())
-                coeffs[prefix + (m,)] = Fraction(total, scale_m)
-                continue
-            nxt = {}
-            for key, num in level.items():
-                prev = None
-                for i, e in enumerate(key):
-                    if e == prev:
-                        continue
-                    prev = e
-                    rest = key[:i] + key[i + 1 :]
-                    nxt[rest] = nxt.get(rest, 0) + f[e] * num
-            contract_slot(nxt, prefix + (m,), budget - m, m, scale_m)
-
-    contract_slot(form.nums, (), n_max, n_max, form.den)
-    return HSeries(form.g, k, n_max, coeffs)
+    coeffs = {
+        mu: Fraction(total, form.den * prod(map(factorial, mu)))
+        for mu, total in contract_slots(form.nums, form.k, factors, n_max).items()
+    }
+    return HSeries(form.g, form.k, n_max, coeffs)
 
 
 def extract_hurwitz(hs: HSeries, g: int, mu) -> Fraction:

@@ -71,9 +71,9 @@ def aut_size(mu: Partition) -> int:
     entries: the product of m! over the runs of m equal entries.  mu is any
     weakly decreasing tuple of ints, not only a partition, so a rest holding
     residual indices -j counts the same way.  The package's one multiset
-    count: the orderings of a key, the class sizes and the sweeps' merge
-    counts are all quotients of it.  It is not cached: the sweeps ask for
-    tens of thousands of distinct rests."""
+    count: the Hurwitz numbers divide by it, and the class sizes and the
+    sweeps' merge counts are quotients of it.  It is not cached: the sweeps
+    ask for tens of thousands of distinct rests."""
     out, i = 1, 0
     while i < len(mu):
         run = mu.count(mu[i])  # the equal entries are adjacent

@@ -23,15 +23,17 @@ positive denominator ``den`` in lowest terms (``gcd(den, *nums) == 1``).
 ``PoleForm(g, k, terms, den)`` takes ``terms[key] / den`` for coefficients
 given as ints or `Fraction`s; the ``terms`` property returns `Fraction`s, and
 `pole_terms` the same form in the pole basis.
+
+Both readings of a form, the pole view here and the Hurwitz series of
+`extract.h_series`, contract its numerators slot by slot with a table of one
+integer factor per label and index; `contract_slots` is that one walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
-
-from .partitions import aut_size
+from math import gcd, lcm
 
 
 def format_rational(q: Fraction) -> str:
@@ -55,9 +57,55 @@ def splits(key):
             yield a, key[:i] + key[i + 1 :]
 
 
-def _orderings(key) -> int:
-    """The number of distinct orderings of a weakly decreasing ``key``."""
-    return factorial(len(key)) // aut_size(key)
+def contract_slots(nums, k, factors, budget):
+    """Contract a symmetric k-form slot by slot with a per-index factor table.
+
+    ``nums`` maps weakly decreasing index keys of length ``k`` to ints, and
+    ``factors[label][index]`` is an int for each label 1 .. ``budget``.
+    Returns ``{labels: total}`` over weakly decreasing label tuples with sum at
+    most ``budget``, keeping only nonzero totals, where ``total`` sums
+    ``nums[key] * prod_i factors[labels_i][e_i]`` over every key and every
+    distinct ordering ``(e_1, ..., e_k)`` of it.
+
+    Depth first over label prefixes: the level at depth d maps each rest of a
+    key to its weight after slots 1..d took the prefix's labels, each slot
+    sending on one rest per distinct index, so every label tuple sharing a
+    prefix shares the work and only one level per depth is alive.  A key is
+    read in decreasing order, so its scan ends at the first index below the
+    label's lowest nonzero factor.
+    """
+    lows = [None] + [next((e for e, w in enumerate(f) if w), len(f)) for f in factors[1:]]
+    out = {}
+
+    def walk(level, prefix, budget, top):
+        # slots after this one each need a label >= 1
+        slots_left = k - len(prefix) - 1
+        for m in range(1, min(top, budget - slots_left) + 1):
+            f = factors[m]
+            if not slots_left:
+                total = sum(f[key[0]] * num for key, num in level.items())
+                if total:
+                    out[prefix + (m,)] = total
+                continue
+            low = lows[m]
+            nxt = {}
+            for key, num in level.items():
+                prev = None
+                for i, e in enumerate(key):
+                    if e == prev:
+                        continue
+                    prev = e
+                    w = f[e]
+                    if w:
+                        rest = key[:i] + key[i + 1 :]
+                        nxt[rest] = nxt.get(rest, 0) + w * num
+                    elif e < low:
+                        break
+            if nxt:
+                walk(nxt, prefix + (m,), budget - m, m)
+
+    walk(nums, (), budget, budget)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -136,33 +184,17 @@ class PoleForm:
         """The coefficients as {basis multi-index: Fraction}."""
         return {key: Fraction(num, self.den) for key, num in self.nums.items()}
 
-    def coefficient(self, multi_index) -> Fraction:
-        """Coefficient of the ordered monomial prod xihat_(e_i)(t_i)."""
-        return Fraction(self.nums.get(tuple(sorted(multi_index, reverse=True)), 0), self.den)
-
     def pole_terms(self):
-        """The form in the pole basis, {pole multi-index: Fraction}, each slot
-        converted through `basis_poles`.
-
-        A symmetric form is the polynomial sum_E c(E) N(E) prod_i X_(e_i) in
-        commuting variables, N(E) being the number of distinct orderings of
-        E; each X_e becomes sum_a M[e][a] Y_a, and the coefficient of the pole
-        multiset A is then [Y^A] / N(A)."""
-        total = {}
-        for key, num in self.nums.items():
-            poly = {(): num * _orderings(key)}
-            for e in key:
-                nxt = {}
-                for mono, c in poly.items():
-                    for a, m in basis_poles(e).items():
-                        grown = tuple(sorted(mono + (a,), reverse=True))
-                        nxt[grown] = nxt.get(grown, 0) + c * m
-                poly = nxt
-            for mono, c in poly.items():
-                total[mono] = total.get(mono, 0) + c
-        return {
-            key: Fraction(c, self.den * _orderings(key)) for key, c in total.items() if c
-        }
+        """The form in the pole basis, {pole multi-index: Fraction}: each slot
+        converted through `basis_poles` by `contract_slots`, the pole orders
+        of a key summing to at most twice its indices."""
+        top = max((key[0] for key in self.nums), default=0)
+        budget = 2 * max((sum(key) for key in self.nums), default=0)
+        factors = [None] + [
+            [basis_poles(e).get(a, 0) for e in range(top + 1)] for a in range(1, budget + 1)
+        ]
+        totals = contract_slots(self.nums, self.k, factors, budget)
+        return {key: Fraction(total, self.den) for key, total in totals.items()}
 
     def __eq__(self, other):
         if not isinstance(other, PoleForm):

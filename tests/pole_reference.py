@@ -10,13 +10,64 @@ gives its coefficients in closed form,
 an integer.  `pole_h_coeffs` expands a form read in the pole basis
 (`PoleForm.pole_terms`) with these factors, one slot at a time, as the
 extraction did before forms were stored in the ELSV basis.
+
+`reference_pole_terms` is the pole view as a commuting-polynomial expansion,
+the way `PoleForm.pole_terms` computed it before it walked slot by slot, and
+`ordered_pole_expansion` the same form on ordered tuples, which assumes no
+symmetry at all.
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
+from hurwitzrec.partitions import aut_size
+from hurwitzrec.poleform import basis_poles
 from hurwitzrec.series import Series
+
+
+def _orderings(key) -> int:
+    """The number of distinct orderings of a weakly decreasing ``key``."""
+    return factorial(len(key)) // aut_size(key)
+
+
+def reference_pole_terms(form):
+    """The pole view of a form, {pole multi-index: Fraction}.
+
+    A symmetric form is the polynomial sum_E c(E) N(E) prod_i X_(e_i) in
+    commuting variables, N(E) being the number of distinct orderings of E;
+    each X_e becomes sum_a M[e][a] Y_a with M = `basis_poles`, and the
+    coefficient of the pole multiset A is then [Y^A] / N(A)."""
+    total = {}
+    for key, num in form.nums.items():
+        poly = {(): num * _orderings(key)}
+        for e in key:
+            nxt = {}
+            for mono, c in poly.items():
+                for a, m in basis_poles(e).items():
+                    grown = tuple(sorted(mono + (a,), reverse=True))
+                    nxt[grown] = nxt.get(grown, 0) + c * m
+            poly = nxt
+        for mono, c in poly.items():
+            total[mono] = total.get(mono, 0) + c
+    return {key: Fraction(c, form.den * _orderings(key)) for key, c in total.items() if c}
+
+
+def ordered_pole_expansion(form):
+    """{ordered pole tuple: Fraction}: every ordering of every stored key,
+    each slot expanded through `basis_poles` on its own."""
+    total = {}
+    for key, c in form.terms.items():
+        for ordered in set(itertools.permutations(key)):
+            rows = [basis_poles(e).items() for e in ordered]
+            for picks in itertools.product(*rows):
+                poles = tuple(a for a, _m in picks)
+                weight = c
+                for _a, m in picks:
+                    weight *= m
+                total[poles] = total.get(poles, 0) + weight
+    return {poles: c for poles, c in total.items() if c}
 
 
 @lru_cache(maxsize=None)

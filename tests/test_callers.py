@@ -67,9 +67,9 @@ def test_allowlist_is_not_stale():
 # listed with its classes and the reason they share it.
 SHARED = {
     "coefficient": (
-        ["HSeries", "PSeriesZ", "PoleForm", "Series"],
+        ["HSeries", "PSeriesZ", "Series"],
         "each holds coefficients and reads one by its own index: an exponent, "
-        "an exponent tuple, (n, mu, e) or a basis multi-index",
+        "an exponent tuple or (n, mu, e)",
     ),
 }
 

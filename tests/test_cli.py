@@ -9,14 +9,22 @@ from pathlib import Path
 
 import pytest
 
+import hurwitzrec
+
 # development mode with warnings as errors: a ResourceWarning (or any other
 # warning) in the child fails the test that started it
 CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "hurwitzrec.cli"]
 
+# the children import the same copy of the package as the suite
+SRC = str(Path(hurwitzrec.__file__).resolve().parent.parent)
+
 
 def cli_env():
     # a developer's own cache file must not leak into (or out of) the suite
-    return {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
+    env = {k: v for k, v in os.environ.items() if k != "HURWITZREC_CACHE"}
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = SRC + os.pathsep + path if path else SRC
+    return env
 
 
 def run_cli(*args, env_extra=None, timeout=300):

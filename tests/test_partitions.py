@@ -50,6 +50,17 @@ def genus_one_formula(mu):
     return value
 
 
+def one_part_formula(g, d):
+    """H_{g,(d)} by the Goulden-Jackson-Vainshtein one-part formula:
+    b!/d! d^(d-2) [t^(2g)] (sinh(dt/2)/(dt/2))^(d-1), with b = 2g - 1 + d."""
+    # sinh(x)/x = sum_j x^(2j)/(2j+1)!, held by powers of t^2, with x = dt/2
+    s = [Fraction(d * d, 4) ** j / factorial(2 * j + 1) for j in range(g + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * g
+    for _ in range(d - 1):
+        power = [sum(power[i] * s[j - i] for i in range(j + 1)) for j in range(g + 1)]
+    return Fraction(factorial(2 * g - 1 + d), factorial(d)) * Fraction(d) ** (d - 2) * power[g]
+
+
 def hook_length_dim(lam):
     """Independent dimension oracle: the hook length formula."""
     if not lam:
@@ -473,8 +484,18 @@ class TestOracleClosedForms:
             for mu in partitions_of(n):
                 assert hurwitz_by_recursion(engine, 1, mu) == genus_one_formula(mu), mu
 
-    def test_genus_one_one_part_formula(self, oracle):
-        # H_{1,(d)} = (d+1)! d^d/d! * (d-1)/24
-        for d in range(1, 9):
+    def test_one_part_formula(self):
+        oracle = HurwitzOracle(n_max=12, g_max=6)
+        for g in range(7):
+            for d in range(1, 13):
+                assert oracle.hurwitz(g, (d,)) == one_part_formula(g, d), (g, d)
+        # at genus one it is H_{1,(d)} = (d+1)! d^d/d! * (d-1)/24
+        for d in range(1, 13):
             expected = Fraction(factorial(d + 1) * d**d * (d - 1), factorial(d) * 24)
-            assert oracle.hurwitz(1, (d,)) == expected, d
+            assert one_part_formula(1, d) == expected, d
+
+    def test_one_part_formula_by_recursion(self):
+        engine = LambertEngine(order=required_order(6, 1))
+        for g in range(1, 7):
+            for d in range(1, 25):
+                assert hurwitz_by_recursion(engine, g, (d,)) == one_part_formula(g, d), (g, d)

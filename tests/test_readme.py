@@ -1,0 +1,43 @@
+"""The README's Library example runs as written, and each value it shows in a
+comment is the value its line computes."""
+
+import ast
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_block():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def shown(value):
+    """A value written the way the example's comments write it: a dict of
+    Fractions as ``{key: num/den}`` in key order, a list by its length."""
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return "{" + ", ".join(f"{key!r}: {c.numerator}/{c.denominator}" for key, c in items) + "}"
+    if isinstance(value, list):
+        return f"{len(value)} rows"
+    return repr(value)
+
+
+def test_library_example():
+    namespace = {}
+    checked = []
+    for line in library_block().splitlines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(code.strip(), namespace)
+            continue
+        statement = ast.parse(code.strip()).body[0]
+        if isinstance(statement, ast.Assign):
+            exec(code.strip(), namespace)
+            value = namespace[statement.targets[0].id]
+        else:
+            value = eval(code.strip(), namespace)
+        checked.append((shown(value), comment.strip()))
+    assert len(checked) == 6
+    for expected, comment in checked:
+        assert comment.startswith(expected), (expected, comment)

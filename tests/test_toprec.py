@@ -9,7 +9,7 @@ import pytest
 
 from hurwitzrec import toprec
 from hurwitzrec.bridge import odd_coordinate
-from hurwitzrec.poleform import PoleForm, _orderings, basis_poles, pole_basis, splits
+from hurwitzrec.poleform import PoleForm, basis_poles, contract_slots, pole_basis, splits
 from hurwitzrec.series import Series, TruncationError, clear_denominators
 from hurwitzrec.toprec import (
     ENGINE_VERSION,
@@ -21,6 +21,7 @@ from hurwitzrec.toprec import (
     pair_sweep,
     required_order,
 )
+from pole_reference import _orderings, ordered_pole_expansion, reference_pole_terms
 from series_reference import agrees_with, compose, zero
 
 F = Fraction
@@ -566,10 +567,12 @@ class TestSmallForms:
         assert {"sigma", "halves"} <= engine.__dict__.keys()
 
     def test_symmetric_queries(self, engine):
-        w = engine.w(0, 4)
-        for key in w.terms:
-            for perm in itertools.permutations(key):
-                assert w.coefficient(perm) == w.terms[key]
+        """Every ordering of a pole multi-index reads the pole view's value:
+        expanding each ordering of each key slot by slot, with no symmetry
+        assumed, gives `pole_terms` on every permutation of its keys."""
+        for g, k in [(0, 4), (1, 2), (2, 2)]:
+            w = engine.w(g, k)
+            assert ordered_pole_expansion(w) == ordered_terms(w), (g, k)
 
     def test_no_simple_poles(self, engine):
         for g, k in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)]:
@@ -857,6 +860,57 @@ class TestRepresentation:
                 assert _orderings(key) == len(set(itertools.permutations(key))), key
 
 
+def brute_contract(nums, k, factors, budget):
+    """`contract_slots` by definition: every weakly decreasing label tuple
+    and every distinct ordering of every key."""
+    out = {}
+    for labels in itertools.combinations_with_replacement(range(budget, 0, -1), k):
+        if sum(labels) > budget:
+            continue
+        total = 0
+        for key, num in nums.items():
+            for ordered in set(itertools.permutations(key)):
+                term = num
+                for m, e in zip(labels, ordered):
+                    term *= factors[m][e]
+                total += term
+        if total:
+            out[labels] = total
+    return out
+
+
+class TestSlotWalk:
+    def test_contract_slots_by_definition(self):
+        """Random forms and factor tables with zeros anywhere in a row: a
+        zero above a row's lowest nonzero factor must not end a key's scan."""
+        rng = random.Random(29)
+        for _ in range(60):
+            k = rng.randint(1, 4)
+            top = rng.randint(1, 4)
+            nums = {}
+            for _ in range(rng.randint(1, 5)):
+                key = tuple(sorted((rng.randint(1, top) for _ in range(k)), reverse=True))
+                nums[key] = rng.randint(-9, 9) or 1
+            budget = rng.randint(k, 9)
+            factors = [None] + [
+                [rng.choice((0, 0, 1, -2, 3)) for _ in range(top + 1)] for _ in range(budget)
+            ]
+            assert contract_slots(nums, k, factors, budget) == brute_contract(
+                nums, k, factors, budget
+            ), (nums, factors, budget)
+
+    def test_pole_view_equals_polynomial_reference(self):
+        """The slot walk gives the commuting-polynomial expansion's pole view
+        on every form of W(3,4)'s closure, and on W(4,5) and W(3,8)."""
+        closure = LambertEngine(order=required_order(3, 4))
+        closure.w(3, 4)
+        assert len(closure._memo) == 20
+        forms = list(closure._memo.values())
+        forms += [LambertEngine(order=required_order(g, k)).w(g, k) for g, k in [(4, 5), (3, 8)]]
+        for form in forms:
+            assert form.pole_terms() == reference_pole_terms(form), form
+
+
 class TestFingerprint:
     def test_covers_sign_convention(self):
         # the recipe hashes the fixed sign as "sign=1", and not the order
@@ -959,7 +1013,7 @@ class TestElsvBasis:
         for g in (1, 2, 3):
             # <tau_(3g-3) lambda_1>_g = g (g + 4) / 5 * <tau_(3g-2)>_g
             w = eng.w(g, 1)
-            assert w.coefficient((3 * g - 2,)) == -F(g * (g + 4), 5) * w.coefficient((3 * g - 1,))
+            assert w.terms[(3 * g - 2,)] == -F(g * (g + 4), 5) * w.terms[(3 * g - 1,)]
 
     def test_keys_fill_the_window(self):
         """Every key of every form of an order-28 engine has sum(e_i - 1) in
