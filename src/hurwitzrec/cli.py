@@ -49,9 +49,9 @@ CACHE_ENV = "HURWITZREC_CACHE"
 # Size bounds, checked before any engine or oracle is built.  The recursion's
 # cost grows steeply with the truncation order its largest form needs; order
 # 40 admits W(4,5) and W(3,8) (order 36) and W(2,13) (order 40), which take
-# about 0.23 s, 0.42 s and 1.35 s of CPU in process on a 2-core Intel Xeon
+# about 0.17 s, 0.23 s and 0.83 s of CPU in process on a 2-core Intel Xeon
 # virtual machine (wkg 2 13, which also writes the form's 16,799 pole terms,
-# takes about 3.4 s as a whole process).  The oracle's cost grows fastest
+# takes about 2.9 s as a whole process).  The oracle's cost grows fastest
 # with |mu|: in process on the same machine, HurwitzOracle(12, 3) takes about
 # 0.2 s of CPU, and past the bound HurwitzOracle(14, 3) 0.52-0.57 s and
 # HurwitzOracle(14, 6) 0.85-0.98 s, about three quarters of it in log.  Its

@@ -14,7 +14,8 @@ sum (e_i - 1) + j = 3g - 3 + k, so sum (e_i - 1) lies in the window
 Two triangular integer maps convert one slot at a time: `basis_poles` takes a
 basis index to pole orders, and `pole_basis` takes a pole order to basis
 indices, with the residual index -j standing for t^(2j-1) (t-1) = -p_(2j-1),
-which no form holds.
+which no form holds.  `poles_to_basis` writes a row of residues by pole
+order in the basis, once, where the recursion makes it.
 
 A form is symmetric under permuting variables, so it is stored as a map from
 the weakly decreasing tuple of indices to the coefficient of any ordered
@@ -147,6 +148,17 @@ def pole_basis(top: int):
         p: {index: v.numerator * (den // v.denominator) for index, v in row.items()}
         for p, row in rows.items()
     }
+
+
+def poles_to_basis(row, to_basis):
+    """A row of numerators keyed by pole order as ``{index: num}``, through
+    the rows ``to_basis`` of a `pole_basis`, over the row's denominator times
+    that map's; zero entries dropped."""
+    out = {}
+    for p, num in row.items():
+        for index, c in to_basis[p].items():
+            out[index] = out.get(index, 0) + c * num
+    return {index: v for index, v in out.items() if v}
 
 
 class PoleForm:

@@ -16,9 +16,12 @@ step from row s.
 
 A pulled slot is a basis index (> 0) or a Bergman power (<= 0, -m standing
 for zeta^m); its pole orders are `basis_poles` of the index or the power
-itself.  Each form is summed in one running sum ``{rest: {p: num}}``, keyed
-by the weakly decreasing tuple of indices left on the symbolic variables and
-the first-slot pole order p, in integers over one denominator.  `w` fixes
+itself.  A residue is made by the kernel's pole order p and written in the
+basis where it is made (see `poles_to_basis`), so every row after it holds
+basis indices only, residual ones included.  Each form is summed in one
+running sum ``{rest: {index: num}}``, keyed by the weakly decreasing tuple of
+indices left on the symbolic variables and the first slot's basis index, in
+integers over one denominator.  `w` fixes
 that denominator before the first sweep, as the lcm of every sweep's own, and
 each sweep folds the quotient into its integer multiplier, so nothing held is
 ever rescaled.  The Bergman split B(z0, z_i) W(g, k-1), a term of every form
@@ -43,7 +46,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .partitions import aut_size
-from .poleform import PoleForm, basis_poles, pole_basis, splits
+from .poleform import PoleForm, basis_poles, pole_basis, poles_to_basis, splits
 from .series import Series, TruncationError, clear_denominators, conv_ints
 
 _HALF = Fraction(1, 2)
@@ -115,20 +118,23 @@ def check_deck_involution(sigma: Series) -> Series:
 
 
 class PairTable(dict):
-    """``T[x, y] = {p: num}``, over ``den``: the residues of the recursion
-    kernel at pole order p against a pulled pair of slots.  Filled on first
-    use from an engine's residue table ``(den, {s: U_s})`` at ``order``;
-    symmetric; zero entries are dropped.
+    """``T[x, y] = {index: num}``, over ``den``: the residue of the recursion
+    kernel against a pulled pair of slots, in the basis of the first slot.
+    Filled on first use from an engine's residue table ``(den_u, {s: U_s})``
+    at ``order``; ``den`` is den_u times `pole_basis`'s; symmetric; zero
+    entries are dropped.
 
     With P_s the pole orders of slot s and top(s) the largest of them, the
-    row is T[x, y][p] = sum_a P_x[a] U_y[a + top(y) + 2 - p] + sum_b P_y[b]
-    U_x[b + top(x) + 2 - p] for p = 2 .. `kernel_top`, each U a power
-    series.  The table knows U_s[n] for n < order - 2, so top(x) + top(y) >
-    order - 3 raises TruncationError."""
+    residue at the kernel's pole order p is sum_a P_x[a] U_y[a + top(y) + 2 -
+    p] + sum_b P_y[b] U_x[b + top(x) + 2 - p] for p = 2 .. `kernel_top`, each
+    U a power series; the row is these residues by p written in the basis
+    once (see `poles_to_basis`).  The table knows U_s[n] for n < order - 2,
+    so top(x) + top(y) > order - 3 raises TruncationError."""
 
     def __init__(self, u_table, order):
         super().__init__()
-        self.den, self.u = u_table
+        den_u, self.u = u_table
+        self.den = den_u * pole_basis(kernel_top(order))[0]
         self.order = order
 
     def __missing__(self, key):
@@ -147,19 +153,19 @@ class PairTable(dict):
                 n = a + top_u + 2
                 for p in range(2, min(n, top) + 1):
                     sums[p] += c * u[n - p]
-        row = {p: v for p, v in enumerate(sums) if v}
+        row = poles_to_basis({p: v for p, v in enumerate(sums) if v}, pole_basis(top)[1])
         self[x, y] = self[y, x] = row
         return row
 
 
 def contract_pairs(group, y, table):
-    """``sum_x group[x] * T[x, y]`` as ``{p: num}`` over ``table.den``, for
-    one ``{x: num}`` of a decomposition; zero sums are dropped."""
+    """``sum_x group[x] * T[x, y]`` as ``{index: num}`` over ``table.den``,
+    for one ``{x: num}`` of a decomposition; zero sums are dropped."""
     sums = {}
     for x, num in group.items():
-        for p, v in table[x, y].items():
-            sums[p] = sums.get(p, 0) + num * v
-    return {p: v for p, v in sums.items() if v}
+        for index, v in table[x, y].items():
+            sums[index] = sums.get(index, 0) + num * v
+    return {index: v for index, v in sums.items() if v}
 
 
 def accumulate(acc, u, sums, c):
@@ -168,14 +174,14 @@ def accumulate(acc, u, sums, c):
         bucket = acc.get(u)
         if bucket is None:
             bucket = acc[u] = {}
-        for p, v in sums.items():
-            bucket[p] = bucket.get(p, 0) + c * v
+        for index, v in sums.items():
+            bucket[index] = bucket.get(index, 0) + c * v
 
 
 def pair_sweep(acc, den, terms_a, terms_b, table, weight):
     """Add ``weight`` times the residues of all (A-term, B-term) pairs into
-    the running sum ``acc`` over ``den``, a multiple of this sweep's own
-    denominator ``den_a * den_b * table.den``.
+    the running sum ``acc``, ``{rest: {index: num}}`` over ``den``, a
+    multiple of this sweep's own denominator ``den_a * den_b * table.den``.
 
     ``terms_a``/``terms_b`` are decompositions ``(den, {rest: {x: num}})``,
     ``x`` the pulled slot.  A split term of the recursion sums over the
@@ -205,10 +211,10 @@ def pair_sweep(acc, den, terms_a, terms_b, table, weight):
 
 class BergmanRows(dict):
     """``R[y] = {i: row}``: each group ``(i,): {-m: num}`` of the Bergman
-    decomposition ``(den, groups)`` contracted with the pulled slot y,
-    ``row = contract_pairs(group, y, table)`` over ``table.den``, stored only
-    when nonzero.  Filled on first use, so each contraction is made once per
-    engine, not once per form that sweeps the Bergman term."""
+    decomposition ``(den, groups)`` contracted with the pulled slot y, ``row
+    = contract_pairs(group, y, table)``, ``{index: num}`` over ``table.den``,
+    stored only when nonzero.  Filled on first use, so each contraction is
+    made once per engine, not once per form that sweeps the Bergman term."""
 
     def __init__(self, bergman_terms, table):
         super().__init__()
@@ -438,8 +444,7 @@ class LambertEngine:
                 sweeps.append((self._decomps(h, j_a + 1), self._decomps(g - h, j_b + 1), weight))
         if (g, k) == (1, 1):
             # the two-sided Bergman row is W(1,1)'s only term: no residue table
-            den, row = self._sweep_two_sided()
-            acc = {(): row}
+            den, acc = self._sweep_two_sided()
         else:
             table = self.pair_table
             dens = [den_a * den_b for (den_a, _), (den_b, _), _ in sweeps]
@@ -470,12 +475,14 @@ class LambertEngine:
         # sigma)^2, gives Res[K_p sigma' / (zeta - sigma)^2] = 2 G[-p] with
         # G = R_0 / (2 (zeta - sigma)^3) = 4 rhat what^3 zeta^(-4), its
         # sigma^(p-1) half pulled back by sigma as in `u_table`; only p <= 4
-        # is nonzero.
+        # is nonzero, and W(1,1)'s order 10 puts the kernel's top at 5.  The
+        # row goes into the basis as a pair-table row does, and is W(1,1)'s
+        # whole running sum.
         rhat, what = (half.truncate(3) for half in self.halves)
         g = rhat * what * what * what
-        ps = range(2, min(5, kernel_top(self.order) + 1))
-        den, nums = clear_denominators([8 * g.coefficient(4 - p) for p in ps])
-        return den, dict(zip(ps, nums))
+        den, nums = clear_denominators([8 * g.coefficient(4 - p) for p in (2, 3, 4)])
+        den_basis, to_basis = pole_basis(kernel_top(self.order))
+        return den * den_basis, {(): poles_to_basis(dict(zip((2, 3, 4), nums)), to_basis)}
 
     def _sweep_term1(self, acc, den, prev):
         # the W(g-1, k+1) term: two slots pulled from the decomposition prev
@@ -487,11 +494,10 @@ class LambertEngine:
                 accumulate(acc, left, contract_pairs(group, y, table), scale)
 
     def _assemble(self, g, k, den, acc, fed) -> PoleForm:
-        """Convert the first-slot pole order p of the form's running sum
-        ``acc``, ``{rest: {p: num}}`` over ``den`` (fixed in `w` before the
-        first sweep), into the basis, entries that cancel to 0 ignored, and
-        collapse it into a symmetric PoleForm, checking that every way of
-        singling out the first slot agrees and that no key with a residual
+        """Collapse the form's running sum ``acc``, ``{rest: {index: num}}``
+        over ``den`` (fixed in `w` before the first sweep), into a symmetric
+        PoleForm, entries that cancel to 0 ignored, checking that every way
+        of singling out the first slot agrees and that no key with a residual
         index is nonzero.  A failure means the truncation order was
         insufficient or, when the preloaded forms ``fed`` went into it, that
         the cache file is wrong."""
@@ -506,25 +512,19 @@ class LambertEngine:
                 cause = f"truncation order {self.order} is insufficient"
             raise ArithmeticError(f"{what} assembling W({g},{k}) at {full}; {cause}")
 
-        den_basis, to_basis = pole_basis(kernel_top(self.order))
-        converted = {}
-        for rest, bucket in acc.items():
-            for p, num in bucket.items():
-                if num:
-                    for index, c in to_basis[p].items():
-                        converted[index, rest] = converted.get((index, rest), 0) + c * num
         fulls = {
             tuple(sorted(rest + (index,), reverse=True))
-            for (index, rest), v in converted.items()
+            for rest, bucket in acc.items()
+            for index, v in bucket.items()
             if v
         }
         terms = {}
         for full in sorted(fulls):
-            vals = [converted.get(split, 0) for split in splits(full)]
+            vals = [acc.get(rest, {}).get(index, 0) for index, rest in splits(full)]
             if any(v != vals[0] for v in vals):
                 fail("slot-symmetry violated", full)
             terms[full] = vals[0]
         residual = [full for full in sorted(terms) if full[-1] < 0]
         if residual:
             fail("residual index nonzero", residual[0])
-        return PoleForm(g, k, terms, den * den_basis)
+        return PoleForm(g, k, terms, den)

@@ -10,7 +10,7 @@ import pytest
 
 from hurwitzrec import series, toprec
 from hurwitzrec.partitions import aut_size
-from hurwitzrec.poleform import splits
+from hurwitzrec.poleform import pole_basis, splits
 from hurwitzrec.series import TruncationError
 from hurwitzrec.toprec import LambertEngine, required_order
 from test_toprec import (
@@ -18,6 +18,7 @@ from test_toprec import (
     reference_basis_poles,
     reference_kernel,
     reference_u_table,
+    row_poles,
     slot_table,
 )
 
@@ -87,18 +88,43 @@ def ref_pair_sweep(acc, den, terms_a, terms_b, pole_table, order, weight):
                     bucket[p] = bucket.get(p, 0) + int(num)
 
 
+def ref_basis_sweep(acc, den, terms_a, terms_b, pole_table, order, weight):
+    """`ref_pair_sweep` into a running sum by pole order over ``den`` divided
+    by `pole_basis`'s denominator, each of its buckets then written in the
+    basis through `pole_basis` and added into ``acc``, ``{rest: {index:
+    num}}`` over ``den``: the running sum the engine's assembly reads."""
+    den_basis, to_basis = pole_basis(order - 5)
+    assert den % den_basis == 0
+    poles = {}
+    ref_pair_sweep(poles, den // den_basis, terms_a, terms_b, pole_table, order, weight)
+    for rest, bucket in poles.items():
+        into = acc.setdefault(rest, {})
+        for p, num in bucket.items():
+            for index, c in to_basis[p].items():
+                into[index] = into.get(index, 0) + c * num
+
+
 def nonzero(den, acc):
-    """A running sum ``{rest: {p: num}}`` over ``den`` as {(p, rest):
+    """A running sum ``{rest: {key: num}}`` over ``den`` as {(key, rest):
     Fraction} without zero entries, which assembly ignores."""
     return {
-        (p, rest): F(num, den) for rest, bucket in acc.items() for p, num in bucket.items() if num
+        (key, rest): F(num, den)
+        for rest, bucket in acc.items()
+        for key, num in bucket.items()
+        if num
     }
 
 
-def own_den(terms_a, terms_b, table):
+def nonzero_poles(den, acc):
+    """A running sum ``{rest: {index: num}}`` over ``den`` read back into
+    pole orders by `row_poles`, as `nonzero` gives a sum by pole order."""
+    return {(p, rest): v for rest, bucket in acc.items() for p, v in row_poles(den, bucket).items()}
+
+
+def own_den(terms_a, terms_b, pairs):
     """The denominator of one sweep's residues: ``den_a * den_b`` times the
-    residue table's."""
-    return terms_a[0] * terms_b[0] * table[0]
+    pair table's."""
+    return terms_a[0] * terms_b[0] * pairs.den
 
 
 # -- random inputs ---------------------------------------------------------------
@@ -184,18 +210,19 @@ class TestAgainstReference:
 
     def test_pair_sweep(self):
         """A sweep over a multiple of its own denominator folds the quotient
-        into its multiplier."""
+        into its multiplier; its running sum, read back into pole orders, is
+        the reference's."""
         rng = random.Random(5)
         ta, tb, table = random_sweep(rng, 30, 7)
-        den = 3 * own_den(ta, tb, table)
+        den = 3 * own_den(ta, tb, pair_table(table))
         fast, ref = {}, {}
         toprec.pair_sweep(fast, den, ta, tb, pair_table(table), 1)
         ref_pair_sweep(ref, den, ta, tb, table, SWEEP_ORDER, 1)
-        assert nonzero(den, fast) == nonzero(den, ref)
+        assert nonzero_poles(den, fast) == nonzero(den, ref)
         fast2, ref2 = {}, {}
         toprec.pair_sweep(fast2, den, ta, tb, pair_table(table), 2)
         ref_pair_sweep(ref2, den, ta, tb, table, SWEEP_ORDER, 2)
-        assert nonzero(den, fast2) == nonzero(den, ref2)
+        assert nonzero_poles(den, fast2) == nonzero(den, ref2)
         assert nonzero(den, fast2) == {key: 2 * v for key, v in nonzero(den, fast).items()}
 
     def test_pair_sweep_swap_symmetric_rows(self):
@@ -205,7 +232,7 @@ class TestAgainstReference:
         split once with weight 2."""
         rng = random.Random(6)
         ta, tb, table = random_sweep(rng, 30, 7)
-        den = own_den(ta, tb, table)
+        den = own_den(ta, tb, pair_table(table))
         ab, ba = {}, {}
         toprec.pair_sweep(ab, den, ta, tb, pair_table(table), 1)
         toprec.pair_sweep(ba, den, tb, ta, pair_table(table), 1)
@@ -225,19 +252,19 @@ class TestAgainstReference:
         rng = random.Random(4)
         ta, tb, table = random_sweep(rng, 30, 10**30)
         sweeps = [(ta, tb), (ta, ta)]
-        dens = [own_den(a, b, table) for a, b in sweeps]
+        dens = [own_den(a, b, pair_table(table)) for a, b in sweeps]
         assert dens[0] != dens[1]
         den = lcm(*dens)
         fast, ref = {}, {}
         for a, b in sweeps:
             toprec.pair_sweep(fast, den, a, b, pair_table(table), 1)
             ref_pair_sweep(ref, den, a, b, table, SWEEP_ORDER, 1)
-        assert nonzero(den, fast) == nonzero(den, ref)
+        assert nonzero_poles(den, fast) == nonzero(den, ref)
 
     def test_pair_table_drops_zeros_and_raises_beyond_the_order(self):
-        """A pair-table row read from the slot rows is the sum of its pole
-        rows, weighed by the slot map, with zero entries dropped, and raises
-        where a pole row does."""
+        """A pair-table row read from the slot rows, read back into pole
+        orders, is the sum of its pole rows, weighed by the slot map; it
+        holds no zero entry, and raises where a pole row does."""
         rng = random.Random(8)
         _, _, table = random_sweep(rng, 1, 7)
         table[1][-3] = [0] * (SWEEP_ORDER - 2)  # u(-3) zero: some rows cancel
@@ -246,19 +273,19 @@ class TestAgainstReference:
             want = {}
             for (a, ca), (b, cb) in product(ref_slot(x).items(), ref_slot(y).items()):
                 for p, v in ref_row(table, SWEEP_ORDER, a, b).items():
-                    want[p] = want.get(p, 0) + ca * cb * v * table[0]
-            assert pairs[x, y] == {p: v for p, v in want.items() if v}, (x, y)
-            assert pairs[x, y] is pairs[y, x]
+                    want[p] = want.get(p, 0) + ca * cb * v
+            assert row_poles(pairs.den, pairs[x, y]) == {p: v for p, v in want.items() if v}
+            assert all(pairs[x, y].values()) and pairs[x, y] is pairs[y, x], (x, y)
         assert {} in pairs.values()
         with pytest.raises(TruncationError):
             pair_table(table, order=12)[3, 3]
 
 
 def test_rows_match_series_residues():
-    """Each pair-table row equals the sum over its pole pairs (a, b) of the
-    residues of the kernel built piece by piece against zeta^(-a) sigma'
-    sigma^(-b), and raises exactly where they do; slots below 1 cover the
-    Bergman powers that W(0,3) sweeps."""
+    """Each pair-table row, read back into pole orders, equals the sum over
+    its pole pairs (a, b) of the residues of the kernel built piece by piece
+    against zeta^(-a) sigma' sigma^(-b), and raises exactly where they do;
+    slots below 1 cover the Bergman powers that W(0,3) sweeps."""
     engine = LambertEngine(order=14)
     table = engine.pair_table
     kernel = reference_kernel(engine)
@@ -275,7 +302,7 @@ def test_rows_match_series_residues():
             with pytest.raises(TruncationError):
                 table[x, y]
             continue
-        got = {p: F(v, table.den) for p, v in table[x, y].items()}
+        got = row_poles(table.den, table[x, y])
         assert got == {p: v for p, v in expected.items() if v}, (x, y)
 
 
@@ -284,8 +311,8 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
     kernels, coefficient for coefficient and byte for byte.  Every residue
     the reference engine sums is read from the pole-order reference table
     one pole pair at a time: its pair sweeps, its Bergman rows and its
-    W(g-1, k+1) term all go through `ref_pair_sweep`, so its own pair table
-    is never filled."""
+    W(g-1, k+1) term all go through `ref_pair_sweep`, written in the basis
+    by `ref_basis_sweep`, so its own pair table is never filled."""
     order = required_order(2, 2)
     real = LambertEngine(order=order).w(2, 2)
     monkeypatch.setattr(series, "conv", ref_conv)
@@ -296,7 +323,7 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
 
     def sweep(acc, den, terms_a, terms_b, table, weight):
         swept["pairs"] += 1
-        ref_pair_sweep(acc, den, terms_a, terms_b, pole_table, table.order, weight)
+        ref_basis_sweep(acc, den, terms_a, terms_b, pole_table, table.order, weight)
 
     class BergmanRows(toprec.BergmanRows):
         def __missing__(self, y):
@@ -304,8 +331,8 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
             swept["bergman"] += 1
             acc = {}
             one = (1, {(): {y: 1}})
-            ref_pair_sweep(acc, self.table.den, (1, self.groups), one, pole_table, order, 1)
-            rows = {i: {p: v for p, v in row.items() if v} for (i,), row in acc.items()}
+            ref_basis_sweep(acc, self.table.den, (1, self.groups), one, pole_table, order, 1)
+            rows = {i: {j: v for j, v in row.items() if v} for (i,), row in acc.items()}
             self[y] = {i: row for i, row in rows.items() if row}
             return self[y]
 
@@ -317,7 +344,7 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
         for rest, group in groups.items():
             for y, left in splits(rest):
                 one = (1, {left: {y: 1}})
-                ref_pair_sweep(acc, den, (den_c, {(): group}), one, pole_table, order, 1)
+                ref_basis_sweep(acc, den, (den_c, {(): group}), one, pole_table, order, 1)
 
     monkeypatch.setattr(toprec, "pair_sweep", sweep)
     monkeypatch.setattr(toprec, "BergmanRows", BergmanRows)

@@ -8,7 +8,7 @@ from math import factorial, gcd, prod
 import pytest
 
 from hurwitzrec import partitions
-from hurwitzrec.extract import hurwitz_by_recursion
+from hurwitzrec.extract import extract_hurwitz, h_series, hurwitz_by_recursion
 from hurwitzrec.partitions import (
     HurwitzOracle,
     PSeriesZ,
@@ -31,6 +31,29 @@ from oracle_reference import (
     reference_exp,
     reference_log,
 )
+
+
+def genus_zero_formula(mu):
+    """H_{0,mu} by Hurwitz's formula: (n+l-2)! n^(l-3) prod mu_i^mu_i/mu_i!
+    / |Aut mu|, with n = |mu| and l = len(mu)."""
+    n, l = sum(mu), len(mu)
+    value = factorial(n + l - 2) * Fraction(n) ** (l - 3) / aut_size(mu)
+    for m in mu:
+        value *= Fraction(m**m, factorial(m))
+    return value
+
+
+def by_recursion(g, ks, n_max):
+    """``(mu, H_{g,mu})`` for every mu with |mu| <= n_max and len(mu) in
+    ``ks``, from one engine and one `h_series` per (g, k), as a table's
+    recursion route reads them."""
+    engine = LambertEngine(order=required_order(g, max(ks)))
+    for k in ks:
+        hs = h_series(engine.w(g, k), n_max)
+        for n in range(k, n_max + 1):
+            for mu in partitions_of(n):
+                if len(mu) == k:
+                    yield mu, extract_hurwitz(hs, g, mu)
 
 
 def genus_one_formula(mu):
@@ -458,17 +481,21 @@ class TestOracleClosedForms:
         return HurwitzOracle(n_max=8, g_max=1)
 
     def test_genus_zero_hurwitz_formula(self, oracle):
-        # H_{0,mu} = (n+l-2)! n^(l-3) prod mu_i^mu_i/mu_i! / |Aut mu|
         count = 0
         for n in range(1, 9):
             for mu in partitions_of(n):
-                l = len(mu)
-                expected = factorial(n + l - 2) * Fraction(n) ** (l - 3) / aut_size(mu)
-                for m in mu:
-                    expected *= Fraction(m**m, factorial(m))
-                assert oracle.hurwitz(0, mu) == expected, mu
+                assert oracle.hurwitz(0, mu) == genus_zero_formula(mu), mu
                 count += 1
         assert count == 66
+
+    def test_genus_zero_hurwitz_formula_by_recursion(self):
+        """Past the oracle's reach: every mu with 3 to 6 parts and |mu| <=
+        20, from W(0, 3), which has the Bergman kernel on both sides of its
+        one split, to W(0, 6)."""
+        rows = list(by_recursion(0, range(3, 7), 20))
+        assert len(rows) == 1392
+        for mu, value in rows:
+            assert value == genus_zero_formula(mu), mu
 
     def test_genus_one_formula(self, oracle):
         count = 0
@@ -479,10 +506,11 @@ class TestOracleClosedForms:
         assert count == 66
 
     def test_genus_one_formula_by_recursion(self):
-        engine = LambertEngine(order=required_order(1, 6))
-        for n in range(1, 7):
-            for mu in partitions_of(n):
-                assert hurwitz_by_recursion(engine, 1, mu) == genus_one_formula(mu), mu
+        """Every mu with at most 4 parts and |mu| <= 16."""
+        rows = list(by_recursion(1, range(1, 5), 16))
+        assert len(rows) == 358
+        for mu, value in rows:
+            assert value == genus_one_formula(mu), mu
 
     def test_one_part_formula(self):
         oracle = HurwitzOracle(n_max=12, g_max=6)
