@@ -34,7 +34,7 @@ import json
 import os
 
 from .poleform import PoleForm
-from .toprec import is_stable
+from .toprec import is_stable, outside_window
 
 CACHE_FORMAT = 3
 
@@ -58,10 +58,8 @@ def load_cache(path, fingerprint):
         for entry in doc["poleforms"]:
             form = PoleForm.from_obj(entry)
             g, k = key = (form.g, form.k)
-            # the degree sum(e_i - 1) of each key, in the window
-            low, high = 2 * g - 3 + k, 3 * g - 3 + k
-            outside = any(not low <= sum(e) - k <= high for e in form.nums)
-            if outside or key in out or not form.nums or not is_stable(*key):
+            bad = outside_window(g, k, form.nums) or not form.nums or not is_stable(*key)
+            if bad or key in out:
                 return {}
             out[key] = form
     except (ArithmeticError, LookupError, TypeError, ValueError):

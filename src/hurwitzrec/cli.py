@@ -10,9 +10,10 @@ Exit codes (64 to 74 as in sysexits.h):
 
 - 0 success;
 - 2 a mathematical mismatch was found;
-- 64 bad flags, including an empty ``--cache``, and ``--g-max``,
-  ``--n-max``, ``--cache`` or ``--verbose`` given to a ``check`` suite other
-  than ``bm``;
+- 64 bad flags, including an empty ``--cache``, a ``check`` suite other
+  than ``bm`` and ``elsv`` (``series`` and ``times`` among them: their checks
+  live in the test suite), and ``--g-max``, ``--n-max``, ``--cache`` or
+  ``--verbose`` given to ``check elsv``;
 - 65 request out of range, including a request above a size bound;
 - 70 internal inconsistency: an exact self-check of the recursion failed
   (for instance a form that is not symmetric in its slots), or a residue
@@ -93,7 +94,7 @@ def _build_parser():
     common(p_wkg)
 
     p_check = sub.add_parser("check", help="run a verification suite")
-    p_check.add_argument("suite", choices=("bm", "elsv", "times"))
+    p_check.add_argument("suite", choices=("bm", "elsv"))
     p_check.add_argument("--g-max", type=int, help="check bm only (default 1)")
     p_check.add_argument("--n-max", type=int, help="check bm only (default 4)")
     common(p_check)
@@ -239,30 +240,11 @@ def _cmd_check(args):
         print(f"-- {len(rows)} cases: {verdict}")
         return EX_OK if ok else EX_MISMATCH
 
-    if args.suite == "elsv":
-        from .bridge import elsv_consistency
+    from .bridge import elsv_consistency
 
-        report = elsv_consistency()
-        print(report.to_text())
-        return EX_OK if report.ok else EX_MISMATCH
-
-    from .bridge import times_by_recursion, times_from_curve
-    from .poleform import format_rational
-
-    t_max = 20
-    from_curve = times_from_curve(t_max)
-    from_recursion = times_by_recursion(t_max)
-    ok = True
-    for m, v in from_curve.items():
-        w = from_recursion[m]
-        match = v == w
-        ok = ok and match
-        print(
-            f"t_{m} = {format_rational(v)}"
-            + ("" if match else f"  RECURSION DISAGREES: {format_rational(w)}")
-        )
-    print("times: dual routes agree" if ok else "times: MISMATCH")
-    return EX_OK if ok else EX_MISMATCH
+    report = elsv_consistency()
+    print(report.to_text())
+    return EX_OK if report.ok else EX_MISMATCH
 
 
 def main(argv=None) -> int:

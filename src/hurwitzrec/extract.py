@@ -36,19 +36,6 @@ from .poleform import PoleForm, contract_slots, format_rational
 _ZERO = Fraction(0)
 
 
-def lambert_series(order: int):
-    """The Series L(v) with L(v) e^(-L(v)) = v, by reversion.
-
-    Coefficients are m^(m-1)/m!.
-    """
-    from .series import Series
-
-    if order < 1:
-        raise ValueError("order must be positive")
-    z = Series.identity(order + 1)
-    return (z * (-z).exp()).reversion().truncate(order)
-
-
 def basis_factors(m: int, top: int) -> list[int]:
     """m! [v^m] xihat_e(t) at z = L(v) for e = 0 .. top: the integers
     m^(m+e)."""

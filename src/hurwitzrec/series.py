@@ -1,19 +1,8 @@
-"""Truncated formal power/Laurent series over exact rationals.
+"""Truncated power series over exact rationals, as coefficient lists.
 
-A :class:`Series` stores coefficients for exponents in ``[min_exponent,
-trunc_order)``; exponents below ``min_exponent`` are known to be zero and
-exponents at or beyond ``trunc_order`` are unknown.  Every series carries an
-int ``trunc_order``, and ``Series(...)`` and the constructors `constant`,
-`monomial` and `identity` all need it.
-
-Every operation propagates the truncation order conservatively: a
-coefficient is reported only when the operands fully determine it.
-Arithmetic is exact; coefficients are `fractions.Fraction`.  A scalar added
-to or subtracted from a series is the constant known to that series' order;
-a scalar factor scales it.  `invert_unit`, `reversion`, `exp`, `log1p` and
-`sqrt_unit` return their result to the order their input determines.
-
-Products and reciprocals run on integers: `conv` and `unit_inverse` clear the
+A list ``a`` stands for ``sum a[n] * z**n`` known below ``z**len(a)``; the
+coefficients are `fractions.Fraction`s (or ``int``s).  Products and
+reciprocals run on integers: `conv` and `unit_inverse` clear the
 denominators of their inputs once, work on plain ``int``s and divide once at
 the end, so no intermediate result is a `Fraction`.
 """
@@ -21,243 +10,11 @@ the end, so no intermediate result is a `Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from math import lcm
 
 
 class TruncationError(ValueError):
     """A coefficient beyond the known truncation order was requested."""
-
-
-class Series:
-    """Laurent series ``sum c_e * z**e`` with explicit truncation order."""
-
-    __slots__ = ("min_exponent", "coefficients", "trunc_order")
-
-    def __init__(self, min_exponent, coefficients, trunc_order):
-        if not isinstance(trunc_order, int):
-            raise TypeError("trunc_order must be an int")
-        # zero padding up to trunc_order: len(coefficients) sizes the results
-        # of invert_unit and sqrt_unit
-        coeffs = [
-            c if isinstance(c, Fraction) else Fraction(c)
-            for c in coefficients[: max(0, trunc_order - min_exponent)]
-        ]
-        coeffs.extend([_ZERO] * (trunc_order - min_exponent - len(coeffs)))
-        # strip leading zeros: exponents below the first nonzero term are known zero
-        lead = 0
-        while lead < len(coeffs) and not coeffs[lead]:
-            lead += 1
-        coeffs = coeffs[lead:]
-        min_exponent = min_exponent + lead if coeffs else trunc_order
-        object.__setattr__(self, "min_exponent", min_exponent)
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-        object.__setattr__(self, "trunc_order", trunc_order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def constant(cls, c, trunc_order):
-        return cls(0, [c], trunc_order)
-
-    @classmethod
-    def monomial(cls, c, exponent, trunc_order):
-        return cls(exponent, [c], trunc_order)
-
-    @classmethod
-    def identity(cls, trunc_order):
-        """The series ``z``."""
-        return cls.monomial(1, 1, trunc_order)
-
-    # -- basic queries ---------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.coefficients
-
-    def coefficient(self, n):
-        """Coefficient at exponent ``n``; raises TruncationError if unknown."""
-        if n >= self.trunc_order:
-            raise TruncationError(
-                f"coefficient at exponent {n} is beyond truncation order {self.trunc_order}"
-            )
-        i = n - self.min_exponent
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
-        return _ZERO
-
-    def known_exponents(self):
-        return range(self.min_exponent, self.min_exponent + len(self.coefficients))
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return (
-            self.min_exponent == other.min_exponent
-            and self.coefficients == other.coefficients
-            and self.trunc_order == other.trunc_order
-        )
-
-    def __repr__(self):
-        parts = []
-        for n, c in zip(self.known_exponents(), self.coefficients):
-            if not c:
-                continue
-            if n == 0:
-                parts.append(f"{c}")
-            elif n == 1:
-                parts.append(f"{c}*z")
-            else:
-                parts.append(f"{c}*z^{n}")
-            if len(parts) > 8:
-                parts.append("...")
-                break
-        body = " + ".join(parts) if parts else "0"
-        return f"<Series {body} + O(z^{self.trunc_order})>"
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Series):
-            other = Series.constant(other, self.trunc_order)
-        t = min(self.trunc_order, other.trunc_order)
-        lo = min(self.min_exponent, other.min_exponent)
-        out = [_ZERO] * max(0, t - lo)
-        for s in (self, other):
-            for n, c in zip(s.known_exponents(), s.coefficients):
-                if n >= t:
-                    break
-                out[n - lo] += c
-        return Series(lo, out, t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series(self.min_exponent, [-c for c in self.coefficients], self.trunc_order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        c = Fraction(c)
-        return Series(self.min_exponent, [c * a for a in self.coefficients], self.trunc_order)
-
-    def shift(self, n):
-        """Multiply by ``z**n`` (pure exponent shift)."""
-        return Series(self.min_exponent + n, self.coefficients, self.trunc_order + n)
-
-    def __mul__(self, other):
-        if not isinstance(other, Series):
-            return self.scale(other)
-        t = min(
-            self.trunc_order + other.min_exponent, other.trunc_order + self.min_exponent
-        )
-        lo = self.min_exponent + other.min_exponent
-        return Series(lo, conv(self.coefficients, other.coefficients, t - lo), t)
-
-    __rmul__ = __mul__
-
-    def truncate(self, order):
-        """Forget all coefficients at exponents >= ``order``."""
-        if self.trunc_order <= order:
-            return self
-        n = max(0, order - self.min_exponent)
-        return Series(self.min_exponent, self.coefficients[:n], order)
-
-    # -- unit inversion ----------------------------------------------------
-
-    def invert_unit(self):
-        """Multiplicative inverse of a Laurent unit; ``z**m * u`` known below
-        ``t`` gives ``z**(-m) / u`` known below ``t - 2m``."""
-        if self.is_zero:
-            raise ValueError("cannot invert a series that is zero up to truncation")
-        m = self.min_exponent
-        b = unit_inverse(self.coefficients, len(self.coefficients))
-        return Series(-m, b, self.trunc_order - 2 * m)
-
-    # -- reversion ------------------------------------------------------------
-
-    def reversion(self):
-        """Compositional inverse: the unique b with self(b(z)) = z, known to
-        the order of self.
-
-        Computed by Lagrange inversion; requires a vanishing constant term
-        and a nonzero linear coefficient.
-        """
-        if self.is_zero or self.min_exponent != 1:
-            raise ValueError("reversion requires a(0) = 0 with nonzero linear term")
-        t = self.trunc_order
-        q = self.shift(-1).invert_unit()  # (z/a)(z), a unit power series known below t - 1
-        out = [_ZERO] * max(0, t - 1)
-        qn = Series.constant(1, t - 1)
-        for n in range(1, t):
-            qn = (qn * q).truncate(t - 1)
-            out[n - 1] = qn.coefficient(n - 1) / n
-        return Series(1, out, t)
-
-    # -- transcendental helpers ----------------------------------------------
-
-    def exp(self):
-        """exp of a series with positive valuation."""
-        return self._powersum(lambda n, fact: _ONE / fact, start=_ONE)
-
-    def log1p(self):
-        """log(1 + a) for a series a with positive valuation."""
-        return self._powersum(lambda n, fact: Fraction((-1) ** (n + 1), n), start=_ZERO)
-
-    def _powersum(self, coeff_of_n, start):
-        if not self.is_zero and self.min_exponent < 1:
-            raise ValueError("requires a series with positive valuation")
-        t = self.trunc_order
-        out = Series.constant(start, t)
-        power = Series.constant(1, t)
-        fact = 1
-        n = 0
-        while (n + 1) * self.min_exponent < t:
-            n += 1
-            fact *= n
-            power = (power * self).truncate(t)
-            out = out + power.scale(coeff_of_n(n, fact))
-        return out
-
-    def derivative(self):
-        """Termwise formal derivative."""
-        coeffs = [n * c for n, c in zip(self.known_exponents(), self.coefficients)]
-        return Series(self.min_exponent - 1, coeffs, self.trunc_order - 1)
-
-    def sqrt_unit(self):
-        """Square root of a series with an exact-square leading coefficient;
-        ``z**(2k) * u`` known below ``t`` gives ``z**k * sqrt(u)`` known below
-        ``t - k``."""
-        if self.is_zero:
-            raise ValueError("cannot take sqrt of a zero series")
-        if self.min_exponent % 2:
-            raise ValueError("sqrt needs an even leading exponent")
-        lead = self.coefficients[0]
-        rn, rd = isqrt(abs(lead.numerator)), isqrt(lead.denominator)
-        if rn * rn != lead.numerator or rd * rd != lead.denominator:
-            raise ValueError("leading coefficient is not a rational square")
-        m = self.min_exponent
-        u = self.shift(-m)  # unit power series
-        s0 = Fraction(rn, rd)
-        b = [s0]
-        half = Fraction(1, 2) / s0
-        for k in range(1, len(self.coefficients)):
-            acc = u.coefficient(k)
-            acc -= sum(b[i] * b[k - i] for i in range(1, k))
-            b.append(acc * half)
-        return Series(m // 2, b, self.trunc_order - m // 2)
-
-
-# -- integer loops ------------------------------------------------------------
 
 
 def clear_denominators(values):

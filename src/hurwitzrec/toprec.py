@@ -2,10 +2,11 @@
 instantiated on the Lambert curve x(z) = -z + ln z, y(z) = z.
 
 Everything is expanded in the local coordinate zeta = z - 1 at the unique
-branch point z* = 1, as truncated Laurent series known below the engine
-order; y = 1 + zeta enters only through zeta - sigma(zeta).  Correlation
-forms are finite PoleForms in the ELSV basis (see `poleform`); the residue
-in the recursion becomes coefficient extraction on those series.  The
+branch point z* = 1, as truncated power series, coefficient lists known
+below the engine order (see `series`); y = 1 + zeta enters only through
+zeta - sigma(zeta).  Correlation forms are finite PoleForms in the ELSV
+basis (see `poleform`); the residue in the recursion becomes coefficient
+extraction on those series.  The
 recursion kernel is never built: the residue against a pulled pair of slots
 is two reads of one integer table with a row U_s per pulled slot s, the slot
 on the other sheet over 2 (zeta - sigma) (see `LambertEngine.u_table`), and
@@ -47,9 +48,7 @@ from math import gcd, lcm
 
 from .partitions import aut_size
 from .poleform import PoleForm, basis_poles, pole_basis, poles_to_basis, splits
-from .series import Series, TruncationError, clear_denominators, conv_ints
-
-_HALF = Fraction(1, 2)
+from .series import TruncationError, clear_denominators, conv, conv_ints, unit_inverse
 
 
 # Part of the cache fingerprint: raise it whenever a change to the engine
@@ -91,17 +90,24 @@ def kernel_top(order: int) -> int:
     return order - 5
 
 
-def lambert_x(trunc_order: int) -> Series:
-    """x = -1 - zeta + log(1 + zeta) = -1 + sum_{n>=2} (-1)^(n+1) zeta^n / n,
-    the Lambert x(z) = -z + ln z at z = 1 + zeta, known below ``trunc_order``."""
+def lambert_x(trunc_order: int) -> list:
+    """The coefficients of zeta^0 .. zeta^(trunc_order - 1) in x = -1 - zeta +
+    log(1 + zeta) = -1 + sum_{n>=2} (-1)^(n+1) zeta^n / n, the Lambert x(z) =
+    -z + ln z at z = 1 + zeta."""
     tail = [Fraction((-1) ** (n + 1), n) for n in range(2, trunc_order)]
-    return Series(0, [-1, 0] + tail, trunc_order)
+    return [Fraction(-1), Fraction(0)] + tail
 
 
-def check_deck_involution(sigma: Series) -> Series:
-    """Return ``sigma`` if it is -zeta + O(zeta^2) and solves (1 + zeta)
-    sigma sigma' = zeta (1 + sigma) below its truncation order t, and raise
-    ValueError otherwise.
+def outside_window(g: int, k: int, keys) -> list:
+    """The keys whose degree sum(e_i - 1) lies outside 2g - 3 + k .. 3g - 3 +
+    k, where every key of a stable W(g, k) lies."""
+    return [key for key in keys if not 2 * g - 3 + k <= sum(key) - k <= 3 * g - 3 + k]
+
+
+def check_deck_involution(sigma: list) -> list:
+    """Return ``sigma``, the coefficients sigma_1 .. sigma_(t-1) of zeta^1 ..
+    zeta^(t-1), if sigma = -zeta + O(zeta^2) solves (1 + zeta) sigma sigma' =
+    zeta (1 + sigma) below zeta^t, and raise ValueError otherwise.
 
     This is the check that x(sigma) = x(zeta) through zeta^t.  With the
     Lambert x'(zeta) = -zeta / (1 + zeta), d/dzeta [x(sigma) - x(zeta)] is
@@ -110,9 +116,10 @@ def check_deck_involution(sigma: Series) -> Series:
     zeta^(t-1) exactly when x(sigma) - x(zeta) does through zeta^t.  The
     identity solves the equation too, hence the leading coefficient.
     """
-    zeta = Series.identity(sigma.trunc_order)
-    residual = (1 + zeta) * sigma * sigma.derivative() - zeta * (1 + sigma)
-    if sigma.coefficient(1) != -1 or not residual.is_zero:
+    # the residual over zeta: (1 + zeta) sigma sigma' / zeta - (1 + sigma)
+    product = conv(sigma, [i * c for i, c in enumerate(sigma, 1)], len(sigma))
+    residual = [a + b - c for a, b, c in zip(product, [0] + product, [1] + sigma)]
+    if sigma[:1] != [-1] or any(residual):
         raise ValueError("no deck involution exists at this order")
     return sigma
 
@@ -267,8 +274,10 @@ class LambertEngine:
         self._cache_source = None
 
     @cached_property
-    def sigma(self) -> Series:
-        """The deck involution at z* = 1, known below the engine order.
+    def sigma(self) -> list:
+        """The deck involution at z* = 1, known below the engine order: the
+        coefficients sigma_1 .. sigma_(order-1) of zeta^1 .. zeta^(order-1),
+        which are those of s = sigma / zeta from zeta^0.
 
         sigma = -zeta + O(zeta^2) solves (1 + zeta) sigma sigma' = zeta (1 +
         sigma), the derivative of x(sigma) = x(zeta).  With Q = sigma^2 this
@@ -288,7 +297,7 @@ class LambertEngine:
             q = (2 * sigma[n - 2] - (n - 1) * q) / n
             cross = sum(sigma[i] * sigma[n - i] for i in range(2, n - 1))
             sigma.append((cross - q) / 2)
-        return check_deck_involution(Series(1, sigma[1:], self.order))
+        return check_deck_involution(sigma[1:])
 
     @cached_property
     def _bergman_terms(self):
@@ -321,17 +330,20 @@ class LambertEngine:
     @cached_property
     def halves(self):
         """The two power series the residue table is made of, ``(rhat,
-        what)``: rhat = zeta R_0 = -(1/s + zeta) and what = zeta / (2 (zeta -
-        sigma)) = 1 / (2 (1 - s)), s = sigma / zeta.  A simple branch point
-        needs s = -1 + O(zeta), so that zeta - sigma vanishes to first order
-        and the kernel denominator (zeta - sigma) x' to second."""
-        s = self.sigma.shift(-1)
-        if s.coefficient(0) != -1:
+        what)``, known below zeta^(order - 1): rhat = zeta R_0 = -(1/s + zeta)
+        and what = zeta / (2 (zeta - sigma)) = 1 / (2 (1 - s)), s = sigma /
+        zeta, the list `sigma`.  A simple branch point needs s = -1 +
+        O(zeta), so that zeta - sigma vanishes to first order and the kernel
+        denominator (zeta - sigma) x' to second."""
+        s = self.sigma
+        if s[0] != -1:
             raise ValueError(
                 "kernel denominator must vanish to second order at a simple branch point"
             )
-        rhat = -(s.invert_unit() + Series.identity(s.trunc_order))
-        return rhat, (1 - s).invert_unit().scale(_HALF)
+        rhat = [-c for c in unit_inverse(s, len(s))]
+        rhat[1] -= 1
+        what = unit_inverse([1 - s[0]] + [-c for c in s[1:]], len(s))
+        return rhat, [c / 2 for c in what]
 
     @cached_property
     def u_table(self):
@@ -362,24 +374,18 @@ class LambertEngine:
         """
         order, top = self.order, kernel_top(self.order)
         known = order - 2
-
-        def cleared(f):
-            if f.min_exponent < 0:
-                raise ValueError("a half starts below zeta^0, which the table would drop")
-            return clear_denominators([f.coefficient(n) for n in range(known)])
-
         rows = {}
 
         def put(slot, den, nums):
             common = gcd(den, *nums)
             rows[slot] = den // common, [v // common for v in nums]
 
-        (den_r, rhat), (den_w, what) = (cleared(half) for half in self.halves)
+        (den_r, rhat), (den_w, what) = (clear_denominators(half[:known]) for half in self.halves)
         for x in range(top // 2 + 1):
             put(x, den_r * den_w, conv_ints(rhat, what, known))
             q = [(n - 2 * x - 1) * v for n, v in enumerate(rhat)]
             rhat = [-q[0]] + [-(q[n] + q[n - 1]) for n in range(1, known)]
-        den_s, s = cleared(self.sigma.shift(-1))
+        den_s, s = clear_denominators(self.sigma[:known])
         for m in range(1, top - 1):
             den, nums = rows[1 - m]
             put(-m, den * den_s, conv_ints(nums, s, known))
@@ -478,9 +484,11 @@ class LambertEngine:
         # is nonzero, and W(1,1)'s order 10 puts the kernel's top at 5.  The
         # row goes into the basis as a pair-table row does, and is W(1,1)'s
         # whole running sum.
-        rhat, what = (half.truncate(3) for half in self.halves)
-        g = rhat * what * what * what
-        den, nums = clear_denominators([8 * g.coefficient(4 - p) for p in (2, 3, 4)])
+        rhat, what = self.halves
+        g = rhat[:3]
+        for _ in range(3):
+            g = conv(g, what, 3)
+        den, nums = clear_denominators([8 * g[4 - p] for p in (2, 3, 4)])
         den_basis, to_basis = pole_basis(kernel_top(self.order))
         return den * den_basis, {(): poles_to_basis(dict(zip((2, 3, 4), nums)), to_basis)}
 
@@ -497,8 +505,9 @@ class LambertEngine:
         """Collapse the form's running sum ``acc``, ``{rest: {index: num}}``
         over ``den`` (fixed in `w` before the first sweep), into a symmetric
         PoleForm, entries that cancel to 0 ignored, checking that every way
-        of singling out the first slot agrees and that no key with a residual
-        index is nonzero.  A failure means the truncation order was
+        of singling out the first slot agrees, that no key with a residual
+        index is nonzero and that every key lies in the window of
+        `outside_window`.  A failure means the truncation order was
         insufficient or, when the preloaded forms ``fed`` went into it, that
         the cache file is wrong."""
 
@@ -524,7 +533,10 @@ class LambertEngine:
             if any(v != vals[0] for v in vals):
                 fail("slot-symmetry violated", full)
             terms[full] = vals[0]
-        residual = [full for full in sorted(terms) if full[-1] < 0]
+        residual = [full for full in fulls if full[-1] < 0]
         if residual:
-            fail("residual index nonzero", residual[0])
+            fail("residual index nonzero", min(residual))
+        outside = outside_window(g, k, terms)
+        if outside:
+            fail("key outside the Hodge window", min(outside))
         return PoleForm(g, k, terms, den)

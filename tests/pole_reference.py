@@ -24,7 +24,7 @@ from math import comb, factorial, lcm
 
 from hurwitzrec.partitions import aut_size
 from hurwitzrec.poleform import basis_poles
-from hurwitzrec.series import Series
+from series_reference import Series
 
 
 def _orderings(key) -> int:

@@ -2,18 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzrec.bridge import (
-    elsv_consistency,
-    f_series,
-    g_series,
-    times_by_recursion,
-    times_from_curve,
-    xi_of_zeta,
-    y_of_xi,
-)
+from hurwitzrec.bridge import elsv_consistency
 from hurwitzrec.partitions import HurwitzOracle
-from hurwitzrec.series import Series
-from series_reference import agrees_with, compose
+from curve_reference import (
+    f_series, g_series, times_by_recursion, times_from_curve, xi_of_zeta, y_of_xi,
+)
+from series_reference import Series, agrees_with, compose
 
 F = Fraction
 

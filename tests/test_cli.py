@@ -117,12 +117,13 @@ class TestWkg:
 
 
 class TestCheck:
-    def test_times_suite(self):
+    def test_times_suite_refused(self):
+        # the times are checked in the test suite, as the series are
         r = run_cli("check", "times")
-        assert r.returncode == 0
-        assert "t_3 = 3/1" in r.stdout
-        assert "t_4 = 1/3" in r.stdout
-        assert "dual routes agree" in r.stdout
+        assert r.returncode == 64 and r.stdout == ""
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:")
+        assert "invalid choice: 'times'" in lines[0]
 
     def test_series_suite_refused(self):
         # the series checks live in the test suite, not in the CLI
@@ -131,7 +132,8 @@ class TestCheck:
         assert r.stdout == ""
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error:")
-        assert all(repr(suite) in lines[0] for suite in ("bm", "elsv", "times"))
+        assert all(repr(suite) in lines[0] for suite in ("bm", "elsv"))
+        assert "times" not in lines[0]
 
     def test_elsv_suite(self):
         r = run_cli("check", "elsv")
@@ -155,8 +157,8 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "args",
-        [("times", "--g-max", "99"), ("elsv", "--n-max", "3")],
-        ids=["times", "elsv"],
+        [("elsv", "--g-max", "99"), ("elsv", "--n-max", "3")],
+        ids=["elsv-g-max", "elsv"],
     )
     def test_bm_flags_refused_elsewhere(self, args):
         r = run_cli("check", *args)
@@ -166,7 +168,7 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "args",
-        [("times", "--cache", "/nonexistent/dir/x.json"), ("elsv", "--verbose")],
+        [("elsv", "--cache", "/nonexistent/dir/x.json"), ("elsv", "--verbose")],
         ids=["cache", "verbose"],
     )
     def test_cache_flags_refused_elsewhere(self, args):
@@ -700,7 +702,7 @@ class TestExitCodes:
 
         def flipped(self):
             rhat, what = halves(self)
-            return rhat, -what
+            return rhat, [-c for c in what]
 
         monkeypatch.delenv("HURWITZREC_CACHE", raising=False)
         monkeypatch.setattr(toprec.LambertEngine, "halves", property(flipped))

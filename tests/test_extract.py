@@ -10,15 +10,14 @@ from hurwitzrec.extract import (
     extract_hurwitz,
     h_series,
     hurwitz_by_recursion,
-    lambert_series,
     verify_bm,
 )
 from hurwitzrec.partitions import HurwitzOracle, partitions_of
 from hurwitzrec.poleform import basis_poles
-from hurwitzrec.series import Series
 from hurwitzrec.toprec import LambertEngine, is_stable, required_order
+from curve_reference import lambert_series
 from pole_reference import pole_factor_int, pole_factor_series, pole_h_coeffs
-from series_reference import agrees_with, compose
+from series_reference import Series, agrees_with, compose
 
 F = Fraction
 
@@ -252,7 +251,7 @@ class TestVerifyBM:
         # pair-table row and the two-sided term 4 rhat what^3 zeta^(-4)
         bad = LambertEngine(order=required_order(1, 3))
         rhat, what = bad.halves
-        bad.halves = rhat, -what
+        bad.halves = rhat, [-c for c in what]
         assert "u_table" not in bad.__dict__
         rows = verify_bm(1, 3, engine=bad)
         assert not all(r["equal"] for r in rows)

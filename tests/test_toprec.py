@@ -8,9 +8,8 @@ from math import gcd
 import pytest
 
 from hurwitzrec import toprec
-from hurwitzrec.bridge import odd_coordinate
 from hurwitzrec.poleform import PoleForm, basis_poles, contract_slots, pole_basis, splits
-from hurwitzrec.series import Series, TruncationError, clear_denominators
+from hurwitzrec.series import TruncationError, clear_denominators
 from hurwitzrec.toprec import (
     ENGINE_VERSION,
     LambertEngine,
@@ -21,8 +20,9 @@ from hurwitzrec.toprec import (
     pair_sweep,
     required_order,
 )
+from curve_reference import odd_coordinate, sigma_series, x_series
 from pole_reference import _orderings, ordered_pole_expansion, reference_pole_terms
-from series_reference import agrees_with, compose, zero
+from series_reference import Series, agrees_with, compose, zero
 
 F = Fraction
 
@@ -35,11 +35,8 @@ def engine():
 class TestCurve:
     def test_x_local_expansion(self):
         x = lambert_x(10)
-        assert x.coefficient(0) == -1
-        assert x.coefficient(1) == 0
-        assert x.coefficient(2) == F(-1, 2)
-        assert x.coefficient(3) == F(1, 3)
-        assert x.coefficient(4) == F(-1, 4)
+        assert len(x) == 10
+        assert x[:5] == [-1, 0, F(-1, 2), F(1, 3), F(-1, 4)]
 
     def test_minimum_order(self):
         with pytest.raises(ValueError, match="at least 8"):
@@ -47,8 +44,8 @@ class TestCurve:
 
     def test_omega_leading_order(self):
         # (y - y o sigma) * x' = (zeta - sigma) * x' = -2 zeta^2 + ...
-        sigma = LambertEngine(order=10).sigma
-        omega = (Series.identity(10) - sigma) * lambert_x(10).derivative()
+        sigma = sigma_series(LambertEngine(order=10))
+        omega = (Series.identity(10) - sigma) * x_series(10).derivative()
         assert omega.min_exponent == 2
         assert omega.coefficient(2) == -2
 
@@ -84,10 +81,8 @@ def newton_deck_involution(x_local, order):
 class TestDeckInvolution:
     def test_lambert_leading_terms(self):
         sigma = LambertEngine(order=10).sigma
-        assert sigma.coefficient(1) == -1
-        assert sigma.coefficient(2) == F(2, 3)
-        assert sigma.coefficient(3) == F(-4, 9)
-        assert sigma.coefficient(4) == F(44, 135)
+        assert len(sigma) == 9
+        assert sigma[:4] == [-1, F(2, 3), F(-4, 9), F(44, 135)]
 
     def test_pure_quadratic(self):
         x = Series(0, [-1, 0, F(-1, 2)], 11)
@@ -95,12 +90,12 @@ class TestDeckInvolution:
         assert sigma == Series.monomial(-1, 1, 10)
 
     def test_involution_property(self):
-        sigma = LambertEngine(order=12).sigma
+        sigma = sigma_series(LambertEngine(order=12))
         assert agrees_with(compose(sigma, sigma), Series.identity(12))
 
     def test_fixes_x(self):
-        sigma = LambertEngine(order=12).sigma
-        x = lambert_x(12)
+        sigma = sigma_series(LambertEngine(order=12))
+        x = x_series(12)
         assert agrees_with(compose(x, sigma), x)
 
     def test_rejects_non_simple(self):
@@ -111,8 +106,8 @@ class TestDeckInvolution:
     @pytest.mark.parametrize("order", range(8, 41))
     def test_matches_newton_reference(self, order):
         # x known to exactly order + 1, the least deck_involution accepts
-        x = lambert_x(order + 1)
-        sigma = LambertEngine(order=order).sigma
+        x = x_series(order + 1)
+        sigma = sigma_series(LambertEngine(order=order))
         assert sigma == deck_involution(x, order)
         assert sigma == newton_deck_involution(x, order)
 
@@ -127,18 +122,19 @@ class TestDeckInvolution:
         # below the truncation order would miss it
         sigma = LambertEngine(order=28).sigma
         assert check_deck_involution(sigma) is sigma
-        perturbed = sigma + Series.monomial(1, n, 28)
+        perturbed = list(sigma)
+        perturbed[n - 1] += 1
         with pytest.raises(ValueError, match="no deck involution"):
             check_deck_involution(perturbed)
 
     def test_residual_check_rejects_the_identity(self):
         # the identity fixes x and solves the equation too
         with pytest.raises(ValueError, match="no deck involution"):
-            check_deck_involution(Series.identity(28))
+            check_deck_involution([1] + [0] * 26)
 
     def test_odd_coordinate_squares_to_x(self):
         # x = x0 + c2*xi^2, checked from the definition for the Lambert x
-        x = lambert_x(21)
+        x = x_series(21)
         xi = odd_coordinate(x, 20)
         assert agrees_with(-1 + (xi * xi).scale(F(-1, 2)), x.truncate(21))
 
@@ -147,8 +143,8 @@ def reference_kernel(engine):
     """The recursion kernel built piece by piece, the reference for the
     engine's rows: ``{p: Series}`` with K_p = (zeta^(p-1) - sigma^(p-1)) /
     (2 omega), omega = (zeta - sigma) x', for p = 2 .. order - 5."""
-    order, sigma = engine.order, engine.sigma
-    omega = (Series.identity(order) - sigma) * lambert_x(order).derivative()
+    order, sigma = engine.order, sigma_series(engine)
+    omega = (Series.identity(order) - sigma) * x_series(order).derivative()
     invden = omega.invert_unit()
     pieces, sigma_pow = {}, Series.constant(1, order)
     for p in range(2, order - 4):
@@ -160,7 +156,7 @@ def reference_kernel(engine):
 def other_sheet(engine, b):
     """sigma' sigma^(-b): pole data b placed on the other sheet, as a Laurent
     series in zeta, one factor of sigma^(-1) or sigma at a time."""
-    sigma = engine.sigma
+    sigma = sigma_series(engine)
     factor = sigma.invert_unit() if b > 0 else sigma
     out = sigma.derivative()
     for _ in range(abs(b)):
@@ -171,8 +167,9 @@ def other_sheet(engine, b):
 def two_sided_bergman(engine):
     """B(z(zeta), z(sigma(zeta))) = sigma' / (zeta - sigma)^2 pulled back to
     zeta, double pole kept."""
-    d = Series.identity(engine.order) - engine.sigma
-    return (engine.sigma.derivative() * (d * d).invert_unit()).truncate(engine.order)
+    sigma = sigma_series(engine)
+    d = Series.identity(engine.order) - sigma
+    return (sigma.derivative() * (d * d).invert_unit()).truncate(engine.order)
 
 
 def index_poles(index):
@@ -311,7 +308,7 @@ class TestKernel:
         # sigma = zeta + zeta^2 makes (zeta - sigma) x' vanish to third order:
         # s = sigma / zeta = 1 + zeta has constant term 1, not -1
         eng = LambertEngine(order=10)
-        eng.sigma = Series(1, [1, 1], 10)
+        eng.sigma = [1, 1] + [0] * 7
         with pytest.raises(ValueError, match="second order"):
             eng.halves
 
@@ -323,11 +320,11 @@ def reference_u_table(engine):
     b <= order - 5.  u(0) is sigma' / (2 omega) shifted, and u(b) = s^(-b)
     u(0), s = sigma / zeta, one factor at a time; cleared of denominators
     at the end over all entries at once."""
-    order = engine.order
-    omega = (Series.identity(order) - engine.sigma) * lambert_x(order).derivative()
-    s = engine.sigma.shift(-1)
+    order, sigma = engine.order, sigma_series(engine)
+    omega = (Series.identity(order) - sigma) * x_series(order).derivative()
+    s = sigma.shift(-1)
     s_inv = s.invert_unit()
-    u = {0: (engine.sigma.derivative() * omega.invert_unit()).scale(F(1, 2)).shift(2)}
+    u = {0: (sigma.derivative() * omega.invert_unit()).scale(F(1, 2)).shift(2)}
     for b in range(1, order - 4):
         u[b] = u[b - 1] * s_inv
     for b in range(-1, 6 - order, -1):
@@ -404,9 +401,10 @@ class TestResidueTable:
         s = sigma / zeta."""
         engine = LambertEngine(order=order)
         assert sorted(engine.u_table[1]) == list(slot_range(order))
-        omega = (Series.identity(order) - engine.sigma) * lambert_x(order).derivative()
+        sigma = sigma_series(engine)
+        omega = (Series.identity(order) - sigma) * x_series(order).derivative()
         half_over_omega = omega.invert_unit().scale(F(1, 2))
-        s = engine.sigma.shift(-1)
+        s = sigma.shift(-1)
         u0 = table_series(engine, 0)
         s_power = Series.constant(1, order - 2)
         for slot in slot_range(order):
@@ -446,27 +444,6 @@ class TestResidueTable:
                 continue
             got = row_poles(table.den, table[x, y])
             assert got == {p: F(v, ref_den) for p, v in want.items()}, (x, y)
-
-    def test_set_up_uses_no_reversion_or_composition(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("generic series route used in the curve set-up")
-
-        monkeypatch.setattr(Series, "reversion", refuse)
-        # composition exists only among the tests' references
-        assert not hasattr(Series, "compose")
-        den, u = LambertEngine(order=28).u_table
-        assert den > 0 and sorted(u) == list(slot_range(28))
-
-    def test_rejects_e_starting_below_its_index(self):
-        # a zeta^(-1) term in either half would give U_0 = zeta^2 e(0) a
-        # zeta^(-1) term, e(0) one below its index, which the table drops
-        for which in (0, 1):
-            engine = LambertEngine(order=10)
-            halves = list(engine.halves)
-            halves[which] = halves[which] + Series.monomial(1, -1, 9)
-            engine.halves = tuple(halves)
-            with pytest.raises(ValueError, match="starts below"):
-                engine.u_table
 
     @pytest.mark.parametrize("order", [8, 12, 20, 28])
     def test_rows_equal_reference_residues(self, order):
@@ -562,6 +539,17 @@ class TestStability:
     def test_insufficient_order(self):
         eng = LambertEngine(order=8)
         with pytest.raises(ValueError, match="order"):
+            eng.w(2, 1)
+
+    def test_key_outside_the_window_refused(self):
+        # one pair-table entry raised by 1 gives W(2,1) a nonzero key (2,),
+        # below its window; a one-slot form has no slot symmetry to break
+        eng = LambertEngine(order=required_order(2, 1))
+        eng.w(1, 2)
+        row = dict(eng.pair_table[1, 1])
+        row[2] += 1
+        eng.pair_table[1, 1] = row
+        with pytest.raises(ArithmeticError, match=r"outside the Hodge window .* at \(2,\)"):
             eng.w(2, 1)
 
 
@@ -948,8 +936,7 @@ class TestFingerprint:
         # ENGINE_VERSION without putting in the new one fails here
         import hashlib
 
-        x_local = lambert_x(8)
-        coeffs = ",".join(str(x_local.coefficient(n)) for n in range(8))
+        coeffs = ",".join(str(c) for c in lambert_x(8))
         raw = f"lambert-t1|engine={ENGINE_VERSION}|sign=1|x={coeffs}"
         assert hashlib.sha256(raw.encode()).hexdigest()[:16] == "daf91dc4013b9690"
 
