@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import HurwitzOracle, aut_size, check_partition
-from .poleform import format_rational
+from .partitions import HurwitzOracle, aut_size, check_partition, format_rational
 
 
 def _elsv_prefactor(g: int, mu) -> Fraction:

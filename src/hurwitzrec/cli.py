@@ -53,9 +53,9 @@ CACHE_ENV = "HURWITZREC_CACHE"
 # about 0.17 s, 0.23 s and 0.83 s of CPU in process on a 2-core Intel Xeon
 # virtual machine (wkg 2 13, which also writes the form's 16,799 pole terms,
 # takes about 2.9 s as a whole process).  The oracle's cost grows fastest
-# with |mu|: in process on the same machine, HurwitzOracle(12, 3) takes about
-# 0.2 s of CPU, and past the bound HurwitzOracle(14, 3) 0.52-0.57 s and
-# HurwitzOracle(14, 6) 0.85-0.98 s, about three quarters of it in log.  Its
+# with |mu|: in a fresh process on the same machine, HurwitzOracle(12, 3)
+# takes 0.06-0.10 s of CPU, and past the bound HurwitzOracle(14, 3)
+# 0.18-0.32 s and HurwitzOracle(14, 6) 0.25-0.52 s, most of it in log.  Its
 # genus bound is the highest genus whose W(g,1) the recursion's bound admits:
 # W(g,1) needs order 6g + 4 (toprec.required_order), so the bound is 6 (a
 # test holds the two in step).

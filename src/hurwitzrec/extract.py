@@ -30,8 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .partitions import HurwitzOracle, aut_size, check_partition, partitions_of
-from .poleform import PoleForm, contract_slots, format_rational
+from .partitions import HurwitzOracle, aut_size, check_partition, format_rational, partitions_of
 
 _ZERO = Fraction(0)
 
@@ -66,10 +65,12 @@ class HSeries:
         return self.coeffs.get(exponents, _ZERO)
 
 
-def h_series(form: PoleForm, n_max: int) -> HSeries:
-    """Expand a PoleForm into the v-variables through z_i = L(v_i): the
-    `contract_slots` of its numerators with the rows m^(m+e) of each part m,
-    each total divided by den * prod_i mu_i!."""
+def h_series(form, n_max: int) -> HSeries:
+    """Expand a `poleform.PoleForm` into the v-variables through
+    z_i = L(v_i): the `contract_slots` of its numerators with the rows
+    m^(m+e) of each part m, each total divided by den * prod_i mu_i!."""
+    from .poleform import contract_slots  # an oracle table loads no form code
+
     top = max((key[0] for key in form.nums), default=0)
     factors = [None] + [basis_factors(m, top) for m in range(1, n_max + 1)]
     coeffs = {

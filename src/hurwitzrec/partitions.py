@@ -3,12 +3,13 @@ count of branched covers.
 
 Partitions are weakly-decreasing tuples of positive integers.  Characters are
 evaluated by the Murnaghan-Nakayama rule on beta-sets (first-column hook
-lengths), which makes border-strip removal a single subtraction; one row
-holds chi_lam(mu) for every lam of |mu| at once, from the row of mu less its
-largest part.  This is the module's one character table: the dimensions are
-its row of the identity class (1^n).  The Burnside counts sum the terms of
-the lam that share one |f_c2(lam)| once, a partition and its conjugate among
-them (see `_burnside_weights`).
+lengths, Macdonald I.1), each held as a bit mask, which makes border-strip
+removal two bit flips and its sign a count of the set bits between them
+(Macdonald I.7); one row holds chi_lam(mu) for every lam of |mu| at once,
+from the row of mu less its largest part.  This is the module's one
+character table: the dimensions are its row of the identity class (1^n).
+The Burnside counts sum the terms of the lam that share one |f_c2(lam)|
+once, a partition and its conjugate among them (see `_burnside_weights`).
 
 The connected-cover oracle builds the generating function Z of
 disconnected cover counts, graded by the degree n, the monomial p_mu and the
@@ -39,7 +40,13 @@ The series hold no Fraction.  Each degree n of Z and F is a dict of integer
 numerators over one positive denominator, in lowest terms: build_z writes
 degree n over (n!)^2 w_max!, and each step of log brings its terms to the
 lcm of their denominators, sums in integers and divides by n times that lcm
-once.  A Fraction is made only when a coefficient is read.
+once.  A Fraction is made only when a coefficient is read.  Inside log a
+term (mu, e) is one int, its packed key (see `PSeriesZ.log`), so that the
+product of two terms is the sum of their keys.
+
+The module also holds the text form "num/den" of a rational, which every
+route prints and the cache stores, so that a request that reads only the
+oracle loads no other module of the package.
 """
 
 from __future__ import annotations
@@ -47,8 +54,22 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, lcm, prod
+from operator import mul
 
 Partition = tuple[int, ...]
+
+
+def format_rational(q: Fraction) -> str:
+    """q as "num/den", the form of every printed and cached rational."""
+    return f"{q.numerator}/{q.denominator}"
+
+
+def parse_rational(s: str) -> Fraction:
+    """The rational written "num/den" or "num"; a non-string is refused."""
+    if not isinstance(s, str):
+        raise ValueError(f"a rational is written as a string, not {s!r}")
+    num, _, den = s.partition("/")
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def check_partition(mu) -> Partition:
@@ -107,12 +128,6 @@ def h_encoding(lam: Partition, N: int) -> tuple[int, ...]:
     return tuple(padded[i] - (i + 1) + N for i in range(N))
 
 
-def _beta_to_partition(h) -> Partition:
-    n = len(h)
-    lam = tuple(h[i] - (n - 1 - i) for i in range(n))
-    return tuple(x for x in lam if x > 0)
-
-
 def class_size(mu: Partition) -> int:
     """Cardinality of the conjugacy class of cycle type mu in S_{|mu|}: n!
     over the order |Aut mu| * prod(mu) of a permutation's centralizer."""
@@ -138,30 +153,30 @@ def _strips(n: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each lam in partitions_of(n), the border strips of size r: one pair
     (index of lam less the strip in partitions_of(n - r), sign) per strip.
 
-    On the beta-set h of lam, removing a strip subtracts r from one entry hi
-    whose result lo is a free nonnegative slot; the sign is (-1) to the number
-    of entries strictly between lo and hi."""
-    index = _index(n - r)
+    On the beta-set mask of lam, a strip moves a set bit hi down to a clear
+    bit lo = hi - r; the sign is (-1) to the number of set bits strictly
+    between them.  Trailing set bits of the result are zero parts, shifted
+    off before it is looked up."""
+    index = {mask: i for i, mask in enumerate(_masks(n - r))}
+    gap = (1 << (r - 1)) - 1
     out = []
-    for lam in partitions_of(n):
-        N = len(lam)
-        h = h_encoding(lam, N)
+    for mask in _masks(n):
         strips = []
-        for hi in h:
-            lo = hi - r
-            if lo < 0 or lo in h:
-                continue
-            sub = sorted([x for x in h if x != hi] + [lo], reverse=True)
-            sign = -1 if sum(lo < x < hi for x in h) % 2 else 1
-            strips.append((index[_beta_to_partition(sub)], sign))
+        for lo in range(mask.bit_length() - r - 1, -1, -1):  # hi from the top down
+            if mask >> (lo + r) & 1 and not mask >> lo & 1:
+                sub = mask ^ (1 << (lo + r)) ^ (1 << lo)
+                sub >>= (~sub & (sub + 1)).bit_length() - 1
+                between = (mask >> (lo + 1) & gap).bit_count()
+                strips.append((index[sub], -1 if between % 2 else 1))
         out.append(tuple(strips))
     return tuple(out)
 
 
 @cache
-def _index(n: int) -> dict[Partition, int]:
-    """Each partition of n to its position in partitions_of(n)."""
-    return {lam: i for i, lam in enumerate(partitions_of(n))}
+def _masks(n: int) -> tuple[int, ...]:
+    """The beta-set of each lam in partitions_of(n), with one entry per part,
+    as the bit mask sum 2^h_i; bit 0 is clear, as lam has no zero part."""
+    return tuple(sum(1 << h for h in h_encoding(lam, len(lam))) for lam in partitions_of(n))
 
 
 @cache
@@ -234,6 +249,8 @@ class PSeriesZ:
 
     def coefficient(self, n: int, mu: Partition, e: int) -> Fraction:
         mu = check_partition(mu)
+        if sum(mu) != n:
+            raise ValueError(f"partition {mu} is not of degree {n}")
         if n > self.n_max or e + 2 * n > self.w_max:
             raise ValueError(
                 f"term of degree {n} and exponent {e} beyond truncation "
@@ -261,35 +278,60 @@ class PSeriesZ:
         F_n = Z_n - (1/n) sum_{k<n} k F_k Z_{n-k}, skipping every product of
         weight above w_max.
 
-        Z_n and each k F_k Z_{n-k} are brought to the lcm L of their
-        denominators, with k and L's cofactor folded into the outer
+        A term (mu, e) is packed into one int, e S + sum_i B^mu_i with
+        B = n_max + 1 and S = B^(n_max + 1): digit p in base B is the
+        multiplicity of the part p, which stays below B in any degree up to
+        n_max, so the key of a product is the sum of its factors' keys.  Each
+        degree of F is decoded once, by floor divmod, which keeps a negative
+        e whole.  Z_n and each k F_k Z_{n-k} are brought to the lcm L of
+        their denominators, with k and L's cofactor folded into the outer
         coefficient, so a kept product costs one integer multiply and one
         add; the sum is over n L.  A product of degree n has weight
-        ea + eb + 2n, so it is kept when ea + eb <= w_max - 2n.
+        ea + eb + 2n, so it is kept when ea + eb <= w_max - 2n; each degree
+        of Z is sorted by e, so the first eb above the cap ends the row.
         """
         if self.data[0] != {((), 0): self.den[0]}:
             raise ValueError("log requires a series with constant term 1")
+        base = self.n_max + 1
+        shift = base**base
         z, f = self, PSeriesZ(self.n_max, self.w_max)
+        zk = [
+            sorted(((e * shift + sum(base**p for p in mu), e, v)
+                    for (mu, e), v in terms.items()), key=lambda t: t[1])
+            for terms in z.data.values()
+        ]
+        fk = [None]
         for n in range(1, self.n_max + 1):
             lcd = lcm(z.den[n], *(f.den[k] * z.den[n - k] for k in range(1, n)))
-            out = {key: v * n * lcd // z.den[n] for key, v in z.data[n].items()}
+            out = {key: v * n * lcd // z.den[n] for key, _e, v in zk[n]}
             e_cap = self.w_max - 2 * n
             for k in range(1, n):
                 scale = -k * lcd // (f.den[k] * z.den[n - k])
-                terms_z = z.data[n - k].items()
-                for (mua, ea), ca in f.data[k].items():
+                terms_z = zk[n - k]
+                for ka, ea, ca in fk[k]:
                     eb_cap = e_cap - ea
                     ca *= scale
-                    for (mub, eb), cb in terms_z:
-                        if eb <= eb_cap:
-                            key = (_merge_partitions(mua, mub), ea + eb)
-                            out[key] = out.get(key, 0) + ca * cb
-            f._set(n, out, n * lcd)
+                    for kb, eb, cb in terms_z:
+                        if eb > eb_cap:
+                            break
+                        key = ka + kb
+                        out[key] = out.get(key, 0) + ca * cb
+            f._set(n, {_unpack(key, base, shift): v for key, v in out.items() if v}, n * lcd)
+            g = n * lcd // f.den[n]
+            fk.append([(key, key // shift, v // g) for key, v in out.items() if v])
         return f
 
 
-def _merge_partitions(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
+def _unpack(key: int, base: int, shift: int) -> tuple[Partition, int]:
+    """The term (mu, e) packed into ``key = e * shift + sum(base**part)``:
+    digit p in base ``base`` is the multiplicity of the part p."""
+    e, parts = divmod(key, shift)
+    mu, p = [], 0
+    while parts:
+        parts, count = divmod(parts, base)
+        mu[:0] = [p] * count
+        p += 1
+    return tuple(mu), e
 
 
 def build_z(n_max: int, w_max: int) -> PSeriesZ:
@@ -303,16 +345,21 @@ def build_z(n_max: int, w_max: int) -> PSeriesZ:
     |C_mu| * sum w f^b * (w_max! / b!), with the pairs (w, f) of
     `_burnside_weights`, one per distinct |f_c2(lam)|."""
     top = factorial(w_max)
+    cofactor = [top // factorial(b) for b in range(w_max + 1)]
     z = PSeriesZ(n_max, w_max)
     z.data[0] = {((), 0): 1}
     for n in range(1, n_max + 1):
         nums = {}
         for mu in partitions_of(n):
             lmu, size = len(mu), class_size(mu)
+            weights = _burnside_weights(mu)
+            squares = [f * f for _w, f in weights]
             # b must have the parity of n + len(mu) for a cover to exist
-            for b in range((n + lmu) % 2, w_max - n + lmu + 1, 2):
-                total = sum(w * f**b for w, f in _burnside_weights(mu))
-                nums[(mu, b - n - lmu)] = size * total * (top // factorial(b))
+            b0 = (n + lmu) % 2
+            powers = [w * f**b0 for w, f in weights]  # w f^b, stepped by f^2
+            for b in range(b0, w_max - n + lmu + 1, 2):
+                nums[(mu, b - n - lmu)] = size * sum(powers) * cofactor[b]
+                powers = list(map(mul, powers, squares))
         z._set(n, nums, factorial(n) ** 2 * top)
     return z
 

@@ -36,16 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-
-def format_rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    if not isinstance(s, str):
-        raise ValueError(f"a rational is written as a string, not {s!r}")
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+from .partitions import format_rational, parse_rational
 
 
 def splits(key):

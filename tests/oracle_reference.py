@@ -4,7 +4,8 @@ The oracle reads whole rows of its one character table and sums one Burnside
 weight per |f_c2|; the tests hold it to the definitions written here one lam
 at a time: single characters and dimensions read from those rows, the
 central character |C_mu| chi_lam(mu) / dim(lam), and the unfolded Burnside
-count of disconnected covers.
+count of disconnected covers.  `strips_by_walk` finds the border strips on
+sorted beta-set tuples, the reference for the package's bit-mask `_strips`.
 
 The series references work on ``{n: {(mu, e): Fraction}}`` dicts: log and
 exp as full power sums of the cut series, with no graded identity, no common
@@ -13,16 +14,47 @@ denominator and no weight cut until the end.  They share no code with
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from hurwitzrec.partitions import (
     _chars,
-    _index,
     check_partition,
     class_size,
     f_c2,
+    h_encoding,
     partitions_of,
 )
+
+
+@cache
+def _index(n):
+    """Each partition of n to its position in partitions_of(n)."""
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
+
+
+def strips_by_walk(n, r):
+    """The border strips of size r of each lam in partitions_of(n), as
+    `partitions._strips` lists them, found on the sorted beta-set tuple:
+    subtract r from one entry hi whose result lo is a free nonnegative slot,
+    re-sort, and read the partition back; the sign is (-1) to the number of
+    entries strictly between lo and hi."""
+    index = _index(n - r)
+    out = []
+    for lam in partitions_of(n):
+        N = len(lam)
+        h = h_encoding(lam, N)
+        strips = []
+        for hi in h:
+            lo = hi - r
+            if lo < 0 or lo in h:
+                continue
+            sub = sorted([x for x in h if x != hi] + [lo], reverse=True)
+            sub_lam = tuple(x for x in (sub[i] - (N - 1 - i) for i in range(N)) if x > 0)
+            sign = -1 if sum(lo < x < hi for x in h) % 2 else 1
+            strips.append((index[sub_lam], sign))
+        out.append(tuple(strips))
+    return tuple(out)
 
 
 def character(lam, mu):

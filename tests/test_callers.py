@@ -164,3 +164,11 @@ def test_cli_imports_check_modules_only_for_check():
     assert ".bridge" not in top
     assert not [n for n in top if n.startswith((".", "hurwitzrec"))]
     assert ".bridge" in {name for _, name in _imports(tree)}
+
+
+def test_extract_imports_form_code_only_where_it_expands():
+    # an oracle table runs extract's table walk but expands no form
+    tree = _parse("extract.py")
+    top = {name for node, name in _imports(tree) if node in tree.body}
+    assert ".poleform" not in top
+    assert ".poleform" in {name for _, name in _imports(tree)}

@@ -610,6 +610,15 @@ class TestImports:
         assert "hurwitzrec.bridge" in loaded
         assert not loaded & {"hurwitzrec.toprec", "hurwitzrec.series"}
 
+    @pytest.mark.parametrize(
+        "args",
+        [("table", "--method", "oracle", "--g-max", "1", "--n-max", "5"), ("check", "elsv")],
+        ids=["oracle-table", "check-elsv"],
+    )
+    def test_oracle_requests_load_no_form_code(self, args):
+        # both read only the character oracle and print its values
+        assert "hurwitzrec.poleform" not in loaded_modules(*args)
+
     def test_cached_recursion_loads_no_hashlib(self, tmp_path):
         path = tmp_path / "forms.json"
         args = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "3", "--cache", str(path))

@@ -30,6 +30,7 @@ from oracle_reference import (
     nonzero,
     reference_exp,
     reference_log,
+    strips_by_walk,
 )
 
 
@@ -185,6 +186,14 @@ class TestHEncoding:
     def test_rejects_short_n(self):
         with pytest.raises(ValueError):
             h_encoding((2, 1, 1), 2)
+
+
+class TestStrips:
+    def test_bit_flips_match_the_beta_set_walk(self):
+        # each strip, its sign and their order, against the sorted-tuple walk
+        for n in range(1, 13):
+            for r in range(1, n + 1):
+                assert partitions._strips(n, r) == strips_by_walk(n, r), (n, r)
 
 
 class TestClassSize:
@@ -450,6 +459,20 @@ class TestOracle:
             z.coefficient(5, (5,), -2)
         with pytest.raises(ValueError):
             z.coefficient(4, (1, 1, 1, 1), 2)
+
+    def test_log_matches_power_series_at_the_packed_key_edge(self):
+        # at n_max = 10 one digit of a packed key holds ten copies of the part
+        # 1, and Z reaches its lowest exponent e = -2n at (1^10) with b = 0
+        z = build_z(10, 20)
+        assert z.coefficient(10, (1,) * 10, -20) == Fraction(1, factorial(10))
+        assert nonzero(fractions(z.log())) == nonzero(reference_log(z))
+
+    def test_coefficient_refuses_a_partition_of_another_degree(self):
+        f = build_z(4, 8).log()
+        assert f.coefficient(3, (2, 1), 0) != 0
+        for mu in ((1,), (2, 2)):
+            with pytest.raises(ValueError, match="not of degree 3"):
+                f.coefficient(3, mu, 0)
 
     def test_coefficient_refuses_a_non_canonical_partition(self):
         z = build_z(4, 8)
