@@ -34,7 +34,7 @@ import json
 import os
 
 from .poleform import PoleForm
-from .toprec import is_stable, outside_window
+from .toprec import FINGERPRINT, is_stable, outside_window
 
 CACHE_FORMAT = 3
 
@@ -101,8 +101,7 @@ def attach_cache(engine, path):
     message names the resolved path."""
     path = os.path.realpath(path)
     lock_path = f"{path}.lock"
-    fingerprint = engine.fingerprint()
-    loaded = load_cache(path, fingerprint)
+    loaded = load_cache(path, FINGERPRINT)
     engine.preload(loaded, path)
 
     def flush():
@@ -121,6 +120,6 @@ def attach_cache(engine, path):
             raise CacheWriteError(f"cannot write the cache file {path}: {exc.strerror}") from exc
         with lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
-            save_cache(path, fingerprint, {**load_cache(path, fingerprint), **engine._memo})
+            save_cache(path, FINGERPRINT, {**load_cache(path, FINGERPRINT), **engine._memo})
 
     return flush

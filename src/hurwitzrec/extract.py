@@ -12,12 +12,15 @@ numbers in Eynard-Mulase-Safnuk (arXiv:0907.5224).  A k-variable form,
 stored on weakly decreasing index multisets, then expands into a symmetric
 series whose v^mu coefficient is the sum over its terms of the coefficient
 times, over the distinct orderings (e_1, ..., e_k) of the multiset, prod_i
-mu_i^(mu_i + e_i), all divided by prod_i mu_i!.  ``h_series`` computes the
-integer sums with `poleform.contract_slots`, the slot walk that also gives
-the pole view: slot i takes part mu_i and one index per distinct value of
-each remaining multiset, so every mu sharing a prefix shares the work.  The
-coefficients encode H_{g,mu}; the character oracle provides the independent
-values the expansion must reproduce.
+mu_i^(mu_i + e_i), all divided by prod_i mu_i!.  That coefficient is
+H_{g,mu} prod_i mu_i |Aut mu| / b!, with b = 2g - 2 + |mu| + k branch points,
+so ``h_series`` contracts with the rows m^(m+e-1), each part's factor m
+folded into its row, and returns the Hurwitz numbers themselves, one
+`Fraction` per mu.  It computes the integer sums with
+`poleform.contract_slots`, the slot walk that also gives the pole view: slot
+i takes part mu_i and one index per distinct value of each remaining
+multiset, so every mu sharing a prefix shares the work.  The character
+oracle provides the independent values the recursion must reproduce.
 
 A table is one walk over the rows (g, mu) of a request, ``table_rows``, with
 each route plain data: a ``(name, value)`` pair from ``routes``.  A row is
@@ -35,99 +38,54 @@ from .partitions import HurwitzOracle, aut_size, check_partition, format_rationa
 _ZERO = Fraction(0)
 
 
-def basis_factors(m: int, top: int) -> list[int]:
-    """m! [v^m] xihat_e(t) at z = L(v) for e = 0 .. top: the integers
-    m^(m+e)."""
-    return [m ** (m + e) for e in range(top + 1)]
+def h_series(form, n_max: int) -> dict:
+    """The Hurwitz numbers of a `poleform.PoleForm` W(g, k): {mu: H_{g,mu}}
+    for every mu of k parts with |mu| <= n_max and H_{g,mu} nonzero.
 
-
-class HSeries:
-    """Truncated expansion of a k-variable Hurwitz generating function.
-
-    Symmetric in its variables; stored on weakly-decreasing exponent tuples.
-    Any tuple containing a zero exponent has coefficient zero.
+    The `contract_slots` of its numerators with the rows m^(m+e-1) of each
+    part m gives the expansion's integer sum over prod_i mu_i, so H_{g,mu} is
+    that total times b! / (den |Aut mu| prod_i mu_i!), with
+    b = 2g - 2 + |mu| + k.
     """
-
-    def __init__(self, g: int, k: int, n_max: int, coeffs):
-        self.g = g
-        self.k = k
-        self.n_max = n_max
-        self.coeffs = {key: c for key, c in coeffs.items() if c}
-
-    def coefficient(self, exponents) -> Fraction:
-        exponents = tuple(sorted(exponents, reverse=True))
-        if len(exponents) != self.k:
-            raise ValueError(f"expected {self.k} exponents")
-        if any(e < 0 for e in exponents):
-            raise ValueError("exponents must be nonnegative")
-        if sum(exponents) > self.n_max:
-            raise ValueError(f"total degree beyond truncation {self.n_max}")
-        return self.coeffs.get(exponents, _ZERO)
-
-
-def h_series(form, n_max: int) -> HSeries:
-    """Expand a `poleform.PoleForm` into the v-variables through
-    z_i = L(v_i): the `contract_slots` of its numerators with the rows
-    m^(m+e) of each part m, each total divided by den * prod_i mu_i!."""
     from .poleform import contract_slots  # an oracle table loads no form code
 
     top = max((key[0] for key in form.nums), default=0)
-    factors = [None] + [basis_factors(m, top) for m in range(1, n_max + 1)]
-    coeffs = {
-        mu: Fraction(total, form.den * prod(map(factorial, mu)))
-        for mu, total in contract_slots(form.nums, form.k, factors, n_max).items()
+    rows = [None] + [[m ** (m + e - 1) for e in range(top + 1)] for m in range(1, n_max + 1)]
+    return {
+        mu: Fraction(
+            total * factorial(2 * form.g - 2 + sum(mu) + form.k),
+            form.den * aut_size(mu) * prod(map(factorial, mu)),
+        )
+        for mu, total in contract_slots(form.nums, form.k, rows, n_max).items()
     }
-    return HSeries(form.g, form.k, n_max, coeffs)
-
-
-def extract_hurwitz(hs: HSeries, g: int, mu) -> Fraction:
-    """Read H_{g,mu} off the expansion.
-
-    The coefficient of the sorted monomial carries prod(mu_i) from the
-    derivative structure, 1/b! from the branch-point count, and the
-    stabilizer |Aut mu| from summing over all orderings; dividing these out
-    recovers the Hurwitz number.
-    """
-    mu = check_partition(mu)
-    if g != hs.g:
-        raise ValueError(f"series was built for g={hs.g}")
-    if len(mu) != hs.k:
-        raise ValueError(f"series has arity {hs.k}, mu has length {len(mu)}")
-    b = 2 * g - 2 + sum(mu) + len(mu)
-    coeff = hs.coefficient(mu)
-    denom = aut_size(mu)
-    for part in mu:
-        denom *= part
-    return coeff * Fraction(factorial(b), denom)
 
 
 def hurwitz_by_recursion(engine, g: int, mu) -> Fraction:
     """H_{g,mu} via the topological recursion route (stable range only), from
     a `toprec.LambertEngine`."""
     mu = check_partition(mu)
-    hs = h_series(engine.w(g, len(mu)), sum(mu))
-    return extract_hurwitz(hs, g, mu)
+    return h_series(engine.w(g, len(mu)), sum(mu)).get(mu, _ZERO)
 
 
 def routes(engine, oracle, n_max):
     """The ``(name, value)`` pair of each route given, in table order.
 
     ``value(g, mu)`` is H_{g,mu} as a Fraction, or None for a row outside the
-    route's range.  The recursion covers the stable (g, len(mu)) and expands
-    one series per (g, k) for every mu of it; without an engine nothing here
+    route's range.  The recursion covers the stable (g, len(mu)) and runs one
+    `h_series` per (g, k) for every mu of it; without an engine nothing here
     loads the curve code.
     """
     pairs = []
     if engine is not None:
-        series = {}
+        numbers = {}
 
         def recursion(g, mu):
             k = len(mu)
             if 2 * g - 2 + k <= 0:  # unstable, as g >= 0 and k >= 1 here
                 return None
-            if (g, k) not in series:
-                series[g, k] = h_series(engine.w(g, k), n_max)
-            return extract_hurwitz(series[g, k], g, mu)
+            if (g, k) not in numbers:
+                numbers[g, k] = h_series(engine.w(g, k), n_max)
+            return numbers[g, k].get(mu, _ZERO)
 
         pairs.append(("recursion", recursion))
     if oracle is not None:

@@ -25,9 +25,10 @@ positive denominator ``den`` in lowest terms (``gcd(den, *nums) == 1``).
 given as ints or `Fraction`s; the ``terms`` property returns `Fraction`s, and
 `pole_terms` the same form in the pole basis.
 
-Both readings of a form, the pole view here and the Hurwitz series of
-`extract.h_series`, contract its numerators slot by slot with a table of one
-integer factor per label and index; `contract_slots` is that one walk.
+Both readings of a form, the pole view here and the Hurwitz numbers of
+`extract.h_series` (from the rows m^(m+e-1) of each part m), contract its
+numerators slot by slot with a table of one integer factor per label and
+index; `contract_slots` is that one walk.
 """
 
 from __future__ import annotations

@@ -53,14 +53,14 @@ from .series import TruncationError, clear_denominators, conv, conv_ints, unit_i
 
 # Part of the cache fingerprint: raise it whenever a change to the engine
 # could change a stored form, so that caches written before are ignored, and
-# put the new fingerprint in `_FINGERPRINT`.
+# put the new fingerprint in `FINGERPRINT`.
 ENGINE_VERSION = 2
 
 # The first 16 hex digits of the sha256 of
 # "lambert-t1|engine={ENGINE_VERSION}|sign=1|x={c_0},...,{c_7}", with c_n the
 # coefficients of lambert_x(8).  It is a constant, so a cached run hashes
 # nothing; the tests recompute it from ENGINE_VERSION and lambert_x.
-_FINGERPRINT = "daf91dc4013b9690"
+FINGERPRINT = "daf91dc4013b9690"
 
 
 def required_order(g: int, k: int) -> int:
@@ -312,11 +312,6 @@ class LambertEngine:
             for index, num in to_basis[m + 2].items():
                 groups.setdefault((index,), {})[-m] = (m + 1) * num
         return den, groups
-
-    # -- curve fingerprint (for caches) -------------------------------------
-
-    def fingerprint(self) -> str:
-        return _FINGERPRINT
 
     def preload(self, forms, source):
         """Seed the memo with {(g, k): PoleForm} read from ``source`` (a cache

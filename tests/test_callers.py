@@ -64,13 +64,7 @@ def test_allowlist_is_not_stale():
 # A method counts as called when any method of its name is, so a name that
 # several classes define hides a dead one among them.  Each such name is
 # listed with its classes and the reason they share it.
-SHARED = {
-    "coefficient": (
-        ["HSeries", "PSeriesZ"],
-        "each holds coefficients and reads one by its own index: an exponent "
-        "tuple or (n, mu, e)",
-    ),
-}
+SHARED = {}
 
 
 def _method_owners():
@@ -148,6 +142,13 @@ def test_series_defines_no_class_but_its_error():
     assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == [
         "TruncationError"
     ]
+
+
+def test_extract_defines_no_class():
+    # no object sits between a form and its Hurwitz numbers: h_series
+    # returns them as a dict
+    tree = _parse("extract.py")
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == []
 
 
 def test_toprec_imports_only_at_its_top():

@@ -216,7 +216,7 @@ class TestCache:
 
     def test_pre_rewrite_fingerprint_ignored(self, tmp_path):
         from hurwitzrec.cache import CACHE_FORMAT, load_cache
-        from hurwitzrec.toprec import LambertEngine
+        from hurwitzrec.toprec import FINGERPRINT
 
         # the fingerprint of the default sign convention before the engine
         # version joined it, when the engine still summed Fractions
@@ -226,7 +226,7 @@ class TestCache:
         doc = {"format": CACHE_FORMAT, "fingerprint": old, "poleforms": [form]}
         Path(path).write_text(json.dumps(doc))
         assert len(load_cache(path, old)) == 1
-        assert load_cache(path, LambertEngine(order=10).fingerprint()) == {}
+        assert load_cache(path, FINGERPRINT) == {}
 
     def test_warm_run_leaves_file_untouched(self, tmp_path):
         path = str(tmp_path / "forms.json")
@@ -259,19 +259,18 @@ class TestCache:
 
     def test_format_one_file_ignored(self, tmp_path):
         from hurwitzrec.cache import CACHE_FORMAT, load_cache
-        from hurwitzrec.toprec import LambertEngine
+        from hurwitzrec.toprec import FINGERPRINT
 
         # the previous layout, keyed by (g, k, trunc_order)
         path = str(tmp_path / "forms.json")
-        fingerprint = LambertEngine().fingerprint()
         form = {"g": 0, "k": 3, "terms": [{"a": [2, 2, 2], "c": "1/1"}], "trunc_order": 10}
-        doc = {"format": 1, "fingerprint": fingerprint, "poleforms": [form]}
+        doc = {"format": 1, "fingerprint": FINGERPRINT, "poleforms": [form]}
         Path(path).write_text(json.dumps(doc))
-        assert load_cache(path, fingerprint) == {}
+        assert load_cache(path, FINGERPRINT) == {}
         assert run_cli("wkg", "0", "3", "--cache", path).returncode == 0
         rewritten = json.loads(Path(path).read_text())
         assert rewritten["format"] == CACHE_FORMAT
-        assert len(load_cache(path, fingerprint)) == 1
+        assert len(load_cache(path, FINGERPRINT)) == 1
 
     def test_repeated_form_ignored(self, tmp_path):
         path = str(tmp_path / "forms.json")
@@ -290,7 +289,7 @@ class TestCache:
 
     def test_flush_merges_file_as_found(self, tmp_path):
         from hurwitzrec.cache import attach_cache, load_cache
-        from hurwitzrec.toprec import LambertEngine, required_order
+        from hurwitzrec.toprec import FINGERPRINT, LambertEngine, required_order
 
         # two runs sharing one file, each unaware of the other's forms
         path = str(tmp_path / "forms.json")
@@ -301,7 +300,7 @@ class TestCache:
         second.w(1, 1)
         flush_first()
         flush_second()
-        loaded = load_cache(path, first.fingerprint())
+        loaded = load_cache(path, FINGERPRINT)
         assert loaded == {(0, 3): first.w(0, 3), (1, 1): second.w(1, 1)}
 
     def test_warm_engine_builds_no_curve(self, tmp_path):
@@ -390,7 +389,7 @@ class TestCache:
 
     def test_key_below_window_ignored(self, tmp_path):
         from hurwitzrec.cache import load_cache
-        from hurwitzrec.toprec import LambertEngine
+        from hurwitzrec.toprec import FINGERPRINT
 
         # W(2,1) has keys with sum(e_i - 1) in [2, 3]; (2,) is below
         path = str(tmp_path / "forms.json")
@@ -403,24 +402,23 @@ class TestCache:
         assert entry["terms"][0]["e"] == [3]
         entry["terms"][0]["e"] = [2]
         Path(path).write_text(json.dumps(doc))
-        assert load_cache(path, LambertEngine().fingerprint()) == {}
+        assert load_cache(path, FINGERPRINT) == {}
         warm = run_cli(*args)
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
 
     def test_format_two_pole_file_ignored(self, tmp_path):
         from hurwitzrec.cache import load_cache
-        from hurwitzrec.toprec import LambertEngine, required_order
+        from hurwitzrec.toprec import FINGERPRINT, LambertEngine, required_order
 
         # the layout before forms were stored in the ELSV basis: format 2,
         # each entry the pole terms as `wkg` prints them
         path = str(tmp_path / "forms.json")
         engine = LambertEngine(order=required_order(1, 3))
-        fingerprint = engine.fingerprint()
         forms = [json.loads(engine.w(g, k).canonical_json()) for g, k in [(0, 3), (1, 1)]]
-        doc = {"format": 2, "fingerprint": fingerprint, "poleforms": forms}
+        doc = {"format": 2, "fingerprint": FINGERPRINT, "poleforms": forms}
         Path(path).write_text(json.dumps(doc))
-        assert load_cache(path, fingerprint) == {}
+        assert load_cache(path, FINGERPRINT) == {}
         args = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "3")
         cold = run_cli(*args)
         warm = run_cli(*args, "--cache", path)
@@ -434,7 +432,7 @@ class TestCache:
         lock both would merge into the same old file and one side's form
         would be lost."""
         from hurwitzrec.cache import load_cache
-        from hurwitzrec.toprec import LambertEngine
+        from hurwitzrec.toprec import FINGERPRINT
 
         path, go = tmp_path / "forms.json", tmp_path / "go"
         ready = [tmp_path / "ready-0", tmp_path / "ready-1"]
@@ -469,7 +467,7 @@ class TestCache:
             time.sleep(0.01)
         go.touch()
         assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
-        assert sorted(load_cache(str(path), LambertEngine().fingerprint())) == [(0, 3), (1, 1)]
+        assert sorted(load_cache(str(path), FINGERPRINT)) == [(0, 3), (1, 1)]
 
     def test_empty_form_ignored(self, tmp_path):
         # no stable W(g, k) is zero: read as one, W(1,1) would give H_{1,(d)} = 0

@@ -4,15 +4,8 @@ from functools import lru_cache
 
 import pytest
 
-from hurwitzrec.extract import (
-    HSeries,
-    basis_factors,
-    extract_hurwitz,
-    h_series,
-    hurwitz_by_recursion,
-    verify_bm,
-)
-from hurwitzrec.partitions import HurwitzOracle, partitions_of
+from hurwitzrec.extract import h_series, hurwitz_by_recursion, verify_bm
+from hurwitzrec.partitions import HurwitzOracle, aut_size, partitions_of
 from hurwitzrec.poleform import basis_poles
 from hurwitzrec.toprec import LambertEngine, is_stable, required_order
 from curve_reference import lambert_series
@@ -72,6 +65,15 @@ def reference_h_coeffs(form, n_max):
             if total:
                 coeffs[mu] = total
     return coeffs
+
+
+def hurwitz_from_coeffs(g, coeffs):
+    """H_{g,mu} from the v^mu coefficients of W(g, k): each times
+    b!/(|Aut mu| prod mu_i), with b = 2g - 2 + |mu| + len(mu)."""
+    return {
+        mu: c * F(math.factorial(2 * g - 2 + sum(mu) + len(mu)), aut_size(mu) * math.prod(mu))
+        for mu, c in coeffs.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -142,14 +144,12 @@ class TestBasisFactors:
         for e in range(8):
             for m in range(1, 10):
                 by_poles = sum(c * table.coefficient(a, m) for a, c in basis_poles(e).items())
-                assert by_poles == F(basis_factors(m, e)[e], math.factorial(m)) == F(
-                    m ** (m + e), math.factorial(m)
-                ), (e, m)
+                assert by_poles == F(m ** (m + e), math.factorial(m)), (e, m)
 
     def test_basis_equals_pole_reference_on_every_order_28_form(self):
         """h_series on the stored basis terms equals the pole-basis extraction
-        of tests/pole_reference.py on the pole view, for all 33 stable forms
-        an order-28 engine computes."""
+        of tests/pole_reference.py on the pole view, taken to Hurwitz
+        numbers, for all 33 stable forms an order-28 engine computes."""
         engine = LambertEngine(order=28)
         cases = [
             (g, k)
@@ -161,28 +161,14 @@ class TestBasisFactors:
         for g, k in cases:
             form = engine.w(g, k)
             n_max = k + 3
-            assert h_series(form, n_max).coeffs == pole_h_coeffs(form, n_max), (g, k)
+            expected = hurwitz_from_coeffs(g, pole_h_coeffs(form, n_max))
+            assert h_series(form, n_max) == expected, (g, k)
 
 
 class TestHSeries:
     def test_h11_linear_coefficient_vanishes(self, engine):
-        hs = h_series(engine.w(1, 1), 4)
-        assert hs.coefficient((1,)) == 0
-
-    def test_symmetry(self, engine):
-        hs = h_series(engine.w(1, 2), 4)
-        assert hs.coefficient((3, 1)) == hs.coefficient((1, 3))
-        assert hs.coefficient((2, 1)) == hs.coefficient((1, 2))
-
-    def test_zero_exponent_vanishes(self, engine):
-        hs = h_series(engine.w(1, 2), 4)
-        assert hs.coefficient((0, 2)) == 0
-        assert hs.coefficient((3, 0)) == 0
-
-    def test_wrong_arity_rejected(self, engine):
-        hs = h_series(engine.w(1, 1), 4)
-        with pytest.raises(ValueError):
-            hs.coefficient((1, 1))
+        # H_{1,(1)} = 0, and a zero value is left out
+        assert (1,) not in h_series(engine.w(1, 1), 4)
 
 
 class TestAgainstReference:
@@ -197,34 +183,27 @@ class TestAgainstReference:
     )
     def test_whole_series(self, wide_engine, g, k):
         form = wide_engine.w(g, k)
-        assert h_series(form, 7).coeffs == reference_h_coeffs(form, 7)
+        assert h_series(form, 7) == hurwitz_from_coeffs(g, reference_h_coeffs(form, 7))
 
 
 class TestExtraction:
     def test_anchors(self, engine, oracle):
-        hs1 = h_series(engine.w(1, 1), 4)
-        assert extract_hurwitz(hs1, 1, (1,)) == 0
-        assert extract_hurwitz(hs1, 1, (2,)) == F(1, 2)
-        assert extract_hurwitz(hs1, 1, (3,)) == 9
-        hs03 = h_series(engine.w(0, 3), 4)
-        assert extract_hurwitz(hs03, 0, (1, 1, 1)) == oracle.hurwitz(0, (1, 1, 1))
-        assert extract_hurwitz(hs03, 0, (2, 1, 1)) == oracle.hurwitz(0, (2, 1, 1))
+        h1 = h_series(engine.w(1, 1), 4)
+        assert h1.get((1,), 0) == 0
+        assert h1[(2,)] == F(1, 2)
+        assert h1[(3,)] == 9
+        h03 = h_series(engine.w(0, 3), 4)
+        assert h03[(1, 1, 1)] == oracle.hurwitz(0, (1, 1, 1))
+        assert h03[(2, 1, 1)] == oracle.hurwitz(0, (2, 1, 1))
 
     def test_repeated_parts_normalization(self, engine, oracle):
         # stabilizer factor: mu with repeated parts must still match
-        hs = h_series(engine.w(1, 2), 4)
-        assert extract_hurwitz(hs, 1, (1, 1)) == oracle.hurwitz(1, (1, 1))
-        assert extract_hurwitz(hs, 1, (2, 2)) == oracle.hurwitz(1, (2, 2))
+        h12 = h_series(engine.w(1, 2), 4)
+        assert h12[(1, 1)] == oracle.hurwitz(1, (1, 1))
+        assert h12[(2, 2)] == oracle.hurwitz(1, (2, 2))
 
     def test_convenience(self, engine, oracle):
         assert hurwitz_by_recursion(engine, 1, (2, 1)) == oracle.hurwitz(1, (2, 1))
-
-    def test_range_checks(self, engine):
-        hs = h_series(engine.w(1, 1), 4)
-        with pytest.raises(ValueError):
-            extract_hurwitz(hs, 1, (5,))
-        with pytest.raises(ValueError):
-            extract_hurwitz(hs, 0, (2,))
 
 
 class TestVerifyBM:

@@ -8,7 +8,7 @@ from math import factorial, gcd, prod
 import pytest
 
 from hurwitzrec import partitions
-from hurwitzrec.extract import extract_hurwitz, h_series, hurwitz_by_recursion
+from hurwitzrec.extract import h_series, hurwitz_by_recursion
 from hurwitzrec.partitions import (
     HurwitzOracle,
     PSeriesZ,
@@ -50,11 +50,11 @@ def by_recursion(g, ks, n_max):
     recursion route reads them."""
     engine = LambertEngine(order=required_order(g, max(ks)))
     for k in ks:
-        hs = h_series(engine.w(g, k), n_max)
+        numbers = h_series(engine.w(g, k), n_max)
         for n in range(k, n_max + 1):
             for mu in partitions_of(n):
                 if len(mu) == k:
-                    yield mu, extract_hurwitz(hs, g, mu)
+                    yield mu, numbers.get(mu, 0)
 
 
 def genus_one_formula(mu):
@@ -546,7 +546,8 @@ class TestOracleClosedForms:
             assert one_part_formula(1, d) == expected, d
 
     def test_one_part_formula_by_recursion(self):
-        engine = LambertEngine(order=required_order(6, 1))
-        for g in range(1, 7):
+        # up to W(8,1): top index 23, so rows up to m^(m+22), and b up to 39
+        engine = LambertEngine(order=required_order(8, 1))
+        for g in range(1, 9):
             for d in range(1, 25):
                 assert hurwitz_by_recursion(engine, g, (d,)) == one_part_formula(g, d), (g, d)

@@ -38,6 +38,6 @@ def test_library_example():
         else:
             value = eval(code.strip(), namespace)
         checked.append((shown(value), comment.strip()))
-    assert len(checked) == 6
+    assert len(checked) == 7
     for expected, comment in checked:
         assert comment.startswith(expected), (expected, comment)
