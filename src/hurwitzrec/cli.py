@@ -14,7 +14,8 @@ Exit codes (64 to 74 as in sysexits.h):
   than ``bm`` and ``elsv`` (``series`` and ``times`` among them: their checks
   live in the test suite), and ``--g-max``, ``--n-max``, ``--cache`` or
   ``--verbose`` given to ``check elsv``;
-- 65 request out of range, including a request above a size bound;
+- 65 request out of range, including a request above a size bound and a
+  ``check bm`` range that holds no stable ``(g, mu)`` to compare;
 - 70 internal inconsistency: an exact self-check of the recursion failed
   (for instance a form that is not symmetric in its slots), or a residue
   that the truncation order the CLI chose cannot resolve;
@@ -228,6 +229,10 @@ def _cmd_check(args):
 
         g_max = 1 if args.g_max is None else args.g_max
         n_max = 4 if args.n_max is None else args.n_max
+        # 2g - 2 + len(mu) is largest at the corner, so a range with a
+        # stable (g, mu) has one there; a check of no case is refused
+        if g_max >= 0 and n_max >= 1 and 2 * g_max - 2 + n_max <= 0:
+            raise ValueError(f"no stable (g, mu) with g <= {g_max} and |mu| <= {n_max} to compare")
         engine, oracle, flush = _set_up(args, g_max, n_max, "both")
         rows = verify_bm(g_max, n_max, engine, oracle)
         if flush:

@@ -36,13 +36,14 @@ e <= 2 g_max - 2 that its lookups read; at lower degrees it keeps the larger
 exponents, up to 2 g_max - 2 + 2 (n_max - n), that products into degree
 n_max need.
 
-The series hold no Fraction.  Each degree n of Z and F is a dict of integer
-numerators over one positive denominator, in lowest terms: build_z writes
-degree n over (n!)^2 w_max!, and each step of log brings its terms to the
-lcm of their denominators, sums in integers and divides by n times that lcm
-once.  A Fraction is made only when a coefficient is read.  Inside log a
-term (mu, e) is one int, its packed key (see `PSeriesZ.log`), so that the
-product of two terms is the sum of their keys.
+The series hold no Fraction and no tuple key.  Each degree n of Z and F is
+a dict from the packed int key of a term p_mu with exponent e (see
+`PSeriesZ`), under which the product of two terms is the sum of their
+keys, to an integer numerator over one positive denominator, in lowest
+terms: build_z writes degree n over (n!)^2 w_max!, and each step of log
+brings its terms to the lcm of their denominators, sums in integers and
+divides by n times that lcm once.  No key is decoded: a read packs its
+(mu, e), and a Fraction is made only then.
 
 The module also holds the text form "num/den" of a rational, which every
 route prints and the cache stores, so that a request that reads only the
@@ -231,21 +232,32 @@ def _burnside_weights(mu: Partition) -> tuple[tuple[int, int], ...]:
 class PSeriesZ:
     """Truncated generating function graded by degree n and weight e + 2n.
 
-    ``data[n]`` maps ``(mu, e)`` to an integer numerator over the degree's
-    one positive denominator ``den[n]``, where ``mu`` is the partition
-    labelling the monomial p_mu and ``e`` the exponent of the string
-    coupling (e = b - |mu| - len(mu) termwise; exponents add under products).
-    Every degree is kept in lowest terms, gcd(den[n], *numerators) = 1, with
-    no zero numerator, so equal series have equal representations.  Only
-    terms with n <= n_max and weight e + 2n <= w_max are kept; the module
-    docstring shows why this cut is exact under products and log.
+    ``data[n]`` maps the key of a term to an integer numerator over the
+    degree's one positive denominator ``den[n]``.  A term is the monomial
+    p_mu times the string coupling to the exponent e (e = b - |mu| - len(mu)
+    termwise), and its key is the one int ``key(mu, e)``,
+    e S + sum_i B^mu_i with B = n_max + 1 and S = B^B: digit p in base B is
+    the multiplicity of the part p, which stays below B in any degree up to
+    n_max, so the key of a product is the sum of its factors' keys.  Floor
+    division key // S gives e back, negative or not, since the digits sum to
+    less than S.  Every degree is kept in lowest terms,
+    gcd(den[n], *numerators) = 1, with no zero numerator, so equal series
+    have equal representations.  Only terms with n <= n_max and weight
+    e + 2n <= w_max are kept; the module docstring shows why this cut is
+    exact under products and log.
     """
 
     def __init__(self, n_max: int, w_max: int):
         self.n_max = n_max
         self.w_max = w_max
+        self.base = n_max + 1
+        self.shift = self.base**self.base
         self.data = {n: {} for n in range(n_max + 1)}
         self.den = [1] * (n_max + 1)
+
+    def key(self, mu: Partition, e: int) -> int:
+        """The packed key of the term p_mu with exponent e."""
+        return e * self.shift + sum(self.base**p for p in mu)
 
     def coefficient(self, n: int, mu: Partition, e: int) -> Fraction:
         mu = check_partition(mu)
@@ -256,7 +268,7 @@ class PSeriesZ:
                 f"term of degree {n} and exponent {e} beyond truncation "
                 f"(n_max={self.n_max}, w_max={self.w_max})"
             )
-        return Fraction(self.data[n].get((mu, e), 0), self.den[n])
+        return Fraction(self.data[n].get(self.key(mu, e), 0), self.den[n])
 
     def __eq__(self, other):
         if not isinstance(other, PSeriesZ):
@@ -278,32 +290,24 @@ class PSeriesZ:
         F_n = Z_n - (1/n) sum_{k<n} k F_k Z_{n-k}, skipping every product of
         weight above w_max.
 
-        A term (mu, e) is packed into one int, e S + sum_i B^mu_i with
-        B = n_max + 1 and S = B^(n_max + 1): digit p in base B is the
-        multiplicity of the part p, which stays below B in any degree up to
-        n_max, so the key of a product is the sum of its factors' keys.  Each
-        degree of F is decoded once, by floor divmod, which keeps a negative
-        e whole.  Z_n and each k F_k Z_{n-k} are brought to the lcm L of
-        their denominators, with k and L's cofactor folded into the outer
-        coefficient, so a kept product costs one integer multiply and one
-        add; the sum is over n L.  A product of degree n has weight
-        ea + eb + 2n, so it is kept when ea + eb <= w_max - 2n; each degree
-        of Z is sorted by e, so the first eb above the cap ends the row.
+        The product of two terms is the sum of their keys.  Z_n and each
+        k F_k Z_{n-k} are brought to the lcm L of their denominators, with k
+        and L's cofactor folded into the outer coefficient, so a kept product
+        costs one integer multiply and one add; the sum is over n L.  A
+        product of degree n has weight ea + eb + 2n, so it is kept when
+        ea + eb <= w_max - 2n; each degree of Z is sorted by e, so the first
+        eb above the cap ends the row.
         """
-        if self.data[0] != {((), 0): self.den[0]}:
+        if self.data[0] != {0: self.den[0]}:
             raise ValueError("log requires a series with constant term 1")
-        base = self.n_max + 1
-        shift = base**base
+        shift = self.shift
         z, f = self, PSeriesZ(self.n_max, self.w_max)
-        zk = [
-            sorted(((e * shift + sum(base**p for p in mu), e, v)
-                    for (mu, e), v in terms.items()), key=lambda t: t[1])
-            for terms in z.data.values()
-        ]
+        zk = [sorted((key // shift, key, v) for key, v in terms.items())
+              for terms in z.data.values()]
         fk = [None]
         for n in range(1, self.n_max + 1):
             lcd = lcm(z.den[n], *(f.den[k] * z.den[n - k] for k in range(1, n)))
-            out = {key: v * n * lcd // z.den[n] for key, _e, v in zk[n]}
+            out = {key: v * n * lcd // z.den[n] for _e, key, v in zk[n]}
             e_cap = self.w_max - 2 * n
             for k in range(1, n):
                 scale = -k * lcd // (f.den[k] * z.den[n - k])
@@ -311,27 +315,14 @@ class PSeriesZ:
                 for ka, ea, ca in fk[k]:
                     eb_cap = e_cap - ea
                     ca *= scale
-                    for kb, eb, cb in terms_z:
+                    for eb, kb, cb in terms_z:
                         if eb > eb_cap:
                             break
                         key = ka + kb
                         out[key] = out.get(key, 0) + ca * cb
-            f._set(n, {_unpack(key, base, shift): v for key, v in out.items() if v}, n * lcd)
-            g = n * lcd // f.den[n]
-            fk.append([(key, key // shift, v // g) for key, v in out.items() if v])
+            f._set(n, out, n * lcd)
+            fk.append([(key, key // shift, v) for key, v in f.data[n].items()])
         return f
-
-
-def _unpack(key: int, base: int, shift: int) -> tuple[Partition, int]:
-    """The term (mu, e) packed into ``key = e * shift + sum(base**part)``:
-    digit p in base ``base`` is the multiplicity of the part p."""
-    e, parts = divmod(key, shift)
-    mu, p = [], 0
-    while parts:
-        parts, count = divmod(parts, base)
-        mu[:0] = [p] * count
-        p += 1
-    return tuple(mu), e
 
 
 def build_z(n_max: int, w_max: int) -> PSeriesZ:
@@ -347,7 +338,7 @@ def build_z(n_max: int, w_max: int) -> PSeriesZ:
     top = factorial(w_max)
     cofactor = [top // factorial(b) for b in range(w_max + 1)]
     z = PSeriesZ(n_max, w_max)
-    z.data[0] = {((), 0): 1}
+    z.data[0] = {0: 1}
     for n in range(1, n_max + 1):
         nums = {}
         for mu in partitions_of(n):
@@ -358,7 +349,7 @@ def build_z(n_max: int, w_max: int) -> PSeriesZ:
             b0 = (n + lmu) % 2
             powers = [w * f**b0 for w, f in weights]  # w f^b, stepped by f^2
             for b in range(b0, w_max - n + lmu + 1, 2):
-                nums[(mu, b - n - lmu)] = size * sum(powers) * cofactor[b]
+                nums[z.key(mu, b - n - lmu)] = size * sum(powers) * cofactor[b]
                 powers = list(map(mul, powers, squares))
         z._set(n, nums, factorial(n) ** 2 * top)
     return z

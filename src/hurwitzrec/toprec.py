@@ -51,15 +51,12 @@ from .poleform import PoleForm, basis_poles, pole_basis, poles_to_basis, splits
 from .series import TruncationError, clear_denominators, conv, conv_ints, unit_inverse
 
 
-# Part of the cache fingerprint: raise it whenever a change to the engine
-# could change a stored form, so that caches written before are ignored, and
-# put the new fingerprint in `FINGERPRINT`.
-ENGINE_VERSION = 2
-
-# The first 16 hex digits of the sha256 of
-# "lambert-t1|engine={ENGINE_VERSION}|sign=1|x={c_0},...,{c_7}", with c_n the
-# coefficients of lambert_x(8).  It is a constant, so a cached run hashes
-# nothing; the tests recompute it from ENGINE_VERSION and lambert_x.
+# The cache fingerprint, a constant so that a cached run hashes nothing.  One
+# rule: change it whenever a stored form could change, so that caches written
+# before are ignored, and the tests recompute it from its recipe, the first 16
+# hex digits of the sha256 of "lambert-t1|engine=2|sign=1|x={c_0},...,{c_7}"
+# with c_n the coefficients of the Lambert x(zeta); a new value raises the
+# engine number.
 FINGERPRINT = "daf91dc4013b9690"
 
 
@@ -88,14 +85,6 @@ def kernel_top(order: int) -> int:
     """The top pole order of the recursion kernel at engine order ``order``:
     the residues, the pole basis and the Bergman terms stop there."""
     return order - 5
-
-
-def lambert_x(trunc_order: int) -> list:
-    """The coefficients of zeta^0 .. zeta^(trunc_order - 1) in x = -1 - zeta +
-    log(1 + zeta) = -1 + sum_{n>=2} (-1)^(n+1) zeta^n / n, the Lambert x(z) =
-    -z + ln z at z = 1 + zeta."""
-    tail = [Fraction((-1) ** (n + 1), n) for n in range(2, trunc_order)]
-    return [Fraction(-1), Fraction(0)] + tail
 
 
 def outside_window(g: int, k: int, keys) -> list:

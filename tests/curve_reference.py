@@ -1,6 +1,8 @@
-"""The Lambert curve's expansions that only the tests read: the package's
-coefficient lists as `Series`, the odd coordinate and the time parameters,
-the f/g auxiliary series and the Lambert series L(v).
+"""The Lambert curve's expansions that only the tests read: x(zeta) as a
+coefficient list, whose first eight coefficients the cache fingerprint's
+recipe hashes, the package's coefficient lists as `Series`, the odd
+coordinate and the time parameters, the f/g auxiliary series and the Lambert
+series L(v).
 
 In the odd local coordinate xi with x = -1 - xi^2/2 (at t = 1), the curve
 becomes a Kontsevich-type curve y = 1 - 2 xi + sum t_{m+2} xi^m, as in
@@ -12,10 +14,17 @@ they satisfy; the two must agree termwise.
 from fractions import Fraction
 from math import factorial
 
-from hurwitzrec.toprec import lambert_x
 from series_reference import Series
 
 _ZERO = Fraction(0)
+
+
+def lambert_x(trunc_order: int) -> list:
+    """The coefficients of zeta^0 .. zeta^(trunc_order - 1) in x = -1 - zeta +
+    log(1 + zeta) = -1 + sum_{n>=2} (-1)^(n+1) zeta^n / n, the Lambert x(z) =
+    -z + ln z at z = 1 + zeta."""
+    tail = [Fraction((-1) ** (n + 1), n) for n in range(2, trunc_order)]
+    return [Fraction(-1), Fraction(0)] + tail
 
 
 def x_series(order):

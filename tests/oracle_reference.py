@@ -7,10 +7,11 @@ central character |C_mu| chi_lam(mu) / dim(lam), and the unfolded Burnside
 count of disconnected covers.  `strips_by_walk` finds the border strips on
 sorted beta-set tuples, the reference for the package's bit-mask `_strips`.
 
-The series references work on ``{n: {(mu, e): Fraction}}`` dicts: log and
-exp as full power sums of the cut series, with no graded identity, no common
-denominator and no weight cut until the end.  They share no code with
-`PSeriesZ.log`.
+The series references work on ``{n: {(mu, e): Fraction}}`` dicts, read
+from a series by the reference decoder `unpack` of its packed int keys: log
+and exp as full power sums of the cut series, with no graded identity, no
+common denominator and no weight cut until the end.  They share no code with
+`PSeriesZ`.
 """
 
 from fractions import Fraction
@@ -98,9 +99,25 @@ def cov_disconnected(mu, b):
     return Fraction(class_size(mu) * total, factorial(n) ** 2)
 
 
+def unpack(key, n_max):
+    """The term (mu, e) of a series cut at degree n_max, packed into ``key =
+    e * S + sum(B**part)`` with B = n_max + 1 and S = B**B: digit p in base B
+    is the multiplicity of the part p.  Floor divmod keeps a negative e whole.
+    The encoding is written out here, not read from the series."""
+    base = n_max + 1
+    e, parts = divmod(key, base**base)
+    mu, p = [], 0
+    while parts:
+        parts, count = divmod(parts, base)
+        mu[:0] = [p] * count
+        p += 1
+    return tuple(mu), e
+
+
 def fractions(series):
-    """The series' coefficients as {n: {(mu, e): Fraction}}."""
-    return {n: {key: Fraction(v, series.den[n]) for key, v in t.items()}
+    """The series' coefficients as {n: {(mu, e): Fraction}}, each key decoded
+    by `unpack`."""
+    return {n: {unpack(key, series.n_max): Fraction(v, series.den[n]) for key, v in t.items()}
             for n, t in series.data.items()}
 
 

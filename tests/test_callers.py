@@ -19,7 +19,6 @@ SRC = Path(hurwitzrec.__file__).parent
 ALLOWED = {
     "_Parser.error": "argparse calls it",
     "hurwitz_by_recursion": "the README Library example uses it",
-    "lambert_x": "the cache fingerprint hashes its coefficients, recomputed by the tests",
 }
 
 

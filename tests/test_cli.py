@@ -155,6 +155,17 @@ class TestCheck:
         assert bm.stdout == table.stdout + f"-- {cases} cases: all equal\n"
         assert bm.stderr == table.stderr == ""
 
+    @pytest.mark.parametrize("n_max", ["1", "2"])
+    def test_bm_refuses_a_range_with_no_case(self, n_max):
+        # no (g, mu) with g = 0 and |mu| <= 2 is stable: a verdict on 0
+        # cases would pass having compared nothing
+        r = run_cli("check", "bm", "--g-max", "0", "--n-max", n_max)
+        assert r.returncode == 65
+        assert r.stdout == ""
+        assert r.stderr == (
+            f"error: no stable (g, mu) with g <= 0 and |mu| <= {n_max} to compare\n"
+        )
+
     @pytest.mark.parametrize(
         "args",
         [("elsv", "--g-max", "99"), ("elsv", "--n-max", "3")],

@@ -31,6 +31,7 @@ from oracle_reference import (
     reference_exp,
     reference_log,
     strips_by_walk,
+    unpack,
 )
 
 
@@ -445,7 +446,7 @@ class TestOracle:
     def test_build_z_keeps_weight_at_most_w_max(self):
         # weights are even: b has the parity of n + len(mu)
         z = build_z(6, 10)
-        weights = {e + 2 * n for n, t in z.data.items() for (_mu, e) in t}
+        weights = {e + 2 * n for n, t in fractions(z).items() for (_mu, e) in t}
         assert weights == {0, 2, 4, 6, 8, 10}
         # a negative bound would cut the constant term 1 itself
         with pytest.raises(ValueError):
@@ -466,6 +467,26 @@ class TestOracle:
         z = build_z(10, 20)
         assert z.coefficient(10, (1,) * 10, -20) == Fraction(1, factorial(10))
         assert nonzero(fractions(z.log())) == nonzero(reference_log(z))
+
+    def test_keys_decode_at_their_edges(self):
+        # at n_max = 10 the part 10 takes the top digit B^10 just below the
+        # exponent's shift, and the keys of Z reach e = -2n at (1^10)
+        z = build_z(10, 20)
+        f = z.log()
+        for series in (z, f):
+            for n, terms in series.data.items():
+                for key in terms:
+                    mu, e = unpack(key, 10)
+                    assert sum(mu) == n and e + 2 * n <= 20, (n, mu, e)
+                    assert series.key(mu, e) == key
+        z_top, f_top = fractions(z)[10], fractions(f)[10]
+        assert min(e for _mu, e in z_top) == -20 and ((1,) * 10, -20) in z_top
+        assert min(e for _mu, e in f_top) == -2
+        assert ((1,) * 10, -2) in f_top and ((10,), -2) in f_top and ((10,), 0) in f_top
+        # the term counts HurwitzOracle(9, 1) keeps
+        z = build_z(9, 18)
+        assert sum(map(len, z.data.values())) == 611
+        assert sum(map(len, z.log().data.values())) == 361
 
     def test_coefficient_refuses_a_partition_of_another_degree(self):
         f = build_z(4, 8).log()

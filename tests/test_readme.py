@@ -1,15 +1,19 @@
 """The README's Library example runs as written, and each value it shows in a
-comment is the value its line computes."""
+comment is the value its line computes; each command of its Command line
+block runs and succeeds."""
 
 import ast
+import shlex
 from pathlib import Path
+
+from hurwitzrec import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_block():
-    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
-    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+def code_block(heading, language):
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("\n```", 1)[0]
 
 
 def shown(value):
@@ -26,7 +30,7 @@ def shown(value):
 def test_library_example():
     namespace = {}
     checked = []
-    for line in library_block().splitlines():
+    for line in code_block("Library", "python").splitlines():
         code, _, comment = line.partition("#")
         if not comment:
             exec(code.strip(), namespace)
@@ -41,3 +45,18 @@ def test_library_example():
     assert len(checked) == 7
     for expected, comment in checked:
         assert comment.startswith(expected), (expected, comment)
+
+
+def test_command_line_block(monkeypatch, capsys):
+    # a developer's own cache file must not serve (or take) these runs
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    commands = [
+        shlex.split(line.partition("#")[0])
+        for line in code_block("Command line", "sh").splitlines()
+        if line.startswith("hurwitzrec ")
+    ]
+    assert len(commands) == 5
+    for argv in commands:
+        code = cli.main(argv[1:])
+        out = capsys.readouterr().out
+        assert code == 0 and out, argv
