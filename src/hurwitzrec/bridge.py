@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import HurwitzOracle, aut_size, check_partition, format_rational
+from .partitions import HurwitzOracle, aut_size, format_rational
 
 
 def _elsv_prefactor(g: int, mu) -> Fraction:
@@ -59,37 +59,21 @@ def elsv_consistency(oracle: HurwitzOracle | None = None) -> ElsvReport:
         oracle = HurwitzOracle(4, 1)
 
     # 2x2 exact solve: H_{1,(d)} = prefactor * (d*A - B), d = 1, 2
-    h1 = oracle.hurwitz(1, (1,))
-    h2 = oracle.hurwitz(1, (2,))
-    r1 = h1 / _elsv_prefactor(1, (1,))  # = A - B
-    r2 = h2 / _elsv_prefactor(1, (2,))  # = 2A - B
+    r1 = oracle.hurwitz(1, (1,)) / _elsv_prefactor(1, (1,))  # = A - B
+    r2 = oracle.hurwitz(1, (2,)) / _elsv_prefactor(1, (2,))  # = 2A - B
     a = r2 - r1
     b = r2 - 2 * r1
-    solved = {"<psi>_{1,1}": a, "<lambda_1>_{1,1}": b}
-
-    predictions = []
-    predicted_h13 = _elsv_prefactor(1, (3,)) * (3 * a - b)
-    oracle_h13 = oracle.hurwitz(1, (3,))
-    predictions.append(
-        {
-            "g": 1,
-            "mu": [3],
-            "predicted": format_rational(predicted_h13),
-            "oracle": format_rational(oracle_h13),
-            "equal": predicted_h13 == oracle_h13,
-        }
-    )
-
     # genus 0, three parts: the integral collapses to T = <tau_0^3>
     tau3 = oracle.hurwitz(0, (1, 1, 1)) / _elsv_prefactor(0, (1, 1, 1))
-    solved["<tau_0^3>_{0,3}"] = tau3
-    for mu in ((2, 1, 1),):
-        mu = check_partition(mu)
-        predicted = _elsv_prefactor(0, mu) * tau3
-        got = oracle.hurwitz(0, mu)
+    solved = {"<psi>_{1,1}": a, "<lambda_1>_{1,1}": b, "<tau_0^3>_{0,3}": tau3}
+
+    predictions = []
+    for g, mu, integral in ((1, (3,), 3 * a - b), (0, (2, 1, 1), tau3)):
+        predicted = _elsv_prefactor(g, mu) * integral
+        got = oracle.hurwitz(g, mu)
         predictions.append(
             {
-                "g": 0,
+                "g": g,
                 "mu": list(mu),
                 "predicted": format_rational(predicted),
                 "oracle": format_rational(got),

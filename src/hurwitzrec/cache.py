@@ -33,8 +33,9 @@ import fcntl
 import json
 import os
 
+from .partitions import is_stable
 from .poleform import PoleForm
-from .toprec import FINGERPRINT, is_stable, outside_window
+from .toprec import FINGERPRINT, outside_window
 
 CACHE_FORMAT = 3
 

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``table`` (Hurwitz numbers by either or both routes), ``wkg``
-(canonical JSON of one correlation form), ``check`` (verification suites).
-``table`` and ``check bm`` share one set-up and one writer: ``check bm``
-prints the rows of ``table --method both`` up to the first mismatch, then one
-verdict line.
+(canonical JSON of one correlation form), ``check bm`` and ``check elsv``
+(verification suites).  Every command that builds an engine or an oracle
+does it in one set-up, which checks every bound first.  ``table`` and
+``check bm`` also share one writer: ``check bm`` prints the rows of ``table
+--method both`` up to the first mismatch, then one verdict line.
 
 Exit codes (64 to 74 as in sysexits.h):
 
@@ -12,8 +13,9 @@ Exit codes (64 to 74 as in sysexits.h):
 - 2 a mathematical mismatch was found;
 - 64 bad flags, including an empty ``--cache``, a ``check`` suite other
   than ``bm`` and ``elsv`` (``series`` and ``times`` among them: their checks
-  live in the test suite), and ``--g-max``, ``--n-max``, ``--cache`` or
-  ``--verbose`` given to ``check elsv``;
+  live in the test suite), and a flag its command or suite does not take
+  (``check elsv`` takes none, and a suite's flags follow its name, so
+  ``check --g-max 1 bm`` is refused);
 - 65 request out of range, including a request above a size bound and a
   ``check bm`` range that holds no stable ``(g, mu)`` to compare;
 - 70 internal inconsistency: an exact self-check of the recursion failed
@@ -56,13 +58,11 @@ CACHE_ENV = "HURWITZREC_CACHE"
 # takes about 2.9 s as a whole process).  The oracle's cost grows fastest
 # with |mu|: in a fresh process on the same machine, HurwitzOracle(12, 3)
 # takes 0.06-0.10 s of CPU, and past the bound HurwitzOracle(14, 3)
-# 0.18-0.32 s and HurwitzOracle(14, 6) 0.25-0.52 s, most of it in log.  Its
-# genus bound is the highest genus whose W(g,1) the recursion's bound admits:
-# W(g,1) needs order 6g + 4 (toprec.required_order), so the bound is 6 (a
-# test holds the two in step).
+# 0.18-0.32 s and HurwitzOracle(14, 6) 0.25-0.52 s, most of it in log.  At
+# its genus bound, a fresh HurwitzOracle(12, 6) takes 0.13-0.18 s of CPU.
 RECURSION_MAX_ORDER = 40
 ORACLE_MAX_N = 12
-ORACLE_MAX_G = (RECURSION_MAX_ORDER - 4) // 6
+ORACLE_MAX_G = 6
 
 
 class _UsageError(Exception):
@@ -78,13 +78,16 @@ def _build_parser():
     parser = _Parser(prog="hurwitzrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def ranged(p):
+        p.add_argument("--g-max", type=int, default=1, help="highest genus (default 1)")
+        p.add_argument("--n-max", type=int, default=4, help="highest degree |mu| (default 4)")
+
     def common(p):
         p.add_argument("--cache", type=_path, help="path to the PoleForm cache file")
         p.add_argument("--verbose", action="store_true")
 
     p_table = sub.add_parser("table", help="emit H_{g,mu} for a range")
-    p_table.add_argument("--g-max", type=int, default=1)
-    p_table.add_argument("--n-max", type=int, default=4)
+    ranged(p_table)
     p_table.add_argument("--method", choices=("recursion", "oracle", "both"), default="both")
     p_table.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
     common(p_table)
@@ -95,10 +98,11 @@ def _build_parser():
     common(p_wkg)
 
     p_check = sub.add_parser("check", help="run a verification suite")
-    p_check.add_argument("suite", choices=("bm", "elsv"))
-    p_check.add_argument("--g-max", type=int, help="check bm only (default 1)")
-    p_check.add_argument("--n-max", type=int, help="check bm only (default 4)")
-    common(p_check)
+    suites = p_check.add_subparsers(dest="suite", required=True)
+    p_bm = suites.add_parser("bm", help="the table by both routes, up to the first mismatch")
+    ranged(p_bm)
+    common(p_bm)
+    suites.add_parser("elsv", help="ELSV consistency of the oracle's values")
 
     return parser
 
@@ -114,50 +118,35 @@ def _cache_path(args):
     return args.cache if args.cache is not None else os.environ.get(CACHE_ENV)
 
 
-def _recursion_order(g, k):
-    """The truncation order W(g, k) needs, refused above the size bound."""
-    from .toprec import required_order
-
-    need = required_order(g, k)
-    if need > RECURSION_MAX_ORDER:
-        raise ValueError(
-            f"W({g},{k}) needs truncation order {need}, above the recursion's "
-            f"size bound of order {RECURSION_MAX_ORDER}"
-        )
-    return need
-
-
-def _make_engine(args, order):
-    from .toprec import LambertEngine
-
-    engine = LambertEngine(order=order)
-    flush = None
-    path = _cache_path(args)
-    if path:
-        from .cache import attach_cache
-
-        flush = attach_cache(engine, path)
-        if args.verbose:
-            print(f"cache attached at {path}", file=sys.stderr)
-    return engine, flush
-
-
 def _set_up(args, g_max, n_max, method):
     """The engine and the oracle a table by `method` needs (None for the
     other) and the engine's cache flush or None, after every bound is checked.
+    The engine's order is the one W(g_max, n_max), the largest form, needs.
     """
     if g_max < 0 or n_max < 1:
         raise _UsageError("need --g-max >= 0 and --n-max >= 1")
     engine = flush = oracle = None
-    if method != "oracle":  # first: its bound covers every genus above the oracle's
-        order = _recursion_order(g_max, n_max)
+    if method != "oracle":  # the recursion's bound is checked first
+        from .toprec import LambertEngine, required_order
+
+        order = required_order(g_max, n_max)
+        if order > RECURSION_MAX_ORDER:
+            raise ValueError(f"W({g_max},{n_max}) needs truncation order {order}, above the "
+                             f"recursion's size bound of order {RECURSION_MAX_ORDER}")
     if method != "recursion":
         if n_max > ORACLE_MAX_N:
             raise ValueError(f"--n-max {n_max} is above the oracle's size bound of {ORACLE_MAX_N}")
         if g_max > ORACLE_MAX_G:
             raise ValueError(f"--g-max {g_max} is above the oracle's genus bound of {ORACLE_MAX_G}")
     if method != "oracle":
-        engine, flush = _make_engine(args, order)
+        engine = LambertEngine(order=order)
+        path = _cache_path(args)
+        if path:
+            from .cache import attach_cache
+
+            flush = attach_cache(engine, path)
+            if args.verbose:
+                print(f"cache attached at {path}", file=sys.stderr)
     if method != "recursion":
         from .partitions import HurwitzOracle
 
@@ -210,7 +199,7 @@ def _cmd_wkg(args):
     from .toprec import check_stable
 
     check_stable(args.g, args.k)
-    engine, flush = _make_engine(args, _recursion_order(args.g, args.k))
+    engine, _oracle, flush = _set_up(args, args.g, args.k, "recursion")
     form = engine.w(args.g, args.k)
     if flush:
         flush()
@@ -219,19 +208,14 @@ def _cmd_wkg(args):
 
 
 def _cmd_check(args):
-    if args.suite != "bm":
-        if args.g_max is not None or args.n_max is not None:
-            raise _UsageError("--g-max and --n-max apply only to check bm")
-        if args.cache is not None or args.verbose:
-            raise _UsageError("--cache and --verbose apply only to check bm")
     if args.suite == "bm":
         from .extract import verify_bm
+        from .partitions import is_stable
 
-        g_max = 1 if args.g_max is None else args.g_max
-        n_max = 4 if args.n_max is None else args.n_max
+        g_max, n_max = args.g_max, args.n_max
         # 2g - 2 + len(mu) is largest at the corner, so a range with a
         # stable (g, mu) has one there; a check of no case is refused
-        if g_max >= 0 and n_max >= 1 and 2 * g_max - 2 + n_max <= 0:
+        if g_max >= 0 and n_max >= 1 and not is_stable(g_max, n_max):
             raise ValueError(f"no stable (g, mu) with g <= {g_max} and |mu| <= {n_max} to compare")
         engine, oracle, flush = _set_up(args, g_max, n_max, "both")
         rows = verify_bm(g_max, n_max, engine, oracle)
@@ -240,7 +224,7 @@ def _cmd_check(args):
         _emit_table(rows, ("recursion", "oracle"), "text")
         # verify_bm stops at the first mismatch, so only the last row can be one
         ok = all(row["equal"] for row in rows)
-        last = rows[-1] if rows else None
+        last = rows[-1]
         verdict = "all equal" if ok else f"MISMATCH at g={last['g']} mu={_mu_text(last['mu'])}"
         print(f"-- {len(rows)} cases: {verdict}")
         return EX_OK if ok else EX_MISMATCH
@@ -272,15 +256,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     except ArithmeticError as exc:
+        # a failed self-check, or a truncation order (always chosen here) too low
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_SOFTWARE
     except ValueError as exc:
-        from .series import TruncationError
-
-        # every truncation order is chosen here, so one too low is a fault
-        if isinstance(exc, TruncationError):
-            print(f"internal error: {exc}", file=sys.stderr)
-            return EX_SOFTWARE
         print(f"error: {exc}", file=sys.stderr)
         return EX_RANGE
     except OSError as exc:

@@ -33,7 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .partitions import HurwitzOracle, aut_size, check_partition, format_rational, partitions_of
+from .partitions import (HurwitzOracle, aut_size, check_partition, format_rational, is_stable,
+                         partitions_of)
 
 _ZERO = Fraction(0)
 
@@ -81,7 +82,7 @@ def routes(engine, oracle, n_max):
 
         def recursion(g, mu):
             k = len(mu)
-            if 2 * g - 2 + k <= 0:  # unstable, as g >= 0 and k >= 1 here
+            if not is_stable(g, k):
                 return None
             if (g, k) not in numbers:
                 numbers[g, k] = h_series(engine.w(g, k), n_max)

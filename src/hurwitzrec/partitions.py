@@ -73,6 +73,12 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(int(num), int(den) if den else 1)
 
 
+def is_stable(g: int, k: int) -> bool:
+    """Whether (g, k) is in the stable range 2g - 2 + k > 0, the range of the
+    recursion's forms and of the Hurwitz numbers it gives."""
+    return g >= 0 and k >= 1 and 2 * g - 2 + k > 0
+
+
 def check_partition(mu) -> Partition:
     """mu as a tuple, refused unless its parts are positive ints in weakly
     decreasing order.  A part that is not an int (a bool, a float or a

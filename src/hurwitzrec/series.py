@@ -13,8 +13,12 @@ from fractions import Fraction
 from math import lcm
 
 
-class TruncationError(ValueError):
-    """A coefficient beyond the known truncation order was requested."""
+class TruncationError(ArithmeticError):
+    """A coefficient beyond the known truncation order was requested.
+
+    Every truncation order is chosen by the code that builds the series, not
+    by the user, so an order too low is an internal fault: an
+    ``ArithmeticError``, as the CLI reports it (exit 70)."""
 
 
 def clear_denominators(values):

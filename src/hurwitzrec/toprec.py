@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .partitions import aut_size
+from .partitions import aut_size, is_stable
 from .poleform import PoleForm, basis_poles, pole_basis, poles_to_basis, splits
 from .series import TruncationError, clear_denominators, conv, conv_ints, unit_inverse
 
@@ -64,10 +64,6 @@ def required_order(g: int, k: int) -> int:
     """Truncation order used for the (g, k) form: 2*(3g-3+k) + 8, floored
     at the minimal curve order 8."""
     return max(8, 2 * (3 * g - 3 + k) + 8)
-
-
-def is_stable(g: int, k: int) -> bool:
-    return g >= 0 and k >= 1 and 2 * g - 2 + k > 0
 
 
 def check_stable(g: int, k: int) -> None:

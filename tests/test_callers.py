@@ -6,9 +6,11 @@ A definition counts as called when its name appears anywhere under
 definitions reached only from outside the package are listed with the reason
 they stay.  A field (a ``self.<name>`` store or a ``__slots__`` entry) counts
 as read when ``<name>`` is loaded as an attribute somewhere under
-``src/hurwitzrec``.
+``src/hurwitzrec``.  Every flag the CLI's parser declares is read as
+``args.<dest>`` in ``cli.py``.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -172,3 +174,30 @@ def test_extract_imports_form_code_only_where_it_expands():
     top = {name for node, name in _imports(tree) if node in tree.body}
     assert ".poleform" not in top
     assert ".poleform" in {name for _, name in _imports(tree)}
+
+
+def _declared_dests(parser):
+    """Every ``dest`` a parser and its sub-parsers declare, argparse's own
+    ``help`` action left out."""
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        yield action.dest
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _declared_dests(sub)
+
+
+def test_every_flag_is_read():
+    # a flag declared but never read as args.<dest> would be accepted and
+    # then ignored
+    from hurwitzrec.cli import _build_parser
+
+    read = {
+        node.attr
+        for node in ast.walk(_parse("cli.py"))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    assert sorted(set(_declared_dests(_build_parser())) - read) == []

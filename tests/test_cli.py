@@ -172,9 +172,10 @@ class TestCheck:
         ids=["elsv-g-max", "elsv"],
     )
     def test_bm_flags_refused_elsewhere(self, args):
+        # check elsv declares no flag, so its parser refuses each by name
         r = run_cli("check", *args)
         assert r.returncode == 64
-        assert r.stderr == "usage error: --g-max and --n-max apply only to check bm\n"
+        assert r.stderr == f"usage error: unrecognized arguments: {' '.join(args[1:])}\n"
         assert r.stdout == ""
 
     @pytest.mark.parametrize(
@@ -185,8 +186,34 @@ class TestCheck:
     def test_cache_flags_refused_elsewhere(self, args):
         r = run_cli("check", *args)
         assert r.returncode == 64
-        assert r.stderr == "usage error: --cache and --verbose apply only to check bm\n"
+        assert r.stderr == f"usage error: unrecognized arguments: {' '.join(args[1:])}\n"
         assert r.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bm", "--g-max", "x"),
+            ("bm", "--bogus"),
+            ("elsv", "--cache", "p"),
+            ("--g-max", "1", "bm"),
+        ],
+        ids=["bad-int", "unknown-flag", "elsv-cache", "flag-before-suite"],
+    )
+    def test_nested_parser_refusals_exit_64(self, args):
+        # argparse's own exit code, 2, is the mismatch code here: every
+        # refusal of a suite's parser must come out as a usage error
+        r = run_cli("check", *args)
+        assert r.returncode == 64
+        assert r.stdout == ""
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+    @pytest.mark.parametrize("suite,flags", [("bm", True), ("elsv", False)])
+    def test_suite_help(self, suite, flags):
+        r = run_cli("check", suite, "--help")
+        assert r.returncode == 0 and r.stderr == ""
+        assert r.stdout.startswith(f"usage: hurwitzrec check {suite} ")
+        assert ("--g-max" in r.stdout) == ("--n-max" in r.stdout) == flags
 
 
 class TestCache:
@@ -564,18 +591,6 @@ class TestSizeBound:
         assert r.stdout == ""
         # refused before anything was computed, so no cache file was written
         assert not cache.exists()
-
-    def test_oracle_genus_bound_is_the_recursions(self):
-        # cli derives the bound without loading toprec; it must stay the
-        # highest genus whose W(g,1) the recursion's order bound admits
-        from hurwitzrec import cli
-        from hurwitzrec.toprec import required_order
-
-        admitted = [
-            g for g in range(cli.RECURSION_MAX_ORDER)
-            if required_order(g, 1) <= cli.RECURSION_MAX_ORDER
-        ]
-        assert cli.ORACLE_MAX_G == max(admitted) == 6
 
 
 # Runs the CLI in a fresh interpreter and prints, as the last line of stderr,
