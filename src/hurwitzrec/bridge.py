@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import HurwitzOracle, aut_size, format_rational
+from .common import aut_size, format_rational
+from .partitions import HurwitzOracle
 
 
 def _elsv_prefactor(g: int, mu) -> Fraction:

@@ -33,7 +33,7 @@ import fcntl
 import json
 import os
 
-from .partitions import is_stable
+from .common import is_stable
 from .poleform import PoleForm
 from .toprec import FINGERPRINT, outside_window
 

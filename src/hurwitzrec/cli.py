@@ -1,29 +1,30 @@
-"""Command-line interface.
+"""Exact simple Hurwitz numbers from the command line.
 
-Subcommands: ``table`` (Hurwitz numbers by either or both routes), ``wkg``
-(canonical JSON of one correlation form), ``check bm`` and ``check elsv``
+Commands: 'table' (Hurwitz numbers by either or both routes), 'wkg'
+(canonical JSON of one correlation form), 'check bm' and 'check elsv'
 (verification suites).  Every command that builds an engine or an oracle
-does it in one set-up, which checks every bound first.  ``table`` and
-``check bm`` also share one writer: ``check bm`` prints the rows of ``table
---method both`` up to the first mismatch, then one verdict line.
+does it in one set-up, which checks every bound first.  'table' and
+'check bm' also share one writer: 'check bm' prints the rows of
+'table --method both' up to the first mismatch, then one verdict line.
 
 Exit codes (64 to 74 as in sysexits.h):
 
 - 0 success;
 - 2 a mathematical mismatch was found;
-- 64 bad flags, including an empty ``--cache``, a ``check`` suite other
-  than ``bm`` and ``elsv`` (``series`` and ``times`` among them: their checks
-  live in the test suite), and a flag its command or suite does not take
-  (``check elsv`` takes none, and a suite's flags follow its name, so
-  ``check --g-max 1 bm`` is refused);
+- 64 bad flags, including an empty --cache, a 'check' suite other than
+  'bm' and 'elsv' ('series' and 'times' among them: their checks live in
+  the test suite), and a flag its command or suite does not take
+  ('check elsv' takes none, and a suite's flags follow its name, so
+  'check --g-max 1 bm' is refused);
 - 65 request out of range, including a request above a size bound and a
-  ``check bm`` range that holds no stable ``(g, mu)`` to compare;
+  'check bm' range that holds no stable (g, mu) to compare;
 - 70 internal inconsistency: an exact self-check of the recursion failed
   (for instance a form that is not symmetric in its slots), or a residue
   that the truncation order the CLI chose cannot resolve;
 - 74 an I/O error: stdout is closed or full, its reader left before all
-  output was written (a broken pipe, as in ``hurwitzrec table ... |
-  head -1``), or the cache file could not be written;
+  output was written (a broken pipe, as in
+  'hurwitzrec table ... | head -1'), or the cache file could not be
+  written;
 - 130 interrupted (Ctrl-C), as a shell reports 128 + SIGINT.
 
 Stdout carries data; stderr carries diagnostics.  The series truncation
@@ -53,13 +54,14 @@ CACHE_ENV = "HURWITZREC_CACHE"
 # Size bounds, checked before any engine or oracle is built.  The recursion's
 # cost grows steeply with the truncation order its largest form needs; order
 # 40 admits W(4,5) and W(3,8) (order 36) and W(2,13) (order 40), which take
-# about 0.17 s, 0.23 s and 0.83 s of CPU in process on a 2-core Intel Xeon
-# virtual machine (wkg 2 13, which also writes the form's 16,799 pole terms,
-# takes about 2.9 s as a whole process).  The oracle's cost grows fastest
-# with |mu|: in a fresh process on the same machine, HurwitzOracle(12, 3)
-# takes 0.06-0.10 s of CPU, and past the bound HurwitzOracle(14, 3)
-# 0.18-0.32 s and HurwitzOracle(14, 6) 0.25-0.52 s, most of it in log.  At
-# its genus bound, a fresh HurwitzOracle(12, 6) takes 0.13-0.18 s of CPU.
+# about 0.10 s, 0.17 s and 0.64 s of CPU in process on a 2-core Intel Xeon
+# virtual machine (medians of 7 fresh processes; wkg 2 13, which also writes
+# the form's 16,799 pole terms, takes about 2.0 s of CPU as a whole
+# process).  The oracle's cost grows fastest with |mu|: in a fresh process
+# on the same machine, HurwitzOracle(12, 3) takes 0.06-0.10 s of CPU, and
+# past the bound HurwitzOracle(14, 3) 0.18-0.32 s and HurwitzOracle(14, 6)
+# 0.25-0.52 s, most of it in log.  At its genus bound, a fresh
+# HurwitzOracle(12, 6) takes 0.13-0.18 s of CPU.
 RECURSION_MAX_ORDER = 40
 ORACLE_MAX_N = 12
 ORACLE_MAX_G = 6
@@ -74,8 +76,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Misplaced(argparse.Action):
+    """A suite's flag given before the suite's name, refused by its name
+    rather than by the value argparse would take for the suite."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(None, f"argument {option_string}: a suite's flags "
+                                           f"follow its name, as in 'check bm {option_string} ...'")
+
+
 def _build_parser():
-    parser = _Parser(prog="hurwitzrec", description=__doc__)
+    # the docstring is the description, its lines and list kept as written
+    parser = _Parser(prog="hurwitzrec", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def ranged(p):
@@ -98,6 +111,9 @@ def _build_parser():
     common(p_wkg)
 
     p_check = sub.add_parser("check", help="run a verification suite")
+    # one argument for all four, since argparse builds a formatter per argument
+    p_check.add_argument("--g-max", "--n-max", "--cache", "--verbose", nargs="?",
+                         action=_Misplaced, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     suites = p_check.add_subparsers(dest="suite", required=True)
     p_bm = suites.add_parser("bm", help="the table by both routes, up to the first mismatch")
     ranged(p_bm)
@@ -210,7 +226,7 @@ def _cmd_wkg(args):
 def _cmd_check(args):
     if args.suite == "bm":
         from .extract import verify_bm
-        from .partitions import is_stable
+        from .common import is_stable
 
         g_max, n_max = args.g_max, args.n_max
         # 2g - 2 + len(mu) is largest at the corner, so a range with a

@@ -33,8 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .partitions import (HurwitzOracle, aut_size, check_partition, format_rational, is_stable,
-                         partitions_of)
+from .common import aut_size, check_partition, format_rational, is_stable, partitions_of
 
 _ZERO = Fraction(0)
 
@@ -113,15 +112,10 @@ def table_rows(g_max, n_max, routes):
                 yield row
 
 
-def verify_bm(
-    g_max: int,
-    n_max: int,
-    engine=None,
-    oracle: HurwitzOracle | None = None,
-) -> list[dict]:
+def verify_bm(g_max: int, n_max: int, engine=None, oracle=None) -> list[dict]:
     """Compare recursion vs oracle for every stable (g, mu) in range, with
-    the given `toprec.LambertEngine` or a new one at the order the range
-    needs.
+    the given `toprec.LambertEngine` and `partitions.HurwitzOracle`, or new
+    ones for the range.
 
     Returns the `table_rows` compared, in table order.  It stops at the first
     mismatch, so every row is equal except possibly the last.
@@ -131,6 +125,8 @@ def verify_bm(
 
         engine = LambertEngine(order=required_order(g_max, n_max))
     if oracle is None:
+        from .partitions import HurwitzOracle  # a recursion table loads no oracle code
+
         oracle = HurwitzOracle(n_max, g_max)
     rows = []
     for row in table_rows(g_max, n_max, routes(engine, oracle, n_max)):

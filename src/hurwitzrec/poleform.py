@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .partitions import format_rational, parse_rational
+from .common import format_rational, parse_rational
 
 
 def splits(key):
@@ -122,23 +122,32 @@ def pole_basis(top: int):
     """``(den, {p: {index: num}})`` for pole orders 1 <= p <= top, with p_p =
     sum num/den times the basis element of each index: xihat_e for e >= 1 and
     the residual t^(2j-1) (t-1) = -p_(2j-1) for -j.  Even orders reduce
-    against the top pole of xihat_(p/2), odd ones are residual."""
-    rows = {}
+    against the top pole of xihat_(p/2), odd ones are residual.
+
+    In integers: the rows are kept over one denominator, which grows by the
+    part of each even row's divisor, the top coefficient of xihat_(p/2),
+    that the row's numerators do not cancel; one gcd then puts the map in
+    lowest terms."""
+    den, rows = 1, {}
     for p in range(1, top + 1):
         if p % 2:
-            rows[p] = {-((p + 1) // 2): Fraction(-1)}
+            rows[p] = {-((p + 1) // 2): -den}
             continue
         poles = basis_poles(p // 2)
-        row = {p // 2: Fraction(1)}
+        row = {p // 2: den}
         for a, c in poles.items():
             if a < p:
                 for index, v in rows[a].items():
                     row[index] = row.get(index, 0) - c * v
-        rows[p] = {index: v / poles[p] for index, v in row.items() if v}
-    den = lcm(*(v.denominator for row in rows.values() for v in row.values()))
-    return den, {
-        p: {index: v.numerator * (den // v.denominator) for index, v in row.items()}
-        for p, row in rows.items()
+        # the row is over den * poles[p]; bring the others over that too
+        common = gcd(poles[p], *row.values())
+        grow = poles[p] // common
+        den *= grow
+        rows = {a: {index: v * grow for index, v in r.items()} for a, r in rows.items()}
+        rows[p] = {index: v // common for index, v in row.items() if v}
+    common = gcd(den, *(v for row in rows.values() for v in row.values()))
+    return den // common, {
+        p: {index: v // common for index, v in row.items()} for p, row in rows.items()
     }
 
 

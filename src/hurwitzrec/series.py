@@ -1,16 +1,15 @@
-"""Truncated power series over exact rationals, as coefficient lists.
+"""Truncated power series as lists of integer numerators.
 
-A list ``a`` stands for ``sum a[n] * z**n`` known below ``z**len(a)``; the
-coefficients are `fractions.Fraction`s (or ``int``s).  Products and
-reciprocals run on integers: `conv` and `unit_inverse` clear the
-denominators of their inputs once, work on plain ``int``s and divide once at
-the end, so no intermediate result is a `Fraction`.
+A list ``a`` of ``int``s stands for ``sum a[n] * z**n`` known below
+``z**len(a)``; a series with rational coefficients is a pair ``(den, nums)``
+of one positive denominator and such a list, `lowest_terms` its reduced
+form.  `conv_ints` is the product and `unit_inverse` the reciprocal; none
+of them makes a `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
 
 class TruncationError(ArithmeticError):
@@ -21,21 +20,11 @@ class TruncationError(ArithmeticError):
     ``ArithmeticError``, as the CLI reports it (exit 70)."""
 
 
-def clear_denominators(values):
-    """``(den, nums)`` with ``values[i] == nums[i] / den``; ``den`` is the
-    least common denominator (1 for an empty input)."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
-def conv(a, b, nout):
-    """First ``nout`` coefficients of the Cauchy product of coefficient lists."""
-    if nout <= 0:
-        return []
-    da, anum = clear_denominators(a[:nout])
-    db, bnum = clear_denominators(b[:nout])
-    den = da * db
-    return [Fraction(c, den) for c in conv_ints(anum, bnum, nout)]
+def lowest_terms(den, nums):
+    """``(den, nums)`` with the gcd of the denominator and every numerator
+    divided out."""
+    common = gcd(den, *nums)
+    return den // common, [v // common for v in nums]
 
 
 def conv_ints(a, b, nout):
@@ -52,24 +41,25 @@ def conv_ints(a, b, nout):
 
 
 def unit_inverse(a, n):
-    """First ``n`` coefficients of the reciprocal of a unit power series.
+    """``(den, nums)``: the first ``n`` coefficients of the reciprocal of the
+    series of ``int``s ``a``, ``a[0] != 0``, as ``nums[k] / den`` in lowest
+    terms.
 
-    With ``a = anum / da`` the k-th coefficient is ``da * s_k / a0**(k+1)``
-    for the integers ``s_k = -sum_i anum[i] * a0**(i-1) * s_(k-i)``.  These
-    grow like ``a0**n``; the series inverted here keep ``a0.bit_length() * n``
-    to a few thousand bits.
+    b_k = -(sum_{i>=1} a_i b_(k-i)) / a_0, each b_k brought over the common
+    denominator as it is made: that grows only by the part of b_k's own
+    denominator it lacks, so it stays the lcm of the reduced denominators
+    and the numerators near the size of the result, not of a_0^n.
     """
-    da, anum = clear_denominators(a[:n])
-    a0 = anum[0]
-    powers = [1]
-    for _ in range(n):
-        powers.append(powers[-1] * a0)
-    scaled = [1]
+    a0 = a[0]
+    den, nums = abs(a0), [1 if a0 > 0 else -1]
     for k in range(1, n):
-        acc = 0
-        for i in range(1, min(k, len(anum) - 1) + 1):
-            ai = anum[i]
-            if ai:
-                acc += ai * powers[i - 1] * scaled[k - i]
-        scaled.append(-acc)
-    return [Fraction(da * s, powers[k + 1]) for k, s in enumerate(scaled)]
+        total = -sum(a[i] * nums[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+        d = a0 * den
+        common = gcd(total, d) if a0 > 0 else -gcd(total, d)
+        num, d = total // common, d // common
+        grow = d // gcd(d, den)
+        if grow > 1:
+            den *= grow
+            nums = [v * grow for v in nums]
+        nums.append(num * (den // d))
+    return den, nums[:n]

@@ -6,14 +6,14 @@ branch point z* = 1, as truncated power series, coefficient lists known
 below the engine order (see `series`); y = 1 + zeta enters only through
 zeta - sigma(zeta).  Correlation forms are finite PoleForms in the ELSV
 basis (see `poleform`); the residue in the recursion becomes coefficient
-extraction on those series.  The
-recursion kernel is never built: the residue against a pulled pair of slots
-is two reads of one integer table with a row U_s per pulled slot s, the slot
-on the other sheet over 2 (zeta - sigma) (see `LambertEngine.u_table`), and
-the sweeps read each pair from one table filled from it (see
-`PairTable`).  Since sigma fixes x, the basis step xihat_(e+1) = d/dx
-xihat_e carries over to the other sheet, so row s + 1 is one exact integer
-step from row s.
+extraction on those series.  The recursion kernel is never built: the
+residue against a pulled pair of slots is two reads of one integer table
+with a row U_s per pulled slot s, the slot on the other sheet over 2 (zeta -
+sigma) (see `LambertEngine.u_table`), by one formula (`PairTable.residues`),
+and the sweeps read each pair of basis indices from one table filled from
+it (see `PairTable`).  Since sigma fixes x, the basis step xihat_(e+1) =
+d/dx xihat_e carries over to the other sheet, so row s + 1 is one exact
+integer step from row s.
 
 A pulled slot is a basis index (> 0) or a Bergman power (<= 0, -m standing
 for zeta^m); its pole orders are `basis_poles` of the index or the power
@@ -22,33 +22,37 @@ basis where it is made (see `poles_to_basis`), so every row after it holds
 basis indices only, residual ones included.  Each form is summed in one
 running sum ``{rest: {index: num}}``, keyed by the weakly decreasing tuple of
 indices left on the symbolic variables and the first slot's basis index, in
-integers over one denominator.  `w` fixes
-that denominator before the first sweep, as the lcm of every sweep's own, and
-each sweep folds the quotient into its integer multiplier, so nothing held is
-ever rescaled.  The Bergman split B(z0, z_i) W(g, k-1), a term of every form
-with k >= 2, is not swept as a product of two forms: its rows, the Bergman
-decomposition contracted with each pulled slot, are kept once per engine with
-the zero rows left out (see `BergmanRows`), and `bergman_sweep` adds each
-stored row into its merged rest.
+integers over one denominator.  `w` fixes that denominator before the first
+sweep, as the lcm of every sweep's own, and each sweep folds the quotient
+into its integer multiplier, so nothing held is ever rescaled.  The Bergman
+split B(z0, z_i) W(g, k-1), a term of every form with k >= 2, is not swept
+as a product of two forms: its rows, the Bergman decomposition contracted
+with each pulled slot, are kept once per engine with the zero rows left out
+(see `BergmanRows`), and `bergman_sweep` adds each stored row into its
+merged rest.  Each row is filled in one pass from the residue formula,
+summed by pole order and written in the basis once; the Bergman powers
+beyond the slot's top pole order give nothing and are not read, so the pair
+table holds basis indices only.
 
 The deck involution sigma(zeta) = -zeta + O(zeta^2), the other local
 solution of x(sigma) = x(zeta), is built from the curve's own differential
 equation: x'(zeta) = -zeta / (1 + zeta), so differentiating x(sigma) =
 x(zeta) gives (1 + zeta) sigma sigma' = zeta (1 + sigma), which fixes one
-coefficient of sigma per order (see `LambertEngine.sigma`).  The global sign
-of the recursion kernel, on which sources differ, is fixed to the one the
-character oracle confirms on the smallest stable cases.
+coefficient of sigma per order (see `LambertEngine.sigma`).  It is solved
+in integers over one denominator, and the set-up after it, the `halves` and
+the residue table, stays in integers.  The global sign of the recursion
+kernel, on which sources differ, is fixed to the one the character oracle
+confirms on the smallest stable cases.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .partitions import aut_size, is_stable
+from .common import aut_size, is_stable
 from .poleform import PoleForm, basis_poles, pole_basis, poles_to_basis, splits
-from .series import TruncationError, clear_denominators, conv, conv_ints, unit_inverse
+from .series import TruncationError, conv_ints, lowest_terms, unit_inverse
 
 
 # The cache fingerprint, a constant so that a cached run hashes nothing.  One
@@ -89,10 +93,11 @@ def outside_window(g: int, k: int, keys) -> list:
     return [key for key in keys if not 2 * g - 3 + k <= sum(key) - k <= 3 * g - 3 + k]
 
 
-def check_deck_involution(sigma: list) -> list:
-    """Return ``sigma``, the coefficients sigma_1 .. sigma_(t-1) of zeta^1 ..
-    zeta^(t-1), if sigma = -zeta + O(zeta^2) solves (1 + zeta) sigma sigma' =
-    zeta (1 + sigma) below zeta^t, and raise ValueError otherwise.
+def check_deck_involution(sigma):
+    """Return ``sigma``, ``(den, nums)`` with ``nums[i-1] / den`` the
+    coefficient sigma_i of zeta^i for i = 1 .. t - 1, if sigma = -zeta +
+    O(zeta^2) solves (1 + zeta) sigma sigma' = zeta (1 + sigma) below
+    zeta^t, and raise ValueError otherwise.
 
     This is the check that x(sigma) = x(zeta) through zeta^t.  With the
     Lambert x'(zeta) = -zeta / (1 + zeta), d/dzeta [x(sigma) - x(zeta)] is
@@ -101,12 +106,21 @@ def check_deck_involution(sigma: list) -> list:
     zeta^(t-1) exactly when x(sigma) - x(zeta) does through zeta^t.  The
     identity solves the equation too, hence the leading coefficient.
     """
-    # the residual over zeta: (1 + zeta) sigma sigma' / zeta - (1 + sigma)
-    product = conv(sigma, [i * c for i, c in enumerate(sigma, 1)], len(sigma))
-    residual = [a + b - c for a, b, c in zip(product, [0] + product, [1] + sigma)]
-    if sigma[:1] != [-1] or any(residual):
+    # den^2 times the residual over zeta: (1 + zeta) sigma sigma' / zeta -
+    # (1 + sigma)
+    den, nums = sigma
+    product = conv_ints(nums, [i * c for i, c in enumerate(nums, 1)], len(nums))
+    one_plus = [den * c for c in [den] + nums]
+    residual = [a + b - c for a, b, c in zip(product, [0] + product, one_plus)]
+    if nums[:1] != [-den] or any(residual):
         raise ValueError("no deck involution exists at this order")
     return sigma
+
+
+def slot_poles(s: int) -> dict:
+    """The pole orders of a pulled slot: `basis_poles` of a basis index, the
+    power itself of a Bergman power."""
+    return basis_poles(s) if s > 0 else {s: 1}
 
 
 class PairTable(dict):
@@ -119,34 +133,43 @@ class PairTable(dict):
     With P_s the pole orders of slot s and top(s) the largest of them, the
     residue at the kernel's pole order p is sum_a P_x[a] U_y[a + top(y) + 2 -
     p] + sum_b P_y[b] U_x[b + top(x) + 2 - p] for p = 2 .. `kernel_top`, each
-    U a power series; the row is these residues by p written in the basis
-    once (see `poles_to_basis`).  The table knows U_s[n] for n < order - 2,
-    so top(x) + top(y) > order - 3 raises TruncationError."""
+    U a power series (see `residues`); the row is these residues by p written
+    in the basis once (see `poles_to_basis`).  The table knows U_s[n] for n <
+    order - 2, so top(x) + top(y) > order - 3 raises TruncationError."""
 
     def __init__(self, u_table, order):
         super().__init__()
         den_u, self.u = u_table
-        self.den = den_u * pole_basis(kernel_top(order))[0]
         self.order = order
+        self.top = kernel_top(order)
+        den_basis, self.to_basis = pole_basis(self.top)
+        self.den = den_u * den_basis
 
-    def __missing__(self, key):
-        x, y = key
-        poles_x, poles_y = (basis_poles(s) if s > 0 else {s: 1} for s in key)
+    def residues(self, x, y) -> list:
+        """The residues of the pulled pair (x, y) by the kernel's pole order
+        p, a list of numerators over den_u indexed by p = 0 .. `kernel_top`
+        (p = 0, 1 stay 0): the one residue formula, which the pair table and
+        the `BergmanRows` both read."""
+        poles_x, poles_y = slot_poles(x), slot_poles(y)
         top_x, top_y = max(poles_x), max(poles_y)
         if top_x + top_y > self.order - 3:
             raise TruncationError(
                 f"engine order {self.order} cannot resolve the residue "
                 f"for the pulled slots (x={x}, y={y})"
             )
-        top = kernel_top(self.order)
-        sums = [0] * (top + 1)  # by p; p = 0, 1 stay 0
+        top = self.top
+        sums = [0] * (top + 1)
         for poles, u, top_u in ((poles_x, self.u[y], top_y), (poles_y, self.u[x], top_x)):
             for a, c in poles.items():
                 n = a + top_u + 2
                 for p in range(2, min(n, top) + 1):
                     sums[p] += c * u[n - p]
-        row = poles_to_basis({p: v for p, v in enumerate(sums) if v}, pole_basis(top)[1])
-        self[x, y] = self[y, x] = row
+        return sums
+
+    def __missing__(self, key):
+        sums = self.residues(*key)
+        row = poles_to_basis({p: v for p, v in enumerate(sums) if v}, self.to_basis)
+        self[key] = self[key[::-1]] = row
         return row
 
 
@@ -203,20 +226,42 @@ def pair_sweep(acc, den, terms_a, terms_b, table, weight):
 
 class BergmanRows(dict):
     """``R[y] = {i: row}``: each group ``(i,): {-m: num}`` of the Bergman
-    decomposition ``(den, groups)`` contracted with the pulled slot y, ``row
-    = contract_pairs(group, y, table)``, ``{index: num}`` over ``table.den``,
-    stored only when nonzero.  Filled on first use, so each contraction is
-    made once per engine, not once per form that sweeps the Bergman term."""
+    decomposition ``(den, groups)`` contracted with the pulled slot y, the
+    sum over m of num times the residue row of the pair (-m, y), as
+    ``{index: num}`` over ``table.den``, stored only when nonzero.  Filled on
+    first use, so each contraction is made once per engine, not once per
+    form that sweeps the Bergman term.
+
+    Each row is filled in one pass from the residue table, not through the
+    pair table's rows: the residues of (-m, y) by pole order (see
+    `PairTable.residues`) are made once per m, each group sums them in pole
+    orders, and its sum is written in the basis once.  A Bergman power -m
+    has the one pole order -m, so both halves of the residue formula are
+    empty for m > top(y); only m = 0 .. top(y) is read, none for y < 0."""
 
     def __init__(self, bergman_terms, table):
         super().__init__()
         self.den, self.groups = bergman_terms
         self.table = table
+        # the largest Bergman power the decomposition holds
+        self.top_power = max(-x for group in self.groups.values() for x in group)
 
     def __missing__(self, y):
+        table = self.table
+        reach = min(max(slot_poles(y)), self.top_power) + 1
+        residues = [
+            [(p, v) for p, v in enumerate(table.residues(-m, y)) if v] for m in range(reach)
+        ]
         rows = {}
         for (i,), group in self.groups.items():
-            row = contract_pairs(group, y, self.table)
+            terms = [(num, residues[-x]) for x, num in group.items() if -x < reach]
+            if not terms:
+                continue
+            sums = [0] * (table.top + 1)
+            for num, residue in terms:
+                for p, v in residue:
+                    sums[p] += num * v
+            row = poles_to_basis({p: v for p, v in enumerate(sums) if v}, table.to_basis)
             if row:
                 rows[i] = row
         self[y] = rows
@@ -259,30 +304,41 @@ class LambertEngine:
         self._cache_source = None
 
     @cached_property
-    def sigma(self) -> list:
-        """The deck involution at z* = 1, known below the engine order: the
-        coefficients sigma_1 .. sigma_(order-1) of zeta^1 .. zeta^(order-1),
-        which are those of s = sigma / zeta from zeta^0.
+    def sigma(self):
+        """The deck involution at z* = 1, known below the engine order, as
+        ``(den, nums)`` in lowest terms: ``nums[i-1] / den`` is the
+        coefficient sigma_i of zeta^i for i = 1 .. order - 1, so ``nums``
+        is also s = sigma / zeta from zeta^0.
 
         sigma = -zeta + O(zeta^2) solves (1 + zeta) sigma sigma' = zeta (1 +
         sigma), the derivative of x(sigma) = x(zeta).  With Q = sigma^2 this
         is (1 + zeta) Q' = 2 zeta (1 + sigma), which at zeta^(n-1) reads
         n Q_n + (n-1) Q_(n-1) = 2 sigma_(n-2) for n >= 3, from Q_2 = 1.  As
-        Q_n = -2 sigma_(n-1) + sum_{i=2}^{n-2} sigma_i sigma_(n-i), each n
-        gives sigma_(n-1) in O(n) products.  `check_deck_involution` then
-        checks the equation on the result, which is the check that sigma
-        fixes x.
+        Q_n = -2 sigma_(n-1) + C_n, C_n = sum_{i=2}^{n-2} sigma_i sigma_(n-i),
+        each n gives sigma_(n-1) = (n C_n - 2 sigma_(n-2) + (n-1) Q_(n-1)) /
+        (2n) in O(n) products.  The recurrence runs on integers: sigma over
+        one denominator, Q and C over its square, and the denominator grows
+        by the part of each new coefficient's own one it lacks.
+        `check_deck_involution` then checks the equation on the result,
+        which is the check that sigma fixes x.
         """
         if self.order < 8:
             raise ValueError("order must be at least 8")
-        # sigma[i] is the coefficient of zeta^i; q is Q_(n-1) on entering step n
-        sigma = [Fraction(0), Fraction(-1)]
-        q = Fraction(1)
+        # sigma[i] / den is sigma_i; q / den^2 is Q_(n-1) on entering step n
+        den, sigma, q = 1, [0, -1], 1
         for n in range(3, self.order + 1):
-            q = (2 * sigma[n - 2] - (n - 1) * q) / n
             cross = sum(sigma[i] * sigma[n - i] for i in range(2, n - 1))
-            sigma.append((cross - q) / 2)
-        return check_deck_involution(sigma[1:])
+            num, d = n * cross - 2 * den * sigma[n - 2] + (n - 1) * q, 2 * n * den * den
+            common = gcd(num, d)
+            num, d = num // common, d // common
+            grow = d // gcd(d, den)
+            if grow > 1:
+                den *= grow
+                sigma = [v * grow for v in sigma]
+                cross *= grow * grow
+            sigma.append(num * (den // d))
+            q = cross - 2 * den * sigma[n - 1]
+        return check_deck_involution(lowest_terms(den, sigma[1:]))
 
     @cached_property
     def _bergman_terms(self):
@@ -310,20 +366,24 @@ class LambertEngine:
     @cached_property
     def halves(self):
         """The two power series the residue table is made of, ``(rhat,
-        what)``, known below zeta^(order - 1): rhat = zeta R_0 = -(1/s + zeta)
-        and what = zeta / (2 (zeta - sigma)) = 1 / (2 (1 - s)), s = sigma /
-        zeta, the list `sigma`.  A simple branch point needs s = -1 +
-        O(zeta), so that zeta - sigma vanishes to first order and the kernel
-        denominator (zeta - sigma) x' to second."""
-        s = self.sigma
-        if s[0] != -1:
+        what)``, each ``(den, nums)`` in lowest terms, known below
+        zeta^(order - 2) as the table reads them: rhat = zeta R_0 = -(1/s +
+        zeta) and what = zeta / (2 (zeta - sigma)) = 1 / (2 (1 - s)), s =
+        sigma / zeta, the numerators of `sigma`.  A simple branch point
+        needs s = -1 + O(zeta), so that zeta - sigma vanishes to first order
+        and the kernel denominator (zeta - sigma) x' to second."""
+        den_s, s = self.sigma
+        if s[0] != -den_s:
             raise ValueError(
                 "kernel denominator must vanish to second order at a simple branch point"
             )
-        rhat = [-c for c in unit_inverse(s, len(s))]
-        rhat[1] -= 1
-        what = unit_inverse([1 - s[0]] + [-c for c in s[1:]], len(s))
-        return rhat, [c / 2 for c in what]
+        # 1/s = den_s / s and 1/(1 - s) = den_s / (den_s - s), s read as ints
+        known = self.order - 2
+        den_r, inverse = unit_inverse(s, known)
+        rhat = [-den_s * v for v in inverse]
+        rhat[1] -= den_r
+        den_w, inverse = unit_inverse([den_s - s[0]] + [-c for c in s[1:]], known)
+        return lowest_terms(den_r, rhat), lowest_terms(2 * den_w, [den_s * v for v in inverse])
 
     @cached_property
     def u_table(self):
@@ -344,10 +404,10 @@ class LambertEngine:
         residue of a pulled pair of slots two reads of these rows (see
         `PairTable`).
 
-        The rows are built in integers from the two `halves`, each cleared
-        of denominators once: with rhat_x = zeta^(2x+1) R_x, U_x = rhat_x
-        what is one integer convolution, and rhat_(x+1)[n] = -(q[n] +
-        q[n-1]) with q[n] = (n - 2x - 1) rhat_x[n] is the exact step d/dx.
+        The rows are built in integers from the two `halves`: with rhat_x =
+        zeta^(2x+1) R_x, U_x = rhat_x what is one integer convolution, and
+        rhat_(x+1)[n] = -(q[n] + q[n-1]) with q[n] = (n - 2x - 1) rhat_x[n]
+        is the exact step d/dx.
         The Bergman rows are U_(-m) = (sigma / zeta)^m U_0, one convolution
         each; the gcd of every row is divided out, and one lcm puts the rows
         over the table's denominator.
@@ -355,20 +415,15 @@ class LambertEngine:
         order, top = self.order, kernel_top(self.order)
         known = order - 2
         rows = {}
-
-        def put(slot, den, nums):
-            common = gcd(den, *nums)
-            rows[slot] = den // common, [v // common for v in nums]
-
-        (den_r, rhat), (den_w, what) = (clear_denominators(half[:known]) for half in self.halves)
+        (den_r, rhat), (den_w, what) = self.halves
         for x in range(top // 2 + 1):
-            put(x, den_r * den_w, conv_ints(rhat, what, known))
+            rows[x] = lowest_terms(den_r * den_w, conv_ints(rhat, what, known))
             q = [(n - 2 * x - 1) * v for n, v in enumerate(rhat)]
             rhat = [-q[0]] + [-(q[n] + q[n - 1]) for n in range(1, known)]
-        den_s, s = clear_denominators(self.sigma[:known])
+        den_s, s = self.sigma
         for m in range(1, top - 1):
             den, nums = rows[1 - m]
-            put(-m, den * den_s, conv_ints(nums, s, known))
+            rows[-m] = lowest_terms(den * den_s, conv_ints(nums, s, known))
         # each row is in lowest terms, so the lcm of their denominators is
         # the least common denominator of the whole table
         den = lcm(*(d for d, _ in rows.values()))
@@ -403,7 +458,8 @@ class LambertEngine:
         In that order the Bergman kernel W(0,2) is always side A, and side B
         too only in W(0,3).  Its split is read from the engine's
         `bergman_rows` by `bergman_sweep`; the W(g-1, k+1) term and every
-        other split go through the pair table.
+        other split go through the pair table, whose slots are then basis
+        indices only.
         """
         check_stable(g, k)
         memo = self._memo.get((g, k))
@@ -464,11 +520,11 @@ class LambertEngine:
         # is nonzero, and W(1,1)'s order 10 puts the kernel's top at 5.  The
         # row goes into the basis as a pair-table row does, and is W(1,1)'s
         # whole running sum.
-        rhat, what = self.halves
+        (den_r, rhat), (den_w, what) = self.halves
         g = rhat[:3]
         for _ in range(3):
-            g = conv(g, what, 3)
-        den, nums = clear_denominators([8 * g[4 - p] for p in (2, 3, 4)])
+            g = conv_ints(g, what, 3)
+        den, nums = lowest_terms(den_r * den_w**3, [8 * g[4 - p] for p in (2, 3, 4)])
         den_basis, to_basis = pole_basis(kernel_top(self.order))
         return den * den_basis, {(): poles_to_basis(dict(zip((2, 3, 4), nums)), to_basis)}
 

@@ -34,7 +34,8 @@ def x_series(order):
 
 def sigma_series(engine):
     """The engine's deck involution as a Series known below its order."""
-    return Series(1, engine.sigma, engine.order)
+    den, nums = engine.sigma
+    return Series(1, [Fraction(v, den) for v in nums], engine.order)
 
 
 def odd_coordinate(x_local, order: int):

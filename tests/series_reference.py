@@ -13,7 +13,8 @@ Arithmetic is exact; coefficients are `fractions.Fraction`.  A scalar added
 to or subtracted from a series is the constant known to that series' order;
 a scalar factor scales it.  `invert_unit`, `reversion`, `exp`, `log1p` and
 `sqrt_unit` return their result to the order their input determines.
-Products and reciprocals go through the package's `conv` and `unit_inverse`.
+Products and reciprocals go through the package's integer kernels
+`conv_ints` and `unit_inverse` (see `conv` and `inverse` here).
 
 The package never composes series: the curve set-up solves for the deck
 involution and the residue table directly.  The tests compose to hold those
@@ -21,12 +22,39 @@ results to their definitions.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
-from hurwitzrec.series import TruncationError, conv, unit_inverse
+from hurwitzrec.series import TruncationError, conv_ints, unit_inverse
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def clear_denominators(values):
+    """``(den, nums)`` with ``values[i] == nums[i] / den``; ``den`` is the
+    least common denominator (1 for an empty input)."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def conv(a, b, nout):
+    """First ``nout`` coefficients of the Cauchy product of two lists of
+    rationals, by `conv_ints` on their cleared numerators."""
+    if nout <= 0:
+        return []
+    da, anum = clear_denominators(a[:nout])
+    db, bnum = clear_denominators(b[:nout])
+    return [Fraction(c, da * db) for c in conv_ints(anum, bnum, nout)]
+
+
+def inverse(a, n):
+    """First ``n`` coefficients of the reciprocal of a unit power series of
+    rationals, by `unit_inverse` on its cleared numerators: 1/(anum / da) is
+    da / anum."""
+    da, anum = clear_denominators(a[:n])
+    den, nums = unit_inverse(anum, n)
+    return [Fraction(da * v, den) for v in nums]
 
 
 class Series:
@@ -178,7 +206,7 @@ class Series:
         if self.is_zero:
             raise ValueError("cannot invert a series that is zero up to truncation")
         m = self.min_exponent
-        b = unit_inverse(self.coefficients, len(self.coefficients))
+        b = inverse(self.coefficients, len(self.coefficients))
         return Series(-m, b, self.trunc_order - 2 * m)
 
     # -- reversion ------------------------------------------------------------

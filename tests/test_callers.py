@@ -125,10 +125,25 @@ def _parse(name):
     return ast.parse((SRC / name).read_text(encoding="utf-8"))
 
 
-def test_partitions_imports_nothing_from_the_package():
-    # the character oracle stays independent of the curve code it checks
-    names = [name for _, name in _imports(_parse("partitions.py"))]
-    assert names and not [n for n in names if n.startswith((".", "hurwitzrec"))]
+def _package_imports(name):
+    return [n for _, n in _imports(_parse(name)) if n.startswith((".", "hurwitzrec"))]
+
+
+def test_partitions_imports_only_the_shared_helpers():
+    # the character oracle stays independent of the curve code it checks:
+    # of the package it imports only the shared helpers, which import none
+    assert _package_imports("partitions.py") == [".common"]
+    assert _package_imports("common.py") == []
+
+
+def test_recursion_layers_import_the_oracle_only_to_build_one():
+    # a recursion request compiles no oracle code: the curve layers import
+    # none, and extract only inside verify_bm, where it builds an oracle
+    for name in ("toprec.py", "poleform.py", "series.py", "cache.py"):
+        assert ".partitions" not in _package_imports(name), name
+    tree = _parse("extract.py")
+    top = {name for node, name in _imports(tree) if node in tree.body}
+    assert ".partitions" not in top and ".partitions" in _package_imports("extract.py")
 
 
 def test_series_imports_nothing_from_the_package():

@@ -116,6 +116,25 @@ class TestWkg:
         assert all(1 not in t["a"] for t in obj["terms"])
 
 
+class TestHelp:
+    def test_description_keeps_its_lines(self):
+        # the docstring is printed as written: each exit code on its own
+        # line, and no reST markup
+        r = run_cli("--help")
+        assert r.returncode == 0 and r.stderr == ""
+        lines = r.stdout.splitlines()
+        assert lines[:5] == [
+            "usage: hurwitzrec [-h] {table,wkg,check} ...",
+            "",
+            "Exact simple Hurwitz numbers from the command line.",
+            "",
+            "Commands: 'table' (Hurwitz numbers by either or both routes), 'wkg'",
+        ]
+        codes = [line.split()[1] for line in lines if line.startswith("- ")]
+        assert codes == ["0", "2", "64", "65", "70", "74", "130"]
+        assert "``" not in r.stdout
+
+
 class TestCheck:
     def test_times_suite_refused(self):
         # the times are checked in the test suite, as the series are
@@ -207,6 +226,20 @@ class TestCheck:
         assert r.stdout == ""
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--g-max", "1", "bm"), ("--n-max=3", "bm"), ("--verbose", "bm"), ("--cache", "f", "bm")],
+    )
+    def test_flag_before_suite_named(self, args):
+        # the flag is named, not the value argparse would take for the suite
+        r = run_cli("check", *args)
+        flag = args[0].partition("=")[0]
+        assert r.returncode == 64 and r.stdout == ""
+        assert r.stderr == (
+            f"usage error: argument {flag}: a suite's flags follow its name, "
+            f"as in 'check bm {flag} ...'\n"
+        )
 
     @pytest.mark.parametrize("suite,flags", [("bm", True), ("elsv", False)])
     def test_suite_help(self, suite, flags):
@@ -643,6 +676,17 @@ class TestImports:
         # both read only the character oracle and print its values
         assert "hurwitzrec.poleform" not in loaded_modules(*args)
 
+    def test_recursion_table_loads_no_oracle_code(self, tmp_path):
+        # the shared helpers come from common, so a recursion request, cold
+        # or on a warm cache, compiles no part of the character oracle
+        path = tmp_path / "forms.json"
+        args = ("table", "--method", "recursion", "--g-max", "2", "--n-max", "3")
+        for run in ("cold", "warm"):
+            loaded = loaded_modules(*args, "--cache", str(path))
+            assert {"hurwitzrec.toprec", "hurwitzrec.common", "hurwitzrec.cache"} <= loaded, run
+            assert "hurwitzrec.partitions" not in loaded, run
+        assert path.exists()
+
     def test_cached_recursion_loads_no_hashlib(self, tmp_path):
         path = tmp_path / "forms.json"
         args = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "3", "--cache", str(path))
@@ -734,8 +778,8 @@ class TestExitCodes:
         halves = toprec.LambertEngine.halves.func
 
         def flipped(self):
-            rhat, what = halves(self)
-            return rhat, [-c for c in what]
+            rhat, (den_w, what) = halves(self)
+            return rhat, (den_w, [-c for c in what])
 
         monkeypatch.delenv("HURWITZREC_CACHE", raising=False)
         monkeypatch.setattr(toprec.LambertEngine, "halves", property(flipped))

@@ -229,8 +229,8 @@ class TestVerifyBM:
         # negating what = zeta / (2 (zeta - sigma)) negates every slot row,
         # pair-table row and the two-sided term 4 rhat what^3 zeta^(-4)
         bad = LambertEngine(order=required_order(1, 3))
-        rhat, what = bad.halves
-        bad.halves = rhat, [-c for c in what]
+        rhat, (den_w, what) = bad.halves
+        bad.halves = rhat, (den_w, [-c for c in what])
         assert "u_table" not in bad.__dict__
         rows = verify_bm(1, 3, engine=bad)
         assert not all(r["equal"] for r in rows)

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -44,6 +44,19 @@ def ref_unit_inverse(a, n):
         acc = sum((a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1)), _ZERO)
         out.append(-inv0 * acc)
     return out
+
+
+def ref_conv_ints(a, b, nout):
+    """`ref_conv` of two lists of ints, as ints."""
+    return [v.numerator for v in ref_conv(a, b, nout)]
+
+
+def ref_unit_inverse_ints(a, n):
+    """`ref_unit_inverse` of a list of ints, as ``(den, nums)`` over the
+    least common denominator."""
+    values = ref_unit_inverse(a, n)
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def ref_count_ways(u, sub):
@@ -130,10 +143,6 @@ def own_den(terms_a, terms_b, pairs):
 # -- random inputs ---------------------------------------------------------------
 
 
-def random_fractions(rng, n, top=9, den_max=12):
-    return [F(rng.randint(-top, top), rng.randint(1, den_max)) for _ in range(n)]
-
-
 # pulled slots drawn from -3 .. 3 reach pole orders -3 .. 6, which keeps
 # a + b <= order - 3 at this order
 SWEEP_ORDER = 15
@@ -180,20 +189,26 @@ class Lopsided(toprec.PairTable):
 class TestAgainstReference:
     def test_conv(self):
         rng = random.Random(1)
-        for _ in range(25):
-            a = random_fractions(rng, rng.randint(0, 25))
-            b = random_fractions(rng, rng.randint(0, 25))
+        for trial in range(25):
+            top = 10**30 if trial % 2 else 9
+            a = [rng.randint(-top, top) for _ in range(rng.randint(0, 25))]
+            b = [rng.randint(-top, top) for _ in range(rng.randint(0, 25))]
             nout = rng.randint(0, 40)
-            assert series.conv(a, b, nout) == ref_conv(a, b, nout)
+            assert series.conv_ints(a, b, nout) == ref_conv(a, b, nout)
 
     def test_unit_inverse(self):
+        """The reciprocal of a series of ints, as one denominator over
+        numerators in lowest terms, a leading coefficient of either sign
+        included."""
         rng = random.Random(2)
         for trial in range(20):
             top = 10**30 if trial % 2 else 9
-            a = random_fractions(rng, 20, top=top, den_max=top)
+            a = [rng.randint(-top, top) for _ in range(20)]
             if not a[0]:
-                a[0] = F(3, 7)
-            assert series.unit_inverse(a, 18) == ref_unit_inverse(a, 18)
+                a[0] = -7
+            den, nums = series.unit_inverse(a, 18)
+            assert den > 0 and gcd(den, *nums) == 1 and len(nums) == 18
+            assert [F(v, den) for v in nums] == ref_unit_inverse(a, 18)
 
     def test_merge_and_count(self):
         """The sweep's merge count, a quotient of automorphism counts, is
@@ -313,7 +328,7 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
     one pole pair at a time: its pair sweeps, its Bergman rows and its
     W(g-1, k+1) term all go through `ref_pair_sweep`, written in the basis
     by `ref_basis_sweep`, so its own pair table is never filled.  Its curve
-    set-up runs on `ref_conv` and `ref_unit_inverse`."""
+    set-up runs on `ref_conv` and `ref_unit_inverse`, read as ints."""
     order = required_order(2, 2)
     real = LambertEngine(order=order).w(2, 2)
     swept = Counter()
@@ -325,8 +340,8 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
 
         monkeypatch.setattr(toprec, name, run)
 
-    counted("conv", ref_conv)
-    counted("unit_inverse", ref_unit_inverse)
+    counted("conv_ints", ref_conv_ints)
+    counted("unit_inverse", ref_unit_inverse_ints)
     ref_engine = LambertEngine(order=order)
     pole_table = reference_u_table(ref_engine)
 
@@ -362,5 +377,5 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
     assert real == ref
     assert real.canonical_json() == ref.canonical_json()
     assert min(swept["pairs"], swept["bergman"], swept["term1"]) > 0
-    assert min(swept["conv"], swept["unit_inverse"]) > 0
+    assert min(swept["conv_ints"], swept["unit_inverse"]) > 0
     assert not ref_engine.pair_table

@@ -9,7 +9,7 @@ import pytest
 
 from hurwitzrec import toprec
 from hurwitzrec.poleform import PoleForm, basis_poles, contract_slots, pole_basis, splits
-from hurwitzrec.series import TruncationError, clear_denominators
+from hurwitzrec.series import TruncationError
 from hurwitzrec.toprec import (
     FINGERPRINT,
     LambertEngine,
@@ -21,7 +21,7 @@ from hurwitzrec.toprec import (
 )
 from curve_reference import lambert_x, odd_coordinate, sigma_series, x_series
 from pole_reference import _orderings, ordered_pole_expansion, reference_pole_terms
-from series_reference import Series, agrees_with, compose, zero
+from series_reference import Series, agrees_with, clear_denominators, compose, zero
 
 F = Fraction
 
@@ -79,9 +79,9 @@ def newton_deck_involution(x_local, order):
 
 class TestDeckInvolution:
     def test_lambert_leading_terms(self):
-        sigma = LambertEngine(order=10).sigma
-        assert len(sigma) == 9
-        assert sigma[:4] == [-1, F(2, 3), F(-4, 9), F(44, 135)]
+        den, nums = LambertEngine(order=10).sigma
+        assert len(nums) == 9 and gcd(den, *nums) == 1
+        assert [F(v, den) for v in nums[:4]] == [-1, F(2, 3), F(-4, 9), F(44, 135)]
 
     def test_pure_quadratic(self):
         x = Series(0, [-1, 0, F(-1, 2)], 11)
@@ -121,15 +121,15 @@ class TestDeckInvolution:
         # below the truncation order would miss it
         sigma = LambertEngine(order=28).sigma
         assert check_deck_involution(sigma) is sigma
-        perturbed = list(sigma)
-        perturbed[n - 1] += 1
+        den, perturbed = sigma[0], list(sigma[1])
+        perturbed[n - 1] += den
         with pytest.raises(ValueError, match="no deck involution"):
-            check_deck_involution(perturbed)
+            check_deck_involution((den, perturbed))
 
     def test_residual_check_rejects_the_identity(self):
         # the identity fixes x and solves the equation too
         with pytest.raises(ValueError, match="no deck involution"):
-            check_deck_involution([1] + [0] * 26)
+            check_deck_involution((1, [1] + [0] * 26))
 
     def test_odd_coordinate_squares_to_x(self):
         # x = x0 + c2*xi^2, checked from the definition for the Lambert x
@@ -262,16 +262,20 @@ class TestBergmanSweep:
 
     def test_counts(self, monkeypatch):
         """Over W(3, 4)'s closure at order 28 (its 20 forms), the calls of
-        the sweeps' inner steps and the entries `accumulate` adds are
-        pinned.  The Bergman term contracts each group with each pulled slot
-        once for all forms, merges only the nonzero rows and takes no
+        the sweeps' inner steps, the entries `accumulate` adds and the rows
+        written in the basis are pinned.  The Bergman term fills the row of
+        each group for each pulled slot once for all forms, straight from
+        the residue formula, so `contract_pairs` runs for the other sweeps
+        only (1,524 calls when the Bergman rows were contracted through the
+        pair table); it merges only the nonzero rows and takes no
         automorphism count; swept as a pair of forms it would take about
-        twice the contractions, four times the accumulations and six times
-        the automorphism counts.  The rows hold basis indices, about half as
-        many entries as the residues by pole order they are made of, which
-        would add 18,395 entries."""
+        four times the accumulations and six times the automorphism counts.
+        The rows hold basis indices, about half as many entries as the
+        residues by pole order they are made of, which would add 18,395
+        entries.  `poles_to_basis` runs once per pair-table row and once per
+        Bergman group and pulled slot that the residues reach."""
         calls = Counter()
-        for name in ("contract_pairs", "accumulate", "aut_size"):
+        for name in ("contract_pairs", "accumulate", "aut_size", "poles_to_basis"):
 
             def counted(*args, _name=name, _real=getattr(toprec, name)):
                 calls[_name] += 1
@@ -284,11 +288,68 @@ class TestBergmanSweep:
         engine.w(3, 4)
         assert len(engine._memo) == 20
         assert calls == {
-            "contract_pairs": 1524,
+            "contract_pairs": 820,
             "accumulate": 2716,
             "aut_size": 777,
             "entries": 9034,
+            "poles_to_basis": 147,
         }
+        assert len(engine.pair_table) == 45 and len(engine.bergman_rows) == 32
+
+
+def contracted_through_the_pair_table(engine, y):
+    """The reference for a Bergman row ``R[y]``: each Bergman group
+    ``(i,): {-m: num}`` contracted with the pulled slot y one read of a fresh
+    pair table at a time, sum_m num * T[-m, y], every power m read whether
+    its row is empty or not, and the groups whose sum is zero left out."""
+    table = toprec.PairTable(engine.u_table, engine.order)
+    rows = {}
+    for (i,), group in engine._bergman_terms[1].items():
+        sums = {}
+        for x, num in group.items():
+            for index, v in table[x, y].items():
+                sums[index] = sums.get(index, 0) + num * v
+        row = {index: v for index, v in sums.items() if v}
+        if row:
+            rows[i] = row
+    return rows
+
+
+class TestBergmanFill:
+    """The Bergman rows are filled in one pass from the residue formula.  A
+    one-slot form W(g, 1) has no slot symmetry for `_assemble` to check, so
+    a wrong row there could pass every check of the recursion; these tests
+    hold every row to the contraction through the pair table."""
+
+    @pytest.mark.parametrize("order", [8, 12, 20, 28, 40])
+    def test_rows_equal_the_pair_table_contraction(self, order):
+        engine = LambertEngine(order=order)
+        top = toprec.kernel_top(order)
+        nonzero = 0
+        for y in range(-(top - 2), top // 2 + 1):
+            want = contracted_through_the_pair_table(engine, y)
+            assert engine.bergman_rows[y] == want, y
+            nonzero += len(want)
+        # no pair-table row was filled for them
+        assert nonzero > 0 and not engine.pair_table
+
+    @pytest.mark.parametrize("order", [8, 12, 20, 28, 40])
+    def test_truncation_boundary(self, order):
+        """From the first slot y with top(y) = 2y > order - 3 on, both raise
+        the same TruncationError, naming the pulled pair (0, y)."""
+        engine = LambertEngine(order=order)
+        first = (order - 3) // 2 + 1
+        for y in (first, first + 1):
+            with pytest.raises(TruncationError) as reference:
+                contracted_through_the_pair_table(engine, y)
+            with pytest.raises(TruncationError) as filled:
+                engine.bergman_rows[y]
+            assert str(filled.value) == str(reference.value)
+            assert str(filled.value) == (
+                f"engine order {order} cannot resolve the residue for the pulled slots "
+                f"(x=0, y={y})"
+            )
+            assert y not in engine.bergman_rows
 
 
 class TestKernel:
@@ -307,7 +368,7 @@ class TestKernel:
         # sigma = zeta + zeta^2 makes (zeta - sigma) x' vanish to third order:
         # s = sigma / zeta = 1 + zeta has constant term 1, not -1
         eng = LambertEngine(order=10)
-        eng.sigma = [1, 1] + [0] * 7
+        eng.sigma = 1, [1, 1] + [0] * 7
         with pytest.raises(ValueError, match="second order"):
             eng.halves
 
@@ -486,18 +547,21 @@ class TestResidueTable:
         largest top(x) + top(y) its sweeps read is required_order(g, k) - 8,
         below the bound required_order(g, k) - 3 of the table at that order,
         so the CLI, which runs at the largest order a request needs, never
-        reaches the bound.  Every slot lies in that table too, bar the
-        Bergman powers -m, which follow the engine's own order."""
+        reaches the bound.  The reads are those of the one residue formula,
+        by the pair table and by the Bergman fill alike.  The pair table
+        reads basis indices only.  The Bergman fill reads a power -m with a
+        pulled slot y only for m <= top(y), so its powers reach need - 8 and
+        no further: every slot lies in the table at the form's own order."""
         engine = LambertEngine(order=30)
-        missing, reads = toprec.PairTable.__missing__, []
+        residues, reads = toprec.PairTable.residues, []
 
-        def recording(table, key):
-            # (top(x) + top(y), the larger top, the smaller slot) of this pair
-            tops = slot_tops(key)
-            reads.append((sum(tops), max(tops), min(key)))
-            return missing(table, key)
+        def recording(table, x, y):
+            # (top(x) + top(y), the larger top, x, y) of this pair
+            tops = slot_tops((x, y))
+            reads.append((sum(tops), max(tops), x, y))
+            return residues(table, x, y)
 
-        monkeypatch.setattr(toprec.PairTable, "__missing__", recording)
+        monkeypatch.setattr(toprec.PairTable, "residues", recording)
         cases = sorted(
             (required_order(g, k), g, k)
             for g in range(5)
@@ -517,9 +581,14 @@ class TestResidueTable:
                 # its one sweep is the two-sided Bergman term, read from the halves
                 assert not reads
                 continue
-            tops, highs, lows = zip(*reads)
+            tops, highs, xs, ys = zip(*reads)
             assert max(tops) == need - 8 and max(highs) <= need - 5, (g, k)
-            assert min(lows) >= -(engine.order - 7), (g, k)
+            pairs = [(x, y) for x, y in zip(xs, ys) if x > 0]
+            powers = [(-x, y) for x, y in zip(xs, ys) if x <= 0]
+            assert all(y > 0 for _, y in pairs), (g, k)
+            assert all(m <= slot_tops((y, y))[0] for m, y in powers), (g, k)
+            # the Bergman term is one of every form with k >= 2
+            assert max((m for m, _ in powers), default=None) == (need - 8 if k >= 2 else None)
 
 
 class TestStability:
@@ -1077,5 +1146,7 @@ class TestZeroEntries:
         engine = LambertEngine(order=required_order(3, 4))
         engine.w(3, 4)
         assert added and all(added)
-        assert len(engine.pair_table) > 100
+        assert len(engine.pair_table) == 45
         assert all(all(row.values()) for row in engine.pair_table.values())
+        rows = [row for by_index in engine.bergman_rows.values() for row in by_index.values()]
+        assert len(rows) == 66 and all(row and all(row.values()) for row in rows)
