@@ -1,18 +1,30 @@
 """On-disk cache of computed correlation forms, in the ELSV basis.
 
-The file is a single JSON document carrying a format version and a curve
-fingerprint.  A version or fingerprint mismatch (the fingerprint covers the
-sign convention and the engine version) makes the loader ignore the whole
-file; it is never read partially.  So does a malformed entry, a g or k
-that is not a JSON integer (true and 1.0 would pass for 1 as dict keys), a
-repeated (g, k), a multi-index repeated within one form (a dict would keep
-its last coefficient), an unstable (g, k), a form with no terms, or a key
-outside the window 2g - 3 + k <= sum(e_i - 1) <= 3g - 3 + k, none of which
-a stable form W(g, k) has (for every stable (g, k) some H_{g,mu} with
-len(mu) = k is positive, so W(g, k) is never zero; the constructor refuses
-a key of the wrong length or an index below 1).  Entries are keyed by
-(g, k): a form does not depend on the truncation order it was computed at.
-Writers merge under an exclusive `flock` on the sidecar file
+The file is a single JSON document carrying a format version, a curve
+fingerprint, a digest and the forms.  The loader decides alone whether a
+file can be trusted, and either takes every form or ignores the whole file;
+it never reads one partially.  It checks, in this order:
+
+- the format version and the fingerprint (which covers the sign convention
+  and the engine version), so a file of another layout or another engine
+  is ignored;
+- the digest, the `zlib.crc32` of the ``poleforms`` list as the writer
+  dumps it, so a file edited after it was written is ignored before any
+  form is read;
+- each entry: one that does not parse, a g or k that is not a JSON integer
+  (true and 1.0 would pass for 1 as dict keys), a repeated (g, k), a
+  multi-index repeated within one form (a dict would keep its last
+  coefficient), an unstable (g, k), a form with no terms, or a key outside
+  the window 2g - 3 + k <= sum(e_i - 1) <= 3g - 3 + k, none of which a
+  stable form W(g, k) has (for every stable (g, k) some H_{g,mu} with
+  len(mu) = k is positive, so W(g, k) is never zero; the constructor
+  refuses a key of the wrong length or an index below 1).
+
+The digest guards against accidental edits and hand edits, not against a
+forger, who could recompute any unkeyed digest; nor against a wrong form
+that a fault in the code wrote under an unchanged fingerprint.  Entries are
+keyed by (g, k): a form does not depend on the truncation order it was
+computed at.  Writers merge under an exclusive `flock` on the sidecar file
 ``<path>.lock``.
 
 A symlink at the path is resolved once, when the cache is attached: the
@@ -32,16 +44,25 @@ import errno
 import fcntl
 import json
 import os
+import zlib
 
 from .common import is_stable
 from .poleform import PoleForm
 from .toprec import FINGERPRINT, outside_window
 
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
+SEPARATORS = (", ", ": ")
+
+
+def digest(poleforms) -> int:
+    """The `zlib.crc32` of the ``poleforms`` list dumped as the writer dumps it."""
+    return zlib.crc32(json.dumps(poleforms, separators=SEPARATORS).encode())
 
 
 def load_cache(path, fingerprint):
-    """Return {(g, k): PoleForm}; {} when unusable."""
+    """Return {(g, k): PoleForm}; {} when the file is unusable: missing,
+    not JSON, of another format or fingerprint, not matching its digest, or
+    holding an entry no stable form has (see the module docstring)."""
     # opening a FIFO would block, and reading a device is never a cache
     if not os.path.isfile(path):
         return {}
@@ -56,7 +77,10 @@ def load_cache(path, fingerprint):
         return {}
     out = {}
     try:
-        for entry in doc["poleforms"]:
+        poleforms = doc["poleforms"]
+        if doc.get("digest") != digest(poleforms):
+            return {}
+        for entry in poleforms:
             form = PoleForm.from_obj(entry)
             g, k = key = (form.g, form.k)
             bad = outside_window(g, k, form.nums) or not form.nums or not is_stable(*key)
@@ -75,15 +99,17 @@ class CacheWriteError(Exception):
 def save_cache(path, fingerprint, forms):
     """Write {(g, k): PoleForm} atomically, raising CacheWriteError on an
     OSError; the temporary file never outlives the call."""
-    doc = {
-        "format": CACHE_FORMAT,
-        "fingerprint": fingerprint,
-        "poleforms": [form.to_obj() for _, form in sorted(forms.items())],
-    }
+    poleforms = [form.to_obj() for _, form in sorted(forms.items())]
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, separators=(", ", ": ")))
+            doc = {
+                "format": CACHE_FORMAT,
+                "fingerprint": fingerprint,
+                "digest": digest(poleforms),
+                "poleforms": poleforms,
+            }
+            fh.write(json.dumps(doc, separators=SEPARATORS))
         os.replace(tmp, path)
     except OSError as exc:
         raise CacheWriteError(f"cannot write the cache file {path}: {exc.strerror}") from exc
@@ -93,7 +119,7 @@ def save_cache(path, fingerprint, forms):
 
 
 def attach_cache(engine, path):
-    """Preload an engine's memo table from the file (when compatible) and
+    """Seed an engine's memo table from the file (when usable) and
     return a closure that merges the memo into the file as it is then,
     unless the engine computed nothing the file did not already hold.  The
     re-read, merge and replace run under an exclusive lock on ``<path>.lock``,
@@ -103,7 +129,7 @@ def attach_cache(engine, path):
     path = os.path.realpath(path)
     lock_path = f"{path}.lock"
     loaded = load_cache(path, FINGERPRINT)
-    engine.preload(loaded, path)
+    engine._memo.update(loaded)
 
     def flush():
         if loaded.keys() >= engine._memo.keys():

@@ -135,7 +135,9 @@ class PairTable(dict):
     p] + sum_b P_y[b] U_x[b + top(x) + 2 - p] for p = 2 .. `kernel_top`, each
     U a power series (see `residues`); the row is these residues by p written
     in the basis once (see `poles_to_basis`).  The table knows U_s[n] for n <
-    order - 2, so top(x) + top(y) > order - 3 raises TruncationError."""
+    order - 2, so top(x) + top(y) > order - 3 raises TruncationError; so does
+    a slot it has no row for, such as the basis index top // 2 + 1, which
+    passes that bound."""
 
     def __init__(self, u_table, order):
         super().__init__()
@@ -152,7 +154,7 @@ class PairTable(dict):
         the `BergmanRows` both read."""
         poles_x, poles_y = slot_poles(x), slot_poles(y)
         top_x, top_y = max(poles_x), max(poles_y)
-        if top_x + top_y > self.order - 3:
+        if top_x + top_y > self.order - 3 or not {x, y} <= self.u.keys():
             raise TruncationError(
                 f"engine order {self.order} cannot resolve the residue "
                 f"for the pulled slots (x={x}, y={y})"
@@ -289,19 +291,18 @@ class LambertEngine:
     """Memoized computation of the correlation forms of the Lambert curve.
 
     The truncation order is used only when a form is computed: a (g, k)
-    whose required order exceeds it is rejected unless the memo (or a cache
-    preloaded into it) already holds the form.  Recomputing a form at a
-    higher order reproduces identical coefficients (tested as
-    order-robustness).  Sigma and the residue table are built on first use,
-    so a run that finds every form in the memo builds neither.
+    whose required order exceeds it is rejected unless the memo already
+    holds the form.  Recomputing a form at a higher order reproduces
+    identical coefficients (tested as order-robustness).  Sigma and the
+    residue table are built on first use, so a run that finds every form in
+    the memo builds neither.  The engine keeps no cache state:
+    `cache.attach_cache` seeds the memo from a file that its loader has
+    already checked, and a form from the memo is never checked again.
     """
 
     def __init__(self, order: int = 26):
         self.order = order
         self._memo = {}
-        # (g, k) -> the preloaded keys whose forms fed it, directly or not
-        self._fed_by_cache = {}
-        self._cache_source = None
 
     @cached_property
     def sigma(self):
@@ -353,13 +354,6 @@ class LambertEngine:
             for index, num in to_basis[m + 2].items():
                 groups.setdefault((index,), {})[-m] = (m + 1) * num
         return den, groups
-
-    def preload(self, forms, source):
-        """Seed the memo with {(g, k): PoleForm} read from ``source`` (a cache
-        file); a later self-check failure in a form they feed names it."""
-        self._memo.update(forms)
-        self._fed_by_cache.update({key: {key} for key in forms})
-        self._cache_source = source
 
     # -- branch-point evaluation data ----------------------------------------
 
@@ -474,14 +468,12 @@ class LambertEngine:
         # the inputs of every sweep first, so that the form's running sum has
         # one denominator, fixed before the first sweep
         prev = None if g == 0 or (g, k) == (1, 1) else self.w(g - 1, k + 1).decompositions()
-        inputs = [(g - 1, k + 1)] if prev else []
         sweeps = []
         for h in range(g + 1):
             for j_a in range(k):
                 j_b = k - 1 - j_a
                 if (j_a == 0 and h == 0) or (j_b == 0 and h == g) or (h, j_a) > (g - h, j_b):
                     continue
-                inputs += [(h, j_a + 1), (g - h, j_b + 1)]
                 weight = 1 if (h, j_a) == (g - h, j_b) else 2
                 sweeps.append((self._decomps(h, j_a + 1), self._decomps(g - h, j_b + 1), weight))
         if (g, k) == (1, 1):
@@ -500,11 +492,7 @@ class LambertEngine:
                 else:
                     pair_sweep(acc, den, terms_a, terms_b, table, weight)
 
-        fed = set().union(*(self._fed_by_cache.get(key, ()) for key in inputs))
-        form = self._assemble(g, k, den, acc, fed)
-        if fed:
-            self._fed_by_cache[(g, k)] = fed
-        self._memo[(g, k)] = form
+        form = self._memo[(g, k)] = self._assemble(g, k, den, acc)
         return form
 
     def _decomps(self, h: int, m: int):
@@ -537,25 +525,20 @@ class LambertEngine:
             for y, left in splits(rest):
                 accumulate(acc, left, contract_pairs(group, y, table), scale)
 
-    def _assemble(self, g, k, den, acc, fed) -> PoleForm:
+    def _assemble(self, g, k, den, acc) -> PoleForm:
         """Collapse the form's running sum ``acc``, ``{rest: {index: num}}``
         over ``den`` (fixed in `w` before the first sweep), into a symmetric
         PoleForm, entries that cancel to 0 ignored, checking that every way
         of singling out the first slot agrees, that no key with a residual
         index is nonzero and that every key lies in the window of
         `outside_window`.  A failure means the truncation order was
-        insufficient or, when the preloaded forms ``fed`` went into it, that
-        the cache file is wrong."""
+        insufficient."""
 
         def fail(what, full):
-            if fed:
-                cause = (
-                    f"the forms {sorted(fed)} read from the cache file "
-                    f"{self._cache_source} are the likely cause"
-                )
-            else:
-                cause = f"truncation order {self.order} is insufficient"
-            raise ArithmeticError(f"{what} assembling W({g},{k}) at {full}; {cause}")
+            raise ArithmeticError(
+                f"{what} assembling W({g},{k}) at {full}; "
+                f"truncation order {self.order} is insufficient"
+            )
 
         fulls = {
             tuple(sorted(rest + (index,), reverse=True))

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,15 @@ def cli_env():
     path = env.get("PYTHONPATH")
     env["PYTHONPATH"] = SRC + os.pathsep + path if path else SRC
     return env
+
+
+def seal(path, doc):
+    """Write ``doc`` to ``path`` under the digest the writer would give its
+    forms, the crc32 of the ``poleforms`` list dumped with the writer's
+    separators, so that a hand-built or edited file reaches the loader's
+    checks of its entries."""
+    forms = json.dumps(doc["poleforms"], separators=(", ", ": "))
+    Path(path).write_text(json.dumps({**doc, "digest": zlib.crc32(forms.encode())}))
 
 
 def run_cli(*args, env_extra=None, timeout=300):
@@ -294,8 +304,7 @@ class TestCache:
         old = "5d178ea0f91098e9"
         path = str(tmp_path / "forms.json")
         form = {"g": 0, "k": 3, "terms": [{"e": [1, 1, 1], "c": "1/1"}]}
-        doc = {"format": CACHE_FORMAT, "fingerprint": old, "poleforms": [form]}
-        Path(path).write_text(json.dumps(doc))
+        seal(path, {"format": CACHE_FORMAT, "fingerprint": old, "poleforms": [form]})
         assert len(load_cache(path, old)) == 1
         assert load_cache(path, FINGERPRINT) == {}
 
@@ -353,7 +362,7 @@ class TestCache:
         twin = json.loads(json.dumps(entry))
         twin["terms"][0]["c"] = "7/1"
         doc["poleforms"].append(twin)
-        Path(path).write_text(json.dumps(doc))
+        seal(path, doc)
         warm = run_cli(*args)
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
@@ -432,7 +441,7 @@ class TestCache:
         (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
         assert entry["terms"] == [{"e": [1], "c": "-1/24"}, {"e": [2], "c": "1/24"}]
         entry["terms"][0][field] = value
-        Path(path).write_text(json.dumps(doc))
+        seal(path, doc)
         warm = run_cli(*args)
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
@@ -454,7 +463,7 @@ class TestCache:
         doc = json.loads(Path(path).read_text())
         (entry,) = doc["poleforms"]
         edit(entry)
-        Path(path).write_text(json.dumps(doc))
+        seal(path, doc)
         warm = run_cli("wkg", "1", "1", "--cache", path)
         assert (warm.returncode, warm.stdout) == (cold.returncode, cold.stdout)
 
@@ -472,14 +481,51 @@ class TestCache:
         (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (2, 1)]
         assert entry["terms"][0]["e"] == [3]
         entry["terms"][0]["e"] = [2]
-        Path(path).write_text(json.dumps(doc))
+        seal(path, doc)
         assert load_cache(path, FINGERPRINT) == {}
         warm = run_cli(*args)
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
 
-    def test_format_two_pole_file_ignored(self, tmp_path):
+    @pytest.mark.parametrize("digest", ["stale", "missing", "off-by-one"])
+    def test_edited_form_ignored(self, tmp_path, digest):
+        """W(1,1)'s coefficient at the key [1] edited from -1/24 to 7/1, inside
+        the Hodge window, so that only the digest tells: read as it stands,
+        the file gives H_{1,(1)} = 169/12 instead of 0.  The file is edited
+        without a new digest, or sealed and then its digest dropped or moved
+        by one; each run prints the cold bytes and rewrites the file."""
         from hurwitzrec.cache import load_cache
+        from hurwitzrec.toprec import FINGERPRINT
+
+        path = tmp_path / "forms.json"
+        table = ("table", "--method", "recursion", "--g-max", "1", "--n-max", "3")
+        cold = {args: run_cli(*args) for args in (table, ("wkg", "1", "1"))}
+        assert run_cli(*table, "--cache", str(path)).returncode == 0
+        written = path.read_text()
+        w11 = load_cache(str(path), FINGERPRINT)[(1, 1)]
+
+        def edit():
+            doc = json.loads(written)
+            (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
+            assert entry["terms"][0] == {"e": [1], "c": "-1/24"}
+            entry["terms"][0]["c"] = "7/1"
+            if digest != "stale":
+                seal(path, doc)
+                doc = json.loads(path.read_text())
+                if digest == "missing":
+                    del doc["digest"]
+                else:
+                    doc["digest"] += 1
+            path.write_text(json.dumps(doc))
+
+        for args, want in cold.items():
+            edit()
+            warm = run_cli(*args, "--cache", str(path))
+            assert (warm.returncode, warm.stdout, warm.stderr) == (0, want.stdout, want.stderr)
+            assert load_cache(str(path), FINGERPRINT)[(1, 1)] == w11
+
+    def test_format_two_pole_file_ignored(self, tmp_path):
+        from hurwitzrec.cache import CACHE_FORMAT, load_cache
         from hurwitzrec.toprec import FINGERPRINT, LambertEngine, required_order
 
         # the layout before forms were stored in the ELSV basis: format 2,
@@ -495,7 +541,7 @@ class TestCache:
         warm = run_cli(*args, "--cache", path)
         assert warm.returncode == cold.returncode == 0
         assert warm.stdout == cold.stdout
-        assert json.loads(Path(path).read_text())["format"] == 3
+        assert json.loads(Path(path).read_text())["format"] == CACHE_FORMAT
 
     def test_concurrent_flushes_keep_both_forms(self, tmp_path):
         """Two processes flush disjoint forms into one file at the same time.
@@ -550,7 +596,7 @@ class TestCache:
         doc = json.loads(Path(path).read_text())
         (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
         entry["terms"] = []
-        Path(path).write_text(json.dumps(doc))
+        seal(path, doc)
         warm = run_cli(*args)
         assert warm.returncode == 0
         assert warm.stdout == cold.stdout
@@ -561,12 +607,14 @@ class TestCache:
 
         path = str(tmp_path / "forms.json")
         stable = {"g": 0, "k": 3, "terms": [{"e": [1, 1, 1], "c": "1/1"}]}
-        unstable = {"g": g, "k": k, "terms": []}
+        # one term, so that an empty form is not what refuses it; W(1,0)'s
+        # key () lies inside its window, so only the stability check can
+        unstable = {"g": g, "k": k, "terms": [{"e": [1] * k, "c": "1/1"}]}
         doc = {"format": CACHE_FORMAT, "fingerprint": "f", "poleforms": [stable]}
-        Path(path).write_text(json.dumps(doc))
+        seal(path, doc)
         assert len(load_cache(path, "f")) == 1
         doc["poleforms"].append(unstable)
-        Path(path).write_text(json.dumps(doc))
+        seal(path, doc)
         assert load_cache(path, "f") == {}
 
     def test_interrupted_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
@@ -838,18 +886,24 @@ class TestExitCodes:
         assert code == 70
         assert (out, err) == ("", "internal error: engine order 11 cannot resolve the residue\n")
 
-    def test_internal_inconsistency_exit_70(self, tmp_path):
-        # W(1,2) is assembled from W(1,1); with one coefficient of the cached
-        # W(1,1) changed, the slot-symmetry check of the assembly fails.
-        path = str(tmp_path / "forms.json")
-        assert run_cli("wkg", "1", "1", "--cache", path).returncode == 0
-        doc = json.loads(Path(path).read_text())
-        (entry,) = [e for e in doc["poleforms"] if (e["g"], e["k"]) == (1, 1)]
-        entry["terms"][0]["c"] = "7/1"
-        Path(path).write_text(json.dumps(doc))
-        r = run_cli("wkg", "1", "2", "--cache", path)
-        assert r.returncode == 70
-        assert r.stdout == ""
-        assert "slot-symmetry" in r.stderr and "Traceback" not in r.stderr
-        assert f"[(1, 1)] read from the cache file {path}" in r.stderr
-        assert "truncation order" not in r.stderr
+    def test_internal_inconsistency_exit_70(self, monkeypatch, capsys):
+        # W(1,2) sweeps W(0,3) through the pair table; with one residue of the
+        # pulled pair (1, 1) off by one, the slot-symmetry check of the
+        # assembly fails
+        from hurwitzrec import cli, toprec
+
+        missing = toprec.PairTable.__missing__
+
+        def perturbed(self, key):
+            row = missing(self, key)
+            if key == (1, 1):
+                row[min(row)] += 1
+            return row
+
+        monkeypatch.delenv("HURWITZREC_CACHE", raising=False)
+        monkeypatch.setattr(toprec.PairTable, "__missing__", perturbed)
+        code = cli.main(["wkg", "1", "2"])
+        out, err = capsys.readouterr()
+        assert code == 70
+        assert out == ""
+        assert "slot-symmetry" in err and "Traceback" not in err

@@ -336,10 +336,12 @@ class TestBergmanFill:
     @pytest.mark.parametrize("order", [8, 12, 20, 28, 40])
     def test_truncation_boundary(self, order):
         """From the first slot y with top(y) = 2y > order - 3 on, both raise
-        the same TruncationError, naming the pulled pair (0, y)."""
+        the same TruncationError, naming the pulled pair (0, y).  So does the
+        basis index kernel_top // 2 + 1 just before it, which passes that
+        bound but has no row in the residue table."""
         engine = LambertEngine(order=order)
         first = (order - 3) // 2 + 1
-        for y in (first, first + 1):
+        for y in (toprec.kernel_top(order) // 2 + 1, first, first + 1):
             with pytest.raises(TruncationError) as reference:
                 contracted_through_the_pair_table(engine, y)
             with pytest.raises(TruncationError) as filled:
@@ -541,6 +543,10 @@ class TestResidueTable:
             if top_x + top_y == order - 2:
                 with pytest.raises(TruncationError):
                     reference(top_x, top_y)
+        # the basis index past the table's rows passes the bound, has no row
+        y = toprec.kernel_top(order) // 2 + 1
+        with pytest.raises(TruncationError, match=f"x=0, y={y}"):
+            table[0, y]
 
     def test_sweeps_stay_inside_the_bound(self, monkeypatch):
         """For every stable (g, k) with required order at most 30, the
