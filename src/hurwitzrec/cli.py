@@ -39,7 +39,9 @@ import os
 import sys
 
 # Each command imports the layers it runs where it runs them, so that
-# --help loads no layer and an oracle table loads no curve code.
+# --help loads no layer and an oracle table loads no curve code; the engine
+# imports the recursion's arithmetic on its first miss, so a request whose
+# forms all come from the cache runs only the extraction.
 
 EX_OK = 0
 EX_MISMATCH = 2

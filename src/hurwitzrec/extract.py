@@ -19,7 +19,8 @@ folded into its row, and returns the Hurwitz numbers themselves, one
 `Fraction` per mu.  It computes the integer sums with
 `poleform.contract_slots`, the slot walk that also gives the pole view: slot
 i takes part mu_i and one index per distinct value of each remaining
-multiset, so every mu sharing a prefix shares the work.  The character
+multiset, so every mu sharing a prefix shares the work, and a run of parts
+1, whose row is all ones, is taken in one pass.  The character
 oracle provides the independent values the recursion must reproduce.
 
 A table is one walk over the rows (g, mu) of a request, ``table_rows``, with

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
-from .common import format_rational, parse_rational
+from .common import aut_size, format_rational, parse_rational
 
 
 def splits(key):
@@ -65,17 +65,31 @@ def contract_slots(nums, k, factors, budget):
     sending on one rest per distinct index, so every label tuple sharing a
     prefix shares the work and only one level per depth is alive.  A key is
     read in decreasing order, so its scan ends at the first index below the
-    label's lowest nonzero factor.
+    label's lowest nonzero factor.  Labels decrease weakly, so once a slot
+    takes label 1 with j slots open, every later slot takes it too: the
+    tuple ends in one pass over the level, each rest r adding its weight
+    times prod_i factors[1][r_i] in each of its j! / aut(r) distinct
+    orderings (`aut_size`), the count made only for a nonzero product.
     """
     lows = [None] + [next((e for e, w in enumerate(f) if w), len(f)) for f in factors[1:]]
     out = {}
 
     def walk(level, prefix, budget, top):
-        # slots after this one each need a label >= 1
-        slots_left = k - len(prefix) - 1
-        for m in range(1, min(top, budget - slots_left) + 1):
+        # the slots open, this one included; each needs a label >= 1
+        open_slots = k - len(prefix)
+        ones, orderings, total = factors[1], factorial(open_slots), 0
+        for key, num in level.items():
+            for e in key:
+                num *= ones[e]
+                if not num:
+                    break
+            if num:
+                total += num * (orderings // aut_size(key))
+        if total:
+            out[prefix + (1,) * open_slots] = total
+        for m in range(2, min(top, budget - open_slots + 1) + 1):
             f = factors[m]
-            if not slots_left:
+            if open_slots == 1:
                 total = sum(f[key[0]] * num for key, num in level.items())
                 if total:
                     out[prefix + (m,)] = total
@@ -97,7 +111,8 @@ def contract_slots(nums, k, factors, budget):
             if nxt:
                 walk(nxt, prefix + (m,), budget - m, m)
 
-    walk(nums, (), budget, budget)
+    if k <= budget:
+        walk(nums, (), budget, budget)
     return out
 
 

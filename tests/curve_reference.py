@@ -34,7 +34,7 @@ def x_series(order):
 
 def sigma_series(engine):
     """The engine's deck involution as a Series known below its order."""
-    den, nums = engine.sigma
+    den, nums = engine.recursion.sigma
     return Series(1, [Fraction(v, den) for v in nums], engine.order)
 
 

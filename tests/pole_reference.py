@@ -14,7 +14,9 @@ extraction did before forms were stored in the ELSV basis.
 `reference_pole_terms` is the pole view as a commuting-polynomial expansion,
 the way `PoleForm.pole_terms` computed it before it walked slot by slot, and
 `ordered_pole_expansion` the same form on ordered tuples, which assumes no
-symmetry at all.
+symmetry at all.  `slot_by_slot_contract` is `poleform.contract_slots` as it
+walked before it ended a run of 1-labels in one pass: every slot, label 1
+included, takes one index per distinct value of each rest.
 """
 
 import itertools
@@ -129,3 +131,42 @@ def pole_h_coeffs(form, n_max):
 
     contract(nums, (), n_max, n_max, den)
     return coeffs
+
+
+def slot_by_slot_contract(nums, k, factors, budget):
+    """`poleform.contract_slots` one slot at a time to the last: depth first
+    over label prefixes, each slot sending on one rest per distinct index,
+    the scan of a key ending at the first index below the label's lowest
+    nonzero factor."""
+    lows = [None] + [next((e for e, w in enumerate(f) if w), len(f)) for f in factors[1:]]
+    out = {}
+
+    def walk(level, prefix, budget, top):
+        # slots after this one each need a label >= 1
+        slots_left = k - len(prefix) - 1
+        for m in range(1, min(top, budget - slots_left) + 1):
+            f = factors[m]
+            if not slots_left:
+                total = sum(f[key[0]] * num for key, num in level.items())
+                if total:
+                    out[prefix + (m,)] = total
+                continue
+            low = lows[m]
+            nxt = {}
+            for key, num in level.items():
+                prev = None
+                for i, e in enumerate(key):
+                    if e == prev:
+                        continue
+                    prev = e
+                    w = f[e]
+                    if w:
+                        rest = key[:i] + key[i + 1 :]
+                        nxt[rest] = nxt.get(rest, 0) + w * num
+                    elif e < low:
+                        break
+            if nxt:
+                walk(nxt, prefix + (m,), budget - m, m)
+
+    walk(nums, (), budget, budget)
+    return out

@@ -139,7 +139,7 @@ def test_partitions_imports_only_the_shared_helpers():
 def test_recursion_layers_import_the_oracle_only_to_build_one():
     # a recursion request compiles no oracle code: the curve layers import
     # none, and extract only inside verify_bm, where it builds an oracle
-    for name in ("toprec.py", "poleform.py", "series.py", "cache.py"):
+    for name in ("toprec.py", "sweeps.py", "poleform.py", "series.py", "cache.py"):
         assert ".partitions" not in _package_imports(name), name
     tree = _parse("extract.py")
     top = {name for node, name in _imports(tree) if node in tree.body}
@@ -167,10 +167,34 @@ def test_extract_defines_no_class():
     assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == []
 
 
-def test_toprec_imports_only_at_its_top():
-    # with series below it, the engine needs no import deferred to run time
-    tree = _parse("toprec.py")
+def test_sweeps_imports_only_at_its_top():
+    # the recursion's arithmetic loads as a whole, on an engine's first miss
+    tree = _parse("sweeps.py")
     assert all(node in tree.body for node, _ in _imports(tree))
+
+
+def test_toprec_imports_the_sweeps_only_to_build_the_recursion():
+    # a request whose forms all come from the cache compiles no recursion
+    # arithmetic: toprec imports the sweeps in one place, the cached
+    # property that builds an engine's Recursion on its first miss
+    tree = _parse("toprec.py")
+    deferred = [(node, name) for node, name in _imports(tree) if node not in tree.body]
+    assert [name for _, name in deferred] == [".sweeps"]
+    assert ".sweeps" not in {name for node, name in _imports(tree) if node in tree.body}
+    (engine,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LambertEngine"]
+    (built,) = [n for n in engine.body if isinstance(n, ast.FunctionDef) and n.name == "recursion"]
+    assert [d.id for d in built.decorator_list] == ["cached_property"]
+    assert deferred[0][0] in set(ast.walk(built))
+
+
+def test_only_the_sweeps_import_series():
+    # so the series code, too, loads only when a form is computed
+    importers = {
+        path.name
+        for path in SRC.glob("*.py")
+        if {".series", "hurwitzrec.series"} & set(_package_imports(path.name))
+    }
+    assert importers == {"sweeps.py"}
 
 
 def test_cli_imports_check_modules_only_for_check():

@@ -395,10 +395,10 @@ class TestCache:
         warm = LambertEngine(order=required_order(1, 2))
         attach_cache(warm, path)
         assert warm.w(1, 2) == form
-        # no curve data: neither sigma, nor the two halves the residue table
-        # is cleared from, nor the table, nor the pair table read from it
-        built = {"sigma", "halves", "u_table", "pair_table"} & warm.__dict__.keys()
-        assert not built
+        # no curve data: no recursion, so neither sigma, nor the two halves
+        # the residue table is cleared from, nor the table, nor the pair
+        # table read from it
+        assert "recursion" not in warm.__dict__
 
     def test_symlink_at_path_keeps_link_and_writes_target(self, tmp_path):
         target = tmp_path / "target.json"
@@ -707,13 +707,13 @@ class TestImports:
     def test_oracle_table_loads_no_curve_code(self):
         loaded = loaded_modules("table", "--method", "oracle", "--g-max", "1", "--n-max", "5")
         assert "hurwitzrec.partitions" in loaded
-        curve = {"toprec", "series", "cache", "bridge"}
+        curve = {"toprec", "sweeps", "series", "cache", "bridge"}
         assert not loaded & {f"hurwitzrec.{name}" for name in curve}
 
     def test_elsv_check_loads_no_curve_code(self):
         loaded = loaded_modules("check", "elsv")
         assert "hurwitzrec.bridge" in loaded
-        assert not loaded & {"hurwitzrec.toprec", "hurwitzrec.series"}
+        assert not loaded & {"hurwitzrec.toprec", "hurwitzrec.sweeps", "hurwitzrec.series"}
 
     @pytest.mark.parametrize(
         "args",
@@ -734,6 +734,23 @@ class TestImports:
             assert {"hurwitzrec.toprec", "hurwitzrec.common", "hurwitzrec.cache"} <= loaded, run
             assert "hurwitzrec.partitions" not in loaded, run
         assert path.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [("table", "--method", "recursion", "--g-max", "1", "--n-max", "4"), ("wkg", "1", "2")],
+        ids=["recursion-table", "wkg"],
+    )
+    def test_warm_recursion_loads_no_recursion_code(self, tmp_path, args):
+        # a request whose forms all come from the cache runs only the
+        # extraction: it compiles neither the sweeps nor the series they
+        # run on, both of which the same request loads on an empty cache
+        path = tmp_path / "forms.json"
+        recursion = {"hurwitzrec.sweeps", "hurwitzrec.series"}
+        cold = loaded_modules(*args, "--cache", str(path))
+        assert path.exists() and recursion <= cold
+        warm = loaded_modules(*args, "--cache", str(path))
+        assert {"hurwitzrec.toprec", "hurwitzrec.cache", "hurwitzrec.poleform"} <= warm
+        assert not warm & recursion
 
     def test_cached_recursion_loads_no_hashlib(self, tmp_path):
         path = tmp_path / "forms.json"
@@ -820,17 +837,17 @@ class TestExitCodes:
     def flipped_kernel_sign(self, monkeypatch):
         # every engine main builds gets the opposite kernel sign, as
         # TestVerifyBM::test_corrupted_sign_fails_at_smallest_stable_case
-        # sets it on one engine through LambertEngine.halves
-        from hurwitzrec import toprec
+        # sets it on one engine through its Recursion.halves
+        from hurwitzrec import sweeps
 
-        halves = toprec.LambertEngine.halves.func
+        halves = sweeps.Recursion.halves.func
 
         def flipped(self):
             rhat, (den_w, what) = halves(self)
             return rhat, (den_w, [-c for c in what])
 
         monkeypatch.delenv("HURWITZREC_CACHE", raising=False)
-        monkeypatch.setattr(toprec.LambertEngine, "halves", property(flipped))
+        monkeypatch.setattr(sweeps.Recursion, "halves", property(flipped))
 
     def test_table_mismatch_exit_2(self, flipped_kernel_sign, capsys):
         from hurwitzrec import cli
@@ -890,9 +907,9 @@ class TestExitCodes:
         # W(1,2) sweeps W(0,3) through the pair table; with one residue of the
         # pulled pair (1, 1) off by one, the slot-symmetry check of the
         # assembly fails
-        from hurwitzrec import cli, toprec
+        from hurwitzrec import cli, sweeps
 
-        missing = toprec.PairTable.__missing__
+        missing = sweeps.PairTable.__missing__
 
         def perturbed(self, key):
             row = missing(self, key)
@@ -901,7 +918,7 @@ class TestExitCodes:
             return row
 
         monkeypatch.delenv("HURWITZREC_CACHE", raising=False)
-        monkeypatch.setattr(toprec.PairTable, "__missing__", perturbed)
+        monkeypatch.setattr(sweeps.PairTable, "__missing__", perturbed)
         code = cli.main(["wkg", "1", "2"])
         out, err = capsys.readouterr()
         assert code == 70

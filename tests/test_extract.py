@@ -170,6 +170,12 @@ class TestHSeries:
         # H_{1,(1)} = 0, and a zero value is left out
         assert (1,) not in h_series(engine.w(1, 1), 4)
 
+    def test_fewer_degrees_than_parts_give_nothing(self, engine, oracle):
+        # no mu of k parts has |mu| < k, not even the all-ones one that the
+        # walk's one-pass tail would otherwise make
+        assert h_series(engine.w(0, 4), 3) == {}
+        assert h_series(engine.w(0, 4), 4) == {(1, 1, 1, 1): oracle.hurwitz(0, (1, 1, 1, 1))}
+
 
 class TestAgainstReference:
     @pytest.fixture(scope="class")
@@ -229,9 +235,9 @@ class TestVerifyBM:
         # negating what = zeta / (2 (zeta - sigma)) negates every slot row,
         # pair-table row and the two-sided term 4 rhat what^3 zeta^(-4)
         bad = LambertEngine(order=required_order(1, 3))
-        rhat, (den_w, what) = bad.halves
-        bad.halves = rhat, (den_w, [-c for c in what])
-        assert "u_table" not in bad.__dict__
+        rhat, (den_w, what) = bad.recursion.halves
+        bad.recursion.halves = rhat, (den_w, [-c for c in what])
+        assert "u_table" not in bad.recursion.__dict__
         rows = verify_bm(1, 3, engine=bad)
         assert not all(r["equal"] for r in rows)
         first = rows[0]

@@ -8,10 +8,11 @@ from math import comb, gcd, lcm
 
 import pytest
 
-from hurwitzrec import series, toprec
+from hurwitzrec import series, sweeps
 from hurwitzrec.partitions import aut_size
 from hurwitzrec.poleform import pole_basis, splits
 from hurwitzrec.series import TruncationError
+from hurwitzrec.sweeps import Recursion
 from hurwitzrec.toprec import LambertEngine, required_order
 from test_toprec import (
     other_sheet,
@@ -169,19 +170,19 @@ def random_sweep(rng, n_terms, den_max):
     return mk_terms(), mk_terms(), (rng.randint(1, den_max), u)
 
 
-def pair_table(table, order=SWEEP_ORDER, cls=toprec.PairTable):
+def pair_table(table, order=SWEEP_ORDER, cls=sweeps.PairTable):
     """A pair table on the slot rows -3 .. 3 of the pole-order table."""
     return cls(slot_table(table, range(-3, 4), SWEEP_ORDER - 2), order)
 
 
-class Lopsided(toprec.PairTable):
+class Lopsided(sweeps.PairTable):
     """A pair table that weighs each row toward the side that asked for it
     first, by doubling that slot's row."""
 
     def __missing__(self, key):
         x, _ = key
         u = {**self.u, x: [2 * v for v in self.u[x]]}
-        row = toprec.PairTable((self.den, u), self.order)[key]
+        row = sweeps.PairTable((self.den, u), self.order)[key]
         self[key] = self[key[::-1]] = row
         return row
 
@@ -231,11 +232,11 @@ class TestAgainstReference:
         ta, tb, table = random_sweep(rng, 30, 7)
         den = 3 * own_den(ta, tb, pair_table(table))
         fast, ref = {}, {}
-        toprec.pair_sweep(fast, den, ta, tb, pair_table(table), 1)
+        sweeps.pair_sweep(fast, den, ta, tb, pair_table(table), 1)
         ref_pair_sweep(ref, den, ta, tb, table, SWEEP_ORDER, 1)
         assert nonzero_poles(den, fast) == nonzero(den, ref)
         fast2, ref2 = {}, {}
-        toprec.pair_sweep(fast2, den, ta, tb, pair_table(table), 2)
+        sweeps.pair_sweep(fast2, den, ta, tb, pair_table(table), 2)
         ref_pair_sweep(ref2, den, ta, tb, table, SWEEP_ORDER, 2)
         assert nonzero_poles(den, fast2) == nonzero(den, ref2)
         assert nonzero(den, fast2) == {key: 2 * v for key, v in nonzero(den, fast).items()}
@@ -249,16 +250,16 @@ class TestAgainstReference:
         ta, tb, table = random_sweep(rng, 30, 7)
         den = own_den(ta, tb, pair_table(table))
         ab, ba = {}, {}
-        toprec.pair_sweep(ab, den, ta, tb, pair_table(table), 1)
-        toprec.pair_sweep(ba, den, tb, ta, pair_table(table), 1)
+        sweeps.pair_sweep(ab, den, ta, tb, pair_table(table), 1)
+        sweeps.pair_sweep(ba, den, tb, ta, pair_table(table), 1)
         assert ab and nonzero(den, ab) == nonzero(den, ba)
 
         # a pair table weighing the two reads unequally breaks the identity,
         # so the test can fail; each sweep fills its own pair table, so each
         # row is weighed toward the side that asked for it first
         ab, ba = {}, {}
-        toprec.pair_sweep(ab, den, ta, tb, pair_table(table, cls=Lopsided), 1)
-        toprec.pair_sweep(ba, den, tb, ta, pair_table(table, cls=Lopsided), 1)
+        sweeps.pair_sweep(ab, den, ta, tb, pair_table(table, cls=Lopsided), 1)
+        sweeps.pair_sweep(ba, den, tb, ta, pair_table(table, cls=Lopsided), 1)
         assert nonzero(den, ab) != nonzero(den, ba)
 
     def test_pair_sweep_wide_denominators(self):
@@ -266,13 +267,13 @@ class TestAgainstReference:
         their lcm, as the engine's sweeps of one form do."""
         rng = random.Random(4)
         ta, tb, table = random_sweep(rng, 30, 10**30)
-        sweeps = [(ta, tb), (ta, ta)]
-        dens = [own_den(a, b, pair_table(table)) for a, b in sweeps]
+        sides = [(ta, tb), (ta, ta)]
+        dens = [own_den(a, b, pair_table(table)) for a, b in sides]
         assert dens[0] != dens[1]
         den = lcm(*dens)
         fast, ref = {}, {}
-        for a, b in sweeps:
-            toprec.pair_sweep(fast, den, a, b, pair_table(table), 1)
+        for a, b in sides:
+            sweeps.pair_sweep(fast, den, a, b, pair_table(table), 1)
             ref_pair_sweep(ref, den, a, b, table, SWEEP_ORDER, 1)
         assert nonzero_poles(den, fast) == nonzero(den, ref)
 
@@ -302,7 +303,7 @@ def test_rows_match_series_residues():
     against zeta^(-a) sigma' sigma^(-b), and raises exactly where they do;
     slots below 1 cover the Bergman powers that W(0,3) sweeps."""
     engine = LambertEngine(order=14)
-    table = engine.pair_table
+    table = engine.recursion.pair_table
     kernel = reference_kernel(engine)
     for x, y in product(range(-4, 5), repeat=2):
         expected = {}
@@ -338,7 +339,7 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
             swept[name] += 1
             return kernel(*args)
 
-        monkeypatch.setattr(toprec, name, run)
+        monkeypatch.setattr(sweeps, name, run)
 
     counted("conv_ints", ref_conv_ints)
     counted("unit_inverse", ref_unit_inverse_ints)
@@ -349,7 +350,7 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
         swept["pairs"] += 1
         ref_basis_sweep(acc, den, terms_a, terms_b, pole_table, table.order, weight)
 
-    class BergmanRows(toprec.BergmanRows):
+    class BergmanRows(sweeps.BergmanRows):
         def __missing__(self, y):
             # each Bergman group (i,) swept against the one slot y
             swept["bergman"] += 1
@@ -370,12 +371,12 @@ def test_engine_agrees_with_reference_kernels(monkeypatch):
                 one = (1, {left: {y: 1}})
                 ref_basis_sweep(acc, den, (den_c, {(): group}), one, pole_table, order, 1)
 
-    monkeypatch.setattr(toprec, "pair_sweep", sweep)
-    monkeypatch.setattr(toprec, "BergmanRows", BergmanRows)
-    monkeypatch.setattr(LambertEngine, "_sweep_term1", sweep_term1)
+    monkeypatch.setattr(sweeps, "pair_sweep", sweep)
+    monkeypatch.setattr(sweeps, "BergmanRows", BergmanRows)
+    monkeypatch.setattr(Recursion, "_sweep_term1", sweep_term1)
     ref = ref_engine.w(2, 2)
     assert real == ref
     assert real.canonical_json() == ref.canonical_json()
     assert min(swept["pairs"], swept["bergman"], swept["term1"]) > 0
     assert min(swept["conv_ints"], swept["unit_inverse"]) > 0
-    assert not ref_engine.pair_table
+    assert not ref_engine.recursion.pair_table

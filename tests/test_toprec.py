@@ -6,21 +6,21 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hurwitzrec import toprec
+from hurwitzrec import sweeps
 from hurwitzrec.poleform import PoleForm, basis_poles, contract_slots, pole_basis, splits
 from hurwitzrec.series import TruncationError
-from hurwitzrec.toprec import (
-    FINGERPRINT,
-    LambertEngine,
-    bergman_sweep,
-    check_deck_involution,
-    is_stable,
-    pair_sweep,
-    required_order,
-)
+from hurwitzrec.sweeps import bergman_sweep, check_deck_involution, pair_sweep
+from hurwitzrec.toprec import FINGERPRINT, LambertEngine, is_stable, required_order
 from curve_reference import lambert_x, odd_coordinate, sigma_series, x_series
-from pole_reference import _orderings, ordered_pole_expansion, reference_pole_terms
+from pole_reference import (
+    _orderings,
+    ordered_pole_expansion,
+    reference_pole_terms,
+    slot_by_slot_contract,
+)
 from series_reference import Series, agrees_with, clear_denominators, compose, zero
 
 F = Fraction
@@ -39,7 +39,7 @@ class TestCurve:
 
     def test_minimum_order(self):
         with pytest.raises(ValueError, match="at least 8"):
-            LambertEngine(order=7).sigma
+            LambertEngine(order=7).recursion.sigma
 
     def test_omega_leading_order(self):
         # (y - y o sigma) * x' = (zeta - sigma) * x' = -2 zeta^2 + ...
@@ -79,7 +79,7 @@ def newton_deck_involution(x_local, order):
 
 class TestDeckInvolution:
     def test_lambert_leading_terms(self):
-        den, nums = LambertEngine(order=10).sigma
+        den, nums = LambertEngine(order=10).recursion.sigma
         assert len(nums) == 9 and gcd(den, *nums) == 1
         assert [F(v, den) for v in nums[:4]] == [-1, F(2, 3), F(-4, 9), F(44, 135)]
 
@@ -119,7 +119,7 @@ class TestDeckInvolution:
         # the top coefficient included: it enters the residual at zeta^27 but
         # x(sigma) - x(zeta) only at zeta^28, so a check of x(sigma) = x(zeta)
         # below the truncation order would miss it
-        sigma = LambertEngine(order=28).sigma
+        sigma = LambertEngine(order=28).recursion.sigma
         assert check_deck_involution(sigma) is sigma
         den, perturbed = sigma[0], list(sigma[1])
         perturbed[n - 1] += den
@@ -191,7 +191,7 @@ class TestBergman:
     def test_expansion_entries(self, engine):
         # B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2), the
         # pole written in the basis: converted back, zeta^m carries (m+1) p_(m+2)
-        den, groups = engine._bergman_terms
+        den, groups = engine.recursion._bergman_terms
         assert all(len(rest) == 1 for rest in groups)
         assert groups[(1,)] == {0: den}  # p_2 = xihat_1
         poles = {}
@@ -213,7 +213,7 @@ def bergman_closure(monkeypatch):
         swept.append((terms_b, weight))
         bergman_sweep(acc, den, rows, terms_b, weight)
 
-    monkeypatch.setattr(toprec, "bergman_sweep", recording)
+    monkeypatch.setattr(sweeps, "bergman_sweep", recording)
     engine = LambertEngine(order=required_order(3, 4))
     engine.w(3, 4)
     return engine, swept
@@ -227,7 +227,9 @@ class TestBergmanSweep:
         A, at weights 1 and 2, into a running sum over a multiple of the
         sweep's own denominator."""
         engine, swept = bergman_closure(monkeypatch)
-        bergman, table, rows = engine._bergman_terms, engine.pair_table, engine.bergman_rows
+        recursion = engine.recursion
+        bergman, table = recursion._bergman_terms, recursion.pair_table
+        rows = recursion.bergman_rows
         # each of the 17 forms with k >= 2 sweeps it once: W(0, 3) with
         # weight 1 against the Bergman decomposition itself, the rest with 2
         assert len(swept) == 17
@@ -252,12 +254,12 @@ class TestBergmanSweep:
         contraction of one Bergman group with one pulled slot, and a
         contraction that is zero is left out."""
         engine, _ = bergman_closure(monkeypatch)
-        rows = engine.bergman_rows
-        groups = engine._bergman_terms[1]
+        rows = engine.recursion.bergman_rows
+        groups = engine.recursion._bergman_terms[1]
         assert len(groups) == 22 and len(rows) > 10
         for y, row_y in rows.items():
             for (i,), group in groups.items():
-                row = toprec.contract_pairs(group, y, engine.pair_table)
+                row = sweeps.contract_pairs(group, y, engine.recursion.pair_table)
                 assert row_y.get(i, {}) == row and all(row.values())
 
     def test_counts(self, monkeypatch):
@@ -277,13 +279,13 @@ class TestBergmanSweep:
         calls = Counter()
         for name in ("contract_pairs", "accumulate", "aut_size", "poles_to_basis"):
 
-            def counted(*args, _name=name, _real=getattr(toprec, name)):
+            def counted(*args, _name=name, _real=getattr(sweeps, name)):
                 calls[_name] += 1
                 if _name == "accumulate":
                     calls["entries"] += len(args[2])
                 return _real(*args)
 
-            monkeypatch.setattr(toprec, name, counted)
+            monkeypatch.setattr(sweeps, name, counted)
         engine = LambertEngine(order=required_order(3, 4))
         engine.w(3, 4)
         assert len(engine._memo) == 20
@@ -294,7 +296,7 @@ class TestBergmanSweep:
             "entries": 9034,
             "poles_to_basis": 147,
         }
-        assert len(engine.pair_table) == 45 and len(engine.bergman_rows) == 32
+        assert len(engine.recursion.pair_table) == 45 and len(engine.recursion.bergman_rows) == 32
 
 
 def contracted_through_the_pair_table(engine, y):
@@ -302,9 +304,9 @@ def contracted_through_the_pair_table(engine, y):
     ``(i,): {-m: num}`` contracted with the pulled slot y one read of a fresh
     pair table at a time, sum_m num * T[-m, y], every power m read whether
     its row is empty or not, and the groups whose sum is zero left out."""
-    table = toprec.PairTable(engine.u_table, engine.order)
+    table = sweeps.PairTable(engine.recursion.u_table, engine.order)
     rows = {}
-    for (i,), group in engine._bergman_terms[1].items():
+    for (i,), group in engine.recursion._bergman_terms[1].items():
         sums = {}
         for x, num in group.items():
             for index, v in table[x, y].items():
@@ -324,14 +326,14 @@ class TestBergmanFill:
     @pytest.mark.parametrize("order", [8, 12, 20, 28, 40])
     def test_rows_equal_the_pair_table_contraction(self, order):
         engine = LambertEngine(order=order)
-        top = toprec.kernel_top(order)
+        top = sweeps.kernel_top(order)
         nonzero = 0
         for y in range(-(top - 2), top // 2 + 1):
             want = contracted_through_the_pair_table(engine, y)
-            assert engine.bergman_rows[y] == want, y
+            assert engine.recursion.bergman_rows[y] == want, y
             nonzero += len(want)
         # no pair-table row was filled for them
-        assert nonzero > 0 and not engine.pair_table
+        assert nonzero > 0 and not engine.recursion.pair_table
 
     @pytest.mark.parametrize("order", [8, 12, 20, 28, 40])
     def test_truncation_boundary(self, order):
@@ -341,17 +343,17 @@ class TestBergmanFill:
         bound but has no row in the residue table."""
         engine = LambertEngine(order=order)
         first = (order - 3) // 2 + 1
-        for y in (toprec.kernel_top(order) // 2 + 1, first, first + 1):
+        for y in (sweeps.kernel_top(order) // 2 + 1, first, first + 1):
             with pytest.raises(TruncationError) as reference:
                 contracted_through_the_pair_table(engine, y)
             with pytest.raises(TruncationError) as filled:
-                engine.bergman_rows[y]
+                engine.recursion.bergman_rows[y]
             assert str(filled.value) == str(reference.value)
             assert str(filled.value) == (
                 f"engine order {order} cannot resolve the residue for the pulled slots "
                 f"(x=0, y={y})"
             )
-            assert y not in engine.bergman_rows
+            assert y not in engine.recursion.bergman_rows
 
 
 class TestKernel:
@@ -370,9 +372,9 @@ class TestKernel:
         # sigma = zeta + zeta^2 makes (zeta - sigma) x' vanish to third order:
         # s = sigma / zeta = 1 + zeta has constant term 1, not -1
         eng = LambertEngine(order=10)
-        eng.sigma = 1, [1, 1] + [0] * 7
+        eng.recursion.sigma = 1, [1, 1] + [0] * 7
         with pytest.raises(ValueError, match="second order"):
-            eng.halves
+            eng.recursion.halves
 
 
 def reference_u_table(engine):
@@ -442,10 +444,17 @@ def pole_pair_row(pole_table, order, x, y):
     return {p: v for p, v in sums.items() if v}
 
 
+def row_length(order, s):
+    """The coefficients the residue table stores for slot s: order - 2 for
+    a basis index, order - 2 - m for the Bergman power -m."""
+    return order - 2 - max(0, -s)
+
+
 def table_series(engine, s):
-    """U_s read back from the residue table as a Series."""
-    den, u = engine.u_table
-    return Series(0, [F(v, den) for v in u[s]], engine.order - 2)
+    """U_s read back from the residue table as a Series known as far as the
+    table stores it."""
+    den, u = engine.recursion.u_table
+    return Series(0, [F(v, den) for v in u[s]], len(u[s]))
 
 
 def slot_tops(key):
@@ -460,9 +469,10 @@ class TestResidueTable:
         (zeta - sigma)), with R_s = sum_b P_s[b] sigma' sigma^(-b) / x' the
         slot on the other sheet over dx, taken pole by pole: a power series
         with a nonzero constant term.  Each Bergman row is U_(-m) = s^m U_0,
-        s = sigma / zeta."""
+        s = sigma / zeta.  Every stored coefficient is checked, and each row
+        holds exactly `row_length` of them."""
         engine = LambertEngine(order=order)
-        assert sorted(engine.u_table[1]) == list(slot_range(order))
+        assert sorted(engine.recursion.u_table[1]) == list(slot_range(order))
         sigma = sigma_series(engine)
         omega = (Series.identity(order) - sigma) * x_series(order).derivative()
         half_over_omega = omega.invert_unit().scale(F(1, 2))
@@ -476,6 +486,7 @@ class TestResidueTable:
             for b, c in poles.items():
                 other = other + other_sheet(engine, b).scale(c)
             defined = (other * half_over_omega).shift(max(poles) + 2)
+            assert u.trunc_order == row_length(order, slot) <= defined.trunc_order, slot
             assert u.coefficient(0) != 0, slot
             assert defined.min_exponent == 0, slot
             assert agrees_with(defined, u), slot
@@ -489,15 +500,17 @@ class TestResidueTable:
         the pole-order reference, and every pair-table row, read back into
         pole orders, the sum over its pole pairs of the reference's rows
         u(a)[n] + u(b)[n]; exactly the slot pairs with a pole pair beyond the
-        table raise."""
+        table raise.  A slot row holds exactly `row_length` coefficients,
+        every one of them checked."""
         engine = LambertEngine(order=order)
-        den, u = engine.u_table
+        den, u = engine.recursion.u_table
         reference = reference_u_table(engine)
         ref_den, ref_u = slot_table(reference, slot_range(order), order - 2)
         assert sorted(u) == list(slot_range(order))
         for s, nums in u.items():
-            assert [v * ref_den for v in nums] == [v * den for v in ref_u[s]], s
-        table = engine.pair_table
+            assert len(nums) == row_length(order, s), s
+            assert [v * ref_den for v in nums] == [v * den for v in ref_u[s][: len(nums)]], s
+        table = engine.recursion.pair_table
         for x, y in itertools.product(slot_range(order), repeat=2):
             want = pole_pair_row(reference, order, x, y)
             if want is None:
@@ -507,13 +520,54 @@ class TestResidueTable:
             got = row_poles(table.den, table[x, y])
             assert got == {p: F(v, ref_den) for p, v in want.items()}, (x, y)
 
+    @pytest.mark.parametrize(
+        "order, resolved, raised",
+        [(8, 6, 2), (9, 15, 3), (12, 54, 6), (20, 294, 14), (28, 726, 22), (40, 1734, 34)],
+    )
+    def test_bergman_rows_read_as_full_length_rows(self, order, resolved, raised):
+        """The residue table stops each Bergman row U_(-m) at `row_length`,
+        short of the order - 2 coefficients of the series reference's rows.
+        Every residue of a Bergman power -m (m = 0 .. top - 2) with a pulled
+        slot y, and every Bergman row of y, is the one read from the full
+        rows, or raises the same TruncationError, for y from -(top - 2) to
+        the basis index past the table's last row."""
+        engine = LambertEngine(order=order)
+        recursion = engine.recursion
+        top = sweeps.kernel_top(order)
+        full_u = slot_table(reference_u_table(engine), slot_range(order), order - 2)
+        full = sweeps.PairTable(full_u, order)
+        full_rows = sweeps.BergmanRows(recursion._bergman_terms, full)
+
+        def read(fill, *args):
+            # the residues over the pair table's denominator, or the error
+            try:
+                return fill(*args)
+            except TruncationError as exc:
+                return str(exc)
+
+        def residues(table, m, y):
+            return [F(v, table.den) for v in table.residues(-m, y)]
+
+        def bergman_row(table, rows, y):
+            return {i: {j: F(v, table.den) for j, v in row.items()} for i, row in rows[y].items()}
+
+        counts = Counter()
+        for y in range(-(top - 2), top // 2 + 2):
+            for m in range(top - 1):
+                want = read(residues, full, m, y)
+                assert read(residues, recursion.pair_table, m, y) == want, (m, y)
+                counts["raised" if isinstance(want, str) else "resolved"] += 1
+            want = read(bergman_row, full, full_rows, y)
+            assert read(bergman_row, recursion.pair_table, recursion.bergman_rows, y) == want, y
+        assert counts == {"resolved": resolved, "raised": raised}
+
     @pytest.mark.parametrize("order", [8, 12, 20, 28])
     def test_rows_equal_reference_residues(self, order):
         """Every pair-table row, read back into pole orders, equals the sum
         over its pole pairs of the residues of the kernel built piece by
         piece, for all slot pairs in the table's range that it resolves."""
         engine = LambertEngine(order=order)
-        table = engine.pair_table
+        table = engine.recursion.pair_table
         reference = reference_rows(engine)
         for key in itertools.product(slot_range(order), repeat=2):
             if sum(slot_tops(key)) > order - 3:
@@ -531,7 +585,7 @@ class TestResidueTable:
         where the series reference cannot determine the residue of the top
         pole pair either."""
         engine = LambertEngine(order=order)
-        table = engine.pair_table
+        table = engine.recursion.pair_table
         reference = reference_rows(engine)
         for x, y in itertools.product(slot_range(order), repeat=2):
             top_x, top_y = slot_tops((x, y))
@@ -544,7 +598,7 @@ class TestResidueTable:
                 with pytest.raises(TruncationError):
                     reference(top_x, top_y)
         # the basis index past the table's rows passes the bound, has no row
-        y = toprec.kernel_top(order) // 2 + 1
+        y = sweeps.kernel_top(order) // 2 + 1
         with pytest.raises(TruncationError, match=f"x=0, y={y}"):
             table[0, y]
 
@@ -559,7 +613,7 @@ class TestResidueTable:
         pulled slot y only for m <= top(y), so its powers reach need - 8 and
         no further: every slot lies in the table at the form's own order."""
         engine = LambertEngine(order=30)
-        residues, reads = toprec.PairTable.residues, []
+        residues, reads = sweeps.PairTable.residues, []
 
         def recording(table, x, y):
             # (top(x) + top(y), the larger top, x, y) of this pair
@@ -567,7 +621,7 @@ class TestResidueTable:
             reads.append((sum(tops), max(tops), x, y))
             return residues(table, x, y)
 
-        monkeypatch.setattr(toprec.PairTable, "residues", recording)
+        monkeypatch.setattr(sweeps.PairTable, "residues", recording)
         cases = sorted(
             (required_order(g, k), g, k)
             for g in range(5)
@@ -580,8 +634,8 @@ class TestResidueTable:
             # in the memo already and, with the pair table and the Bergman
             # rows emptied, the reads recorded are W(g, k)'s own
             reads.clear()
-            engine.pair_table.clear()
-            engine.bergman_rows.clear()
+            engine.recursion.pair_table.clear()
+            engine.recursion.bergman_rows.clear()
             engine.w(g, k)
             if (g, k) == (1, 1):
                 # its one sweep is the two-sided Bergman term, read from the halves
@@ -620,9 +674,9 @@ class TestStability:
         # below its window; a one-slot form has no slot symmetry to break
         eng = LambertEngine(order=required_order(2, 1))
         eng.w(1, 2)
-        row = dict(eng.pair_table[1, 1])
+        row = dict(eng.recursion.pair_table[1, 1])
         row[2] += 1
-        eng.pair_table[1, 1] = row
+        eng.recursion.pair_table[1, 1] = row
         with pytest.raises(ArithmeticError, match=r"outside the Hodge window .* at \(2,\)"):
             eng.w(2, 1)
 
@@ -644,9 +698,10 @@ class TestSmallForms:
         Bergman rows."""
         engine = LambertEngine(10)
         assert engine.w(1, 1).pole_terms() == {(2,): F(-1, 24), (3,): F(1, 12), (4,): F(1, 8)}
-        built = {"u_table", "pair_table", "_bergman_terms", "bergman_rows"} & engine.__dict__.keys()
+        tables = {"u_table", "pair_table", "_bergman_terms", "bergman_rows"}
+        built = tables & engine.recursion.__dict__.keys()
         assert not built
-        assert {"sigma", "halves"} <= engine.__dict__.keys()
+        assert {"sigma", "halves"} <= engine.recursion.__dict__.keys()
 
     def test_symmetric_queries(self, engine):
         """Every ordering of a pole multi-index reads the pole view's value:
@@ -806,7 +861,7 @@ class TestStructuralInvariants:
 
         def row(x, y):
             try:
-                return toprec.PairTable(eng.u_table, eng.order)[x, y]
+                return sweeps.PairTable(eng.recursion.u_table, eng.order)[x, y]
             except TruncationError:
                 return None
 
@@ -961,7 +1016,34 @@ def brute_contract(nums, k, factors, budget):
     return out
 
 
+@st.composite
+def slot_walk_inputs(draw):
+    """``(nums, k, factors, budget)`` for `contract_slots`: a random symmetric
+    integer k-form, k <= 9, on indices 1 .. top, and a factor table for the
+    labels 1 .. budget <= 12 whose label-1 row is all zeros, all ones or
+    mixed, the other rows holding zeros anywhere."""
+    k = draw(st.integers(1, 9))
+    budget = draw(st.integers(k, 12))
+    top = draw(st.integers(1, 5))
+    indices = st.lists(st.integers(1, top), min_size=k, max_size=k)
+    keys = st.lists(indices.map(lambda e: tuple(sorted(e, reverse=True))), min_size=1, max_size=8)
+    nums = {key: draw(st.integers(-9, 9).filter(bool)) for key in draw(keys)}
+    row = st.lists(st.sampled_from((0, 0, 1, -2, 3)), min_size=top + 1, max_size=top + 1)
+    ones = draw(st.sampled_from(([0] * (top + 1), [1] * (top + 1), None)))
+    if ones is None:
+        ones = draw(row)
+    rows = draw(st.lists(row, min_size=budget - 1, max_size=budget - 1))
+    return nums, k, [None, ones] + rows, budget
+
+
 class TestSlotWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(slot_walk_inputs())
+    def test_one_pass_tail_equals_the_slot_by_slot_walk(self, inputs):
+        """Ending a run of 1-labels in one pass, each rest counted in all of
+        its orderings, gives what the walk gives one slot at a time."""
+        assert contract_slots(*inputs) == slot_by_slot_contract(*inputs)
+
     def test_contract_slots_by_definition(self):
         """Random forms and factor tables with zeros anywhere in a row: a
         zero above a row's lowest nonzero factor must not end a key's scan."""
@@ -1116,17 +1198,15 @@ def perturbed_pole_map(real):
 
 class TestResidualCheck:
     def test_perturbed_conversion_raises_naming_the_key(self, monkeypatch):
-        from hurwitzrec import toprec
-
-        monkeypatch.setattr(toprec, "pole_basis", perturbed_pole_map(pole_basis))
+        monkeypatch.setattr(sweeps, "pole_basis", perturbed_pole_map(pole_basis))
         with pytest.raises(ArithmeticError, match=r"residual index nonzero .* W\(0,3\) at \(-2, -2, -2\)"):
             LambertEngine(order=12).w(0, 3)
 
     def test_perturbed_conversion_exits_70(self, monkeypatch, capsys):
-        from hurwitzrec import cli, toprec
+        from hurwitzrec import cli
 
         monkeypatch.delenv("HURWITZREC_CACHE", raising=False)
-        monkeypatch.setattr(toprec, "pole_basis", perturbed_pole_map(pole_basis))
+        monkeypatch.setattr(sweeps, "pole_basis", perturbed_pole_map(pole_basis))
         code = cli.main(["wkg", "1", "1"])
         out, err = capsys.readouterr()
         assert code == 70
@@ -1142,17 +1222,18 @@ class TestZeroEntries:
         """No entry of the pair table is 0, and the sweeps never add a zero
         into a bucket, over every form of W(3, 4)'s recursion."""
         added = []
-        accumulate = toprec.accumulate
+        accumulate = sweeps.accumulate
 
         def checked(acc, u, sums, c):
             added.append(c != 0 and all(sums.values()))
             accumulate(acc, u, sums, c)
 
-        monkeypatch.setattr(toprec, "accumulate", checked)
+        monkeypatch.setattr(sweeps, "accumulate", checked)
         engine = LambertEngine(order=required_order(3, 4))
         engine.w(3, 4)
         assert added and all(added)
-        assert len(engine.pair_table) == 45
-        assert all(all(row.values()) for row in engine.pair_table.values())
-        rows = [row for by_index in engine.bergman_rows.values() for row in by_index.values()]
+        assert len(engine.recursion.pair_table) == 45
+        assert all(all(row.values()) for row in engine.recursion.pair_table.values())
+        by_slot = engine.recursion.bergman_rows.values()
+        rows = [row for by_index in by_slot for row in by_index.values()]
         assert len(rows) == 66 and all(row and all(row.values()) for row in rows)
