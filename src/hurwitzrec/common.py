@@ -52,8 +52,8 @@ def check_partition(mu) -> Partition:
 def aut_size(mu: Partition) -> int:
     """|Aut mu|, the order of the stabilizer of mu under permutations of its
     entries: the product of m! over the runs of m equal entries.  mu is any
-    weakly decreasing tuple of ints, not only a partition, so a rest holding
-    residual indices -j counts the same way.  The package's one multiset
+    weakly decreasing tuple of ints, not only a partition: a rest of basis
+    indices, which never holds a residual one.  The package's one multiset
     count: the Hurwitz numbers divide by it, and the class sizes and the
     sweeps' merge counts are quotients of it.  It is not cached: the sweeps
     ask for tens of thousands of distinct rests."""

@@ -15,7 +15,9 @@ Two triangular integer maps convert one slot at a time: `basis_poles` takes a
 basis index to pole orders, and `pole_basis` takes a pole order to basis
 indices, with the residual index -j standing for t^(2j-1) (t-1) = -p_(2j-1),
 which no form holds.  `poles_to_basis` writes a row of residues by pole
-order in the basis, once, where the recursion makes it.
+order in the basis, once, where the recursion makes it; every residue the
+recursion resolves is exact, so the residual indices cancel there, and no
+row outside this module holds one.
 
 A form is symmetric under permuting variables, so it is stored as a map from
 the weakly decreasing tuple of indices to the coefficient of any ordered

@@ -23,8 +23,10 @@ integer step from row s.
 A pulled slot is a basis index (> 0) or a Bergman power (<= 0, -m standing
 for zeta^m); its pole orders are `basis_poles` of the index or the power
 itself.  A residue is made by the kernel's pole order p and written in the
-basis where it is made (see `poles_to_basis`), so every row after it holds
-basis indices only, residual ones included.  Each form is summed in one
+basis where it is made (see `poles_to_basis`).  The pair table resolves only
+the pairs whose residue the kernel holds whole (see `PairTable`), so every
+residue is exact and every row after it holds basis indices >= 1 only: the
+residual indices of `pole_basis` cancel in it.  Each form is summed in one
 running sum ``{rest: {index: num}}``, keyed by the weakly decreasing tuple of
 indices left on the symbolic variables and the first slot's basis index, in
 integers over one denominator.  `Recursion.form` fixes that denominator
@@ -37,7 +39,7 @@ with the zero rows left out (see `BergmanRows`), and `bergman_sweep` adds
 each stored row into its merged rest.  Each row is filled in one pass from
 the residue formula, summed by pole order and written in the basis once;
 the Bergman powers beyond the slot's top pole order give nothing and are
-not read, so the pair table holds basis indices only.
+not read.
 
 The deck involution sigma(zeta) = -zeta + O(zeta^2), the other local
 solution of x(sigma) = x(zeta), is built from the curve's own differential
@@ -63,7 +65,10 @@ from .toprec import outside_window
 
 def kernel_top(order: int) -> int:
     """The top pole order of the recursion kernel at engine order ``order``:
-    the residues, the pole basis and the Bergman terms stop there."""
+    the residues, the pole basis and the Bergman terms stop there, and a
+    pair whose residue would reach past it is not resolved (see
+    `PairTable`), so the tables hold what the pairs inside read and no
+    more."""
     return order - 5
 
 
@@ -107,12 +112,15 @@ class PairTable(dict):
 
     With P_s the pole orders of slot s and top(s) the largest of them, the
     residue at the kernel's pole order p is sum_a P_x[a] U_y[a + top(y) + 2 -
-    p] + sum_b P_y[b] U_x[b + top(x) + 2 - p] for p = 2 .. `kernel_top`, each
-    U a power series (see `residues`); the row is these residues by p written
-    in the basis once (see `poles_to_basis`).  The pair reads U_y and U_x
-    up to zeta^(top(x) + top(y)), so top(x) + top(y) > order - 3 raises
-    TruncationError; so does a slot it has no row for, such as the basis
-    index top // 2 + 1, which passes that bound."""
+    p] + sum_b P_y[b] U_x[b + top(x) + 2 - p], each U a power series (see
+    `residues`), nonzero up to p = top(x) + top(y) + 2; the row is these
+    residues by p written in the basis once (see `poles_to_basis`).  A pair
+    with top(x) + top(y) + 2 > `kernel_top` would reach a pole order the
+    kernel does not hold, and its row would be cut there, so it raises
+    TruncationError.  Every row inside that bound is the whole residue, in
+    which the residual indices of `pole_basis` cancel: it holds basis
+    indices >= 1 only.  A slot the table has no row for, such as a Bergman
+    power past the table's, raises too."""
 
     def __init__(self, u_table, order):
         super().__init__()
@@ -125,21 +133,22 @@ class PairTable(dict):
     def residues(self, x, y) -> list:
         """The residues of the pulled pair (x, y) by the kernel's pole order
         p, a list of numerators over den_u indexed by p = 0 .. `kernel_top`
-        (p = 0, 1 stay 0): the one residue formula, which the pair table and
-        the `BergmanRows` both read."""
+        (p = 0, 1 and those past top(x) + top(y) + 2 stay 0): the one
+        residue formula, which the pair table and the `BergmanRows` both
+        read.  It reads U_y and U_x up to zeta^(top(x) + top(y)), at most
+        zeta^(kernel_top - 2)."""
         poles_x, poles_y = slot_poles(x), slot_poles(y)
         top_x, top_y = max(poles_x), max(poles_y)
-        if top_x + top_y > self.order - 3 or not {x, y} <= self.u.keys():
+        if top_x + top_y + 2 > self.top or not {x, y} <= self.u.keys():
             raise TruncationError(
                 f"engine order {self.order} cannot resolve the residue "
                 f"for the pulled slots (x={x}, y={y})"
             )
-        top = self.top
-        sums = [0] * (top + 1)
+        sums = [0] * (self.top + 1)
         for poles, u, top_u in ((poles_x, self.u[y], top_y), (poles_y, self.u[x], top_x)):
             for a, c in poles.items():
                 n = a + top_u + 2
-                for p in range(2, min(n, top) + 1):
+                for p in range(2, n + 1):
                     sums[p] += c * u[n - p]
         return sums
 
@@ -211,27 +220,26 @@ class BergmanRows(dict):
 
     Each row is filled in one pass from the residue table, not through the
     pair table's rows: the residues of (-m, y) by pole order (see
-    `PairTable.residues`) are made once per m, each group sums them in pole
-    orders, and its sum is written in the basis once.  A Bergman power -m
-    has the one pole order -m, so both halves of the residue formula are
-    empty for m > top(y); only m = 0 .. top(y) is read, none for y < 0."""
+    `PairTable.residues`) are made once per power m the decomposition holds,
+    each group sums them in pole orders, and its sum is written in the
+    basis once.  A Bergman power -m has the one pole order -m, so both
+    halves of the residue formula are empty for m > top(y); only m = 0 ..
+    top(y) is read, none for y < 0.  The pair table's bound keeps top(y) <=
+    kernel_top - 2, so every power read has a row."""
 
     def __init__(self, bergman_terms, table):
         super().__init__()
         self.den, self.groups = bergman_terms
         self.table = table
-        # the largest Bergman power the decomposition holds
-        self.top_power = max(-x for group in self.groups.values() for x in group)
+        self.powers = sorted({-x for group in self.groups.values() for x in group})
 
     def __missing__(self, y):
-        table = self.table
-        reach = min(max(slot_poles(y)), self.top_power) + 1
-        residues = [
-            [(p, v) for p, v in enumerate(table.residues(-m, y)) if v] for m in range(reach)
-        ]
+        table, top_y = self.table, max(slot_poles(y))
+        held = [m for m in self.powers if m <= top_y]
+        residues = {m: [(p, v) for p, v in enumerate(table.residues(-m, y)) if v] for m in held}
         rows = {}
         for (i,), group in self.groups.items():
-            terms = [(num, residues[-x]) for x, num in group.items() if -x < reach]
+            terms = [(num, residues[-x]) for x, num in group.items() if -x in residues]
             if not terms:
                 continue
             sums = [0] * (table.top + 1)
@@ -274,10 +282,11 @@ class Recursion:
 
     @cached_property
     def sigma(self):
-        """The deck involution at z* = 1, known below the engine order, as
+        """The deck involution at z* = 1, known below zeta^kernel_top, as
         ``(den, nums)`` in lowest terms: ``nums[i-1] / den`` is the
-        coefficient sigma_i of zeta^i for i = 1 .. order - 1, so ``nums``
-        is also s = sigma / zeta from zeta^0.
+        coefficient sigma_i of zeta^i for i = 1 .. kernel_top - 1, so
+        ``nums`` is also s = sigma / zeta from zeta^0, its kernel_top - 1
+        coefficients the ones the `halves` read.
 
         sigma = -zeta + O(zeta^2) solves (1 + zeta) sigma sigma' = zeta (1 +
         sigma), the derivative of x(sigma) = x(zeta).  With Q = sigma^2 this
@@ -295,7 +304,7 @@ class Recursion:
             raise ValueError("order must be at least 8")
         # sigma[i] / den is sigma_i; q / den^2 is Q_(n-1) on entering step n
         den, sigma, q = 1, [0, -1], 1
-        for n in range(3, self.order + 1):
+        for n in range(3, kernel_top(self.order) + 1):
             cross = sum(sigma[i] * sigma[n - i] for i in range(2, n - 1))
             num, d = n * cross - 2 * den * sigma[n - 2] + (n - 1) * q, 2 * n * den * den
             common = gcd(num, d)
@@ -313,14 +322,17 @@ class Recursion:
     def _bergman_terms(self):
         # B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2), each
         # zeta^m as the Bergman power -m, up to the kernel's top pole order;
-        # the pole dz0 / (z0 - z*)^(m + 2) is written in the basis, residual
-        # indices included
+        # the pole dz0 / (z0 - z*)^(m + 2) is written in the basis.  An odd
+        # pole is a residual index alone, and the residual indices of an even
+        # one only cancel against it: every exact residue holds basis indices
+        # only, so they contract to zero rows and are left out
         top = kernel_top(self.order)
         den, to_basis = pole_basis(top)
         groups = {}
-        for m in range(top - 1):
+        for m in range(0, top - 1, 2):
             for index, num in to_basis[m + 2].items():
-                groups.setdefault((index,), {})[-m] = (m + 1) * num
+                if index >= 1:
+                    groups.setdefault((index,), {})[-m] = (m + 1) * num
         return den, groups
 
     # -- branch-point evaluation data ----------------------------------------
@@ -328,8 +340,8 @@ class Recursion:
     @cached_property
     def halves(self):
         """The two power series the residue table is made of, ``(rhat,
-        what)``, each ``(den, nums)`` in lowest terms, known below
-        zeta^(order - 2) as the table reads them: rhat = zeta R_0 = -(1/s +
+        what)``, each ``(den, nums)`` in lowest terms, kernel_top - 1
+        coefficients as the table reads them: rhat = zeta R_0 = -(1/s +
         zeta) and what = zeta / (2 (zeta - sigma)) = 1 / (2 (1 - s)), s =
         sigma / zeta, the numerators of `sigma`.  A simple branch point
         needs s = -1 + O(zeta), so that zeta - sigma vanishes to first order
@@ -340,7 +352,7 @@ class Recursion:
                 "kernel denominator must vanish to second order at a simple branch point"
             )
         # 1/s = den_s / s and 1/(1 - s) = den_s / (den_s - s), s read as ints
-        known = self.order - 2
+        known = kernel_top(self.order) - 1
         den_r, inverse = unit_inverse(s, known)
         rhat = [-den_s * v for v in inverse]
         rhat[1] -= den_r
@@ -351,12 +363,14 @@ class Recursion:
     def u_table(self):
         """The residue table ``(den, {s: nums})``: ``nums[n] / den`` is the
         coefficient of zeta^n in U_s = zeta^(top(s)+2) R_s / (2 (zeta -
-        sigma)), one row per pulled slot s up to the kernel's top pole order:
-        the basis indices 0 .. top // 2, top(s) = 2s their top pole order,
-        for n < order - 2, and the Bergman powers -m = -(top - 2) .. -1,
-        top(s) = s, for n < order - 2 - m.  A resolvable pair reads U_y up
-        to zeta^(top(x) + top(y)), which is below order - 2 and, for y = -m,
-        below order - 4 - m, as top(x) <= top.
+        sigma)), one row per pulled slot s that a pair inside the bound of
+        `PairTable` can pull: the basis indices 0 .. top // 2 - 1, top(s) =
+        2s their top pole order, for n < top - 1, and the Bergman powers -m
+        = -(top - 2) .. -1, top(s) = -m, for n < top - 1 - m.  A resolvable
+        pair reads U_y up to zeta^(top(x) + top(y)) <= zeta^(top - 2), and
+        for y = -m up to zeta^(top(x) - m), as top(x) <= top.  A row is kept
+        for every power, read or not, so that the residue formula is defined
+        on every slot of the table.
 
         R_s is slot s on the other sheet, divided by dx: R_0 = -(1 + sigma) /
         sigma is xihat_0 = t - 1 at sigma, R_(s+1) = -(1 + zeta)/zeta R_s' is
@@ -376,11 +390,11 @@ class Recursion:
         each, stopped at the row's length; the gcd of every row is divided
         out, and one lcm puts the rows over the table's denominator.
         """
-        order, top = self.order, kernel_top(self.order)
-        known = order - 2
+        top = kernel_top(self.order)
+        known = top - 1
         rows = {}
         (den_r, rhat), (den_w, what) = self.halves
-        for x in range(top // 2 + 1):
+        for x in range(top // 2):
             rows[x] = lowest_terms(den_r * den_w, conv_ints(rhat, what, known))
             q = [(n - 2 * x - 1) * v for n, v in enumerate(rhat)]
             rhat = [-q[0]] + [-(q[n] + q[n - 1]) for n in range(1, known)]
@@ -488,8 +502,9 @@ class Recursion:
         PoleForm, entries that cancel to 0 ignored, checking that every way
         of singling out the first slot agrees, that no key with a residual
         index is nonzero and that every key lies in the window of
-        `outside_window`.  A failure means the truncation order was
-        insufficient."""
+        `outside_window`.  Every residue the pair table resolves is exact,
+        so these are fault detectors: a failure means a wrong table, sweep
+        or conversion, or an order too low, as the message says."""
 
         def fail(what, full):
             raise ArithmeticError(

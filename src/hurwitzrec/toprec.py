@@ -28,7 +28,10 @@ FINGERPRINT = "daf91dc4013b9690"
 
 def required_order(g: int, k: int) -> int:
     """Truncation order used for the (g, k) form: 2*(3g-3+k) + 8, floored
-    at the minimal curve order 8."""
+    at the minimal curve order 8.  The sweeps of W(g, k) read pulled pairs
+    up to top(x) + top(y) = 2(3g-3+k), and a residue is exact when
+    top(x) + top(y) + 2 <= `sweeps.kernel_top` = order - 5 (see
+    `sweeps.PairTable`), so the reads end one order inside that bound."""
     return max(8, 2 * (3 * g - 3 + k) + 8)
 
 

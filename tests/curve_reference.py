@@ -33,9 +33,10 @@ def x_series(order):
 
 
 def sigma_series(engine):
-    """The engine's deck involution as a Series known below its order."""
+    """The engine's deck involution as a Series known as far as the engine
+    holds it, below zeta^kernel_top(order)."""
     den, nums = engine.recursion.sigma
-    return Series(1, [Fraction(v, den) for v in nums], engine.order)
+    return Series(1, [Fraction(v, den) for v in nums], len(nums) + 1)
 
 
 def odd_coordinate(x_local, order: int):

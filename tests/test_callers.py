@@ -62,6 +62,42 @@ def test_allowlist_is_not_stale():
     assert sorted(ALLOWED.keys() - _uncalled()) == []
 
 
+def _defined_twice(tree, module):
+    """The names a module body or a class body in it defines twice, as
+    ``module.name`` or ``module.Class.name``.  The second definition
+    replaces the first without a word, and the caller checks above, which
+    collect names into a set, cannot tell the two apart."""
+    bodies = [(module, tree.body)] + [
+        (f"{module}.{node.name}", node.body)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    repeated = []
+    for owner, body in bodies:
+        seen = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    repeated.append(f"{owner}.{node.name}")
+                seen.add(node.name)
+    return repeated
+
+
+def test_no_name_is_defined_twice_in_one_body():
+    repeated = []
+    for path in sorted(SRC.glob("*.py")):
+        repeated += _defined_twice(_parse(path.name), path.stem)
+    assert repeated == []
+
+
+def test_a_name_defined_twice_is_found():
+    tree = ast.parse(
+        "def f():\n    pass\n\n\ndef f():\n    pass\n\n\n"
+        "class C:\n    def m(self):\n        pass\n\n    def m(self):\n        pass\n"
+    )
+    assert _defined_twice(tree, "mod") == ["mod.f", "mod.C.m"]
+
+
 # A method counts as called when any method of its name is, so a name that
 # several classes define hides a dead one among them.  Each such name is
 # listed with its classes and the reason they share it.

@@ -70,12 +70,13 @@ def ref_count_ways(u, sub):
 
 def ref_row(table, order, a, b):
     """{p: residue} of pole data (a, b) read from a residue table ``(den,
-    u)`` one entry at a time: u[a][n] + u[b][n] at n = a + b + 2 - p."""
+    u)`` one entry at a time: u[a][n] + u[b][n] at n = a + b + 2 - p, for p
+    up to a + b + 2, which must not pass the kernel's top pole order."""
     den, u = table
-    if a + b > order - 3:
-        raise TruncationError(f"pole data (a={a}, b={b}) beyond order {order}")
     top = a + b + 2
-    return {p: F(u[a][top - p] + u[b][top - p], den) for p in range(2, min(top, order - 5) + 1)}
+    if top > order - 5:
+        raise TruncationError(f"pole data (a={a}, b={b}) beyond order {order}")
+    return {p: F(u[a][top - p] + u[b][top - p], den) for p in range(2, top + 1)}
 
 
 def ref_slot(x):
@@ -145,8 +146,10 @@ def own_den(terms_a, terms_b, pairs):
 
 
 # pulled slots drawn from -3 .. 3 reach pole orders -3 .. 6, which keeps
-# a + b <= order - 3 at this order
-SWEEP_ORDER = 15
+# a + b + 2 <= kernel_top(order) = order - 5 at this order
+SWEEP_ORDER = 19
+# the entries of a residue-table row that a pair can read
+ROW = sweeps.kernel_top(SWEEP_ORDER) - 1
 
 
 def random_sweep(rng, n_terms, den_max):
@@ -166,13 +169,13 @@ def random_sweep(rng, n_terms, den_max):
     def entry():
         return 0 if rng.random() < 0.3 else rng.randint(-7 * den_max, 7 * den_max)
 
-    u = {b: [entry() for _ in range(SWEEP_ORDER - 2)] for b in range(-3, 7)}
+    u = {b: [entry() for _ in range(ROW)] for b in range(-3, 7)}
     return mk_terms(), mk_terms(), (rng.randint(1, den_max), u)
 
 
 def pair_table(table, order=SWEEP_ORDER, cls=sweeps.PairTable):
     """A pair table on the slot rows -3 .. 3 of the pole-order table."""
-    return cls(slot_table(table, range(-3, 4), SWEEP_ORDER - 2), order)
+    return cls(slot_table(table, range(-3, 4), ROW), order)
 
 
 class Lopsided(sweeps.PairTable):
@@ -283,7 +286,7 @@ class TestAgainstReference:
         holds no zero entry, and raises where a pole row does."""
         rng = random.Random(8)
         _, _, table = random_sweep(rng, 1, 7)
-        table[1][-3] = [0] * (SWEEP_ORDER - 2)  # u(-3) zero: some rows cancel
+        table[1][-3] = [0] * ROW  # u(-3) zero: some rows cancel
         pairs = pair_table(table)
         for x, y in product(range(-3, 4), repeat=2):
             want = {}
@@ -293,16 +296,19 @@ class TestAgainstReference:
             assert row_poles(pairs.den, pairs[x, y]) == {p: v for p, v in want.items() if v}
             assert all(pairs[x, y].values()) and pairs[x, y] is pairs[y, x], (x, y)
         assert {} in pairs.values()
-        with pytest.raises(TruncationError):
-            pair_table(table, order=12)[3, 3]
+        # (3, 3) reaches the pole order 6 + 6 + 2 = kernel_top(SWEEP_ORDER)
+        with pytest.raises(TruncationError, match=r"x=3, y=3"):
+            pair_table(table, order=SWEEP_ORDER - 1)[3, 3]
 
 
 def test_rows_match_series_residues():
     """Each pair-table row, read back into pole orders, equals the sum over
     its pole pairs (a, b) of the residues of the kernel built piece by piece
     against zeta^(-a) sigma' sigma^(-b), and raises exactly where they do;
-    slots below 1 cover the Bergman powers that W(0,3) sweeps."""
-    engine = LambertEngine(order=14)
+    slots below 1 cover the Bergman powers that W(0,3) sweeps.  Every slot
+    has a row at this order, so a pair raises exactly where its residue
+    would reach past the kernel's top pole order."""
+    engine = LambertEngine(order=16)
     table = engine.recursion.pair_table
     kernel = reference_kernel(engine)
     for x, y in product(range(-4, 5), repeat=2):

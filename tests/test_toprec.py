@@ -79,8 +79,9 @@ def newton_deck_involution(x_local, order):
 
 class TestDeckInvolution:
     def test_lambert_leading_terms(self):
+        # known below zeta^kernel_top(10) = zeta^5, as far as the halves read it
         den, nums = LambertEngine(order=10).recursion.sigma
-        assert len(nums) == 9 and gcd(den, *nums) == 1
+        assert len(nums) == 4 and gcd(den, *nums) == 1
         assert [F(v, den) for v in nums[:4]] == [-1, F(2, 3), F(-4, 9), F(44, 135)]
 
     def test_pure_quadratic(self):
@@ -89,11 +90,13 @@ class TestDeckInvolution:
         assert sigma == Series.monomial(-1, 1, 10)
 
     def test_involution_property(self):
-        sigma = sigma_series(LambertEngine(order=12))
+        # sigma is known below zeta^kernel_top(17) = zeta^12
+        sigma = sigma_series(LambertEngine(order=17))
+        assert sigma.trunc_order == 12
         assert agrees_with(compose(sigma, sigma), Series.identity(12))
 
     def test_fixes_x(self):
-        sigma = sigma_series(LambertEngine(order=12))
+        sigma = sigma_series(LambertEngine(order=17))
         x = x_series(12)
         assert agrees_with(compose(x, sigma), x)
 
@@ -104,11 +107,13 @@ class TestDeckInvolution:
 
     @pytest.mark.parametrize("order", range(8, 41))
     def test_matches_newton_reference(self, order):
-        # x known to exactly order + 1, the least deck_involution accepts
-        x = x_series(order + 1)
+        # the engine holds sigma below zeta^kernel_top(order); x known to
+        # exactly one order more, the least deck_involution accepts
+        known = sweeps.kernel_top(order)
+        x = x_series(known + 1)
         sigma = sigma_series(LambertEngine(order=order))
-        assert sigma == deck_involution(x, order)
-        assert sigma == newton_deck_involution(x, order)
+        assert sigma == deck_involution(x, known)
+        assert sigma == newton_deck_involution(x, known)
 
     def test_matches_newton_reference_off_lambert(self):
         x = Series(0, [-1, 0, -3, 5, 7], 17)
@@ -118,8 +123,10 @@ class TestDeckInvolution:
     def test_residual_check_rejects_a_perturbed_coefficient(self, n):
         # the top coefficient included: it enters the residual at zeta^27 but
         # x(sigma) - x(zeta) only at zeta^28, so a check of x(sigma) = x(zeta)
-        # below the truncation order would miss it
-        sigma = LambertEngine(order=28).recursion.sigma
+        # below the truncation order would miss it; an order-33 engine holds
+        # sigma_1 .. sigma_27
+        sigma = LambertEngine(order=33).recursion.sigma
+        assert len(sigma[1]) == 27
         assert check_deck_involution(sigma) is sigma
         den, perturbed = sigma[0], list(sigma[1])
         perturbed[n - 1] += den
@@ -187,21 +194,56 @@ def row_poles(den, row):
     return {p: v for p, v in out.items() if v}
 
 
+def full_bergman_terms(order):
+    """The whole Bergman decomposition up to the kernel's top pole order:
+    B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2), each
+    zeta^m as the Bergman power -m, m = 0 .. kernel_top - 2, and each pole
+    written in the basis, residual indices included.  The engine keeps the
+    even powers and the basis indices of it."""
+    top = sweeps.kernel_top(order)
+    den, to_basis = pole_basis(top)
+    groups = {}
+    for m in range(top - 1):
+        for index, num in to_basis[m + 2].items():
+            groups.setdefault((index,), {})[-m] = (m + 1) * num
+    return den, groups
+
+
 class TestBergman:
     def test_expansion_entries(self, engine):
-        # B(z0, z* + zeta) = sum_m (m + 1) zeta^m dz0 / (z0 - z*)^(m + 2), the
-        # pole written in the basis: converted back, zeta^m carries (m+1) p_(m+2)
+        """Converted back, the whole decomposition gives zeta^m (m + 1)
+        p_(m+2) for every pole order of the kernel; the engine's holds its
+        even powers m and, of each, the entries of index >= 1.  Those give
+        the even pole orders alone, and the rest of each pole p_(m+2) is
+        odd pole orders, which a residue within the table's bound never
+        reaches (see `TestBergmanFill`)."""
         den, groups = engine.recursion._bergman_terms
+        full_den, full = full_bergman_terms(engine.order)
         assert all(len(rest) == 1 for rest in groups)
         assert groups[(1,)] == {0: den}  # p_2 = xihat_1
-        poles = {}
-        for (index,), group in groups.items():
-            for power, num in group.items():
-                for a, c in index_poles(index).items():
-                    poles[power, a] = poles.get((power, a), 0) + F(num * c, den)
+        assert den == full_den and len(full) == 2 * len(groups)
+        assert groups == {
+            (i,): {x: num for x, num in group.items() if x % 2 == 0}
+            for (i,), group in full.items()
+            if i >= 1
+        }
+
+        def back(groups):
+            poles = {}
+            for (index,), group in groups.items():
+                for power, num in group.items():
+                    for a, c in index_poles(index).items():
+                        poles[power, a] = poles.get((power, a), 0) + F(num * c, den)
+            return {key: c for key, c in poles.items() if c}
+
         # one entry per pole order of the kernel, p = 2 .. order - 5
         want = {(2 - p, p): p - 1 for p in reference_kernel(engine)}
-        assert {key: c for key, c in poles.items() if c} == want
+        assert back(full) == want
+        kept = back(groups)
+        assert {key: c for key, c in kept.items() if key[1] % 2 == 0} == {
+            key: c for key, c in want.items() if key[1] % 2 == 0
+        }
+        assert all(power % 2 == 0 for power, _ in kept)
 
 
 def bergman_closure(monkeypatch):
@@ -252,11 +294,12 @@ class TestBergmanSweep:
     def test_rows_are_the_nonzero_contractions(self, monkeypatch):
         """Each row the Bergman table holds after W(3, 4)'s closure is the
         contraction of one Bergman group with one pulled slot, and a
-        contraction that is zero is left out."""
+        contraction that is zero is left out.  At order 28 the decomposition
+        holds the 11 groups of the basis indices 1 .. 11."""
         engine, _ = bergman_closure(monkeypatch)
         rows = engine.recursion.bergman_rows
         groups = engine.recursion._bergman_terms[1]
-        assert len(groups) == 22 and len(rows) > 10
+        assert sorted(groups) == [(i,) for i in range(1, 12)] and len(rows) > 10
         for y, row_y in rows.items():
             for (i,), group in groups.items():
                 row = sweeps.contract_pairs(group, y, engine.recursion.pair_table)
@@ -294,19 +337,23 @@ class TestBergmanSweep:
             "accumulate": 2716,
             "aut_size": 777,
             "entries": 9034,
-            "poles_to_basis": 147,
+            "poles_to_basis": 92,
         }
-        assert len(engine.recursion.pair_table) == 45 and len(engine.recursion.bergman_rows) == 32
+        # Bergman rows for the 10 basis slots and the 11 even powers, which
+        # W(0, 3) pulls from the decomposition itself
+        assert len(engine.recursion.pair_table) == 45 and len(engine.recursion.bergman_rows) == 21
 
 
 def contracted_through_the_pair_table(engine, y):
-    """The reference for a Bergman row ``R[y]``: each Bergman group
-    ``(i,): {-m: num}`` contracted with the pulled slot y one read of a fresh
-    pair table at a time, sum_m num * T[-m, y], every power m read whether
-    its row is empty or not, and the groups whose sum is zero left out."""
+    """The reference for a Bergman row ``R[y]``: each group ``(i,): {-m:
+    num}`` of the whole Bergman decomposition, residual indices and odd
+    powers included (`full_bergman_terms`), contracted with the pulled slot
+    y one read of a fresh pair table at a time, sum_m num * T[-m, y], every
+    power m read whether its row is empty or not, and the groups whose sum
+    is zero left out."""
     table = sweeps.PairTable(engine.recursion.u_table, engine.order)
     rows = {}
-    for (i,), group in engine.recursion._bergman_terms[1].items():
+    for (i,), group in full_bergman_terms(engine.order)[1].items():
         sums = {}
         for x, num in group.items():
             for index, v in table[x, y].items():
@@ -325,10 +372,13 @@ class TestBergmanFill:
 
     @pytest.mark.parametrize("order", [8, 12, 20, 28, 40])
     def test_rows_equal_the_pair_table_contraction(self, order):
+        """At every slot y with a row, the engine's rows, made from the even
+        powers and basis indices of the decomposition alone, are the
+        contraction of the whole decomposition: the groups of residual
+        indices and the odd powers the engine drops contract to zero."""
         engine = LambertEngine(order=order)
-        top = sweeps.kernel_top(order)
         nonzero = 0
-        for y in range(-(top - 2), top // 2 + 1):
+        for y in slot_range(order):
             want = contracted_through_the_pair_table(engine, y)
             assert engine.recursion.bergman_rows[y] == want, y
             nonzero += len(want)
@@ -337,13 +387,15 @@ class TestBergmanFill:
 
     @pytest.mark.parametrize("order", [8, 12, 20, 28, 40])
     def test_truncation_boundary(self, order):
-        """From the first slot y with top(y) = 2y > order - 3 on, both raise
-        the same TruncationError, naming the pulled pair (0, y).  So does the
-        basis index kernel_top // 2 + 1 just before it, which passes that
-        bound but has no row in the residue table."""
+        """From the first slot y with top(y) + 2 = 2y + 2 > kernel_top - 2 on,
+        the residue of (0, y) would reach past the kernel's top pole order,
+        and both raise the same TruncationError, naming the pulled pair (0,
+        y).  That slot is kernel_top // 2, the first basis index without a
+        row in the residue table."""
         engine = LambertEngine(order=order)
-        first = (order - 3) // 2 + 1
-        for y in (sweeps.kernel_top(order) // 2 + 1, first, first + 1):
+        first = sweeps.kernel_top(order) // 2
+        assert first == max(slot_range(order)) + 1
+        for y in (first, first + 1):
             with pytest.raises(TruncationError) as reference:
                 contracted_through_the_pair_table(engine, y)
             with pytest.raises(TruncationError) as filled:
@@ -381,9 +433,10 @@ def reference_u_table(engine):
     """The pole-order residue table built from `Series` products, the
     reference for the slot rows: u(b) = zeta^(b+2) e(b), e(b) = sigma'
     sigma^(-b) / (2 omega), omega = (zeta - sigma) x', for -(order - 7) <=
-    b <= order - 5.  u(0) is sigma' / (2 omega) shifted, and u(b) = s^(-b)
-    u(0), s = sigma / zeta, one factor at a time; cleared of denominators
-    at the end over all entries at once."""
+    b <= order - 5, each known below zeta^(kernel_top - 1) as the engine's
+    sigma determines it.  u(0) is sigma' / (2 omega) shifted, and u(b) =
+    s^(-b) u(0), s = sigma / zeta, one factor at a time; cleared of
+    denominators at the end over all entries at once."""
     order, sigma = engine.order, sigma_series(engine)
     omega = (Series.identity(order) - sigma) * x_series(order).derivative()
     s = sigma.shift(-1)
@@ -393,7 +446,7 @@ def reference_u_table(engine):
         u[b] = u[b - 1] * s_inv
     for b in range(-1, 6 - order, -1):
         u[b] = u[b + 1] * s
-    known = order - 2
+    known = sweeps.kernel_top(order) - 1
     den, nums = clear_denominators(
         [f.coefficient(n) for f in u.values() for n in range(known)]
     )
@@ -407,8 +460,11 @@ def slot_poles(s):
 
 
 def slot_range(order):
-    """The pulled slots the residue table has a row for."""
-    return range(-(order - 7), (order - 5) // 2 + 1)
+    """The pulled slots the residue table has a row for: the Bergman powers
+    -m, m = 0 .. kernel_top - 2, and the basis indices whose top pole order
+    2s leaves room for a pole order 2 in the other slot, 2s + 2 + 2 <= top."""
+    top = sweeps.kernel_top(order)
+    return range(-(top - 2), top // 2)
 
 
 def slot_table(pole_table, slots, known):
@@ -430,24 +486,25 @@ def slot_table(pole_table, slots, known):
 def pole_pair_row(pole_table, order, x, y):
     """The pair-table row of slots x and y as the sum over their pole pairs
     (a, b) of the pole rows u(a)[n] + u(b)[n], n = a + b + 2 - p, for p = 2
-    .. min(a + b + 2, order - 5): ``{p: num}`` over the table's denominator,
-    zeros dropped, or None when some a + b > order - 3, beyond the table."""
+    .. a + b + 2: ``{p: num}`` over the table's denominator, zeros dropped,
+    or None when some a + b + 2 > kernel_top(order), a pole order the
+    kernel does not hold."""
     _, u = pole_table
     sums = {}
     for a, ca in slot_poles(x).items():
         for b, cb in slot_poles(y).items():
-            if a + b > order - 3:
+            if a + b + 2 > sweeps.kernel_top(order):
                 return None
-            for p in range(2, min(a + b + 2, order - 5) + 1):
+            for p in range(2, a + b + 3):
                 n = a + b + 2 - p
                 sums[p] = sums.get(p, 0) + ca * cb * (u[a][n] + u[b][n])
     return {p: v for p, v in sums.items() if v}
 
 
 def row_length(order, s):
-    """The coefficients the residue table stores for slot s: order - 2 for
-    a basis index, order - 2 - m for the Bergman power -m."""
-    return order - 2 - max(0, -s)
+    """The coefficients the residue table stores for slot s: kernel_top - 1
+    for a basis index, kernel_top - 1 - m for the Bergman power -m."""
+    return sweeps.kernel_top(order) - 1 - max(0, -s)
 
 
 def table_series(engine, s):
@@ -505,7 +562,7 @@ class TestResidueTable:
         engine = LambertEngine(order=order)
         den, u = engine.recursion.u_table
         reference = reference_u_table(engine)
-        ref_den, ref_u = slot_table(reference, slot_range(order), order - 2)
+        ref_den, ref_u = slot_table(reference, slot_range(order), sweeps.kernel_top(order) - 1)
         assert sorted(u) == list(slot_range(order))
         for s, nums in u.items():
             assert len(nums) == row_length(order, s), s
@@ -522,19 +579,19 @@ class TestResidueTable:
 
     @pytest.mark.parametrize(
         "order, resolved, raised",
-        [(8, 6, 2), (9, 15, 3), (12, 54, 6), (20, 294, 14), (28, 726, 22), (40, 1734, 34)],
+        [(8, 4, 2), (9, 12, 3), (12, 48, 6), (20, 280, 14), (28, 704, 22), (40, 1700, 34)],
     )
     def test_bergman_rows_read_as_full_length_rows(self, order, resolved, raised):
         """The residue table stops each Bergman row U_(-m) at `row_length`,
-        short of the order - 2 coefficients of the series reference's rows.
-        Every residue of a Bergman power -m (m = 0 .. top - 2) with a pulled
-        slot y, and every Bergman row of y, is the one read from the full
-        rows, or raises the same TruncationError, for y from -(top - 2) to
-        the basis index past the table's last row."""
+        short of the kernel_top - 1 coefficients of the series reference's
+        rows.  Every residue of a Bergman power -m (m = 0 .. top - 2) with a
+        pulled slot y, and every Bergman row of y, is the one read from the
+        full rows, or raises the same TruncationError, for y from -(top - 2)
+        to the basis index past the table's last row."""
         engine = LambertEngine(order=order)
         recursion = engine.recursion
         top = sweeps.kernel_top(order)
-        full_u = slot_table(reference_u_table(engine), slot_range(order), order - 2)
+        full_u = slot_table(reference_u_table(engine), slot_range(order), top - 1)
         full = sweeps.PairTable(full_u, order)
         full_rows = sweeps.BergmanRows(recursion._bergman_terms, full)
 
@@ -552,7 +609,7 @@ class TestResidueTable:
             return {i: {j: F(v, table.den) for j, v in row.items()} for i, row in rows[y].items()}
 
         counts = Counter()
-        for y in range(-(top - 2), top // 2 + 2):
+        for y in range(-(top - 2), top // 2 + 1):
             for m in range(top - 1):
                 want = read(residues, full, m, y)
                 assert read(residues, recursion.pair_table, m, y) == want, (m, y)
@@ -565,12 +622,15 @@ class TestResidueTable:
     def test_rows_equal_reference_residues(self, order):
         """Every pair-table row, read back into pole orders, equals the sum
         over its pole pairs of the residues of the kernel built piece by
-        piece, for all slot pairs in the table's range that it resolves."""
+        piece, for all slot pairs in the table's range that it resolves;
+        every other pair raises."""
         engine = LambertEngine(order=order)
         table = engine.recursion.pair_table
         reference = reference_rows(engine)
         for key in itertools.product(slot_range(order), repeat=2):
-            if sum(slot_tops(key)) > order - 3:
+            if sum(slot_tops(key)) + 2 > sweeps.kernel_top(order):
+                with pytest.raises(TruncationError):
+                    table[key]
                 continue
             want = {}
             for a, ca in slot_poles(key[0]).items():
@@ -581,33 +641,40 @@ class TestResidueTable:
 
     @pytest.mark.parametrize("order", [8, 12, 20])
     def test_truncation_boundary(self, order):
-        """A slot pair raises exactly from top(x) + top(y) = order - 2 on,
-        where the series reference cannot determine the residue of the top
-        pole pair either."""
+        """A slot pair raises exactly from top(x) + top(y) + 2 = kernel_top +
+        1 on, where its residue would reach a pole order the kernel does not
+        hold, and the series reference, from the deck involution the engine
+        holds, cannot determine the residue of the top pole pair either;
+        below that bound it resolves the pair, the top pole pair included."""
         engine = LambertEngine(order=order)
         table = engine.recursion.pair_table
         reference = reference_rows(engine)
+        top = sweeps.kernel_top(order)
         for x, y in itertools.product(slot_range(order), repeat=2):
             top_x, top_y = slot_tops((x, y))
-            if top_x + top_y <= order - 3:
+            if top_x + top_y + 2 <= top:
                 table[x, y]
+                if top_x + top_y + 2 == top:
+                    reference(top_x, top_y)
                 continue
             with pytest.raises(TruncationError, match=f"x={x}, y={y}"):
                 table[x, y]
-            if top_x + top_y == order - 2:
+            if top_x + top_y + 2 == top + 1:
                 with pytest.raises(TruncationError):
                     reference(top_x, top_y)
-        # the basis index past the table's rows passes the bound, has no row
-        y = sweeps.kernel_top(order) // 2 + 1
-        with pytest.raises(TruncationError, match=f"x=0, y={y}"):
-            table[0, y]
+        # a basis index or a Bergman power past the table's rows that passes
+        # the bound has no row
+        for x, y in ((-2, top // 2), (-(top - 1), 1)):
+            assert sum(slot_tops((x, y))) + 2 <= top
+            with pytest.raises(TruncationError, match=f"x={x}, y={y}"):
+                table[x, y]
 
     def test_sweeps_stay_inside_the_bound(self, monkeypatch):
         """For every stable (g, k) with required order at most 30, the
         largest top(x) + top(y) its sweeps read is required_order(g, k) - 8,
-        below the bound required_order(g, k) - 3 of the table at that order,
-        so the CLI, which runs at the largest order a request needs, never
-        reaches the bound.  The reads are those of the one residue formula,
+        below the bound kernel_top - 2 = required_order(g, k) - 7 of the
+        table at that order, so the CLI, which runs at the largest order a
+        request needs, never reaches the bound.  The reads are those of the one residue formula,
         by the pair table and by the Bergman fill alike.  The pair table
         reads basis indices only.  The Bergman fill reads a power -m with a
         pulled slot y only for m <= top(y), so its powers reach need - 8 and
@@ -649,6 +716,56 @@ class TestResidueTable:
             assert all(m <= slot_tops((y, y))[0] for m, y in powers), (g, k)
             # the Bergman term is one of every form with k >= 2
             assert max((m for m, _ in powers), default=None) == (need - 8 if k >= 2 else None)
+
+
+    @pytest.mark.parametrize("order", range(8, 41))
+    def test_resolved_rows_hold_basis_indices_only(self, order):
+        """Every residue the tables resolve is exact, so no row holds a
+        residual index: each pair-table row of two slots with a row, each
+        Bergman row of such a slot and each group of the Bergman
+        decomposition is in indices >= 1.  Rows cut at the kernel's top pole
+        order would hold them, and a pair resolves only inside the bound."""
+        recursion = LambertEngine(order=order).recursion
+        top = sweeps.kernel_top(order)
+        assert min(i for (i,) in recursion._bergman_terms[1]) >= 1
+        for y in slot_range(order):
+            for i, row in recursion.bergman_rows[y].items():
+                assert i >= 1 and min(row) >= 1, (y, i)
+        resolved = 0
+        for x, y in itertools.product(slot_range(order), repeat=2):
+            try:
+                row = recursion.pair_table[x, y]
+            except TruncationError:
+                continue
+            assert sum(slot_tops((x, y))) + 2 <= top, (x, y)
+            assert min(row, default=1) >= 1, (x, y)
+            resolved += 1
+        assert resolved > 0
+
+    @pytest.mark.parametrize("g, k", [(3, 4), (4, 5), (3, 8), (6, 1)])
+    def test_forms_at_their_own_order_stay_in_the_basis(self, monkeypatch, g, k):
+        """A form and its closure, computed on an engine at the form's own
+        order, raise nothing, read no pair past top(x) + top(y) = order - 8,
+        one order inside the bound, and add into no rest or row an index
+        below 1; every Bergman read has top(y) <= order - 8."""
+        order = required_order(g, k)
+        residues, accumulate, reads = sweeps.PairTable.residues, sweeps.accumulate, []
+
+        def recording(table, x, y):
+            reads.append((x, y))
+            return residues(table, x, y)
+
+        def checked(acc, u, sums, c):
+            assert min(u + tuple(sums), default=1) >= 1, (u, sums)
+            accumulate(acc, u, sums, c)
+
+        monkeypatch.setattr(sweeps.PairTable, "residues", recording)
+        monkeypatch.setattr(sweeps, "accumulate", checked)
+        engine = LambertEngine(order=order)
+        engine.w(g, k)
+        assert max(sum(slot_tops(key)) for key in reads) == order - 8
+        assert max(slot_tops((y, y))[0] for x, y in reads if x <= 0) <= order - 8
+        assert all(min(key) >= 1 for form in engine._memo.values() for key in form.nums)
 
 
 class TestStability:
@@ -871,7 +988,7 @@ class TestStructuralInvariants:
                 here = row(x, y)
                 assert here == row(y, x), (x, y)
                 resolved += here is not None
-        assert resolved == 534
+        assert resolved == 485
 
     def test_order_robustness(self):
         lo = LambertEngine(order=required_order(2, 1))
@@ -1185,9 +1302,9 @@ class TestElsvBasis:
 
 
 def perturbed_pole_map(real):
-    """`pole_basis` with p_2 = xihat_1 + r_2 in place of xihat_1: the
-    Bergman rests and the residue rows both read it, so every form stays
-    symmetric but gains terms with the residual index -2."""
+    """`pole_basis` with p_2 = xihat_1 + r_2 in place of xihat_1: the residue
+    rows read it and gain the residual index -2, which the Bergman
+    decomposition, keeping basis indices only, does not."""
 
     def pole_map(top):
         den, rows = real(top)
@@ -1198,8 +1315,14 @@ def perturbed_pole_map(real):
 
 class TestResidualCheck:
     def test_perturbed_conversion_raises_naming_the_key(self, monkeypatch):
+        """The one-slot W(1,1) has no slot symmetry to break, so the residual
+        check names its key; in W(0,3) the index -2 reaches the rows but not
+        the rests, and the slot-symmetry check names the key first."""
         monkeypatch.setattr(sweeps, "pole_basis", perturbed_pole_map(pole_basis))
-        with pytest.raises(ArithmeticError, match=r"residual index nonzero .* W\(0,3\) at \(-2, -2, -2\)"):
+        with pytest.raises(ArithmeticError, match=r"residual index nonzero .* W\(1,1\) at \(-2,\)"):
+            LambertEngine(order=12).w(1, 1)
+        symmetry = r"slot-symmetry violated .* W\(0,3\) at \(1, 1, -2\)"
+        with pytest.raises(ArithmeticError, match=symmetry):
             LambertEngine(order=12).w(0, 3)
 
     def test_perturbed_conversion_exits_70(self, monkeypatch, capsys):
